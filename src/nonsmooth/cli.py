@@ -31,7 +31,6 @@ from .groupact import (
     orbit_sequence,
     parse_word,
     punctured_torus_action,
-    word_eval,
     zz_letter_action,
 )
 from .obstruction import certify_domination, order_cmp, zz_witness

@@ -31,14 +31,15 @@ from .projline import (
     traversal_cmp,
     traversal_key,
 )
-from .rational import fmt_rat, parse_rat
+from .rational import fmt_rat
+from .record import Record
 
 # hyperbolic generators of the lifted two-generator (punctured-torus) action
 TORUS_A = MoebiusMap(1, 1, 1, 2)
 TORUS_B = MoebiusMap(1, -1, -1, 2)
 
 
-class CoverPoint:
+class CoverPoint(Record):
     """A point of the cover: a circle point together with its sheet index.
 
     The cover order is lexicographic in (sheet, traversal position).
@@ -52,24 +53,11 @@ class CoverPoint:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "sheet", sheet)
 
-    def __setattr__(self, *a):
-        raise AttributeError("CoverPoint is immutable")
-
     def key(self):
         return (self.sheet,) + traversal_key(self.base)
 
     def deck(self, k: int) -> "CoverPoint":
         return CoverPoint(self.base, self.sheet + k)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CoverPoint)
-            and self.sheet == other.sheet
-            and self.base == other.base
-        )
-
-    def __hash__(self):
-        return hash((self.base, self.sheet))
 
     def __lt__(self, other):
         return self.key() < other.key()
@@ -91,10 +79,6 @@ class CoverPoint:
         obj = self.base.to_obj()
         obj["sheet"] = self.sheet
         return obj
-
-    @staticmethod
-    def from_obj(obj: dict) -> "CoverPoint":
-        return CoverPoint(ProjPoint.from_obj(obj), int(obj["sheet"]))
 
 
 COVER_BASEPOINT = CoverPoint(BASEPOINT, 0)
@@ -120,7 +104,7 @@ def line_point(t) -> CoverPoint:
     return CoverPoint(ProjPoint.from_affine(t), 0 if t >= 0 else -1)
 
 
-class LiftedMap:
+class LiftedMap(Record):
     """The order-preserving lift of a Moebius map determined by the image of
     the sheet-zero basepoint.
 
@@ -134,11 +118,7 @@ class LiftedMap:
     def __init__(self, moebius: MoebiusMap, basepoint_image: CoverPoint):
         if basepoint_image.base != moebius.apply(BASEPOINT):
             raise ValueError("basepoint image does not project to M(basepoint)")
-        object.__setattr__(self, "moebius", moebius)
-        object.__setattr__(self, "basepoint_image", basepoint_image)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LiftedMap is immutable")
+        Record.__init__(self, moebius, basepoint_image)
 
     def apply(self, x: CoverPoint) -> CoverPoint:
         if not isinstance(x, CoverPoint):
@@ -164,47 +144,12 @@ class LiftedMap:
     def deck(self, k: int) -> "LiftedMap":
         return LiftedMap(self.moebius, self.basepoint_image.deck(k))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, LiftedMap)
-            and self.moebius == other.moebius
-            and self.basepoint_image == other.basepoint_image
-        )
-
-    def __hash__(self):
-        return hash((self.moebius, self.basepoint_image))
-
     def __repr__(self):
         return f"LiftedMap({self.moebius!r}, {self.basepoint_image!r})"
-
-    def to_obj(self) -> dict:
-        return {
-            "matrix": self.moebius.to_obj(),
-            "basepoint_image": self.basepoint_image.to_obj(),
-        }
-
-    @staticmethod
-    def from_obj(obj: dict) -> "LiftedMap":
-        return LiftedMap(
-            MoebiusMap.from_obj(obj["matrix"]),
-            CoverPoint.from_obj(obj["basepoint_image"]),
-        )
 
 
 def identity_lift() -> LiftedMap:
     return LiftedMap(MoebiusMap(1, 0, 0, 1), COVER_BASEPOINT)
-
-
-def apply_lift(f: LiftedMap, x: CoverPoint) -> CoverPoint:
-    return f.apply(x)
-
-
-def compose_lifts(f: LiftedMap, g: LiftedMap) -> LiftedMap:
-    return f.compose(g)
-
-
-def invert_lift(f: LiftedMap) -> LiftedMap:
-    return f.inverse()
 
 
 def lift_through(m: MoebiusMap, sheet: int = 0) -> LiftedMap:
@@ -213,22 +158,13 @@ def lift_through(m: MoebiusMap, sheet: int = 0) -> LiftedMap:
     return LiftedMap(m, CoverPoint(m.apply(BASEPOINT), sheet))
 
 
-class CoverBracket:
+class CoverBracket(Record):
     """Two cover points with exactly evaluated displacement signs under some
     lift. Opposite signs certify a fixed point strictly between them; a
     degenerate bracket (lo == hi, signs 0) records an exact rational fixed
     point."""
 
     __slots__ = ("lo", "hi", "sign_lo", "sign_hi")
-
-    def __init__(self, lo: CoverPoint, hi: CoverPoint, sign_lo: int, sign_hi: int):
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "sign_lo", sign_lo)
-        object.__setattr__(self, "sign_hi", sign_hi)
-
-    def __setattr__(self, *a):
-        raise AttributeError("CoverBracket is immutable")
 
     @property
     def degenerate(self) -> bool:
@@ -240,37 +176,16 @@ class CoverBracket:
     def __repr__(self):
         return f"CoverBracket({self.lo!r}, {self.hi!r}, {self.sign_lo}, {self.sign_hi})"
 
-    def to_obj(self) -> dict:
-        return {
-            "lo": self.lo.to_obj(),
-            "hi": self.hi.to_obj(),
-            "sign_lo": self.sign_lo,
-            "sign_hi": self.sign_hi,
-        }
 
-
-class FixedPointCertificate:
+class FixedPointCertificate(Record):
     """Certificate attached to a fixed-point lift: one bracket per isolated
     fixed point, displacement signs evaluated exactly under that lift."""
 
     __slots__ = ("matrix", "brackets")
 
-    def __init__(self, matrix: MoebiusMap, brackets):
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "brackets", tuple(brackets))
-
-    def __setattr__(self, *a):
-        raise AttributeError("FixedPointCertificate is immutable")
-
     @property
     def primary(self) -> CoverBracket:
         return self.brackets[0]
-
-    def to_obj(self) -> dict:
-        return {
-            "matrix": self.matrix.to_obj(),
-            "brackets": [b.to_obj() for b in self.brackets],
-        }
 
 
 def _displacement_sign(f: LiftedMap, x: CoverPoint) -> int:
@@ -330,7 +245,7 @@ def fixed_point_lift(m: MoebiusMap, max_width=Fraction(1, 4)):
         if t_lo * t_hi != -1:
             raise AssertionError("secondary bracket lost its sign change")
         brackets.append(CoverBracket(x_lo, x_hi, t_lo, t_hi))
-    return lift, FixedPointCertificate(m, brackets)
+    return lift, FixedPointCertificate(m, tuple(brackets))
 
 
 def displacement_growth_check(f: LiftedMap, x: CoverPoint, n: int) -> bool:

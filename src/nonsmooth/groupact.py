@@ -28,10 +28,14 @@ from .plmaps import (
     chart_index,
     chart_shift,
 )
+from .record import Record
 
 COVER_LINE = "cover-line"
 UNIT_INTERVAL = "unit-interval"
 DEFAULT_NAMES = ("a", "b")
+# Longest product or power a word may expand to before free reduction; the
+# expansion is materialized, so this bounds the memory one word can take.
+MAX_WORD_LETTERS = 100_000
 
 
 def _reduce(letters):
@@ -49,16 +53,19 @@ def _reduce(letters):
     return tuple(out)
 
 
-class Word:
+def _check_length(n):
+    if n > MAX_WORD_LETTERS:
+        raise WordSyntaxError("word would expand to %d letters, more than the "
+                              "cap of %d" % (n, MAX_WORD_LETTERS))
+
+
+class Word(Record):
     """Freely reduced word in abstract generators, as (index, exponent) letters."""
 
     __slots__ = ("letters",)
 
     def __init__(self, letters=()):
-        object.__setattr__(self, "letters", _reduce(letters))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
+        Record.__init__(self, _reduce(letters))
 
     @classmethod
     def identity(cls):
@@ -69,6 +76,7 @@ class Word:
         return cls(((index, exp),))
 
     def __mul__(self, other):
+        _check_length(len(self.letters) + len(other.letters))
         return Word(self.letters + other.letters)
 
     def inverse(self):
@@ -77,6 +85,7 @@ class Word:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
+        _check_length(len(self.letters) * n)
         return Word(self.letters * n)
 
     def __len__(self):
@@ -95,19 +104,6 @@ class Word:
                 raise WordSyntaxError("no letter name for generator %d" % i)
             parts.append(names[i] if e > 0 else names[i].upper())
         return "".join(parts)
-
-    def to_obj(self):
-        return [[i, e] for i, e in self.letters]
-
-    @classmethod
-    def from_obj(cls, obj):
-        return cls(tuple((int(i), int(e)) for i, e in obj))
-
-    def __eq__(self, other):
-        return isinstance(other, Word) and self.letters == other.letters
-
-    def __hash__(self):
-        return hash(("Word", self.letters))
 
     def __repr__(self):
         return "Word(%r)" % (list(self.letters),)
@@ -195,7 +191,7 @@ def parse_word(text, names=DEFAULT_NAMES):
     return parse_seq(None)
 
 
-class MarkedAction:
+class MarkedAction(Record):
     """Generator letters bound to invertible maps over a tagged domain."""
 
     __slots__ = ("names", "maps", "inverses", "domain", "meta")
@@ -206,14 +202,8 @@ class MarkedAction:
             raise Unsupported("need one bound map per generator name")
         if domain not in (COVER_LINE, UNIT_INTERVAL):
             raise Unsupported("unknown domain tag %r" % (domain,))
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "maps", maps)
-        object.__setattr__(self, "inverses", tuple(m.inverse() for m in maps))
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "meta", dict(meta or {}))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MarkedAction is immutable")
+        Record.__init__(self, names, maps, tuple(m.inverse() for m in maps),
+                        domain, dict(meta or {}))
 
     def check_point(self, x):
         if self.domain == COVER_LINE:
@@ -250,16 +240,10 @@ def orbit_sequence(act, w, x0, n):
     return out
 
 
-class CompactifiedLift:
+class CompactifiedLift(Record):
     """A lift of the covered line viewed inside (0,1), endpoints fixed."""
 
     __slots__ = ("lift",)
-
-    def __init__(self, lift):
-        object.__setattr__(self, "lift", lift)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CompactifiedLift is immutable")
 
     def apply(self, x):
         x = Fraction(x)
@@ -269,12 +253,6 @@ class CompactifiedLift:
 
     def inverse(self):
         return CompactifiedLift(self.lift.inverse())
-
-    def __eq__(self, other):
-        return isinstance(other, CompactifiedLift) and self.lift == other.lift
-
-    def __hash__(self):
-        return hash(("CompactifiedLift", self.lift))
 
     def __repr__(self):
         return "CompactifiedLift(%r)" % (self.lift,)
@@ -310,7 +288,7 @@ def compactified_action(act):
                         UNIT_INTERVAL, meta=meta)
 
 
-class ZZAction:
+class ZZAction(Record):
     """Product of cell translations, one per table entry: identity off the
     listed cells, the k-th power of the cell shift on cell i when table[i]=k."""
 
@@ -323,10 +301,7 @@ class ZZAction:
             i, k = int(i), int(k)
             if k != 0:
                 table[i] = table.get(i, 0) + k
-        object.__setattr__(self, "table", {i: k for i, k in table.items() if k != 0})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ZZAction is immutable")
+        Record.__init__(self, {i: k for i, k in table.items() if k != 0})
 
     def apply(self, x):
         x = Fraction(x)
@@ -353,33 +328,8 @@ class ZZAction:
         return IntervalMapExpr(tuple(cell_shift(i, k)
                                      for i, k in sorted(self.table.items())))
 
-    def to_obj(self):
-        return {"support": {str(i): k for i, k in sorted(self.table.items())}}
-
-    @classmethod
-    def from_obj(cls, obj):
-        return cls({int(i): int(k) for i, k in obj["support"].items()})
-
-    def __eq__(self, other):
-        return isinstance(other, ZZAction) and self.table == other.table
-
-    def __hash__(self):
-        return hash(("ZZAction", tuple(sorted(self.table.items()))))
-
     def __repr__(self):
         return "ZZAction(%r)" % (self.table,)
-
-
-def zz_build(support):
-    return ZZAction(support)
-
-
-def zz_apply(z, x):
-    return z.apply(x)
-
-
-def zz_compose(z1, z2):
-    return z1.compose(z2)
 
 
 def zz_slope_mid(z, i):

@@ -18,10 +18,11 @@ from .errors import (
     SearchExhausted,
     Unsupported,
 )
-from .groupact import COVER_LINE, UNIT_INTERVAL, Word, word_eval, zz_build, zz_slope_mid
+from .groupact import COVER_LINE, UNIT_INTERVAL, ZZAction, word_eval, zz_slope_mid
 from .plmaps import IntervalMapExpr, RIGHT, anchor, as_expr, cell_midpoint, germ_slope
-from .projline import EQUAL, GREATER, LESS, ordering_name
+from .projline import LESS, ordering_name
 from .rational import fmt_rat
+from .record import Record
 
 HALF = Fraction(1, 2)
 
@@ -38,27 +39,14 @@ def _point_obj(x):
     return fmt_rat(x)
 
 
-class OrderResult:
+class OrderResult(Record):
     """Outcome of comparing two words at a point: where each image landed."""
 
     __slots__ = ("ordering", "image1", "image2")
 
-    def __init__(self, ordering, image1, image2):
-        object.__setattr__(self, "ordering", ordering)
-        object.__setattr__(self, "image1", image1)
-        object.__setattr__(self, "image2", image2)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OrderResult is immutable")
-
     @property
     def name(self):
         return ordering_name(self.ordering)
-
-    def to_obj(self):
-        return {"ordering": self.name,
-                "image1": _point_obj(self.image1),
-                "image2": _point_obj(self.image2)}
 
     def __repr__(self):
         return "OrderResult(%s)" % self.name
@@ -75,21 +63,9 @@ def is_commutator_class_trivial(w):
     return all(w.exponent_sum(i) == 0 for i in range(w.max_index() + 1))
 
 
-class DominationRow:
+class DominationRow(Record):
     __slots__ = ("m", "generator", "sign", "moved", "dominator", "ordering",
                  "bracket_route")
-
-    def __init__(self, m, generator, sign, moved, dominator, ordering, bracket_route):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "generator", generator)
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "moved", moved)
-        object.__setattr__(self, "dominator", dominator)
-        object.__setattr__(self, "ordering", ordering)
-        object.__setattr__(self, "bracket_route", bracket_route)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DominationRow is immutable")
 
     def to_obj(self):
         return {"m": self.m,
@@ -101,18 +77,10 @@ class DominationRow:
                 "bracket_route": self.bracket_route}
 
 
-class InterleavingCertificate:
+class InterleavingCertificate(Record):
     """Per-generator fixed-point brackets placed inside one deck window."""
 
     __slots__ = ("window", "entries", "periodicity_note")
-
-    def __init__(self, window, entries, periodicity_note):
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "entries", tuple(entries))
-        object.__setattr__(self, "periodicity_note", periodicity_note)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("InterleavingCertificate is immutable")
 
     def to_obj(self):
         return {
@@ -130,26 +98,9 @@ class InterleavingCertificate:
         }
 
 
-class DominationCertificate:
+class DominationCertificate(Record):
     __slots__ = ("h", "generators", "base", "advancing", "depth", "rows",
                  "valid", "flags", "structural", "interleaving", "normalization")
-
-    def __init__(self, h, generators, base, advancing, depth, rows, valid,
-                 flags, structural, interleaving, normalization):
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "generators", tuple(generators))
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "advancing", advancing)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "rows", tuple(rows))
-        object.__setattr__(self, "valid", valid)
-        object.__setattr__(self, "flags", tuple(flags))
-        object.__setattr__(self, "structural", structural)
-        object.__setattr__(self, "interleaving", interleaving)
-        object.__setattr__(self, "normalization", dict(normalization))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DominationCertificate is immutable")
 
     def to_obj(self):
         return {
@@ -205,7 +156,7 @@ def certify_interleaving(act, window_base=None):
         entries.append((name, moved, k))
     note = ("deck equivariance repeats each bracket inside every window "
             "(base+n, base+n+1), n any integer")
-    return InterleavingCertificate(window, entries, note)
+    return InterleavingCertificate(window, tuple(entries), note)
 
 
 def certify_domination(act, h, seq, depth):
@@ -216,7 +167,7 @@ def certify_domination(act, h, seq, depth):
         raise ValueError("depth must be nonnegative")
     if not is_commutator_class_trivial(h):
         raise NotCommutatorClass(
-            "dominating word has nonzero exponent sum: %r" % (h.to_obj(),))
+            "dominating word has nonzero exponent sum: %r" % (h,))
     base, advancing = seq
     base = act.check_point(base)
     if word_eval(act, advancing, base) == base:
@@ -269,24 +220,15 @@ def certify_domination(act, h, seq, depth):
     if structural:
         flags.append("StructurallyExtended")
     return DominationCertificate(
-        h=h, generators=act.names, base=base, advancing=advancing, depth=depth,
-        rows=rows, valid=valid, flags=flags, structural=structural,
-        interleaving=interleaving, normalization=act.meta)
+        h, act.names, base, advancing, depth, tuple(rows), valid, tuple(flags),
+        structural, interleaving, dict(act.meta))
 
 
-class SlopeCharacter:
+class SlopeCharacter(Record):
     """Multiplicative character: each generator's exact germ slope at a common
     fixed point."""
 
     __slots__ = ("point", "side", "table")
-
-    def __init__(self, point, side, table):
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "table", dict(table))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SlopeCharacter is immutable")
 
     def of_word(self, w, names):
         sigma = Fraction(1)
@@ -294,11 +236,6 @@ class SlopeCharacter:
             s = self.table[names[idx]]
             sigma *= s if exp > 0 else 1 / s
         return sigma
-
-    def to_obj(self):
-        return {"point": fmt_rat(self.point),
-                "side": self.side,
-                "table": {name: fmt_rat(s) for name, s in sorted(self.table.items())}}
 
 
 def slope_character(act, p, side=RIGHT):
@@ -322,17 +259,8 @@ def word_expr(act, w):
     return IntervalMapExpr(tuple(factors))
 
 
-class ZZWitnessEntry:
+class ZZWitnessEntry(Record):
     __slots__ = ("index", "power", "slope", "rejected_slope")
-
-    def __init__(self, index, power, slope, rejected_slope):
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "power", power)
-        object.__setattr__(self, "slope", slope)
-        object.__setattr__(self, "rejected_slope", rejected_slope)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ZZWitnessEntry is immutable")
 
     def to_obj(self):
         return {"index": self.index,
@@ -343,22 +271,9 @@ class ZZWitnessEntry:
                     None if self.rejected_slope is None else fmt_rat(self.rejected_slope)}
 
 
-class ZZWitness:
+class ZZWitness(Record):
     __slots__ = ("truncation", "cap", "entries", "support", "anchors_checked",
                  "anchors_fixed", "narrative")
-
-    def __init__(self, truncation, cap, entries, support, anchors_checked,
-                 anchors_fixed, narrative):
-        object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(self, "cap", cap)
-        object.__setattr__(self, "entries", tuple(entries))
-        object.__setattr__(self, "support", dict(support))
-        object.__setattr__(self, "anchors_checked", anchors_checked)
-        object.__setattr__(self, "anchors_fixed", anchors_fixed)
-        object.__setattr__(self, "narrative", narrative)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ZZWitness is immutable")
 
     @property
     def valid(self):
@@ -403,7 +318,7 @@ def zz_witness(truncation, cap=64):
         found = None
         rejected = None
         for n in range(1, cap + 1):
-            slope = zz_slope_mid(zz_build({i: n}), i)
+            slope = zz_slope_mid(ZZAction({i: n}), i)
             if slope < HALF:
                 found = (n, slope)
                 break
@@ -416,9 +331,9 @@ def zz_witness(truncation, cap=64):
         support[i] = power
         entries.append(ZZWitnessEntry(i, power, slope,
                                       rejected if power > 1 else None))
-    product = zz_build(support)
+    product = ZZAction(support)
     lo, hi = -truncation - 2, truncation + 2
     anchors_fixed = all(product.apply(anchor(j)) == anchor(j)
                         for j in range(lo, hi + 1))
-    return ZZWitness(truncation, cap, entries, support, (lo, hi),
+    return ZZWitness(truncation, cap, tuple(entries), support, (lo, hi),
                      anchors_fixed, _ZZ_NARRATIVE)

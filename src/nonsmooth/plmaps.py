@@ -15,7 +15,7 @@ from .errors import (
     OutOfDomain,
     Unsupported,
 )
-from .rational import fmt_rat, parse_rat
+from .record import Record
 
 LEFT = "left"
 RIGHT = "right"
@@ -77,7 +77,7 @@ def to_chart(x):
     return i + (x - anchor(i)) / cell_width(i)
 
 
-class PLMap:
+class PLMap(Record):
     """Increasing PL bijection of [0,1] given by finitely many breakpoints."""
 
     __slots__ = ("breakpoints",)
@@ -96,10 +96,7 @@ class PLMap:
             if (y1 - y0) * (x2 - x1) != (y2 - y1) * (x1 - x0):
                 kept.append(pts[j])
         kept.append(pts[-1])
-        object.__setattr__(self, "breakpoints", tuple(kept))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PLMap is immutable")
+        Record.__init__(self, tuple(kept))
 
     @classmethod
     def identity(cls):
@@ -137,25 +134,11 @@ class PLMap:
                     | {inv.apply(x) for x, _ in self.breakpoints})
         return PLMap([(x, self.apply(other.apply(x))) for x in xs])
 
-    def __eq__(self, other):
-        return isinstance(other, PLMap) and self.breakpoints == other.breakpoints
-
-    def __hash__(self):
-        return hash(("PLMap", self.breakpoints))
-
     def __repr__(self):
         return "PLMap(%s)" % (list(self.breakpoints),)
 
-    def to_obj(self):
-        return {"kind": "pl",
-                "breakpoints": [[fmt_rat(x), fmt_rat(y)] for x, y in self.breakpoints]}
 
-    @classmethod
-    def from_obj(cls, obj):
-        return cls([(parse_rat(x), parse_rat(y)) for x, y in obj["breakpoints"]])
-
-
-class ModelTranslation:
+class ModelTranslation(Record):
     """Integer chart translation conjugated into a subinterval, identity outside.
 
     With support [l, r] and power k this is theta o psi o (+k) o psi^-1 o
@@ -169,12 +152,7 @@ class ModelTranslation:
         lo, hi = (Fraction(v) for v in support)
         if not (0 <= lo < hi <= 1):
             raise BadInterval("support must satisfy 0 <= l < r <= 1, got [%s, %s]" % (lo, hi))
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "power", int(power))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModelTranslation is immutable")
+        Record.__init__(self, lo, hi, int(power))
 
     @property
     def support(self):
@@ -213,31 +191,14 @@ class ModelTranslation:
             i -= 1
         return cell_width(i + self.power) / cell_width(i)
 
-    def __eq__(self, other):
-        return (isinstance(other, ModelTranslation)
-                and self.support == other.support and self.power == other.power)
-
-    def __hash__(self):
-        return hash(("ModelTranslation", self.support, self.power))
-
     def __repr__(self):
         return "ModelTranslation([%s, %s], %d)" % (self.lo, self.hi, self.power)
-
-    def to_obj(self):
-        return {"kind": "model",
-                "support": [fmt_rat(self.lo), fmt_rat(self.hi)],
-                "power": self.power}
-
-    @classmethod
-    def from_obj(cls, obj):
-        return cls((parse_rat(obj["support"][0]), parse_rat(obj["support"][1])),
-                   obj["power"])
 
 
 _ATOMS = (PLMap, ModelTranslation)
 
 
-class IntervalMapExpr:
+class IntervalMapExpr(Record):
     """Lazy composition of PL atoms: factors (f1, ..., fk) mean f1 o ... o fk."""
 
     __slots__ = ("factors",)
@@ -251,10 +212,7 @@ class IntervalMapExpr:
                 flat.append(f)
             else:
                 raise Unsupported("cannot compose %r" % (f,))
-        object.__setattr__(self, "factors", tuple(flat))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntervalMapExpr is immutable")
+        Record.__init__(self, tuple(flat))
 
     @classmethod
     def identity(cls):
@@ -287,29 +245,8 @@ class IntervalMapExpr:
             y = f.apply(y)
         return acc
 
-    def __eq__(self, other):
-        return isinstance(other, IntervalMapExpr) and self.factors == other.factors
-
-    def __hash__(self):
-        return hash(("IntervalMapExpr", self.factors))
-
     def __repr__(self):
         return "IntervalMapExpr(%s)" % (list(self.factors),)
-
-    def to_obj(self):
-        return [f.to_obj() for f in self.factors]
-
-    @classmethod
-    def from_obj(cls, obj):
-        return cls(tuple(_atom_from_obj(o) for o in obj))
-
-
-def _atom_from_obj(obj):
-    if obj.get("kind") == "pl":
-        return PLMap.from_obj(obj)
-    if obj.get("kind") == "model":
-        return ModelTranslation.from_obj(obj)
-    raise Unsupported("unknown map object %r" % (obj,))
 
 
 def as_expr(m):
@@ -318,10 +255,6 @@ def as_expr(m):
     if isinstance(m, _ATOMS):
         return IntervalMapExpr((m,))
     raise Unsupported("not an interval map: %r" % (m,))
-
-
-def evaluate(m, x):
-    return as_expr(m).apply(x)
 
 
 def one_sided_slope(m, x, side):
@@ -422,7 +355,7 @@ def fixed_set(m):
     raise Unsupported("mixed PL and model factors: fixed set not computed")
 
 
-class AffineChart:
+class AffineChart(Record):
     """Increasing affine bijection of (0,1) onto a subinterval (lo, hi)."""
 
     __slots__ = ("lo", "hi")
@@ -431,11 +364,7 @@ class AffineChart:
         lo, hi = Fraction(lo), Fraction(hi)
         if not (0 < lo < hi < 1):
             raise BadInterval("chart target must satisfy 0 < l < r < 1, got [%s, %s]" % (lo, hi))
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffineChart is immutable")
+        Record.__init__(self, lo, hi)
 
     def apply(self, u):
         return self.lo + Fraction(u) * (self.hi - self.lo)
@@ -459,10 +388,6 @@ class AffineChart:
 
     def __repr__(self):
         return "AffineChart(%s, %s)" % (self.lo, self.hi)
-
-
-def conjugate_into(lo, hi):
-    return AffineChart(lo, hi)
 
 
 def chart_shift(power=1):

@@ -18,7 +18,8 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DegenerateQuadratic
-from .rational import fmt_rat, parse_rat
+from .rational import fmt_rat
+from .record import Record
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -27,7 +28,7 @@ def ordering_name(c: int) -> str:
     return {LESS: "Less", EQUAL: "Equal", GREATER: "Greater"}[c]
 
 
-class ProjPoint:
+class ProjPoint(Record):
     """A point [p : q] of the projective line over the rationals.
 
     Stored in the primitive form gcd(p, q) = 1 with q > 0, or as (1, 0) for
@@ -47,9 +48,6 @@ class ProjPoint:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def __setattr__(self, *a):  # immutable
-        raise AttributeError("ProjPoint is immutable")
-
     @staticmethod
     def from_affine(t) -> "ProjPoint":
         t = Fraction(t)
@@ -68,16 +66,6 @@ class ProjPoint:
             raise ValueError("the point at infinity has no affine coordinate")
         return Fraction(self.num, self.den)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ProjPoint)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
     def __repr__(self):
         if self.is_infinite:
             return "ProjPoint(inf)"
@@ -85,13 +73,6 @@ class ProjPoint:
 
     def to_obj(self) -> dict:
         return {"t": "inf" if self.is_infinite else fmt_rat(self.affine())}
-
-    @staticmethod
-    def from_obj(obj: dict) -> "ProjPoint":
-        t = obj["t"]
-        if t == "inf":
-            return ProjPoint.infinity()
-        return ProjPoint.from_affine(parse_rat(t))
 
 
 BASEPOINT = ProjPoint(0, 1)
@@ -133,7 +114,7 @@ def _clear_to_int(entries):
     return tuple(v // g for v in ints)
 
 
-class MoebiusMap:
+class MoebiusMap(Record):
     """[[a, b], [c, d]] with positive determinant, acting by
     [p : q] -> [a p + b q : c p + d q].
 
@@ -148,11 +129,7 @@ class MoebiusMap:
         a, b, c, d = _clear_to_int((a, b, c, d))
         if a * d - b * c <= 0:
             raise ValueError("determinant must be positive")
-        for name, v in zip(("a", "b", "c", "d"), (a, b, c, d)):
-            object.__setattr__(self, name, v)
-
-    def __setattr__(self, *a):
-        raise AttributeError("MoebiusMap is immutable")
+        Record.__init__(self, a, b, c, d)
 
     @property
     def entries(self):
@@ -191,20 +168,8 @@ class MoebiusMap:
     def inverse(self) -> "MoebiusMap":
         return MoebiusMap(self.d, -self.b, -self.c, self.a)
 
-    def to_obj(self) -> list:
-        return [[str(self.a), str(self.b)], [str(self.c), str(self.d)]]
-
-    @staticmethod
-    def from_obj(obj) -> "MoebiusMap":
-        (a, b), (c, d) = obj
-        return MoebiusMap(int(a), int(b), int(c), int(d))
-
 
 IDENTITY = MoebiusMap(1, 0, 0, 1)
-
-
-def apply_moebius(m: MoebiusMap, u: ProjPoint) -> ProjPoint:
-    return m.apply(u)
 
 
 def fixed_quadratic(m: MoebiusMap):

@@ -21,8 +21,10 @@ def parse_rat(text: str) -> Fraction:
     s = text.strip()
     if not _RAT_RE.match(s):
         raise ValueError(f"not a rational literal: {text!r}")
-    q = Fraction(s)
-    return q
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def fmt_rat(q: Fraction) -> str:

@@ -19,13 +19,13 @@ from .errors import (
     Unsupported,
 )
 from .groupact import UNIT_INTERVAL, MarkedAction, word_eval
-from .rational import fmt_rat
+from .record import Record
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class MoebiusGermMap:
+class MoebiusGermMap(Record):
     """Increasing fractional-linear germ x -> (a x + b)/(c x + d), defined
     away from its pole."""
 
@@ -35,13 +35,7 @@ class MoebiusGermMap:
         a, b, c, d = (Fraction(v) for v in (a, b, c, d))
         if a * d - b * c <= 0:
             raise BadInterval("germ must be orientation preserving")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MoebiusGermMap is immutable")
+        Record.__init__(self, a, b, c, d)
 
     def apply(self, x):
         x = Fraction(x)
@@ -70,11 +64,6 @@ class MoebiusGermMap:
     def __repr__(self):
         return "MoebiusGermMap(%s, %s, %s, %s)" % (self.a, self.b, self.c, self.d)
 
-    def to_obj(self):
-        return {"kind": "germ",
-                "matrix": [[fmt_rat(self.a), fmt_rat(self.b)],
-                           [fmt_rat(self.c), fmt_rat(self.d)]]}
-
 
 def parabolic_germ() -> MoebiusGermMap:
     """x -> x/(1+x): parabolic at 0, pushes everything toward the origin."""
@@ -91,7 +80,7 @@ def germ_action(germ=None) -> MarkedAction:
                         UNIT_INTERVAL)
 
 
-class Window:
+class Window(Record):
     """One blow-up site: base point, generator hull, enlarged domain."""
 
     __slots__ = ("index", "point", "hull", "enlarged", "length", "unit")
@@ -107,26 +96,11 @@ class Window:
             raise BadInterval("hull outside the enlarged window")
         if hull[1] - hull[0] <= 0 or unit <= 0:
             raise BadInterval("window must have positive size")
-        object.__setattr__(self, "index", int(index))
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "hull", hull)
-        object.__setattr__(self, "enlarged", enlarged)
-        object.__setattr__(self, "length", hull[1] - hull[0])
-        object.__setattr__(self, "unit", unit)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Window is immutable")
+        Record.__init__(self, int(index), point, hull, enlarged,
+                        hull[1] - hull[0], unit)
 
     def __repr__(self):
         return "Window(%d, point=%s, hull=%r)" % (self.index, self.point, self.hull)
-
-    def to_obj(self):
-        return {"index": self.index,
-                "point": fmt_rat(self.point),
-                "hull": [fmt_rat(self.hull[0]), fmt_rat(self.hull[1])],
-                "enlarged": [fmt_rat(self.enlarged[0]), fmt_rat(self.enlarged[1])],
-                "length": fmt_rat(self.length),
-                "unit": fmt_rat(self.unit)}
 
 
 def build_windows(act: MarkedAction, p_seq, enlargement=3):
@@ -153,7 +127,7 @@ def build_windows(act: MarkedAction, p_seq, enlargement=3):
     return tuple(windows)
 
 
-class RescaledSystem:
+class RescaledSystem(Record):
     """A window blown up to unit scale: the base point moves to the origin and
     each generator becomes a partial map of the rescaled enlarged window."""
 
@@ -162,13 +136,8 @@ class RescaledSystem:
     def __init__(self, window, act, grid):
         if grid < 2:
             raise ValueError("grid resolution must be at least 2")
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "act", act)
-        object.__setattr__(self, "grid", int(grid))
-        object.__setattr__(self, "_bound", dict(zip(act.names, act.maps)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RescaledSystem is immutable")
+        Record.__init__(self, window, act, int(grid),
+                        dict(zip(act.names, act.maps)))
 
     @property
     def names(self):

@@ -40,14 +40,12 @@ from nonsmooth.groupact import (
     UNIT_INTERVAL,
     MarkedAction,
     Word,
+    ZZAction,
     commutator,
     compactified_action,
     parse_word,
     punctured_torus_action,
     word_eval,
-    zz_apply,
-    zz_build,
-    zz_compose,
 )
 from nonsmooth.obstruction import certify_domination, slope_character, zz_witness
 from nonsmooth.plmaps import LEFT, RIGHT, anchor, cell_shift
@@ -157,13 +155,13 @@ def test_c5_zz_witness():
     # minimality: the rejected slope one power earlier was still >= 1/2
     ok = ok and all(e.rejected_slope is None or e.rejected_slope >= HALF
                     for e in w.entries)
-    product = zz_build(w.support)
+    product = ZZAction(w.support)
     ok = ok and all(product.apply(anchor(j)) == anchor(j)
                     for j in range(-18, 19))
     # difference-quotient oracle on a sample of cells
     from nonsmooth.plmaps import cell_midpoint
     for e in (w.entries[0], w.entries[16], w.entries[32]):
-        m = zz_build({e.index: e.power}).as_expr()
+        m = ZZAction({e.index: e.power}).as_expr()
         p = cell_midpoint(e.index)
         got = max(slope_quotient_oracle(m, p, LEFT),
                   slope_quotient_oracle(m, p, RIGHT))
@@ -275,10 +273,10 @@ def test_c7e_zz_additivity():
         g = {rng.randint(-8, 8): rng.randint(-3, 3)
              for _ in range(rng.randint(0, 4))}
         total = {i: f.get(i, 0) + g.get(i, 0) for i in set(f) | set(g)}
-        zf, zg, zt = zz_build(f), zz_build(g), zz_build(total)
-        ok = ok and zz_compose(zf, zg) == zt
+        zf, zg, zt = ZZAction(f), ZZAction(g), ZZAction(total)
+        ok = ok and zf.compose(zg) == zt
         x = rand_interior(rng)
-        ok = ok and zz_apply(zf, zz_apply(zg, x)) == zz_apply(zt, x)
+        ok = ok and zf.apply(zg.apply(x)) == zt.apply(x)
     verdict("c7e zz additivity", ok, "Z_f o Z_g = Z_{f+g}, 1000 cases")
 
 

@@ -298,3 +298,16 @@ class TestSpecsAndPoints:
             parse_point("pt", UNIT_INTERVAL)
         with pytest.raises(UsageError):
             parse_point("t=1/2,sheet=0", UNIT_INTERVAL)
+
+
+@pytest.mark.parametrize("argv", [
+    ("orbit", "--action", "zz", "--point", "1/0"),
+    ("renorm", "--radius", "1/0"),
+    ("order", "--words", "a,b", "--point", "t=1/0,sheet=0"),
+    ("orbit", "--word", "a^99999999999", "--count", "1"),
+    ("orbit", "--word", "(a^1000000)^1000000", "--count", "1"),
+])
+def test_bad_input_exits_two_without_traceback(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "Traceback" not in err

@@ -21,10 +21,10 @@ from nonsmooth.groupact import (
     UNIT_INTERVAL,
     MarkedAction,
     Word,
+    ZZAction,
     parse_word,
     punctured_torus_action,
     word_eval,
-    zz_build,
     zz_letter_action,
 )
 from nonsmooth.obstruction import (
@@ -104,10 +104,10 @@ class TestOrderCmp:
 
     def test_to_obj(self):
         act = punctured_torus_action()
-        obj = order_cmp(act, A.inverse(), B, PT).to_obj()
-        assert obj["ordering"] == "Less"
-        assert obj["image1"] == {"t": "-1", "sheet": -1}
-        assert obj["image2"] == {"t": "-1/2", "sheet": -1}
+        r = order_cmp(act, A.inverse(), B, PT)
+        assert r.name == "Less"
+        assert r.image1.to_obj() == {"t": "-1", "sheet": -1}
+        assert r.image2.to_obj() == {"t": "-1/2", "sheet": -1}
 
 
 class TestCommutatorClass:
@@ -341,9 +341,9 @@ class TestSlopeCharacter:
             slope_character(punctured_torus_action(), Fraction(1, 2))
 
     def test_to_obj(self):
-        obj = slope_character(self.action(), Fraction(1, 2)).to_obj()
-        assert obj == {"point": "1/2", "side": "right",
-                       "table": {"d": "4", "s": "2"}}
+        ch = slope_character(self.action(), Fraction(1, 2))
+        assert (ch.point, ch.side, ch.table) == (Fraction(1, 2), "right",
+                                                 {"d": 4, "s": 2})
 
 
 class TestZZWitness:
@@ -383,12 +383,12 @@ class TestZZWitness:
             entry = next(e for e in w.entries if e.index == i)
             mid = cell_midpoint(i)
             chosen = max(
-                slope_quotient_oracle(zz_build({i: entry.power}).as_expr(),
+                slope_quotient_oracle(ZZAction({i: entry.power}).as_expr(),
                                       mid, side)
                 for side in (LEFT, RIGHT))
             assert chosen == entry.slope
             prior = max(
-                slope_quotient_oracle(zz_build({i: entry.power - 1}).as_expr(),
+                slope_quotient_oracle(ZZAction({i: entry.power - 1}).as_expr(),
                                       mid, side)
                 for side in (LEFT, RIGHT))
             assert prior == entry.rejected_slope
@@ -410,6 +410,6 @@ class TestZZWitness:
     def test_product_moves_midpoints(self):
         # sanity: the witness product is not the identity near its support
         w = zz_witness(2)
-        product = zz_build(w.support)
+        product = ZZAction(w.support)
         for i in range(-2, 3):
             assert product.apply(cell_midpoint(i)) != cell_midpoint(i)

@@ -83,10 +83,6 @@ class TestGermMaps:
         assert MoebiusGermMap(2, 0, 0, 4) == halving_germ()
         assert parabolic_germ() != halving_germ()
 
-    def test_to_obj(self):
-        assert parabolic_germ().to_obj() == {
-            "kind": "germ", "matrix": [["1", "0"], ["1", "1"]]}
-
 
 class TestBuildWindows:
     def test_parabolic_hull(self):
@@ -155,12 +151,6 @@ class TestBuildWindows:
         with pytest.raises(BadInterval):
             Window(0, Fraction(1, 2), (Fraction(1, 2), Fraction(1, 2)),
                    (0, 1), Fraction(1, 2))
-
-    def test_to_obj(self):
-        w = build_windows(germ_action(), [Fraction(1, 10)])[0]
-        assert w.to_obj() == {
-            "index": 0, "point": "1/10", "hull": ["1/11", "1/10"],
-            "enlarged": ["4/55", "1/10"], "length": "1/110", "unit": "1/110"}
 
 
 class TestRescale:
