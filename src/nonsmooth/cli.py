@@ -47,6 +47,16 @@ from .renorm import (
 
 REPORT_VERSION = "1"
 
+# Largest accepted value of each size option; a larger one exits 2.  Run
+# time grows with each, and at its cap each run took under 35 s on the
+# slowest action with the other options at their defaults (README, "Size
+# caps").
+MAX_DEPTH = 50_000
+MAX_TRUNCATION = 5_000
+MAX_WINDOWS = 1_000
+MAX_GRID = 10_000
+MAX_COUNT = 5_000
+
 USAGE = """usage: nonsmooth <command> [options]
 
 commands:
@@ -62,6 +72,11 @@ run "nonsmooth <command> --help" for the command's options.
 
 class UsageError(Exception):
     """Malformed arguments or action/point specs; exits with code 2."""
+
+
+def check_cap(option, value, cap):
+    if value > cap:
+        raise UsageError("%s %d is above its cap of %d" % (option, value, cap))
 
 
 # ---------------------------------------------------------------- specs
@@ -225,6 +240,7 @@ def cmd_certify(argv):
     if args.target == "punctured-torus":
         if args.depth < 0:
             parser.error("--depth must be nonnegative")
+        check_cap("--depth", args.depth, MAX_DEPTH)
         act = punctured_torus_action()
         cert = certify_domination(
             act, parse_word("[a,b]^2"), (COVER_BASEPOINT, parse_word("[a,b]")),
@@ -247,6 +263,7 @@ def cmd_certify(argv):
     else:
         if args.truncation < 0:
             parser.error("--truncation must be nonnegative")
+        check_cap("--truncation", args.truncation, MAX_TRUNCATION)
         witness = zz_witness(args.truncation)
         verdict = "certified" if witness.valid else "invalid"
         report = {
@@ -288,6 +305,8 @@ def cmd_renorm(argv):
         parser.error("--windows must be positive")
     if args.grid < 2:
         parser.error("--grid must be at least 2")
+    check_cap("--windows", args.windows, MAX_WINDOWS)
+    check_cap("--grid", args.grid, MAX_GRID)
 
     spec, act = parse_action_spec(args.action)
     if act.domain == COVER_LINE:
@@ -419,6 +438,7 @@ def cmd_orbit(argv):
     args = parser.parse_args(argv)
     if args.count < 0:
         parser.error("--count must be nonnegative")
+    check_cap("--count", args.count, MAX_COUNT)
 
     spec, act = parse_action_spec(args.action)
     point = (default_point(spec, act) if args.point is None

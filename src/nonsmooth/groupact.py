@@ -337,13 +337,19 @@ def zz_slope_mid(z, i):
     through the i-th chart shift, the base cell shift power, and the chart
     shift back.  The midpoint is a breakpoint, so the two one-sided slopes
     differ; the larger one is returned (the derivative exists iff they agree).
+    One pass walks the chain: each factor moves the point once and multiplies
+    its left and right slopes into their own products.
     """
     k = z.table.get(int(i), 0)
     if k == 0:
         return Fraction(1)
-    p = cell_midpoint(i)
-    chain = IntervalMapExpr((chart_shift(i), base_cell_shift(k), chart_shift(-i)))
-    return max(chain.one_sided_slope(p, LEFT), chain.one_sided_slope(p, RIGHT))
+    y = cell_midpoint(i)
+    left = right = Fraction(1)
+    for f in (chart_shift(-i), base_cell_shift(k), chart_shift(i)):
+        left *= f.one_sided_slope(y, LEFT)
+        right *= f.one_sided_slope(y, RIGHT)
+        y = f.apply(y)
+    return max(left, right)
 
 
 def zz_letter_action():

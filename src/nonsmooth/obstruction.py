@@ -305,32 +305,46 @@ _ZZ_NARRATIVE = (
 )
 
 
+def _least_power(i, cap):
+    """Least power n <= cap whose slope at the midpoint of cell i is below
+    one half, as (n, slope, slope at n - 1 or None when n == 1)."""
+    rejected = None
+    for n in range(1, cap + 1):
+        slope = zz_slope_mid(ZZAction({i: n}), i)
+        if slope < HALF:
+            return n, slope, rejected
+        rejected = slope
+    raise SearchExhausted(
+        "no power up to %d brings the midpoint slope of cell %d below 1/2"
+        % (cap, i))
+
+
 def zz_witness(truncation, cap=64):
-    """Search each cell for the least power whose midpoint slope drops below
-    one half, then verify the assembled product fixes all nearby anchors."""
+    """Find for each cell the least power whose midpoint slope drops below
+    one half, then verify the assembled product fixes all nearby anchors.
+
+    The search runs once, on cell 0: conjugating by the chart shift carries
+    cell 0's slope chain to every cell.  Each other cell is re-verified
+    exactly through its own chain, at that power and at the power before it;
+    a cell whose two slopes differ from cell 0's gets its own search.
+    """
     if truncation < 0:
         raise ValueError("truncation radius must be nonnegative")
     if cap < 1:
         raise ValueError("search cap must be positive")
+    shared = _least_power(0, cap)
+    power = shared[0]
     entries = []
     support = {}
     for i in range(-truncation, truncation + 1):
-        found = None
-        rejected = None
-        for n in range(1, cap + 1):
-            slope = zz_slope_mid(ZZAction({i: n}), i)
-            if slope < HALF:
-                found = (n, slope)
-                break
-            rejected = slope
-        if found is None:
-            raise SearchExhausted(
-                "no power up to %d brings the midpoint slope of cell %d below 1/2"
-                % (cap, i))
-        power, slope = found
-        support[i] = power
-        entries.append(ZZWitnessEntry(i, power, slope,
-                                      rejected if power > 1 else None))
+        found = shared
+        if i != 0:
+            found = (power, zz_slope_mid(ZZAction({i: power}), i),
+                     zz_slope_mid(ZZAction({i: power - 1}), i) if power > 1 else None)
+            if found != shared:
+                found = _least_power(i, cap)
+        support[i] = found[0]
+        entries.append(ZZWitnessEntry(i, *found))
     product = ZZAction(support)
     lo, hi = -truncation - 2, truncation + 2
     anchors_fixed = all(product.apply(anchor(j)) == anchor(j)

@@ -19,6 +19,9 @@ from .record import Record
 
 LEFT = "left"
 RIGHT = "right"
+# Most factors a power of an expression may expand to; the factors are
+# materialized, so this bounds the memory one power can take.
+MAX_EXPR_FACTORS = 100_000
 
 
 def _check_side(side):
@@ -31,12 +34,20 @@ def pow2(k):
 
 
 def anchor(i):
-    p = pow2(i)
-    return p / (p + 1)
+    """c_i = 2^i/(2^i + 1), built from integers; 1/(2^-i + 1) when i < 0."""
+    if i >= 0:
+        return Fraction(1 << i, (1 << i) + 1)
+    return Fraction(1, (1 << -i) + 1)
 
 
 def cell_width(i):
-    return anchor(i + 1) - anchor(i)
+    """c_(i+1) - c_i in closed form: 2^i/((2^(i+1)+1)(2^i+1)) for i >= 0 and,
+    with j = -i, 2^(j-1)/((2^(j-1)+1)(2^j+1)) for i < 0."""
+    if i >= 0:
+        p = 1 << i
+        return Fraction(p, ((p << 1) + 1) * (p + 1))
+    p = 1 << (-i - 1)
+    return Fraction(p, (p + 1) * ((p << 1) + 1))
 
 
 def cell_midpoint(i):
@@ -235,6 +246,9 @@ class IntervalMapExpr(Record):
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
+        if len(self.factors) * n > MAX_EXPR_FACTORS:
+            raise Unsupported("power would expand to %d factors, more than the "
+                              "cap of %d" % (len(self.factors) * n, MAX_EXPR_FACTORS))
         return IntervalMapExpr(self.factors * n)
 
     def one_sided_slope(self, x, side):

@@ -6,6 +6,13 @@ validates its arguments keeps its own ``__init__`` and ends it with
 """
 
 
+def _rebuild(cls, values):
+    # restore the fields without re-running a normalizing subclass __init__
+    obj = cls.__new__(cls)
+    Record.__init__(obj, *values)
+    return obj
+
+
 class Record:
     """Fields set once, in slot order; equal when the type and every field
     are equal.  A dict field hashes by its items, so every record hashes."""
@@ -22,6 +29,10 @@ class Record:
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle would otherwise set slots via __setattr__
+        return _rebuild, (type(self), self._values())
 
     def _values(self):
         return tuple([getattr(self, name) for name in self.__slots__])

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from nonsmooth import cli
 from nonsmooth.cli import main, parse_point, split_words
 from nonsmooth.cover import COVER_BASEPOINT
 from nonsmooth.errors import OutOfDomain
@@ -311,3 +312,18 @@ def test_bad_input_exits_two_without_traceback(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (("certify", "punctured-torus", "--depth"), cli.MAX_DEPTH),
+    (("certify", "zz", "--truncation"), cli.MAX_TRUNCATION),
+    (("renorm", "--windows"), cli.MAX_WINDOWS),
+    (("renorm", "--grid"), cli.MAX_GRID),
+    (("orbit", "--count"), cli.MAX_COUNT),
+], ids=("depth", "truncation", "windows", "grid", "count"))
+def test_size_above_cap_exits_two(capsys, argv, cap):
+    code, out, err = run(capsys, *argv, str(cap + 1))
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    assert err == "UsageError: %s %d is above its cap of %d\n" % (
+        argv[-1], cap + 1, cap)

@@ -314,7 +314,7 @@ class TestZZSlopeMid:
         assert zz_slope_mid(ZZAction({}), 0) == 1
 
     def test_cell_independence(self):
-        for i in (-16, -5, 0, 5, 16):
+        for i in (-200, -16, -5, 0, 5, 16, 200):
             assert zz_slope_mid(ZZAction({i: 4}), i) == Fraction(16, 51)
 
     def test_against_difference_quotients(self):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import rand_word_letters, slope_quotient_oracle
+from nonsmooth import obstruction
 from nonsmooth.cover import COVER_BASEPOINT, CoverPoint, cover_cmp, line_point
 from nonsmooth.errors import (
     BracketOutsideWindow,
@@ -26,6 +27,7 @@ from nonsmooth.groupact import (
     punctured_torus_action,
     word_eval,
     zz_letter_action,
+    zz_slope_mid,
 )
 from nonsmooth.obstruction import (
     DominationCertificate,
@@ -39,7 +41,16 @@ from nonsmooth.obstruction import (
     word_expr,
     zz_witness,
 )
-from nonsmooth.plmaps import LEFT, RIGHT, cell_midpoint, cell_shift, germ_slope
+from nonsmooth.plmaps import (
+    LEFT,
+    RIGHT,
+    IntervalMapExpr,
+    base_cell_shift,
+    cell_midpoint,
+    cell_shift,
+    chart_shift,
+    germ_slope,
+)
 from nonsmooth.projline import EQUAL, GREATER, LESS
 
 PT = COVER_BASEPOINT
@@ -346,7 +357,74 @@ class TestSlopeCharacter:
                                                  {"d": 4, "s": 2})
 
 
+def per_cell_search(truncation, cap):
+    """Reference: the least-power search run on every cell, each slope taken
+    as the larger one-sided slope of the cell's full chain."""
+    entries = []
+    for i in range(-truncation, truncation + 1):
+        p = cell_midpoint(i)
+        rejected = None
+        for n in range(1, cap + 1):
+            chain = IntervalMapExpr((chart_shift(i), base_cell_shift(n),
+                                     chart_shift(-i)))
+            slope = max(chain.one_sided_slope(p, LEFT),
+                        chain.one_sided_slope(p, RIGHT))
+            if slope < Fraction(1, 2):
+                entries.append(ZZWitnessEntry(i, n, slope,
+                                              rejected if n > 1 else None))
+                break
+            rejected = slope
+        else:
+            raise SearchExhausted("cell %d" % i)
+    return entries
+
+
 class TestZZWitness:
+    @pytest.mark.parametrize("truncation, cap", [(16, 64), (4, 4)])
+    def test_matches_per_cell_search(self, truncation, cap):
+        w = zz_witness(truncation, cap=cap)
+        want = per_cell_search(truncation, cap)
+        assert len(w.entries) == len(want)
+        for got, ref in zip(w.entries, want):
+            assert got == ref
+        assert w.support == {e.index: e.power for e in want}
+
+    @pytest.mark.parametrize("skew, power, rejected_power, probes", [
+        # every power reports the next one up, so the least power drops to 3
+        (lambda k: k + 1, 3, 3, [4, 3, 1, 2, 3]),
+        # only power 3 is off, so the shared power holds but its rejected
+        # slope must come from cell 3's own search
+        (lambda k: 2 if k == 3 else k, 4, 2, [4, 3, 1, 2, 3, 4]),
+    ], ids=("power", "power-before"))
+    def test_disagreeing_cell_gets_its_own_search(self, monkeypatch, skew,
+                                                  power, rejected_power,
+                                                  probes):
+        calls = []
+
+        def skewed(z, i):
+            calls.append((i, z.table.get(i, 0)))
+            if i == 3:
+                z = ZZAction({3: skew(z.table[3])})
+            return zz_slope_mid(z, i)
+
+        monkeypatch.setattr(obstruction, "zz_slope_mid", skewed)
+        w = zz_witness(4)
+        by_cell = {e.index: e for e in w.entries}
+        rejected = zz_slope_mid(ZZAction({0: rejected_power}), 0)
+        assert by_cell[3] == ZZWitnessEntry(3, power, Fraction(16, 51),
+                                            rejected)
+        assert all(e.power == 4 for i, e in by_cell.items() if i != 3)
+        assert [k for i, k in calls if i == 3] == probes
+        assert w.support[3] == power and w.valid
+
+    def test_disagreeing_cell_can_exhaust(self, monkeypatch):
+        def flat_on_cell_3(z, i):
+            return Fraction(1) if i == 3 else zz_slope_mid(z, i)
+
+        monkeypatch.setattr(obstruction, "zz_slope_mid", flat_on_cell_3)
+        with pytest.raises(SearchExhausted, match="cell 3 "):
+            zz_witness(4)
+
     def test_frozen_powers_and_slopes(self):
         w = zz_witness(4)
         assert w.truncation == 4 and w.cap == 64

@@ -21,6 +21,7 @@ from nonsmooth.errors import (
 )
 from nonsmooth.plmaps import (
     LEFT,
+    MAX_EXPR_FACTORS,
     RIGHT,
     AffineChart,
     IntervalMapExpr,
@@ -39,6 +40,7 @@ from nonsmooth.plmaps import (
     germ_slope,
     limit_slope,
     one_sided_slope,
+    pow2,
     to_chart,
 )
 
@@ -63,6 +65,15 @@ class TestChart:
         assert anchor(2) == Fraction(4, 5)
         assert anchor(-1) == Fraction(1, 3)
         assert anchor(-2) == Fraction(1, 5)
+
+    def test_closed_forms_match_definitions(self):
+        # the defining formulas, kept here as the reference
+        def ref_anchor(i):
+            return pow2(i) / (pow2(i) + 1)
+
+        for i in range(-300, 301):
+            assert anchor(i) == ref_anchor(i)
+            assert cell_width(i) == ref_anchor(i + 1) - ref_anchor(i)
 
     def test_chart_index_frozen(self):
         assert chart_index(Fraction(1, 2)) == 0
@@ -391,6 +402,15 @@ class TestExpressions:
         assert (f ** 3).apply(x) == f.apply(f.apply(f.apply(x)))
         assert (f ** 0).apply(x) == x
         assert (f ** -2).apply(f.apply(f.apply(x))) == x
+
+    def test_power_cap(self):
+        f = IntervalMapExpr((S, T))
+        assert len((f ** (MAX_EXPR_FACTORS // 2)).factors) == MAX_EXPR_FACTORS
+        for n in (MAX_EXPR_FACTORS // 2 + 1, -(MAX_EXPR_FACTORS // 2 + 1)):
+            with pytest.raises(Unsupported):
+                f ** n
+        with pytest.raises(Unsupported):
+            IntervalMapExpr((S,)) ** 10 ** 12
 
 
 class TestCellShifts:

@@ -1,6 +1,8 @@
-"""Immutable records: every value type refuses assignment, and equal
-instances hash equal."""
+"""Immutable records: every value type refuses assignment, equal instances
+hash equal, and copy, deepcopy and pickle give back an equal record."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -112,3 +114,18 @@ def test_immutable_and_hash_consistent(cls):
     with pytest.raises(AttributeError):
         setattr(a, cls.__slots__[0], None)
     assert a == b
+
+
+ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda r: pickle.loads(pickle.dumps(r)),
+}
+
+
+@pytest.mark.parametrize("how", ROUND_TRIPS)
+@pytest.mark.parametrize("cls", BUILDERS, ids=lambda cls: cls.__name__)
+def test_copy_and_pickle_round_trip(cls, how):
+    a = BUILDERS[cls]()
+    b = ROUND_TRIPS[how](a)
+    assert type(b) is cls and b == a and hash(b) == hash(a)
