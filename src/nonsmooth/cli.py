@@ -56,6 +56,8 @@ MAX_TRUNCATION = 5_000
 MAX_WINDOWS = 1_000
 MAX_GRID = 10_000
 MAX_COUNT = 5_000
+# the same for the absolute "power" of a model-translation action spec
+MAX_POWER = 5_000
 
 USAGE = """usage: nonsmooth <command> [options]
 
@@ -114,6 +116,9 @@ def parse_action_spec(text):
         if kind == "model-translation":
             support = obj.get("support", ["1/2", "2/3"])
             power = int(obj.get("power", 1))
+            if abs(power) > MAX_POWER:
+                raise UsageError("model-translation power %d is outside "
+                                 "[-%d, %d]" % (power, MAX_POWER, MAX_POWER))
             lo, hi = (parse_rat(str(v)) for v in support)
             echo = {"type": kind, "support": [fmt_rat(lo), fmt_rat(hi)],
                     "power": power}
@@ -121,7 +126,7 @@ def parse_action_spec(text):
                 ("a",), (ModelTranslation((lo, hi), power),), UNIT_INTERVAL)
         if kind == "parabolic-germ":
             return {"type": kind}, germ_action()
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise UsageError("bad action spec %r: %s" % (text, exc))
     raise UsageError("unknown action type %r" % (kind,))
 
@@ -158,8 +163,7 @@ def parse_point(text, domain):
 
 def format_point(p):
     if isinstance(p, CoverPoint):
-        t = "inf" if p.base.is_infinite else fmt_rat(p.base.affine())
-        return "t=%s,sheet=%d" % (t, p.sheet)
+        return "t=%s,sheet=%d" % (p.base.coordinate(), p.sheet)
     return fmt_rat(p)
 
 

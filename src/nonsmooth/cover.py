@@ -17,11 +17,11 @@ module builds its order certificates on.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 
 from .errors import NoRealFixedPoint, OutOfDomain
 from .projline import (
     BASEPOINT,
-    EQUAL,
     GREATER,
     LESS,
     MoebiusMap,
@@ -29,9 +29,7 @@ from .projline import (
     bracket_roots,
     fixed_quadratic,
     traversal_cmp,
-    traversal_key,
 )
-from .rational import fmt_rat
 from .record import Record
 
 # hyperbolic generators of the lifted two-generator (punctured-torus) action
@@ -39,6 +37,7 @@ TORUS_A = MoebiusMap(1, 1, 1, 2)
 TORUS_B = MoebiusMap(1, -1, -1, 2)
 
 
+@total_ordering
 class CoverPoint(Record):
     """A point of the cover: a circle point together with its sheet index.
 
@@ -53,27 +52,14 @@ class CoverPoint(Record):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "sheet", sheet)
 
-    def key(self):
-        return (self.sheet,) + traversal_key(self.base)
-
     def deck(self, k: int) -> "CoverPoint":
         return CoverPoint(self.base, self.sheet + k)
 
     def __lt__(self, other):
-        return self.key() < other.key()
-
-    def __le__(self, other):
-        return self.key() <= other.key()
-
-    def __gt__(self, other):
-        return self.key() > other.key()
-
-    def __ge__(self, other):
-        return self.key() >= other.key()
+        return cover_cmp(self, other) == LESS
 
     def __repr__(self):
-        t = "inf" if self.base.is_infinite else fmt_rat(self.base.affine())
-        return f"CoverPoint(t={t}, sheet={self.sheet})"
+        return f"CoverPoint(t={self.base.coordinate()}, sheet={self.sheet})"
 
     def to_obj(self) -> dict:
         obj = self.base.to_obj()
@@ -85,12 +71,9 @@ COVER_BASEPOINT = CoverPoint(BASEPOINT, 0)
 
 
 def cover_cmp(x: CoverPoint, y: CoverPoint) -> int:
-    kx, ky = x.key(), y.key()
-    if kx < ky:
-        return LESS
-    if kx > ky:
-        return GREATER
-    return EQUAL
+    if x.sheet != y.sheet:
+        return LESS if x.sheet < y.sheet else GREATER
+    return traversal_cmp(x.base, y.base)
 
 
 def line_point(t) -> CoverPoint:
@@ -259,40 +242,34 @@ def displacement_growth_check(f: LiftedMap, x: CoverPoint, n: int) -> bool:
     return cover_cmp(cur, x.deck(n - 1)) == GREATER
 
 
-def _traversal_coordinate(u: ProjPoint) -> Fraction:
-    # strictly increasing [0, 1) parametrization of the cut circle
-    if u.is_infinite:
-        return Fraction(1, 2)
-    t = u.affine()
-    if t >= 0:
-        return t / (2 * (1 + t))
-    return Fraction(1, 2) + Fraction(1, 2 * (1 - t))
-
-
 def compactify(x: CoverPoint) -> Fraction:
     """Strictly increasing embedding of the cover into (0, 1).
 
-    The cover first maps to the real line by sheet + w(t) with w the
-    traversal coordinate, then the line is squashed into the open unit
-    interval; endpoints 0 and 1 compactify the two ends.
+    The cover first maps to the real line by sheet + n/d, where n/d is the
+    traversal coordinate of the base [p : q], a strictly increasing [0, 1)
+    parametrization of the cut circle: t/(2(1 + t)) for t >= 0 (1/2 at
+    infinity) and 1/2 + 1/(2(1 - t)) for t < 0. The line point lam/d is then
+    squashed into the open unit interval by (lam/(d + |lam|) + 1)/2;
+    endpoints 0 and 1 compactify the two ends.
     """
-    lam = x.sheet + _traversal_coordinate(x.base)
-    return (lam / (1 + abs(lam)) + 1) / 2
+    p, q = x.base.num, x.base.den
+    n, d = (p, 2 * (p + q)) if p >= 0 else (2 * q - p, 2 * (q - p))
+    lam = x.sheet * d + n
+    return Fraction(lam + d + abs(lam), 2 * (d + abs(lam)))
 
 
 def uncompactify(y) -> CoverPoint:
     """Exact inverse of compactify on (0, 1)."""
     y = Fraction(y)
-    if not (0 < y < 1):
+    a, b = y.numerator, y.denominator
+    if not (0 < a < b):
         raise OutOfDomain("uncompactify needs a point strictly inside (0, 1)")
-    mu = 2 * y - 1
-    lam = mu / (1 - abs(mu))
-    sheet = lam.numerator // lam.denominator  # exact floor
-    w = lam - sheet
-    if w < Fraction(1, 2):
-        base = ProjPoint.from_affine(2 * w / (1 - 2 * w))
-    elif w == Fraction(1, 2):
-        base = ProjPoint.infinity()
+    # the line point m/d, its sheet, and w = r/d in [0, 1)
+    m = 2 * a - b
+    d = b - abs(m)
+    sheet, r = divmod(m, d)
+    if 2 * r <= d:
+        base = ProjPoint(2 * r, d - 2 * r)  # [d : 0] is infinity
     else:
-        base = ProjPoint.from_affine(1 - 1 / (2 * w - 1))
+        base = ProjPoint(2 * (r - d), 2 * r - d)
     return CoverPoint(base, sheet)

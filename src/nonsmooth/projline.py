@@ -66,37 +66,34 @@ class ProjPoint(Record):
             raise ValueError("the point at infinity has no affine coordinate")
         return Fraction(self.num, self.den)
 
+    def coordinate(self) -> str:
+        """The affine coordinate as reports write it: "inf" or a rational."""
+        return "inf" if self.is_infinite else fmt_rat(self.affine())
+
     def __repr__(self):
-        if self.is_infinite:
-            return "ProjPoint(inf)"
-        return f"ProjPoint({fmt_rat(self.affine())})"
+        return f"ProjPoint({self.coordinate()})"
 
     def to_obj(self) -> dict:
-        return {"t": "inf" if self.is_infinite else fmt_rat(self.affine())}
+        return {"t": self.coordinate()}
 
 
 BASEPOINT = ProjPoint(0, 1)
 
 
-def traversal_key(u: ProjPoint):
-    """Sort key realizing the traversal order with basepoint [0 : 1].
+def traversal_cmp(u: ProjPoint, v: ProjPoint) -> int:
+    """The traversal order with basepoint [0 : 1], on the integer pairs.
 
     Finite t >= 0 come first (increasing), then infinity, then finite t < 0
-    (increasing). Total on points; the cyclic order of the circle cut open.
+    (increasing): the cyclic order of the circle cut open. Points in one
+    half compare by cross-multiplication; denominators are nonnegative, and
+    two infinities cross-multiply to zero.
     """
-    if u.is_infinite:
-        return (1, Fraction(0))
-    t = u.affine()
-    return (0, t) if t >= 0 else (2, t)
-
-
-def traversal_cmp(u: ProjPoint, v: ProjPoint) -> int:
-    ku, kv = traversal_key(u), traversal_key(v)
-    if ku < kv:
-        return LESS
-    if ku > kv:
-        return GREATER
-    return EQUAL
+    hu = 1 if u.den == 0 else (0 if u.num >= 0 else 2)
+    hv = 1 if v.den == 0 else (0 if v.num >= 0 else 2)
+    if hu != hv:
+        return LESS if hu < hv else GREATER
+    d = u.num * v.den - v.num * u.den
+    return (d > 0) - (d < 0)
 
 
 def _clear_to_int(entries):
@@ -112,6 +109,15 @@ def _clear_to_int(entries):
     if g == 0:
         raise ValueError("all entries vanish")
     return tuple(v // g for v in ints)
+
+
+def canonical_entries(entries):
+    """The one representative of a projective class of matrices: integer
+    entries with content one whose first nonzero entry is positive."""
+    ints = _clear_to_int(entries)
+    if next(v for v in ints if v) < 0:
+        ints = tuple(-v for v in ints)
+    return ints
 
 
 class MoebiusMap(Record):
@@ -141,18 +147,12 @@ class MoebiusMap(Record):
     def trace(self) -> int:
         return self.a + self.d
 
-    def _canonical(self):
-        e = self.entries
-        for v in e:
-            if v != 0:
-                return e if v > 0 else tuple(-x for x in e)
-        raise AssertionError("zero matrix cannot occur")
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, MoebiusMap) and self._canonical() == other._canonical()
+        return (isinstance(other, MoebiusMap)
+                and canonical_entries(self.entries) == canonical_entries(other.entries))
 
     def __hash__(self):
-        return hash(self._canonical())
+        return hash(canonical_entries(self.entries))
 
     def __repr__(self):
         return f"MoebiusMap{self.entries}"

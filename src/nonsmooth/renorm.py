@@ -19,6 +19,7 @@ from .errors import (
     Unsupported,
 )
 from .groupact import UNIT_INTERVAL, MarkedAction, word_eval
+from .projline import canonical_entries
 from .record import Record
 
 ZERO = Fraction(0)
@@ -27,7 +28,11 @@ ONE = Fraction(1)
 
 class MoebiusGermMap(Record):
     """Increasing fractional-linear germ x -> (a x + b)/(c x + d), defined
-    away from its pole."""
+    away from its pole.
+
+    The entries are stored as the canonical integer representative of their
+    projective class, so field equality is equality of germs.
+    """
 
     __slots__ = ("a", "b", "c", "d")
 
@@ -35,7 +40,7 @@ class MoebiusGermMap(Record):
         a, b, c, d = (Fraction(v) for v in (a, b, c, d))
         if a * d - b * c <= 0:
             raise BadInterval("germ must be orientation preserving")
-        Record.__init__(self, a, b, c, d)
+        Record.__init__(self, *canonical_entries((a, b, c, d)))
 
     def apply(self, x):
         x = Fraction(x)
@@ -46,20 +51,6 @@ class MoebiusGermMap(Record):
 
     def inverse(self) -> "MoebiusGermMap":
         return MoebiusGermMap(self.d, -self.b, -self.c, self.a)
-
-    def __eq__(self, other):
-        if not isinstance(other, MoebiusGermMap):
-            return NotImplemented
-        # projective comparison: rows are already det-positive
-        return (self.a * other.d == other.a * self.d
-                and self.a * other.b == other.a * self.b
-                and self.a * other.c == other.a * self.c
-                and self.b * other.c == other.b * self.c
-                and self.b * other.d == other.b * self.d
-                and self.c * other.d == other.c * self.d)
-
-    def __hash__(self):
-        return hash(("germ", self.a, self.b, self.c, self.d))
 
     def __repr__(self):
         return "MoebiusGermMap(%s, %s, %s, %s)" % (self.a, self.b, self.c, self.d)

@@ -307,6 +307,15 @@ class TestSpecsAndPoints:
     ("order", "--words", "a,b", "--point", "t=1/0,sheet=0"),
     ("orbit", "--word", "a^99999999999", "--count", "1"),
     ("orbit", "--word", "(a^1000000)^1000000", "--count", "1"),
+    ("orbit", "--action", '{"type":"zz","truncation":1e400}', "--count", "1"),
+    ("orbit", "--action", '{"type":"model-translation","power":1e400}',
+     "--word", "a", "--count", "1"),
+    ("orbit", "--action", '{"type":"model-translation","power":1e300}',
+     "--word", "a", "--count", "1"),
+    ("orbit", "--action", '{"type":"model-translation","power":%d}'
+     % (cli.MAX_POWER + 1), "--word", "a", "--count", "1"),
+    ("orbit", "--action", '{"type":"model-translation","power":%d}'
+     % -(cli.MAX_POWER + 1), "--word", "a", "--count", "1"),
 ])
 def test_bad_input_exits_two_without_traceback(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -22,11 +22,37 @@ from nonsmooth.cover import (
     uncompactify,
 )
 from nonsmooth.errors import NoRealFixedPoint, OutOfDomain
-from nonsmooth.projline import GREATER, LESS, MoebiusMap, ProjPoint
+from nonsmooth.projline import EQUAL, GREATER, LESS, MoebiusMap, ProjPoint
 
 
 def cp(t, sheet=0):
     return CoverPoint(ProjPoint.from_affine(Fraction(t)), sheet)
+
+
+def fraction_compactify(x):
+    # independent oracle: sheet + traversal coordinate, squashed into (0, 1)
+    if x.base.is_infinite:
+        w = Fraction(1, 2)
+    else:
+        t = x.base.affine()
+        w = t / (2 * (1 + t)) if t >= 0 else Fraction(1, 2) + Fraction(1, 2 * (1 - t))
+    lam = x.sheet + w
+    return (lam / (1 + abs(lam)) + 1) / 2
+
+
+def fraction_uncompactify(y):
+    # independent oracle: invert the squashing, then the traversal coordinate
+    mu = 2 * y - 1
+    lam = mu / (1 - abs(mu))
+    sheet = lam.numerator // lam.denominator
+    w = lam - sheet
+    if w < Fraction(1, 2):
+        base = ProjPoint.from_affine(2 * w / (1 - 2 * w))
+    elif w == Fraction(1, 2):
+        base = ProjPoint.infinity()
+    else:
+        base = ProjPoint.from_affine(1 - 1 / (2 * w - 1))
+    return CoverPoint(base, sheet)
 
 
 def matmul2(m, n):
@@ -55,6 +81,18 @@ class TestCoverOrder:
                 assert line_point(s) < line_point(t)
             else:
                 assert line_point(s) > line_point(t)
+
+    def test_rich_comparisons_agree_with_cover_cmp(self):
+        rng = random.Random(213)
+        for _ in range(2000):
+            # few values, so equal pairs are common
+            x, y = rand_cover(rng, lim=2, sheets=1), rand_cover(rng, lim=2, sheets=1)
+            c = cover_cmp(x, y)
+            assert (x < y) == (c == LESS)
+            assert (x <= y) == (c != GREATER)
+            assert (x > y) == (c == GREATER)
+            assert (x >= y) == (c != LESS)
+            assert (x == y) == (c == EQUAL)
 
     def test_serialization(self):
         x = cp(Fraction(-2, 3), 5)
@@ -260,6 +298,21 @@ class TestCompactify:
             x = rand_cover(rng)
             assert uncompactify(compactify(x)) == x
         assert uncompactify(Fraction(1, 2)) == cp(0, 0)
+
+    def test_matches_fraction_oracle(self):
+        rng = random.Random(214)
+        infinities = [CoverPoint(ProjPoint.infinity(), k) for k in range(-3, 4)]
+        points = infinities + [rand_cover(rng, lim=40, sheets=30) for _ in range(1500)]
+        for x in points:
+            y = compactify(x)
+            assert y == fraction_compactify(x)
+            assert uncompactify(y) == fraction_uncompactify(y)
+        # w = 1/2 exactly: the infinities of every sheet
+        assert all(uncompactify(compactify(x)) == x for x in infinities)
+        for _ in range(1500):
+            b = rng.randint(2, 10 ** rng.randint(1, 12))
+            y = Fraction(rng.randint(1, b - 1), b)
+            assert uncompactify(y) == fraction_uncompactify(y)
 
     def test_out_of_domain(self):
         for bad in (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 7)):

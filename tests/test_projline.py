@@ -14,6 +14,7 @@ from nonsmooth.projline import (
     MoebiusMap,
     ProjPoint,
     bracket_roots,
+    canonical_entries,
     fixed_quadratic,
     traversal_cmp,
 )
@@ -26,6 +27,14 @@ IDENT = MoebiusMap(1, 0, 0, 1)
 def quad(coeffs, t):
     a, b, c = coeffs
     return (a * t + b) * t + c
+
+
+def fraction_traversal_key(u):
+    # independent oracle: the (class, Fraction) sort key of the cut circle
+    if u.is_infinite:
+        return (1, Fraction(0))
+    t = u.affine()
+    return (0, t) if t >= 0 else (2, t)
 
 
 class TestProjPoint:
@@ -68,6 +77,13 @@ class TestMoebius:
         assert MoebiusMap(2, 2, 2, 4) == A
         assert hash(MoebiusMap(-3, -3, -3, -6)) == hash(A)
 
+    def test_canonical_entries(self):
+        assert canonical_entries((2, 0, 0, 4)) == (1, 0, 0, 2)
+        assert canonical_entries((0, -3, 6, Fraction(-3, 2))) == (0, 2, -4, 1)
+        assert canonical_entries((-1, -1, -1, -2)) == A.entries
+        with pytest.raises(ValueError):
+            canonical_entries((0, 0, 0, 0))
+
     def test_rational_entries_cleared(self):
         m = MoebiusMap(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), 1)
         assert m == A
@@ -108,6 +124,17 @@ class TestTraversalOrder:
             assert (cuv == EQUAL) == (u == v)
             if cuv == LESS and traversal_cmp(v, w) == LESS:
                 assert traversal_cmp(u, w) == LESS
+
+    def test_matches_fraction_key_oracle(self):
+        rng = random.Random(105)
+        special = [ProjPoint.infinity(), ProjPoint(0, 1), ProjPoint(1, 1),
+                   ProjPoint(-1, 1), ProjPoint(-1, 7), ProjPoint(1, 7)]
+        pts = special + [rand_proj(rng, lim=40, p_inf=0.1) for _ in range(200)]
+        pairs = [(u, v) for u in special for v in special]
+        pairs += [(rng.choice(pts), rng.choice(pts)) for _ in range(4000)]
+        for u, v in pairs:
+            ku, kv = fraction_traversal_key(u), fraction_traversal_key(v)
+            assert traversal_cmp(u, v) == (ku > kv) - (ku < kv)
 
 
 class TestFixedQuadratic:

@@ -83,6 +83,13 @@ class TestGermMaps:
         assert MoebiusGermMap(2, 0, 0, 4) == halving_germ()
         assert parabolic_germ() != halving_germ()
 
+    def test_equal_germs_hash_equal(self):
+        scalings = {MoebiusGermMap(1, 0, 1, 1), MoebiusGermMap(2, 0, 2, 2),
+                    MoebiusGermMap(-1, 0, -1, -1)}
+        assert len(scalings) == 1
+        assert MoebiusGermMap(Fraction(1, 2), 0, Fraction(1, 3), 1) == \
+            MoebiusGermMap(3, 0, 2, 6)
+
 
 class TestBuildWindows:
     def test_parabolic_hull(self):
