@@ -166,10 +166,6 @@ class FixedPointCertificate(Record):
 
     __slots__ = ("matrix", "brackets")
 
-    @property
-    def primary(self) -> CoverBracket:
-        return self.brackets[0]
-
 
 def _displacement_sign(f: LiftedMap, x: CoverPoint) -> int:
     return cover_cmp(f.apply(x), x)

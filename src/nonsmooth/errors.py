@@ -26,15 +26,13 @@ class BadInterval(NonsmoothError):
 
 
 class AccumulationPoint(NonsmoothError):
-    """One-sided slope requested where breakpoints accumulate; use limit_slope."""
-
-
-class NotModelGerm(NonsmoothError):
-    """limit_slope input does not reduce to powers of one model translation."""
+    """One-sided slope requested where breakpoints accumulate; use germ_slope."""
 
 
 class Unsupported(NonsmoothError):
-    """fixed_set has no exact closed form for this expression shape."""
+    """An input the operation does not handle: a map that cannot be composed
+    or a power above its cap, a malformed action, or an action on the wrong
+    domain."""
 
 
 class WordSyntaxError(NonsmoothError):

@@ -20,7 +20,6 @@ from .errors import OutOfDomain, Unsupported, WordSyntaxError
 from .plmaps import (
     LEFT,
     RIGHT,
-    IntervalMapExpr,
     anchor,
     base_cell_shift,
     cell_midpoint,
@@ -232,12 +231,15 @@ def word_eval(act, w, x):
 
 
 def orbit_sequence(act, w, x0, n):
+    """Yield x0, w(x0), ..., w^n(x0), each point as soon as it is computed,
+    so a caller that stops or fails early pays for no later point."""
     if n < 0:
         raise ValueError("orbit length must be nonnegative")
-    out = [act.check_point(x0)]
+    x = act.check_point(x0)
+    yield x
     for _ in range(n):
-        out.append(word_eval(act, w, out[-1]))
-    return out
+        x = word_eval(act, w, x)
+        yield x
 
 
 class CompactifiedLift(Record):
@@ -323,10 +325,6 @@ class ZZAction(Record):
         for i, k in other.table.items():
             merged[i] = merged.get(i, 0) + k
         return ZZAction(merged)
-
-    def as_expr(self):
-        return IntervalMapExpr(tuple(cell_shift(i, k)
-                                     for i, k in sorted(self.table.items())))
 
     def __repr__(self):
         return "ZZAction(%r)" % (self.table,)

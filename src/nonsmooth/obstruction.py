@@ -19,7 +19,7 @@ from .errors import (
     Unsupported,
 )
 from .groupact import COVER_LINE, UNIT_INTERVAL, ZZAction, word_eval, zz_slope_mid
-from .plmaps import IntervalMapExpr, RIGHT, anchor, as_expr, cell_midpoint, germ_slope
+from .plmaps import RIGHT, anchor, as_expr, cell_midpoint, germ_slope
 from .projline import LESS, ordering_name
 from .rational import fmt_rat
 from .record import Record
@@ -170,14 +170,14 @@ def certify_domination(act, h, seq, depth):
             "dominating word has nonzero exponent sum: %r" % (h,))
     base, advancing = seq
     base = act.check_point(base)
-    if word_eval(act, advancing, base) == base:
+    adv_img = word_eval(act, advancing, base)
+    if adv_img == base:
         raise DegenerateSequence("advancing word fixes the base point")
 
     structural = False
     interleaving = None
     brackets = {}
     if act.domain == COVER_LINE:
-        adv_img = word_eval(act, advancing, base)
         h_img = word_eval(act, h, base)
         deck_step = (adv_img == base.deck(1))
         deck_jump = (h_img.base == base.base and h_img.sheet > base.sheet)
@@ -204,9 +204,9 @@ def certify_domination(act, h, seq, depth):
                     valid = False
                 route = None
                 if structural:
-                    ceiling = brackets[name].hi.deck(m)
-                    route = ordering_name(cover_cmp(moved, ceiling))
-                    if cover_cmp(moved, ceiling) != LESS:
+                    route_ordering = cover_cmp(moved, brackets[name].hi.deck(m))
+                    route = ordering_name(route_ordering)
+                    if route_ordering != LESS:
                         # the two routes must agree; a miss voids the extension
                         structural = False
                 rows.append(DominationRow(m, name, sign, moved, dominator,
@@ -249,14 +249,6 @@ def slope_character(act, p, side=RIGHT):
             raise NotFixed("generator %s moves the base point %s" % (name, p))
         table[name] = germ_slope(expr, p, side)
     return SlopeCharacter(p, side, table)
-
-
-def word_expr(act, w):
-    """Materialize a word of an interval action as a composition expression."""
-    factors = []
-    for idx, exp in w.letters:
-        factors.append(as_expr(act.bound_map(idx, exp)))
-    return IntervalMapExpr(tuple(factors))
 
 
 class ZZWitnessEntry(Record):

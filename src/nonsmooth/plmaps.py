@@ -8,13 +8,7 @@ rational PL map of (0,1) whose breakpoints accumulate only at 0 and 1.
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from .errors import (
-    AccumulationPoint,
-    BadInterval,
-    NotModelGerm,
-    OutOfDomain,
-    Unsupported,
-)
+from .errors import AccumulationPoint, BadInterval, OutOfDomain, Unsupported
 from .record import Record
 
 LEFT = "left"
@@ -271,10 +265,6 @@ def as_expr(m):
     raise Unsupported("not an interval map: %r" % (m,))
 
 
-def one_sided_slope(m, x, side):
-    return as_expr(m).one_sided_slope(x, side)
-
-
 def _atom_germ_slope(atom, x, side):
     try:
         return atom.one_sided_slope(x, side)
@@ -293,115 +283,6 @@ def germ_slope(m, x, side):
         acc *= _atom_germ_slope(f, y, side)
         y = f.apply(y)
     return acc
-
-
-def limit_slope(m, endpoint):
-    """Secant-limit slope of a model-translation power at a support endpoint."""
-    _check_side(endpoint)
-    factors = [f for f in as_expr(m).factors
-               if not (isinstance(f, ModelTranslation) and f.power == 0)]
-    if any(not isinstance(f, ModelTranslation) for f in factors):
-        raise NotModelGerm("expression contains a non-model factor")
-    supports = {f.support for f in factors}
-    if len(supports) > 1:
-        raise NotModelGerm("factors have mismatched supports %s" % (sorted(supports),))
-    net = sum(f.power for f in factors)
-    return pow2(net) if endpoint == LEFT else pow2(-net)
-
-
-def _merge_pieces(pieces):
-    pieces = sorted(pieces)
-    out = []
-    for lo, hi in pieces:
-        if out and lo <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
-        else:
-            out.append((lo, hi))
-    return tuple(out)
-
-
-def _pl_fixed_set(f):
-    pieces = []
-    for (x0, y0), (x1, y1) in zip(f.breakpoints, f.breakpoints[1:]):
-        d0, d1 = y0 - x0, y1 - x1
-        if d0 == 0 and d1 == 0:
-            pieces.append((x0, x1))
-        elif d0 == 0:
-            pieces.append((x0, x0))
-        elif d1 == 0:
-            pieces.append((x1, x1))
-        elif (d0 < 0) != (d1 < 0):
-            z = x0 + (x1 - x0) * d0 / (d0 - d1)
-            pieces.append((z, z))
-    return _merge_pieces(pieces)
-
-
-def fixed_set(m):
-    """Exact fixed set, as a tuple of disjoint closed intervals (lo, hi).
-
-    Supported inputs: finite-breakpoint PL maps and their compositions, and
-    products of model-translation powers whose supports have pairwise disjoint
-    interiors.
-    """
-    factors = as_expr(m).factors
-    if not factors:
-        return ((Fraction(0), Fraction(1)),)
-    if all(isinstance(f, PLMap) for f in factors):
-        acc = PLMap.identity()
-        for f in factors:
-            acc = acc.compose(f)
-        return _pl_fixed_set(acc)
-    if all(isinstance(f, ModelTranslation) for f in factors):
-        net = {}
-        for f in factors:
-            net[f.support] = net.get(f.support, 0) + f.power
-        spans = sorted(s for s, k in net.items() if k != 0)
-        for (_, hi0), (lo1, _) in zip(spans, spans[1:]):
-            if lo1 < hi0:
-                raise Unsupported("support interiors overlap: cannot describe the fixed set")
-        cuts = [Fraction(0)]
-        for lo, hi in spans:
-            cuts.extend((lo, hi))
-        cuts.append(Fraction(1))
-        pieces = [(cuts[j], cuts[j + 1]) for j in range(0, len(cuts), 2)
-                  if cuts[j] <= cuts[j + 1]]
-        return _merge_pieces(pieces)
-    raise Unsupported("mixed PL and model factors: fixed set not computed")
-
-
-class AffineChart(Record):
-    """Increasing affine bijection of (0,1) onto a subinterval (lo, hi)."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo, hi):
-        lo, hi = Fraction(lo), Fraction(hi)
-        if not (0 < lo < hi < 1):
-            raise BadInterval("chart target must satisfy 0 < l < r < 1, got [%s, %s]" % (lo, hi))
-        Record.__init__(self, lo, hi)
-
-    def apply(self, u):
-        return self.lo + Fraction(u) * (self.hi - self.lo)
-
-    def invert(self, x):
-        return (Fraction(x) - self.lo) / (self.hi - self.lo)
-
-    def _conjugate_atom(self, f):
-        if isinstance(f, ModelTranslation):
-            return ModelTranslation((self.apply(f.lo), self.apply(f.hi)), f.power)
-        pts = [(Fraction(0), Fraction(0))]
-        pts.extend((self.apply(x), self.apply(y)) for x, y in f.breakpoints)
-        pts.append((Fraction(1), Fraction(1)))
-        return PLMap(pts)
-
-    def conjugate(self, m):
-        """Transport a map of [0,1] into the target interval, identity outside."""
-        if isinstance(m, _ATOMS):
-            return self._conjugate_atom(m)
-        return IntervalMapExpr(tuple(self._conjugate_atom(f) for f in as_expr(m).factors))
-
-    def __repr__(self):
-        return "AffineChart(%s, %s)" % (self.lo, self.hi)
 
 
 def chart_shift(power=1):

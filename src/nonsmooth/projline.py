@@ -22,10 +22,11 @@ from .rational import fmt_rat
 from .record import Record
 
 LESS, EQUAL, GREATER = -1, 0, 1
+_ORDERING_NAMES = {LESS: "Less", EQUAL: "Equal", GREATER: "Greater"}
 
 
 def ordering_name(c: int) -> str:
-    return {LESS: "Less", EQUAL: "Equal", GREATER: "Greater"}[c]
+    return _ORDERING_NAMES[c]
 
 
 class ProjPoint(Record):
@@ -141,9 +142,6 @@ class MoebiusMap(Record):
     def entries(self):
         return (self.a, self.b, self.c, self.d)
 
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
-
     def trace(self) -> int:
         return self.a + self.d
 
@@ -167,9 +165,6 @@ class MoebiusMap(Record):
 
     def inverse(self) -> "MoebiusMap":
         return MoebiusMap(self.d, -self.b, -self.c, self.a)
-
-
-IDENTITY = MoebiusMap(1, 0, 0, 1)
 
 
 def fixed_quadratic(m: MoebiusMap):

@@ -11,8 +11,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-Rat = Fraction
-
 _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 

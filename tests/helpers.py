@@ -1,10 +1,13 @@
-"""Shared deterministic random generators for the property suites."""
+"""Shared deterministic random generators for the property suites, and the
+oracles only the tests use."""
 
 from fractions import Fraction
 
 from nonsmooth.cover import TORUS_A, TORUS_B, CoverPoint, lift_through
-from nonsmooth.plmaps import IntervalMapExpr, ModelTranslation, PLMap
+from nonsmooth.errors import BadInterval
+from nonsmooth.plmaps import IntervalMapExpr, ModelTranslation, PLMap, as_expr, cell_shift
 from nonsmooth.projline import MoebiusMap, ProjPoint
+from nonsmooth.record import Record
 
 
 def rand_rat(rng, lim=12):
@@ -105,3 +108,51 @@ def slope_quotient_oracle(m, x, side, need=3):
                 prev, run = q, 0
         h /= 2
     raise AssertionError("difference quotient did not stabilize at %s" % x)
+
+
+class AffineChart(Record):
+    """Increasing affine bijection of (0,1) onto a subinterval (lo, hi)."""
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo, hi):
+        lo, hi = Fraction(lo), Fraction(hi)
+        if not (0 < lo < hi < 1):
+            raise BadInterval("chart target must satisfy 0 < l < r < 1, got [%s, %s]" % (lo, hi))
+        Record.__init__(self, lo, hi)
+
+    def apply(self, u):
+        return self.lo + Fraction(u) * (self.hi - self.lo)
+
+    def invert(self, x):
+        return (Fraction(x) - self.lo) / (self.hi - self.lo)
+
+    def _conjugate_atom(self, f):
+        if isinstance(f, ModelTranslation):
+            return ModelTranslation((self.apply(f.lo), self.apply(f.hi)), f.power)
+        pts = [(Fraction(0), Fraction(0))]
+        pts.extend((self.apply(x), self.apply(y)) for x, y in f.breakpoints)
+        pts.append((Fraction(1), Fraction(1)))
+        return PLMap(pts)
+
+    def conjugate(self, m):
+        """Transport a map of [0,1] into the target interval, identity outside."""
+        if isinstance(m, (PLMap, ModelTranslation)):
+            return self._conjugate_atom(m)
+        return IntervalMapExpr(tuple(self._conjugate_atom(f) for f in as_expr(m).factors))
+
+    def __repr__(self):
+        return "AffineChart(%s, %s)" % (self.lo, self.hi)
+
+
+def word_expr(act, w):
+    """Materialize a word of an interval action as a composition expression."""
+    factors = []
+    for idx, exp in w.letters:
+        factors.append(as_expr(act.bound_map(idx, exp)))
+    return IntervalMapExpr(tuple(factors))
+
+
+def zz_expr(z):
+    """A cell-shift product action as a composition of its cell shifts."""
+    return IntervalMapExpr(tuple(cell_shift(i, k) for i, k in sorted(z.table.items())))

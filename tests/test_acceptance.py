@@ -25,6 +25,7 @@ from helpers import (
     rand_rat,
     rand_word_letters,
     slope_quotient_oracle,
+    zz_expr,
 )
 from nonsmooth.cli import main
 from nonsmooth.cover import (
@@ -161,7 +162,7 @@ def test_c5_zz_witness():
     # difference-quotient oracle on a sample of cells
     from nonsmooth.plmaps import cell_midpoint
     for e in (w.entries[0], w.entries[16], w.entries[32]):
-        m = ZZAction({e.index: e.power}).as_expr()
+        m = zz_expr(ZZAction({e.index: e.power}))
         p = cell_midpoint(e.index)
         got = max(slope_quotient_oracle(m, p, LEFT),
                   slope_quotient_oracle(m, p, RIGHT))

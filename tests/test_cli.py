@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from nonsmooth import cli
+from nonsmooth import cli, groupact
 from nonsmooth.cli import main, parse_point, split_words
 from nonsmooth.cover import COVER_BASEPOINT
 from nonsmooth.errors import OutOfDomain
@@ -241,6 +241,25 @@ class TestOrbit:
 
     def test_point_domain_mismatch(self, capsys):
         assert run(capsys, "orbit", "--action", "zz", "--point", "pt")[0] == 2
+
+    def test_stops_at_first_unprintable_point(self, capsys, monkeypatch):
+        # each point of a power-5000 model translation is about 1,500 digits
+        # longer than the last, so the third passes the int-to-str digit
+        # limit; the run must stop there, not compute all 500 points first
+        calls = []
+        word_eval = groupact.word_eval
+
+        def counted(*args):
+            calls.append(args)
+            assert len(calls) <= 10, "orbit kept going past an unprintable point"
+            return word_eval(*args)
+
+        monkeypatch.setattr(groupact, "word_eval", counted)
+        code, out, err = run(capsys, "orbit", "--action",
+                             '{"type":"model-translation","power":5000}',
+                             "--word", "a", "--count", "500")
+        assert code == 2 and "ValueError" in err
+        assert len(out.splitlines()) == len(calls)
 
 
 class TestOrder:

@@ -214,8 +214,8 @@ class TestCommutator:
     def test_parabolic_fixed_lift_is_deck_shift_of_commutator(self):
         k = self.commutator_lift()
         fixed, cert = fixed_point_lift(k.moebius)
-        assert cert.primary.degenerate
-        assert cert.primary.lo == cp(0, 0)
+        assert cert.brackets[0].degenerate
+        assert cert.brackets[0].lo == cp(0, 0)
         assert fixed.apply(cp(0, 0)) == cp(0, 0)
         assert k == fixed.deck(1)
 
@@ -243,7 +243,7 @@ class TestFixedPointLiftEdgeCases:
     def test_identity_matrix(self):
         lift, cert = fixed_point_lift(MoebiusMap(1, 0, 0, 1))
         assert lift == identity_lift()
-        assert cert.primary.degenerate
+        assert cert.brackets[0].degenerate
 
     def test_hyperbolic_with_rational_fixed_point(self):
         # t -> 2t fixes 0 and infinity; the root bracket straddles the cut

@@ -169,14 +169,14 @@ class TestTorusAction:
 
     def test_commutator_orbit_climbs_sheets(self):
         act = punctured_torus_action()
-        orbit = orbit_sequence(act, parse_word("[a,b]"), COVER_BASEPOINT, 10)
+        orbit = list(orbit_sequence(act, parse_word("[a,b]"), COVER_BASEPOINT, 10))
         assert len(orbit) == 11
         for n, point in enumerate(orbit):
             assert point == COVER_BASEPOINT.deck(n)
 
     def test_identity_orbit_constant(self):
         act = punctured_torus_action()
-        orbit = orbit_sequence(act, Word.identity(), COVER_BASEPOINT, 5)
+        orbit = list(orbit_sequence(act, Word.identity(), COVER_BASEPOINT, 5))
         assert orbit == [COVER_BASEPOINT] * 6
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import rand_word_letters, slope_quotient_oracle
+from helpers import rand_word_letters, slope_quotient_oracle, word_expr, zz_expr
 from nonsmooth import obstruction
 from nonsmooth.cover import COVER_BASEPOINT, CoverPoint, cover_cmp, line_point
 from nonsmooth.errors import (
@@ -38,7 +38,6 @@ from nonsmooth.obstruction import (
     is_commutator_class_trivial,
     order_cmp,
     slope_character,
-    word_expr,
     zz_witness,
 )
 from nonsmooth.plmaps import (
@@ -461,12 +460,12 @@ class TestZZWitness:
             entry = next(e for e in w.entries if e.index == i)
             mid = cell_midpoint(i)
             chosen = max(
-                slope_quotient_oracle(ZZAction({i: entry.power}).as_expr(),
+                slope_quotient_oracle(zz_expr(ZZAction({i: entry.power})),
                                       mid, side)
                 for side in (LEFT, RIGHT))
             assert chosen == entry.slope
             prior = max(
-                slope_quotient_oracle(ZZAction({i: entry.power - 1}).as_expr(),
+                slope_quotient_oracle(zz_expr(ZZAction({i: entry.power - 1})),
                                       mid, side)
                 for side in (LEFT, RIGHT))
             assert prior == entry.rejected_slope

@@ -1,10 +1,11 @@
-"""Dyadic chart, model translations, slopes, fixed sets, affine conjugation."""
+"""Dyadic chart, model translations, slopes, affine conjugation."""
 
 import random
 from fractions import Fraction
 
 import pytest
 from helpers import (
+    AffineChart,
     rand_interior,
     rand_model,
     rand_pl_expr,
@@ -15,7 +16,6 @@ from helpers import (
 from nonsmooth.errors import (
     AccumulationPoint,
     BadInterval,
-    NotModelGerm,
     OutOfDomain,
     Unsupported,
 )
@@ -23,7 +23,6 @@ from nonsmooth.plmaps import (
     LEFT,
     MAX_EXPR_FACTORS,
     RIGHT,
-    AffineChart,
     IntervalMapExpr,
     ModelTranslation,
     PLMap,
@@ -35,27 +34,14 @@ from nonsmooth.plmaps import (
     cell_width,
     chart_index,
     chart_shift,
-    fixed_set,
     from_chart,
     germ_slope,
-    limit_slope,
-    one_sided_slope,
     pow2,
     to_chart,
 )
 
 T = chart_shift()
 S = base_cell_shift()
-
-
-def secant_oracle(m, endpoint, depth=50):
-    # secants against exact anchor points approaching the support endpoint
-    lo, hi = m.support
-    if endpoint == LEFT:
-        x = lo + anchor(-depth) * (hi - lo)
-        return (m.apply(x) - lo) / (x - lo)
-    x = lo + anchor(depth) * (hi - lo)
-    return (m.apply(x) - hi) / (x - hi)
 
 
 class TestChart:
@@ -173,32 +159,32 @@ class TestModelTranslation:
 class TestSlopes:
     def test_frozen_base_cell_slope(self):
         # T is affine between consecutive anchors with slope 4/5 on the base cell
-        assert one_sided_slope(T, Fraction(7, 12), LEFT) == Fraction(4, 5)
-        assert one_sided_slope(T, Fraction(7, 12), RIGHT) == Fraction(4, 5)
-        assert one_sided_slope(T, Fraction(1, 2), RIGHT) == Fraction(4, 5)
-        assert one_sided_slope(T, Fraction(1, 2), LEFT) == 1
+        assert T.one_sided_slope(Fraction(7, 12), LEFT) == Fraction(4, 5)
+        assert T.one_sided_slope(Fraction(7, 12), RIGHT) == Fraction(4, 5)
+        assert T.one_sided_slope(Fraction(1, 2), RIGHT) == Fraction(4, 5)
+        assert T.one_sided_slope(Fraction(1, 2), LEFT) == 1
 
     def test_identity_slope(self):
-        assert one_sided_slope(IntervalMapExpr.identity(), Fraction(1, 3), LEFT) == 1
+        assert IntervalMapExpr.identity().one_sided_slope(Fraction(1, 3), LEFT) == 1
 
     def test_witness_slopes_frozen(self):
         # the one-sided slopes of powers of S at the base cell midpoint that
         # drive the derivative witness: first power with both sides < 1/2 is 4
         p0 = cell_midpoint(0)
         assert p0 == Fraction(7, 12)
-        assert one_sided_slope(base_cell_shift(3), p0, RIGHT) == Fraction(16, 51)
-        assert one_sided_slope(base_cell_shift(3), p0, LEFT) == Fraction(8, 15)
-        assert one_sided_slope(base_cell_shift(4), p0, LEFT) == Fraction(16, 51)
-        assert one_sided_slope(base_cell_shift(4), p0, RIGHT) == Fraction(32, 187)
-        assert one_sided_slope(base_cell_shift(2), p0, RIGHT) == Fraction(8, 15)
+        assert base_cell_shift(3).one_sided_slope(p0, RIGHT) == Fraction(16, 51)
+        assert base_cell_shift(3).one_sided_slope(p0, LEFT) == Fraction(8, 15)
+        assert base_cell_shift(4).one_sided_slope(p0, LEFT) == Fraction(16, 51)
+        assert base_cell_shift(4).one_sided_slope(p0, RIGHT) == Fraction(32, 187)
+        assert base_cell_shift(2).one_sided_slope(p0, RIGHT) == Fraction(8, 15)
 
     def test_chain_rule(self):
         rng = random.Random(307)
         tt = IntervalMapExpr((T, T))
         for _ in range(500):
             x = rand_interior(rng)
-            lhs = one_sided_slope(tt, x, RIGHT)
-            assert lhs == one_sided_slope(T, T.apply(x), RIGHT) * one_sided_slope(T, x, RIGHT)
+            lhs = tt.one_sided_slope(x, RIGHT)
+            assert lhs == T.one_sided_slope(T.apply(x), RIGHT) * T.one_sided_slope(x, RIGHT)
 
     def test_against_difference_quotients(self):
         rng = random.Random(308)
@@ -208,7 +194,7 @@ class TestSlopes:
             x = rand_interior(rng)
             side = LEFT if rng.random() < 0.5 else RIGHT
             try:
-                want = one_sided_slope(m, x, side)
+                want = m.one_sided_slope(x, side)
             except AccumulationPoint:
                 continue
             assert quotient_oracle(m, x, side) == want
@@ -216,11 +202,11 @@ class TestSlopes:
 
     def test_accumulation_point(self):
         with pytest.raises(AccumulationPoint):
-            one_sided_slope(S, Fraction(1, 2), RIGHT)
+            S.one_sided_slope(Fraction(1, 2), RIGHT)
         with pytest.raises(AccumulationPoint):
-            one_sided_slope(S, Fraction(2, 3), LEFT)
-        assert one_sided_slope(S, Fraction(1, 2), LEFT) == 1
-        assert one_sided_slope(S, Fraction(2, 3), RIGHT) == 1
+            S.one_sided_slope(Fraction(2, 3), LEFT)
+        assert S.one_sided_slope(Fraction(1, 2), LEFT) == 1
+        assert S.one_sided_slope(Fraction(2, 3), RIGHT) == 1
 
     def test_germ_slope(self):
         half = Fraction(1, 2)
@@ -233,94 +219,10 @@ class TestSlopes:
             m = rand_pl_expr(rng)
             x = rand_interior(rng)
             try:
-                want = one_sided_slope(m, x, RIGHT)
+                want = m.one_sided_slope(x, RIGHT)
             except AccumulationPoint:
                 continue
             assert germ_slope(m, x, RIGHT) == want
-
-
-class TestLimitSlope:
-    def test_frozen(self):
-        assert limit_slope(S, LEFT) == 2
-        assert limit_slope(S, RIGHT) == Fraction(1, 2)
-        assert limit_slope(S.inverse(), LEFT) == Fraction(1, 2)
-        assert limit_slope(ModelTranslation((0, 1), 0), LEFT) == 1
-        assert limit_slope(IntervalMapExpr((S, S, S)), LEFT) == 8
-
-    def test_secant_oracle(self):
-        rng = random.Random(310)
-        tiny = Fraction(1, 10**9)
-        for _ in range(20):
-            m = rand_model(rng)
-            for endpoint in (LEFT, RIGHT):
-                lim = limit_slope(m, endpoint)
-                assert abs(secant_oracle(m, endpoint) - lim) < tiny
-                near = secant_oracle(m, endpoint, depth=30)
-                far = secant_oracle(m, endpoint, depth=60)
-                assert abs(far - lim) <= abs(near - lim)
-
-    def test_not_model_germ(self):
-        with pytest.raises(NotModelGerm):
-            limit_slope(PLMap.identity(), LEFT)
-        with pytest.raises(NotModelGerm):
-            limit_slope(IntervalMapExpr((S, T)), LEFT)
-
-
-class TestFixedSet:
-    def test_model_translation(self):
-        assert fixed_set(S) == ((Fraction(0), Fraction(1, 2)), (Fraction(2, 3), Fraction(1)))
-        assert fixed_set(T) == ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
-
-    def test_identity(self):
-        assert fixed_set(IntervalMapExpr.identity()) == ((Fraction(0), Fraction(1)),)
-        assert fixed_set(ModelTranslation((0, 1), 0)) == ((Fraction(0), Fraction(1)),)
-
-    def test_disjoint_product(self):
-        z = IntervalMapExpr((cell_shift(0, 1), cell_shift(1, 2)))
-        assert fixed_set(z) == (
-            (Fraction(0), Fraction(1, 2)),
-            (Fraction(2, 3), Fraction(2, 3)),
-            (Fraction(4, 5), Fraction(1)),
-        )
-
-    def test_cancelling_product(self):
-        z = IntervalMapExpr((S, S.inverse()))
-        assert fixed_set(z) == ((Fraction(0), Fraction(1)),)
-
-    def test_pl_crossing(self):
-        f = PLMap([(0, 0), (Fraction(1, 4), Fraction(1, 2)),
-                   (Fraction(3, 4), Fraction(5, 8)), (1, 1)])
-        assert fixed_set(f) == (
-            (Fraction(0), Fraction(0)),
-            (Fraction(7, 12), Fraction(7, 12)),
-            (Fraction(1), Fraction(1)),
-        )
-
-    def test_pl_flat_segment(self):
-        f = PLMap([(0, 0), (Fraction(1, 2), Fraction(1, 2)),
-                   (Fraction(3, 4), Fraction(7, 8)), (1, 1)])
-        assert fixed_set(f) == ((Fraction(0), Fraction(1, 2)), (Fraction(1), Fraction(1)))
-
-    def test_unsupported(self):
-        with pytest.raises(Unsupported):
-            fixed_set(IntervalMapExpr((S, PLMap.identity())))
-        with pytest.raises(Unsupported):
-            fixed_set(IntervalMapExpr((
-                ModelTranslation((0, Fraction(2, 3)), 1),
-                ModelTranslation((Fraction(1, 2), 1), 1),
-            )))
-
-    def test_pieces_are_fixed_and_gaps_move(self):
-        rng = random.Random(311)
-        for _ in range(100):
-            f = rand_plmap(rng)
-            pieces = fixed_set(f)
-            for lo, hi in pieces:
-                assert f.apply(lo) == lo
-                assert f.apply(hi) == hi
-            for (_, hi0), (lo1, _) in zip(pieces, pieces[1:]):
-                mid = (hi0 + lo1) / 2
-                assert f.apply(mid) != mid
 
 
 class TestConjugation:

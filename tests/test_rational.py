@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from nonsmooth.rational import Rat, fmt_rat, parse_rat, rat_to_decimal
+from nonsmooth.rational import fmt_rat, parse_rat, rat_to_decimal
 
 
 class TestParse:
@@ -37,7 +37,7 @@ class TestFormat:
     def test_lowest_terms(self):
         assert fmt_rat(Fraction(4, 8)) == "1/2"
         assert fmt_rat(Fraction(-6, 3)) == "-2"
-        assert fmt_rat(Rat(0)) == "0"
+        assert fmt_rat(Fraction(0)) == "0"
 
 
 class TestDecimal:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import AffineChart
 from nonsmooth.cover import (
     COVER_BASEPOINT,
     TORUS_A,
@@ -42,7 +43,6 @@ from nonsmooth.obstruction import (
     zz_witness,
 )
 from nonsmooth.plmaps import (
-    AffineChart,
     IntervalMapExpr,
     ModelTranslation,
     PLMap,
