@@ -8,6 +8,7 @@ golden comparisons exclude.
 """
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -35,7 +36,7 @@ from .groupact import (
 )
 from .obstruction import certify_domination, order_cmp, zz_witness
 from .plmaps import ModelTranslation, PLMap, cell_midpoint
-from .projline import ProjPoint
+from .projline import ProjPoint, ordering_name
 from .rational import fmt_rat, parse_rat, rat_to_decimal
 from .renorm import (
     build_windows,
@@ -210,16 +211,71 @@ def default_advance(spec):
 # ---------------------------------------------------------------- output
 
 
-def emit_text(text, path):
+@contextlib.contextmanager
+def open_output(path):
+    """The stream a command writes to: stdout, or the file at path."""
     if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
 
 
-def render_report(report):
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+# One domination row, indented as json.dumps(indent=2, sort_keys=True) lays
+# it out at certificate.rows; the "t" values need no JSON escaping.
+ROW_TEMPLATE = """\
+      {
+        "bracket_route": %s,
+        "dominator": {
+          "sheet": %d,
+          "t": "%s"
+        },
+        "generator": %s,
+        "m": %d,
+        "moved": {
+          "sheet": %d,
+          "t": "%s"
+        },
+        "ordering": "%s",
+        "sign": %d
+      }"""
+ROWS_MARKER = "@rows@"
+ROWS_PER_BLOCK = 1024
+
+
+def render_report(report, fh, rows=None):
+    """Write report to fh as json.dumps(indent=2, sort_keys=True) lays it
+    out, with the domination rows of a cover-line certificate, if given, as
+    certificate.rows.
+
+    json.dumps renders only the rest of the report.  The rows go through
+    ROW_TEMPLATE and are written a block at a time, so the rendered rows
+    are never held whole.
+    """
+    if rows is None:
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        return
+    header = dict(report, certificate=dict(report["certificate"],
+                                           rows=ROWS_MARKER))
+    head, tail = json.dumps(header, indent=2, sort_keys=True).split(
+        json.dumps(ROWS_MARKER))
+    if not rows:
+        fh.write(head + "[]" + tail + "\n")
+        return
+    quoted = {name: json.dumps(name) for name in {r.generator for r in rows}}
+    fh.write(head + "[\n")
+    for start in range(0, len(rows), ROWS_PER_BLOCK):
+        if start:
+            fh.write(",\n")
+        fh.write(",\n".join([
+            ROW_TEMPLATE % (
+                "null" if r.bracket_route is None else '"%s"' % r.bracket_route,
+                r.dominator.sheet, r.dominator.base.coordinate(),
+                quoted[r.generator], r.m,
+                r.moved.sheet, r.moved.base.coordinate(),
+                ordering_name(r.ordering), r.sign)
+            for r in rows[start:start + ROWS_PER_BLOCK]]))
+    fh.write("\n    ]" + tail + "\n")
 
 
 def timestamp():
@@ -241,6 +297,7 @@ def cmd_certify(argv):
     parser.add_argument("--out", default=None, help="report path (default stdout)")
     args = parser.parse_args(argv)
 
+    rows = None
     if args.target == "punctured-torus":
         if args.depth < 0:
             parser.error("--depth must be nonnegative")
@@ -264,6 +321,7 @@ def cmd_certify(argv):
             "certificate": cert.to_obj(),
             "verdict": verdict,
         }
+        rows = cert.rows
     else:
         if args.truncation < 0:
             parser.error("--truncation must be nonnegative")
@@ -279,7 +337,8 @@ def cmd_certify(argv):
             "certificate": witness.to_obj(),
             "verdict": verdict,
         }
-    emit_text(render_report(report), args.out)
+    with open_output(args.out) as fh:
+        render_report(report, fh, rows)
     return 0 if report["verdict"] != "invalid" else 1
 
 
@@ -343,7 +402,8 @@ def cmd_renorm(argv):
                 "" if bracket is None else fmt_rat(bracket[1]),
                 rat_to_decimal(dev, 12),
             ))
-    emit_text(buf.getvalue(), args.out)
+    with open_output(args.out) as fh:
+        fh.write(buf.getvalue())
     return 0
 
 
@@ -425,7 +485,8 @@ def cmd_plot(argv):
         lines.append('<text x="%d" y="%d" fill="%s">%s</text>' % (
             SVG_WIDTH - SVG_MARGIN + 8, SVG_MARGIN + 18 * pos + 4, color, name))
     lines.append("</svg>")
-    emit_text("\n".join(lines) + "\n", args.out)
+    with open_output(args.out) as fh:
+        fh.write("\n".join(lines) + "\n")
     return 0
 
 

@@ -67,15 +67,6 @@ class DominationRow(Record):
     __slots__ = ("m", "generator", "sign", "moved", "dominator", "ordering",
                  "bracket_route")
 
-    def to_obj(self):
-        return {"m": self.m,
-                "generator": self.generator,
-                "sign": self.sign,
-                "moved": _point_obj(self.moved),
-                "dominator": _point_obj(self.dominator),
-                "ordering": ordering_name(self.ordering),
-                "bracket_route": self.bracket_route}
-
 
 class InterleavingCertificate(Record):
     """Per-generator fixed-point brackets placed inside one deck window."""
@@ -103,6 +94,8 @@ class DominationCertificate(Record):
                  "valid", "flags", "structural", "interleaving", "normalization")
 
     def to_obj(self):
+        """Everything but the rows, which the report renders from
+        ``rows`` itself (cli.render_report)."""
         return {
             "dominating_word": self.h.to_string(self.generators),
             "generators": list(self.generators),
@@ -114,7 +107,6 @@ class DominationCertificate(Record):
             "flags": list(self.flags),
             "normalization": dict(self.normalization),
             "interleaving": self.interleaving.to_obj() if self.interleaving else None,
-            "rows": [r.to_obj() for r in self.rows],
         }
 
 

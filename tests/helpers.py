@@ -6,7 +6,8 @@ from fractions import Fraction
 from nonsmooth.cover import TORUS_A, TORUS_B, CoverPoint, lift_through
 from nonsmooth.errors import BadInterval
 from nonsmooth.plmaps import IntervalMapExpr, ModelTranslation, PLMap, as_expr, cell_shift
-from nonsmooth.projline import MoebiusMap, ProjPoint
+from nonsmooth.projline import MoebiusMap, ProjPoint, ordering_name
+from nonsmooth.rational import fmt_rat
 from nonsmooth.record import Record
 
 
@@ -156,3 +157,18 @@ def word_expr(act, w):
 def zz_expr(z):
     """A cell-shift product action as a composition of its cell shifts."""
     return IntervalMapExpr(tuple(cell_shift(i, k) for i, k in sorted(z.table.items())))
+
+
+def row_obj(row):
+    """A domination row as the report lists it under certificate.rows; the
+    oracle that cli.ROW_TEMPLATE must agree with."""
+    def point(x):
+        return x.to_obj() if isinstance(x, CoverPoint) else fmt_rat(x)
+
+    return {"m": row.m,
+            "generator": row.generator,
+            "sign": row.sign,
+            "moved": point(row.moved),
+            "dominator": point(row.dominator),
+            "ordering": ordering_name(row.ordering),
+            "bracket_route": row.bracket_route}

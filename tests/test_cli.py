@@ -1,16 +1,22 @@
 """Command surface: exit codes, deterministic reports, golden files, and the
 text formats of the query subcommands."""
 
+import hashlib
+import io
 import json
 import os
+import random
 
 import pytest
 
+from helpers import rand_cover, rand_proj, row_obj
 from nonsmooth import cli, groupact
-from nonsmooth.cli import main, parse_point, split_words
-from nonsmooth.cover import COVER_BASEPOINT
+from nonsmooth.cli import ROWS_PER_BLOCK, main, parse_point, render_report, split_words
+from nonsmooth.cover import COVER_BASEPOINT, CoverPoint
 from nonsmooth.errors import OutOfDomain
-from nonsmooth.groupact import COVER_LINE, UNIT_INTERVAL
+from nonsmooth.groupact import COVER_LINE, UNIT_INTERVAL, parse_word, punctured_torus_action
+from nonsmooth.obstruction import DominationRow, certify_domination
+from nonsmooth.projline import EQUAL, GREATER, LESS
 from fractions import Fraction
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -107,6 +113,110 @@ class TestCertify:
                            "--out", str(target))
         assert code == 3
         assert "i/o error" in err
+
+    def test_unwritable_output_punctured_torus(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run(capsys, "certify", "punctured-torus",
+                             "--depth", "1", "--out", str(target))
+        assert code == 3
+        assert "i/o error" in err
+        assert out == ""
+
+    def test_stdout_and_out_file_agree_across_blocks(self, capsys, tmp_path):
+        # 4 rows per step: at least three blocks, the last one partial
+        depth = 5 * ROWS_PER_BLOCK // 8
+        rows = 4 * (depth + 1)
+        assert rows > 2 * ROWS_PER_BLOCK and rows % ROWS_PER_BLOCK
+        out_file = tmp_path / "report.json"
+        code, _, _ = run(capsys, "certify", "punctured-torus",
+                         "--depth", str(depth), "--out", str(out_file))
+        assert code == 0
+        code, out, _ = run(capsys, "certify", "punctured-torus",
+                           "--depth", str(depth))
+        assert code == 0
+        text = out_file.read_text(encoding="utf-8")
+        assert strip_header(text) == strip_header(out)
+        assert len(json.loads(text)["certificate"]["rows"]) == rows
+
+    def test_depth_3000_report_is_pinned(self, capsys):
+        code, out, _ = run(capsys, "certify", "punctured-torus",
+                           "--depth", "3000")
+        assert code == 0
+        body = "".join(line for line in out.splitlines(keepends=True)
+                       if '"generated_at"' not in line)
+        assert hashlib.sha256(body.encode()).hexdigest() == (
+            "641970dfbf848fb5d04c96514356772e9a9b14f5f4fc3a0638ffc732f0a65e88")
+
+
+def rendered(report, rows):
+    fh = io.StringIO()
+    render_report(report, fh, rows)
+    return fh.getvalue()
+
+
+def dumped(report, rows):
+    certificate = dict(report["certificate"], rows=[row_obj(r) for r in rows])
+    return json.dumps(dict(report, certificate=certificate),
+                      indent=2, sort_keys=True) + "\n"
+
+
+def torus_report(cert):
+    return {"version": cli.REPORT_VERSION,
+            "generated_at": "2000-01-01T00:00:00+00:00",
+            "action": {"type": "punctured-torus"},
+            "depth": cert.depth,
+            "normalization": cert.normalization,
+            "certificate": cert.to_obj(),
+            "verdict": "certified"}
+
+
+class TestRenderReport:
+    """The row template against json.dumps of the rows' dicts."""
+
+    def rand_rows(self, count):
+        rng = random.Random(7000 + count)
+        return tuple(self.rand_row(rng) for _ in range(count))
+
+    def rand_row(self, rng):
+        return DominationRow(
+            rng.choice((0, 7, 12345, rng.randint(0, 10 ** 9))),
+            rng.choice(("a", "b", "g\u00e9n")),
+            rng.choice((1, -1)),
+            rand_cover(rng, lim=10 ** rng.randint(1, 6), sheets=1000),
+            CoverPoint(rand_proj(rng, p_inf=0.3), rng.randint(-5, 5)),
+            rng.choice((LESS, EQUAL, GREATER)),
+            rng.choice((None, "Less", "Equal", "Greater")))
+
+    @pytest.mark.parametrize("count", [0, 1, 5, ROWS_PER_BLOCK - 1,
+                                       ROWS_PER_BLOCK, ROWS_PER_BLOCK + 1,
+                                       2 * ROWS_PER_BLOCK + 3])
+    def test_random_rows_match_json_dumps(self, count):
+        rows = self.rand_rows(count)
+        report = torus_report(certify_domination(
+            punctured_torus_action(), parse_word("[a,b]^2"),
+            (COVER_BASEPOINT, parse_word("[a,b]")), 1))
+        assert rendered(report, rows) == dumped(report, rows)
+
+    def test_random_rows_cover_every_field_kind(self):
+        rows = self.rand_rows(2 * ROWS_PER_BLOCK + 3)
+        points = [p for r in rows for p in (r.moved, r.dominator)]
+        assert any(p.base.is_infinite for p in points)
+        assert any(p.sheet < 0 for p in points)
+        assert any(p.sheet == 0 for p in points)
+        coords = [p.base.coordinate() for p in points]
+        assert any(c.startswith("-") and "/" in c for c in coords)
+        assert {r.bracket_route for r in rows} == {None, "Less", "Equal",
+                                                   "Greater"}
+        assert {r.sign for r in rows} == {1, -1}
+        assert any(r.m >= 10 ** 4 for r in rows)
+
+    def test_non_structural_certificate(self):
+        cert = certify_domination(punctured_torus_action(),
+                                  parse_word("[a,b]^2"),
+                                  (COVER_BASEPOINT, parse_word("a")), 6)
+        assert all(r.bracket_route is None for r in cert.rows)
+        report = torus_report(cert)
+        assert rendered(report, cert.rows) == dumped(report, cert.rows)
 
 
 class TestRenorm:

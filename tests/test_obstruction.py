@@ -6,7 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import rand_word_letters, slope_quotient_oracle, word_expr, zz_expr
+from helpers import (
+    rand_word_letters,
+    row_obj,
+    slope_quotient_oracle,
+    word_expr,
+    zz_expr,
+)
 from nonsmooth import obstruction
 from nonsmooth.cover import COVER_BASEPOINT, CoverPoint, cover_cmp, line_point
 from nonsmooth.errors import (
@@ -257,8 +263,8 @@ class TestDomination:
     def test_rows_are_depth_monotone(self):
         shallow = self.cert(4)
         deep = self.cert(9)
-        head = [r.to_obj() for r in deep.rows[:len(shallow.rows)]]
-        assert head == [r.to_obj() for r in shallow.rows]
+        head = [row_obj(r) for r in deep.rows[:len(shallow.rows)]]
+        assert head == [row_obj(r) for r in shallow.rows]
 
     def test_non_deck_advancing_word_drops_structure(self):
         act = punctured_torus_action()
@@ -300,12 +306,13 @@ class TestDomination:
         assert len(cert.rows) == 16
 
     def test_to_obj(self):
-        obj = self.cert(1).to_obj()
+        cert = self.cert(1)
+        obj = cert.to_obj()
         assert obj["dominating_word"] == "abABabAB"
         assert obj["advancing_word"] == "abAB"
         assert obj["valid"] is True
         assert obj["flags"] == ["StructurallyExtended"]
-        assert obj["rows"][0]["ordering"] == "Less"
+        assert row_obj(cert.rows[0])["ordering"] == "Less"
         assert obj["interleaving"]["brackets"][0]["generator"] == "a"
 
 
