@@ -43,11 +43,12 @@ class MoebiusGermMap(Record):
         Record.__init__(self, *canonical_entries((a, b, c, d)))
 
     def apply(self, x):
-        x = Fraction(x)
-        den = self.c * x + self.d
+        # the entries are integers: with x = n/m, one normalization suffices
+        n, m = x.as_integer_ratio()
+        den = self.c * n + self.d * m
         if den == 0:
             raise OutOfDomain("germ has a pole at %s" % (x,))
-        return (self.a * x + self.b) / den
+        return Fraction(self.a * n + self.b * m, den)
 
     def inverse(self) -> "MoebiusGermMap":
         return MoebiusGermMap(self.d, -self.b, -self.c, self.a)
@@ -120,36 +121,50 @@ def build_windows(act: MarkedAction, p_seq, enlargement=3):
 
 class RescaledSystem(Record):
     """A window blown up to unit scale: the base point moves to the origin and
-    each generator becomes a partial map of the rescaled enlarged window."""
+    each generator becomes a partial map of the rescaled enlarged window.
 
-    __slots__ = ("window", "act", "grid", "_bound")
+    The per-window work happens once, here: the rescaled domain is stored,
+    and each germ generator is stored already conjugated by the rescaling.
+    Every other generator is applied through the affine sandwich
+    x -> (g(p + u x) - p)/u, with p the base point and u the unit.
+    """
+
+    __slots__ = ("window", "act", "grid", "domain", "_germs", "_bound")
 
     def __init__(self, window, act, grid):
         if grid < 2:
             raise ValueError("grid resolution must be at least 2")
-        Record.__init__(self, window, act, int(grid),
-                        dict(zip(act.names, act.maps)))
+        p, u = window.point, window.unit
+        domain = ((window.enlarged[0] - p) / u, (window.enlarged[1] - p) / u)
+        bound = dict(zip(act.names, act.maps))
+        germs = {name: _conjugate_germ(g, p, u) for name, g in bound.items()
+                 if isinstance(g, MoebiusGermMap)}
+        Record.__init__(self, window, act, int(grid), domain, germs, bound)
 
     @property
     def names(self):
         return self.act.names
 
-    @property
-    def domain(self):
-        w = self.window
-        return ((w.enlarged[0] - w.point) / w.unit,
-                (w.enlarged[1] - w.point) / w.unit)
-
     def apply(self, name, x):
-        x = Fraction(x)
         lo, hi = self.domain
         if not lo <= x <= hi:
             raise OutOfDomain("%s is outside the rescaled window" % (x,))
+        germ = self._germs.get(name)
+        if germ is not None:
+            return germ.apply(x)
+        x = Fraction(x)
         w = self.window
         return (self._bound[name].apply(w.point + w.unit * x) - w.point) / w.unit
 
     def displacement_at_0(self, name):
         return self.apply(name, ZERO)
+
+
+def _conjugate_germ(g, p, u):
+    """The germ x -> (g(p + u x) - p)/u; its determinant is u^2 (ad - bc)."""
+    a, b, c, d = g.a, g.b, g.c, g.d
+    s = a - c * p
+    return MoebiusGermMap(s * u, s * p + b - d * p, c * u * u, u * (c * p + d))
 
 
 def rescale(w: Window, act: MarkedAction, grid=64) -> RescaledSystem:

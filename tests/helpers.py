@@ -172,3 +172,11 @@ def row_obj(row):
             "dominator": point(row.dominator),
             "ordering": ordering_name(row.ordering),
             "bracket_route": row.bracket_route}
+
+
+def sandwich_apply(window, m, x):
+    """A generator rescaled to a window by the affine sandwich
+    x -> (m(p + u x) - p)/u, with p the base point and u the unit; the
+    oracle that the conjugated germs of RescaledSystem must agree with."""
+    p, u = window.point, window.unit
+    return (m.apply(p + u * x) - p) / u

@@ -6,11 +6,12 @@ import io
 import json
 import os
 import random
+import sys
 
 import pytest
 
 from helpers import rand_cover, rand_proj, row_obj
-from nonsmooth import cli, groupact
+from nonsmooth import cli, groupact, renorm
 from nonsmooth.cli import ROWS_PER_BLOCK, main, parse_point, render_report, split_words
 from nonsmooth.cover import COVER_BASEPOINT, CoverPoint
 from nonsmooth.errors import OutOfDomain
@@ -281,6 +282,75 @@ class TestRenorm:
                          "--out", str(out))
         assert code == 0
         assert out.read_text().startswith("window_index,")
+
+
+# sha256 of the renorm CSV at the default size (8 windows, grid 64), recorded
+# with every generator still rescaled through the affine sandwich
+RENORM_CSV_SHA256 = {
+    (): "660220404773befd98301f3707da79446bcb3745f294030c13297b95211d448f",
+    ("--action", "punctured-torus", "--start", "1/2"):
+        "03938519ddddc57556b491fc8915017f19ed790207757313d45df66c45c5f5f2",
+    ("--action", "punctured-torus", "--start", "1/7"):
+        "e41da69026b6e0a31a2ad2c6a01be4249943c2c0a887dad18ffee56e4814cd12",
+    ("--action", "punctured-torus", "--start", "9/10"):
+        "dc015dcc52a61fde0ba1a437400a4ff18fe367c34ed5b083d5c1295fa896bcdf",
+    ("--action", "punctured-torus", "--start", "2/3"):
+        "2c713ab6adafcaf0f08dd3999437c878441c73d141247c80d5dab41e90193c72",
+    ("--action", "model-translation"):
+        "6da9f5c16a9a1906c306d4213bbd26f598e06802dbf58dd3487b2ebc60ca1b2e",
+}
+
+
+@pytest.mark.parametrize("args", RENORM_CSV_SHA256,
+                         ids=lambda args: " ".join(args) or "default")
+def test_renorm_csv_is_pinned(capsys, args):
+    code, out, _ = run(capsys, "renorm", *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RENORM_CSV_SHA256[args]
+
+
+# the renorm layers a refactor must keep reaching from the command line
+RENORM_LAYERS = (
+    (renorm.RescaledSystem, "apply"),
+    (renorm.MoebiusGermMap, "apply"),
+    (renorm, "generator_deviation"),
+    (renorm, "fixed_point_in_window"),
+    (renorm, "build_windows"),
+)
+
+
+def test_renorm_commands_reach_every_layer(capsys, monkeypatch):
+    calls = {}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [m for name, m in sys.modules.items()
+               if name == "nonsmooth" or name.startswith("nonsmooth.")]
+    for owner, attr in RENORM_LAYERS:
+        key = "%s.%s" % (owner.__name__, attr)
+        original = getattr(owner, attr)
+        wrapper = counting(key, original)
+        calls[key] = 0
+        monkeypatch.setattr(owner, attr, wrapper)
+        # rebind every module-level import of a function, as cli imports them
+        for module in modules:
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, wrapper)
+    germ_apply = "MoebiusGermMap.apply"
+    assert run(capsys, "renorm", "--windows", "2", "--grid", "8")[0] == 0
+    assert all(calls.values()), calls
+    # every rescaled apply on the germ action goes through a germ's apply
+    assert calls[germ_apply] >= calls["RescaledSystem.apply"]
+    calls.update(dict.fromkeys(calls, 0))
+    assert run(capsys, "renorm", "--action", "punctured-torus",
+               "--windows", "2", "--grid", "8")[0] == 0
+    assert calls.pop(germ_apply) == 0
+    assert all(calls.values()), calls
 
 
 class TestPlot:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import rand_interior
+from helpers import rand_interior, rand_plmap, sandwich_apply
 from nonsmooth.cover import COVER_BASEPOINT, compactify
 from nonsmooth.errors import (
     BadInterval,
@@ -27,6 +27,7 @@ from nonsmooth.groupact import (
 from nonsmooth.plmaps import PLMap
 from nonsmooth.renorm import (
     MoebiusGermMap,
+    RescaledSystem,
     Window,
     build_windows,
     fixed_point_in_window,
@@ -213,6 +214,80 @@ class TestRescale:
         w = build_windows(act, [Fraction(1, 10)])[0]
         with pytest.raises(ValueError):
             rescale(w, act, grid=1)
+
+
+ZERO, ONE = Fraction(0), Fraction(1)
+
+
+def rand_unit_germ(rng, lim=6):
+    """A random orientation-preserving integer germ mapping [0, 1] into itself,
+    with its pole outside [0, 1]."""
+    while True:
+        a, b, c, d = (rng.randint(-lim, lim) for _ in range(4))
+        if a * d - b * c <= 0 or d == 0 or d * (c + d) <= 0:
+            continue
+        g = MoebiusGermMap(a, b, c, d)
+        if 0 <= g.apply(ZERO) and g.apply(ONE) <= 1:
+            return g
+
+
+class TestConjugatedGerm:
+    """The germ generators of a RescaledSystem are conjugated once per window;
+    the affine sandwich of tests/helpers.py is their oracle."""
+
+    def test_matches_sandwich_oracle(self):
+        rng = random.Random(80)
+        cases = 0
+        while cases < 240:
+            g = rand_unit_germ(rng)
+            maps = (g,) if rng.random() < 0.7 else (g, rand_plmap(rng))
+            act = MarkedAction(("a", "b")[:len(maps)], maps, UNIT_INTERVAL)
+            try:
+                w = build_windows(act, [rand_interior(rng, 97)],
+                                  enlargement=rng.randint(1, 4))[0]
+            except EmptyDisplacement:
+                continue
+            rs = RescaledSystem(w, act, 8)
+            lo, hi = rs.domain
+            assert rs.domain == ((w.enlarged[0] - w.point) / w.unit,
+                                 (w.enlarged[1] - w.point) / w.unit)
+            grid = rng.randint(2, 12)
+            # both domain endpoints, the grid between them, random interior points
+            xs = [lo + (hi - lo) * Fraction(k, grid) for k in range(grid + 1)]
+            xs += [lo + (hi - lo) * rand_interior(rng) for _ in range(4)]
+            for name, m in zip(act.names, maps):
+                for x in xs:
+                    assert rs.apply(name, x) == sandwich_apply(w, m, x)
+                eps = (hi - lo) / 10 ** 6
+                for x in (lo - eps, hi + eps):
+                    with pytest.raises(OutOfDomain):
+                        rs.apply(name, x)
+            cases += 1
+
+    def test_integer_apply_matches_fraction_formula(self):
+        rng = random.Random(81)
+        checked = 0
+        while checked < 300:
+            g = rand_unit_germ(rng, lim=9)
+            x = Fraction(rng.randint(-50, 50), rng.randint(1, 30))
+            if rng.random() < 0.2:
+                x = x.numerator
+            den = g.c * Fraction(x) + g.d
+            if den == 0:
+                continue
+            assert g.apply(x) == (g.a * Fraction(x) + g.b) / den
+            checked += 1
+
+    def test_pole_raises(self):
+        rng = random.Random(82)
+        seen = 0
+        while seen < 50:
+            g = rand_unit_germ(rng, lim=9)
+            if g.c == 0:
+                continue
+            with pytest.raises(OutOfDomain):
+                g.apply(Fraction(-g.d, g.c))
+            seen += 1
 
 
 class TestTranslationDeviation:
