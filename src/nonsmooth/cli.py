@@ -1,5 +1,6 @@
 """Command surface: certificate reports, renormalization traces, plots, and
-orbit/order queries.
+orbit/order queries.  This module alone knows the report and CSV formats;
+the certificates it writes are plain records.
 
 Every payload number is an exact rational string; decimal columns come from
 integer long division, so identical invocations produce byte-identical
@@ -221,8 +222,78 @@ def open_output(path):
             yield fh
 
 
-# One domination row, indented as json.dumps(indent=2, sort_keys=True) lays
-# it out at certificate.rows; the "t" values need no JSON escaping.
+# The report prose: fixed text that every report of its kind carries.
+PERIODICITY_NOTE = ("deck equivariance repeats each bracket inside every "
+                    "window (base+n, base+n+1), n any integer")
+ZZ_NARRATIVE = (
+    "For each listed cell the chosen power has one-sided slopes strictly below "
+    "1/2 at the cell midpoint.  The midpoints accumulate at 1 while every "
+    "anchor is fixed, so the anchors also accumulate at 1.  A C1 conjugate of "
+    "the product map would need derivative at most 1/2 along the midpoint "
+    "sequence and exactly 1 along the fixed anchor sequence; both limits would "
+    "be the derivative at 1, which is impossible.  The product over all cells "
+    "is truncated here; each midpoint inequality only consults finitely many "
+    "cells, so the truncation certifies the same contradiction."
+)
+
+
+def point_obj(x):
+    """A point as the report writes it: a cover point as its coordinate and
+    sheet, a rational as its exact string."""
+    if isinstance(x, CoverPoint):
+        return {"t": x.base.coordinate(), "sheet": x.sheet}
+    return fmt_rat(x)
+
+
+def interleaving_obj(il):
+    return {
+        "window": [point_obj(il.window[0]), point_obj(il.window[1])],
+        "brackets": [
+            {"generator": name, "lo": point_obj(b.lo), "hi": point_obj(b.hi),
+             "sign_lo": b.sign_lo, "sign_hi": b.sign_hi, "deck_shift": shift}
+            for name, b, shift in il.entries],
+        "periodicity_note": PERIODICITY_NOTE,
+    }
+
+
+def domination_obj(cert):
+    """Everything but the rows, which render_report writes from cert.rows."""
+    return {
+        "dominating_word": cert.h.to_string(cert.generators),
+        "generators": list(cert.generators),
+        "base_point": point_obj(cert.base),
+        "advancing_word": cert.advancing.to_string(cert.generators),
+        "depth": cert.depth,
+        "valid": cert.valid,
+        "structural": cert.structural,
+        "flags": list(cert.flags),
+        "normalization": dict(cert.normalization),
+        "interleaving":
+            interleaving_obj(cert.interleaving) if cert.interleaving else None,
+    }
+
+
+def witness_obj(w):
+    return {
+        "truncation": w.truncation,
+        "cap": w.cap,
+        "support": {str(i): k for i, k in sorted(w.support.items())},
+        "entries": [
+            {"index": e.index, "power": e.power,
+             "midpoint": fmt_rat(cell_midpoint(e.index)), "slope": fmt_rat(e.slope),
+             "rejected_slope":
+                 None if e.rejected_slope is None else fmt_rat(e.rejected_slope)}
+            for e in w.entries],
+        "anchors_checked": list(w.anchors_checked),
+        "anchors_fixed": w.anchors_fixed,
+        "valid": w.valid,
+        "narrative": ZZ_NARRATIVE,
+    }
+
+
+# One domination row, its points as point_obj writes them, indented as
+# json.dumps(indent=2, sort_keys=True) lays it out at certificate.rows; the
+# "t" values need no JSON escaping.
 ROW_TEMPLATE = """\
       {
         "bracket_route": %s,
@@ -297,7 +368,6 @@ def cmd_certify(argv):
     parser.add_argument("--out", default=None, help="report path (default stdout)")
     args = parser.parse_args(argv)
 
-    rows = None
     if args.target == "punctured-torus":
         if args.depth < 0:
             parser.error("--depth must be nonnegative")
@@ -312,15 +382,9 @@ def cmd_certify(argv):
             verdict = "certified"
         else:
             verdict = "checked-range-only"
-        report = {
-            "version": REPORT_VERSION,
-            "generated_at": timestamp(),
-            "action": {"type": "punctured-torus"},
-            "depth": args.depth,
-            "normalization": cert.normalization,
-            "certificate": cert.to_obj(),
-            "verdict": verdict,
-        }
+        action = {"type": "punctured-torus"}
+        size_key, size = "depth", args.depth
+        normalization, certificate = cert.normalization, domination_obj(cert)
         rows = cert.rows
     else:
         if args.truncation < 0:
@@ -328,18 +392,22 @@ def cmd_certify(argv):
         check_cap("--truncation", args.truncation, MAX_TRUNCATION)
         witness = zz_witness(args.truncation)
         verdict = "certified" if witness.valid else "invalid"
-        report = {
-            "version": REPORT_VERSION,
-            "generated_at": timestamp(),
-            "action": {"type": "zz", "truncation": args.truncation},
-            "truncation": args.truncation,
-            "normalization": {},
-            "certificate": witness.to_obj(),
-            "verdict": verdict,
-        }
+        action = {"type": "zz", "truncation": args.truncation}
+        size_key, size = "truncation", args.truncation
+        normalization, certificate = {}, witness_obj(witness)
+        rows = None
+    report = {
+        "version": REPORT_VERSION,
+        "generated_at": timestamp(),
+        "action": action,
+        size_key: size,
+        "normalization": normalization,
+        "certificate": certificate,
+        "verdict": verdict,
+    }
     with open_output(args.out) as fh:
         render_report(report, fh, rows)
-    return 0 if report["verdict"] != "invalid" else 1
+    return 0 if verdict != "invalid" else 1
 
 
 CSV_COLUMNS = ("window_index", "generator", "displacement_at_0",

@@ -61,11 +61,6 @@ class CoverPoint(Record):
     def __repr__(self):
         return f"CoverPoint(t={self.base.coordinate()}, sheet={self.sheet})"
 
-    def to_obj(self) -> dict:
-        obj = self.base.to_obj()
-        obj["sheet"] = self.sheet
-        return obj
-
 
 COVER_BASEPOINT = CoverPoint(BASEPOINT, 0)
 

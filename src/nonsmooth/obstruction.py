@@ -9,7 +9,7 @@ fixed-point sequence).
 
 from fractions import Fraction
 
-from .cover import COVER_BASEPOINT, CoverPoint, cover_cmp, fixed_point_lift
+from .cover import COVER_BASEPOINT, cover_cmp, fixed_point_lift
 from .errors import (
     BracketOutsideWindow,
     DegenerateSequence,
@@ -18,10 +18,16 @@ from .errors import (
     SearchExhausted,
     Unsupported,
 )
-from .groupact import COVER_LINE, UNIT_INTERVAL, ZZAction, word_eval, zz_slope_mid
-from .plmaps import RIGHT, anchor, as_expr, cell_midpoint, germ_slope
+from .groupact import (
+    COVER_LINE,
+    UNIT_INTERVAL,
+    ZZAction,
+    orbit_sequence,
+    word_eval,
+    zz_slope_mid,
+)
+from .plmaps import RIGHT, anchor, as_expr, germ_slope
 from .projline import LESS, ordering_name
-from .rational import fmt_rat
 from .record import Record
 
 HALF = Fraction(1, 2)
@@ -31,12 +37,6 @@ def _cmp_points(domain, x, y):
     if domain == COVER_LINE:
         return cover_cmp(x, y)
     return (x > y) - (x < y)
-
-
-def _point_obj(x):
-    if isinstance(x, CoverPoint):
-        return x.to_obj()
-    return fmt_rat(x)
 
 
 class OrderResult(Record):
@@ -71,43 +71,12 @@ class DominationRow(Record):
 class InterleavingCertificate(Record):
     """Per-generator fixed-point brackets placed inside one deck window."""
 
-    __slots__ = ("window", "entries", "periodicity_note")
-
-    def to_obj(self):
-        return {
-            "window": [self.window[0].to_obj(), self.window[1].to_obj()],
-            "brackets": [
-                {"generator": name,
-                 "lo": bracket.lo.to_obj(),
-                 "hi": bracket.hi.to_obj(),
-                 "sign_lo": bracket.sign_lo,
-                 "sign_hi": bracket.sign_hi,
-                 "deck_shift": shift}
-                for name, bracket, shift in self.entries
-            ],
-            "periodicity_note": self.periodicity_note,
-        }
+    __slots__ = ("window", "entries")
 
 
 class DominationCertificate(Record):
     __slots__ = ("h", "generators", "base", "advancing", "depth", "rows",
                  "valid", "flags", "structural", "interleaving", "normalization")
-
-    def to_obj(self):
-        """Everything but the rows, which the report renders from
-        ``rows`` itself (cli.render_report)."""
-        return {
-            "dominating_word": self.h.to_string(self.generators),
-            "generators": list(self.generators),
-            "base_point": _point_obj(self.base),
-            "advancing_word": self.advancing.to_string(self.generators),
-            "depth": self.depth,
-            "valid": self.valid,
-            "structural": self.structural,
-            "flags": list(self.flags),
-            "normalization": dict(self.normalization),
-            "interleaving": self.interleaving.to_obj() if self.interleaving else None,
-        }
 
 
 def certify_interleaving(act, window_base=None):
@@ -146,9 +115,7 @@ def certify_interleaving(act, window_base=None):
             if cover_cmp(bound.apply(moved.hi), moved.hi) != moved.sign_hi:
                 raise BracketOutsideWindow("stale bracket sign for %s" % name)
         entries.append((name, moved, k))
-    note = ("deck equivariance repeats each bracket inside every window "
-            "(base+n, base+n+1), n any integer")
-    return InterleavingCertificate(window, tuple(entries), note)
+    return InterleavingCertificate(window, tuple(entries))
 
 
 def certify_domination(act, h, seq, depth):
@@ -185,8 +152,7 @@ def certify_domination(act, h, seq, depth):
 
     rows = []
     valid = True
-    p_m = base
-    for m in range(depth + 1):
+    for m, p_m in enumerate(orbit_sequence(act, advancing, base, depth)):
         dominator = word_eval(act, h, p_m)
         for idx, name in enumerate(act.names):
             for sign in (1, -1):
@@ -203,7 +169,6 @@ def certify_domination(act, h, seq, depth):
                         structural = False
                 rows.append(DominationRow(m, name, sign, moved, dominator,
                                           ordering, route))
-        p_m = word_eval(act, advancing, p_m)
 
     structural = structural and valid
     flags = []
@@ -246,47 +211,15 @@ def slope_character(act, p, side=RIGHT):
 class ZZWitnessEntry(Record):
     __slots__ = ("index", "power", "slope", "rejected_slope")
 
-    def to_obj(self):
-        return {"index": self.index,
-                "power": self.power,
-                "midpoint": fmt_rat(cell_midpoint(self.index)),
-                "slope": fmt_rat(self.slope),
-                "rejected_slope":
-                    None if self.rejected_slope is None else fmt_rat(self.rejected_slope)}
-
 
 class ZZWitness(Record):
     __slots__ = ("truncation", "cap", "entries", "support", "anchors_checked",
-                 "anchors_fixed", "narrative")
+                 "anchors_fixed")
 
     @property
     def valid(self):
         return (self.anchors_fixed
                 and all(e.slope < HALF for e in self.entries))
-
-    def to_obj(self):
-        return {
-            "truncation": self.truncation,
-            "cap": self.cap,
-            "support": {str(i): k for i, k in sorted(self.support.items())},
-            "entries": [e.to_obj() for e in self.entries],
-            "anchors_checked": list(self.anchors_checked),
-            "anchors_fixed": self.anchors_fixed,
-            "valid": self.valid,
-            "narrative": self.narrative,
-        }
-
-
-_ZZ_NARRATIVE = (
-    "For each listed cell the chosen power has one-sided slopes strictly below "
-    "1/2 at the cell midpoint.  The midpoints accumulate at 1 while every "
-    "anchor is fixed, so the anchors also accumulate at 1.  A C1 conjugate of "
-    "the product map would need derivative at most 1/2 along the midpoint "
-    "sequence and exactly 1 along the fixed anchor sequence; both limits would "
-    "be the derivative at 1, which is impossible.  The product over all cells "
-    "is truncated here; each midpoint inequality only consults finitely many "
-    "cells, so the truncation certifies the same contradiction."
-)
 
 
 def _least_power(i, cap):
@@ -334,4 +267,4 @@ def zz_witness(truncation, cap=64):
     anchors_fixed = all(product.apply(anchor(j)) == anchor(j)
                         for j in range(lo, hi + 1))
     return ZZWitness(truncation, cap, tuple(entries), support, (lo, hi),
-                     anchors_fixed, _ZZ_NARRATIVE)
+                     anchors_fixed)

@@ -74,9 +74,6 @@ class ProjPoint(Record):
     def __repr__(self):
         return f"ProjPoint({self.coordinate()})"
 
-    def to_obj(self) -> dict:
-        return {"t": self.coordinate()}
-
 
 BASEPOINT = ProjPoint(0, 1)
 

@@ -171,7 +171,8 @@ def rescale(w: Window, act: MarkedAction, grid=64) -> RescaledSystem:
     """Normalized local picture of the action on a window; the largest
     generator displacement of the origin is exactly 1."""
     rs = RescaledSystem(w, act, grid)
-    assert max(abs(rs.displacement_at_0(n)) for n in rs.names) == 1
+    if max(abs(rs.displacement_at_0(n)) for n in rs.names) != 1:
+        raise AssertionError("the largest rescaled displacement is not 1")
     return rs
 
 

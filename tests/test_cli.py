@@ -167,7 +167,7 @@ def torus_report(cert):
             "action": {"type": "punctured-torus"},
             "depth": cert.depth,
             "normalization": cert.normalization,
-            "certificate": cert.to_obj(),
+            "certificate": cli.domination_obj(cert),
             "verdict": "certified"}
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from helpers import rand_cover, rand_lift, rand_rat, rand_torus_word_matrix
 
+from nonsmooth.cli import point_obj
 from nonsmooth.cover import (
     COVER_BASEPOINT,
     TORUS_A,
@@ -96,7 +97,7 @@ class TestCoverOrder:
 
     def test_serialization(self):
         x = cp(Fraction(-2, 3), 5)
-        assert x.to_obj() == {"t": "-2/3", "sheet": 5}
+        assert point_obj(x) == {"t": "-2/3", "sheet": 5}
 
 
 class TestLiftedMaps:

@@ -1,6 +1,6 @@
 """Import hygiene of the package, read from the source with ast: no module
-imports a name it never uses, and the package exports exactly what its
-__init__ imports."""
+imports a name it never uses, the package exports exactly what its __init__
+imports, and only cli knows the report format."""
 
 import ast
 import os
@@ -51,3 +51,26 @@ def test_every_import_is_used(filename):
 def test_init_exports_exactly_its_imports():
     tree = parse("__init__.py")
     assert exported_names(tree) == imported_names(tree)
+
+
+@pytest.mark.parametrize("filename", MODULES)
+def test_no_class_serializes_itself(filename):
+    tree = parse(filename)
+    owners = sorted(node.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ClassDef)
+                    and any(isinstance(item, ast.FunctionDef)
+                            and item.name == "to_obj" for item in node.body))
+    assert not owners, "%s: %s define to_obj; the report format lives in cli" % (
+        filename, owners)
+
+
+@pytest.mark.parametrize("filename", [f for f in MODULES if f != "cli.py"])
+def test_only_cli_imports_json(filename):
+    tree = parse(filename)
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.add(node.module.split(".")[0])
+    assert "json" not in modules, "%s imports json" % filename

@@ -14,6 +14,7 @@ from helpers import (
     zz_expr,
 )
 from nonsmooth import obstruction
+from nonsmooth.cli import domination_obj, interleaving_obj, point_obj, witness_obj
 from nonsmooth.cover import COVER_BASEPOINT, CoverPoint, cover_cmp, line_point
 from nonsmooth.errors import (
     BracketOutsideWindow,
@@ -122,8 +123,8 @@ class TestOrderCmp:
         act = punctured_torus_action()
         r = order_cmp(act, A.inverse(), B, PT)
         assert r.name == "Less"
-        assert r.image1.to_obj() == {"t": "-1", "sheet": -1}
-        assert r.image2.to_obj() == {"t": "-1/2", "sheet": -1}
+        assert point_obj(r.image1) == {"t": "-1", "sheet": -1}
+        assert point_obj(r.image2) == {"t": "-1/2", "sheet": -1}
 
 
 class TestCommutatorClass:
@@ -206,7 +207,7 @@ class TestInterleaving:
             certify_interleaving(zz_letter_action())
 
     def test_to_obj(self):
-        obj = certify_interleaving(punctured_torus_action()).to_obj()
+        obj = interleaving_obj(certify_interleaving(punctured_torus_action()))
         assert obj["window"] == [{"t": "0", "sheet": 0}, {"t": "0", "sheet": 1}]
         assert obj["brackets"][0] == {
             "generator": "a",
@@ -307,7 +308,7 @@ class TestDomination:
 
     def test_to_obj(self):
         cert = self.cert(1)
-        obj = cert.to_obj()
+        obj = domination_obj(cert)
         assert obj["dominating_word"] == "abABabAB"
         assert obj["advancing_word"] == "abAB"
         assert obj["valid"] is True
@@ -480,11 +481,11 @@ class TestZZWitness:
 
     def test_validity_requires_fixed_anchors(self):
         entry = ZZWitnessEntry(0, 4, Fraction(16, 51), Fraction(8, 15))
-        broken = ZZWitness(0, 64, [entry], {0: 4}, (-2, 2), False, "n")
+        broken = ZZWitness(0, 64, [entry], {0: 4}, (-2, 2), False)
         assert not broken.valid
 
     def test_to_obj(self):
-        obj = zz_witness(1).to_obj()
+        obj = witness_obj(zz_witness(1))
         assert obj["support"] == {"-1": 4, "0": 4, "1": 4}
         assert obj["entries"][1]["midpoint"] == "7/12"
         assert obj["entries"][1]["slope"] == "16/51"

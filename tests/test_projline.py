@@ -55,7 +55,7 @@ class TestProjPoint:
 
     def test_serialization(self):
         p = ProjPoint.from_affine(Fraction(-3, 5))
-        assert p.to_obj() == {"t": "-3/5"}
+        assert p.coordinate() == "-3/5"
 
 
 class TestMoebius:

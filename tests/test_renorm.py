@@ -1,12 +1,17 @@
 """Blow-up probe: windows, rescaled systems, translation deviation, and
 fixed-point persistence, with closed-form oracles for the germ examples."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
 from helpers import rand_interior, rand_plmap, sandwich_apply
+import nonsmooth
 from nonsmooth.cover import COVER_BASEPOINT, compactify
 from nonsmooth.errors import (
     BadInterval,
@@ -214,6 +219,27 @@ class TestRescale:
         w = build_windows(act, [Fraction(1, 10)])[0]
         with pytest.raises(ValueError):
             rescale(w, act, grid=1)
+
+    def test_wrong_unit_raises_under_optimize(self):
+        # python -O strips bare asserts; the normalization check must not be one
+        child = textwrap.dedent("""
+            import sys
+            from fractions import Fraction
+            from nonsmooth.renorm import Window, build_windows, germ_action, rescale
+            act = germ_action()
+            w = build_windows(act, [Fraction(1, 10)])[0]
+            bad = Window(w.index, w.point, w.hull, w.enlarged, 2 * w.unit)
+            print("optimize", sys.flags.optimize)
+            try:
+                rescale(bad, act)
+            except AssertionError:
+                print("raised")
+        """)
+        src = os.path.dirname(os.path.dirname(nonsmooth.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", child], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out == "optimize 1\nraised\n"
 
 
 ZERO, ONE = Fraction(0), Fraction(1)
