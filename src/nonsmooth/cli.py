@@ -17,7 +17,7 @@ import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 
-from .cover import COVER_BASEPOINT, CoverPoint, line_point
+from .cover import COVER_BASEPOINT, CoverPoint, compactify, line_point
 from .errors import (
     Degenerate,
     EmptyDisplacement,
@@ -31,7 +31,6 @@ from .groupact import (
     UNIT_INTERVAL,
     compactified_action,
     orbit_sequence,
-    parse_word,
     punctured_torus_action,
     zz_letter_action,
 )
@@ -87,11 +86,9 @@ def check_cap(option, value, cap):
 
 
 def parse_action_spec(text):
-    """Accept a bare type name or a JSON record; return (echo, action).
-
-    The echo is the normalized spec with defaults filled in, embedded in
-    reports so a run can be reproduced from its output alone.
-    """
+    """Accept a bare type name or a JSON record; return (action, start,
+    advance): the action, the point its orbits start from unless a command
+    is given one, and its default advancing word."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError:
@@ -103,34 +100,35 @@ def parse_action_spec(text):
     kind = obj["type"]
     try:
         if kind == "punctured-torus":
-            return {"type": kind}, punctured_torus_action()
+            act = punctured_torus_action()
+            return act, COVER_BASEPOINT, act.parse("[a,b]")
         if kind == "zz":
-            truncation = int(obj.get("truncation", 16))
-            if truncation < 0:
+            # no command reads the truncation, but a bad one is still refused
+            if int(obj.get("truncation", 16)) < 0:
                 raise UsageError("zz truncation must be nonnegative")
-            return {"type": kind, "truncation": truncation}, zz_letter_action()
-        if kind == "pl":
+            act, start = zz_letter_action(), cell_midpoint(0)
+        elif kind == "pl":
             points = obj.get("breakpoints", [["0", "0"], ["1", "1"]])
-            pts = [(parse_rat(str(x)), parse_rat(str(y))) for x, y in points]
-            echo = {"type": kind,
-                    "breakpoints": [[fmt_rat(x), fmt_rat(y)] for x, y in pts]}
-            return echo, MarkedAction(("a",), (PLMap(pts),), UNIT_INTERVAL)
-        if kind == "model-translation":
+            pl = PLMap([(parse_rat(str(x)), parse_rat(str(y))) for x, y in points])
+            act, start = MarkedAction(("a",), (pl,), UNIT_INTERVAL), Fraction(1, 2)
+        elif kind == "model-translation":
             support = obj.get("support", ["1/2", "2/3"])
             power = int(obj.get("power", 1))
             if abs(power) > MAX_POWER:
                 raise UsageError("model-translation power %d is outside "
                                  "[-%d, %d]" % (power, MAX_POWER, MAX_POWER))
             lo, hi = (parse_rat(str(v)) for v in support)
-            echo = {"type": kind, "support": [fmt_rat(lo), fmt_rat(hi)],
-                    "power": power}
-            return echo, MarkedAction(
+            act = MarkedAction(
                 ("a",), (ModelTranslation((lo, hi), power),), UNIT_INTERVAL)
-        if kind == "parabolic-germ":
-            return {"type": kind}, germ_action()
+            # the support endpoints are fixed; start in the middle
+            start = (lo + hi) / 2
+        elif kind == "parabolic-germ":
+            act, start = germ_action(), Fraction(1, 2)
+        else:
+            raise UsageError("unknown action type %r" % (kind,))
     except (ValueError, TypeError, OverflowError) as exc:
         raise UsageError("bad action spec %r: %s" % (text, exc))
-    raise UsageError("unknown action type %r" % (kind,))
+    return act, start, act.parse("a")
 
 
 def parse_point(text, domain):
@@ -191,22 +189,6 @@ def split_words(text):
     if any(not p for p in parts):
         raise UsageError("empty word in %r" % (text,))
     return parts
-
-
-def default_point(spec, act):
-    if act.domain == COVER_LINE:
-        return COVER_BASEPOINT
-    if spec["type"] == "zz":
-        return cell_midpoint(0)
-    if spec["type"] == "model-translation":
-        # the support endpoints are fixed; start in the middle
-        lo, hi = (parse_rat(v) for v in spec["support"])
-        return (lo + hi) / 2
-    return Fraction(1, 2)
-
-
-def default_advance(spec):
-    return "[a,b]" if spec["type"] == "punctured-torus" else "a"
 
 
 # ---------------------------------------------------------------- output
@@ -372,10 +354,8 @@ def cmd_certify(argv):
         if args.depth < 0:
             parser.error("--depth must be nonnegative")
         check_cap("--depth", args.depth, MAX_DEPTH)
-        act = punctured_torus_action()
-        cert = certify_domination(
-            act, parse_word("[a,b]^2"), (COVER_BASEPOINT, parse_word("[a,b]")),
-            args.depth)
+        act, base, advance = parse_action_spec(args.target)
+        cert = certify_domination(act, advance ** 2, (base, advance), args.depth)
         if not cert.valid:
             verdict = "invalid"
         elif cert.structural:
@@ -439,17 +419,17 @@ def cmd_renorm(argv):
     check_cap("--windows", args.windows, MAX_WINDOWS)
     check_cap("--grid", args.grid, MAX_GRID)
 
-    spec, act = parse_action_spec(args.action)
+    act, start, advance = parse_action_spec(args.action)
     if act.domain == COVER_LINE:
-        act = compactified_action(act)
+        act, start = compactified_action(act), compactify(start)
     try:
         radius = parse_rat(args.radius)
     except ValueError as exc:
         raise UsageError("bad radius %r: %s" % (args.radius, exc))
-    start = (default_point(spec, act) if args.start is None
-             else parse_point(args.start, act.domain))
-    advance = act.parse(args.advance if args.advance is not None
-                        else default_advance(spec))
+    if args.start is not None:
+        start = parse_point(args.start, act.domain)
+    if args.advance is not None:
+        advance = act.parse(args.advance)
     points = orbit_sequence(act, advance, start, args.windows - 1)
 
     buf = io.StringIO()
@@ -573,9 +553,9 @@ def cmd_orbit(argv):
         parser.error("--count must be nonnegative")
     check_cap("--count", args.count, MAX_COUNT)
 
-    spec, act = parse_action_spec(args.action)
-    point = (default_point(spec, act) if args.point is None
-             else parse_point(args.point, act.domain))
+    act, point, _ = parse_action_spec(args.action)
+    if args.point is not None:
+        point = parse_point(args.point, act.domain)
     word = act.parse(args.word)
     for n, p in enumerate(orbit_sequence(act, word, point, args.count)):
         sys.stdout.write("%d\t%s\n" % (n, format_point(p)))
@@ -593,9 +573,9 @@ def cmd_order(argv):
                         help="comma-separated; commas inside [x,y] are kept")
     args = parser.parse_args(argv)
 
-    spec, act = parse_action_spec(args.action)
-    point = (default_point(spec, act) if args.point is None
-             else parse_point(args.point, act.domain))
+    act, point, _ = parse_action_spec(args.action)
+    if args.point is not None:
+        point = parse_point(args.point, act.domain)
     words = split_words(args.words)
     if len(words) < 2:
         raise UsageError("need at least two words to compare")

@@ -35,6 +35,8 @@ from .record import Record
 # hyperbolic generators of the lifted two-generator (punctured-torus) action
 TORUS_A = MoebiusMap(1, 1, 1, 2)
 TORUS_B = MoebiusMap(1, -1, -1, 2)
+# Widest bracket fixed_point_lift certifies around a hyperbolic fixed point.
+LIFT_BRACKET_WIDTH = Fraction(1, 4)
 
 
 @total_ordering
@@ -166,7 +168,7 @@ def _displacement_sign(f: LiftedMap, x: CoverPoint) -> int:
     return cover_cmp(f.apply(x), x)
 
 
-def fixed_point_lift(m: MoebiusMap, max_width=Fraction(1, 4)):
+def fixed_point_lift(m: MoebiusMap):
     """The unique deck representative of m with fixed points on the cover.
 
     Returns (lift, certificate). For a hyperbolic m the certificate brackets
@@ -181,7 +183,7 @@ def fixed_point_lift(m: MoebiusMap, max_width=Fraction(1, 4)):
         lift = identity_lift()
         bracket = CoverBracket(COVER_BASEPOINT, COVER_BASEPOINT, 0, 0)
         return lift, FixedPointCertificate(m, (bracket,))
-    roots = bracket_roots(coeffs, max_width=max_width)
+    roots = bracket_roots(coeffs, max_width=LIFT_BRACKET_WIDTH)
     if not roots:
         raise NoRealFixedPoint(f"no real fixed point to bracket for {m!r}")
 

@@ -37,8 +37,10 @@ DEFAULT_NAMES = ("a", "b")
 MAX_WORD_LETTERS = 100_000
 
 
-def _reduce(letters):
-    out = []
+def _reduce(letters, out=None):
+    """Append letters to out, a freely reduced list (a new one by default),
+    cancelling each against the end of the list; return the list."""
+    out = [] if out is None else out
     for idx, exp in letters:
         idx, exp = int(idx), int(exp)
         if exp not in (1, -1):
@@ -49,7 +51,7 @@ def _reduce(letters):
             out.pop()
         else:
             out.append((idx, exp))
-    return tuple(out)
+    return out
 
 
 def _check_length(n):
@@ -64,7 +66,7 @@ class Word(Record):
     __slots__ = ("letters",)
 
     def __init__(self, letters=()):
-        Record.__init__(self, _reduce(letters))
+        Record.__init__(self, tuple(_reduce(letters)))
 
     @classmethod
     def identity(cls):
@@ -169,23 +171,26 @@ def parse_word(text, names=DEFAULT_NAMES):
         raise WordSyntaxError("unexpected character %r at position %d of %r" % (ch, pos, text))
 
     def parse_seq(stop):
+        # one freely reduced list per sequence, so each letter is reduced
+        # once here and once more when the Word is built: linear time
         nonlocal pos
-        acc = Word()
+        acc = []
         while True:
             skip_ws()
             if pos >= n:
                 if stop is None:
-                    return acc
+                    return Word(acc)
                 raise WordSyntaxError("missing %r in %r" % (stop, text))
             if stop is not None and s[pos] == stop:
-                return acc
+                return Word(acc)
             w = parse_atom()
             skip_ws()
             if pos < n and s[pos] == "^":
                 pos += 1
                 skip_ws()
                 w = w ** parse_int()
-            acc = acc * w
+            _check_length(len(acc) + len(w))
+            _reduce(w.letters, acc)
 
     return parse_seq(None)
 

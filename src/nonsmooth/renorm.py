@@ -24,6 +24,8 @@ from .record import Record
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# Halvings of a grid cell across which a displacement changes sign.
+BISECTION_STEPS = 12
 
 
 class MoebiusGermMap(Record):
@@ -207,8 +209,8 @@ def translation_deviation(rs: RescaledSystem, radius, grid):
                for name in rs.names)
 
 
-def _bisect_displacement(rs, name, a, va, b, refine):
-    for _ in range(refine):
+def _bisect_displacement(rs, name, a, va, b):
+    for _ in range(BISECTION_STEPS):
         mid = (a + b) / 2
         v = rs.apply(name, mid) - mid
         if v == 0:
@@ -220,7 +222,7 @@ def _bisect_displacement(rs, name, a, va, b, refine):
     return (a, b)
 
 
-def fixed_point_in_window(rs: RescaledSystem, refine=12):
+def fixed_point_in_window(rs: RescaledSystem):
     """Per generator: an exact bracket in the rescaled window across which the
     displacement g_hat(x) - x changes sign (degenerate at an exact zero), or
     None when the displacement keeps one sign at grid granularity."""
@@ -239,7 +241,7 @@ def fixed_point_in_window(rs: RescaledSystem, refine=12):
                 break
             if k and (vals[k - 1] > 0) != (v > 0):
                 bracket = _bisect_displacement(
-                    rs, name, pts[k - 1], vals[k - 1], pts[k], refine)
+                    rs, name, pts[k - 1], vals[k - 1], pts[k])
                 break
         out[name] = bracket
     return out

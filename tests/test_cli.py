@@ -500,6 +500,22 @@ class TestSpecsAndPoints:
             parse_point("t=1/2,sheet=0", UNIT_INTERVAL)
 
 
+def test_action_defaults(capsys):
+    # each action type's default start point, as the README's Actions table
+    # documents it; model-translation starts at its support's midpoint
+    for spec, start in (("punctured-torus", "t=0,sheet=0"), ("zz", "7/12"),
+                        ("pl", "1/2"), ("model-translation", "7/12"),
+                        ("parabolic-germ", "1/2")):
+        assert run(capsys, "orbit", "--action", spec, "--word", "a",
+                   "--count", "0") == (0, "0\t%s\n" % start, "")
+    # the torus renorm starts at the compactified marked point and advances
+    # by the commutator
+    torus = ("renorm", "--action", "punctured-torus", "--windows", "2")
+    default = run(capsys, *torus)
+    assert default[0] == 0
+    assert default == run(capsys, *torus, "--start", "1/2", "--advance", "[a,b]")
+
+
 @pytest.mark.parametrize("argv", [
     ("orbit", "--action", "zz", "--point", "1/0"),
     ("renorm", "--radius", "1/0"),

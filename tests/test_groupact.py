@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from helpers import rand_cover, rand_interior, rand_word_letters, slope_quotient_oracle
 
+from nonsmooth import groupact
 from nonsmooth.cover import COVER_BASEPOINT, CoverPoint, compactify
 from nonsmooth.errors import OutOfDomain, WordSyntaxError
 from nonsmooth.groupact import (
@@ -116,6 +117,29 @@ class TestParser:
                     "(a^1000000)^1000000", "[a^60000,b^60000]"):
             with pytest.raises(WordSyntaxError):
                 parse_word(big)
+
+    @pytest.mark.parametrize("text, expanded, expected", [
+        ("ab" * 10000, 20000, lambda: (A * B) ** 10000),
+        ("(" + "[ab,bA]" * 2500 + ")A", 8 * 2500 + 1,
+         lambda: commutator(A * B, B * A.inverse()) ** 2500 * A.inverse()),
+    ], ids=("flat", "nested"))
+    def test_parse_time_is_linear(self, monkeypatch, text, expanded, expected):
+        # expanded: letters of the word before free reduction; a parser
+        # that re-reduces its whole prefix per atom feeds the reduction a
+        # number of letters quadratic in it, and fails here early
+        fed = [0]
+        reduce = groupact._reduce
+
+        def counted(letters, *rest):
+            letters = list(letters)
+            fed[0] += len(letters)
+            assert fed[0] <= 10 * expanded, "parse is not linear"
+            return reduce(letters, *rest)
+
+        monkeypatch.setattr(groupact, "_reduce", counted)
+        w = parse_word(text)
+        monkeypatch.undo()
+        assert w == expected()
 
     def test_roundtrip(self):
         rng = random.Random(404)

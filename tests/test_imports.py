@@ -1,6 +1,7 @@
 """Import hygiene of the package, read from the source with ast: no module
 imports a name it never uses, the package exports exactly what its __init__
-imports, and only cli knows the report format."""
+imports, only cli knows the report format, and one function of cli decides
+what each action spec means."""
 
 import ast
 import os
@@ -74,3 +75,15 @@ def test_only_cli_imports_json(filename):
         elif isinstance(node, ast.ImportFrom) and node.module:
             modules.add(node.module.split(".")[0])
     assert "json" not in modules, "%s imports json" % filename
+
+
+def test_only_parse_action_spec_builds_named_actions():
+    # the action, its start point and its advancing word come from one
+    # table, so no command builds a named action of its own
+    builders = {"punctured_torus_action", "zz_letter_action", "germ_action"}
+    users = {getattr(top, "name", None)
+             for top in parse("cli.py").body
+             if not isinstance(top, (ast.Import, ast.ImportFrom))
+             for node in ast.walk(top)
+             if isinstance(node, ast.Name) and node.id in builders}
+    assert users == {"parse_action_spec"}, users
