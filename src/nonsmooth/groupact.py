@@ -192,7 +192,11 @@ def parse_word(text, names=DEFAULT_NAMES):
             _check_length(len(acc) + len(w))
             _reduce(w.letters, acc)
 
-    return parse_seq(None)
+    try:
+        return parse_seq(None)
+    except RecursionError:
+        raise WordSyntaxError("word nests parentheses or brackets too deeply "
+                              "to parse") from None
 
 
 class MarkedAction(Record):

@@ -123,25 +123,23 @@ def build_windows(act: MarkedAction, p_seq, enlargement=3):
 
 class RescaledSystem(Record):
     """A window blown up to unit scale: the base point moves to the origin and
-    each generator becomes a partial map of the rescaled enlarged window.
+    each generator becomes the partial map x -> (g(p + u x) - p)/u of the
+    rescaled enlarged window, with p the base point and u the unit.
 
-    The per-window work happens once, here: the rescaled domain is stored,
-    and each germ generator is stored already conjugated by the rescaling.
-    Every other generator is applied through the affine sandwich
-    x -> (g(p + u x) - p)/u, with p the base point and u the unit.
+    The statistics below never build that map: g_hat(x) - x is
+    (g(X) - X)/u at the window point X = p + u x, so they run each generator
+    at the window points themselves and rescale only the results.
     """
 
-    __slots__ = ("window", "act", "grid", "domain", "_germs", "_bound")
+    __slots__ = ("window", "act", "grid", "domain", "_bound")
 
     def __init__(self, window, act, grid):
         if grid < 2:
             raise ValueError("grid resolution must be at least 2")
         p, u = window.point, window.unit
         domain = ((window.enlarged[0] - p) / u, (window.enlarged[1] - p) / u)
-        bound = dict(zip(act.names, act.maps))
-        germs = {name: _conjugate_germ(g, p, u) for name, g in bound.items()
-                 if isinstance(g, MoebiusGermMap)}
-        Record.__init__(self, window, act, int(grid), domain, germs, bound)
+        Record.__init__(self, window, act, int(grid), domain,
+                        dict(zip(act.names, act.maps)))
 
     @property
     def names(self):
@@ -151,22 +149,12 @@ class RescaledSystem(Record):
         lo, hi = self.domain
         if not lo <= x <= hi:
             raise OutOfDomain("%s is outside the rescaled window" % (x,))
-        germ = self._germs.get(name)
-        if germ is not None:
-            return germ.apply(x)
         x = Fraction(x)
         w = self.window
         return (self._bound[name].apply(w.point + w.unit * x) - w.point) / w.unit
 
     def displacement_at_0(self, name):
         return self.apply(name, ZERO)
-
-
-def _conjugate_germ(g, p, u):
-    """The germ x -> (g(p + u x) - p)/u; its determinant is u^2 (ad - bc)."""
-    a, b, c, d = g.a, g.b, g.c, g.d
-    s = a - c * p
-    return MoebiusGermMap(s * u, s * p + b - d * p, c * u * u, u * (c * p + d))
 
 
 def rescale(w: Window, act: MarkedAction, grid=64) -> RescaledSystem:
@@ -178,29 +166,27 @@ def rescale(w: Window, act: MarkedAction, grid=64) -> RescaledSystem:
     return rs
 
 
-def _grid_points(rs: RescaledSystem, radius, grid):
-    radius = Fraction(radius)
-    lo, hi = rs.domain
-    lo, hi = max(lo, -radius), min(hi, radius)
-    if lo > hi:
-        raise EmptyGridDomain(
-            "window does not meet the requested radius %s" % (radius,))
+def _window_grid(lo, hi, grid):
     span = hi - lo
     return [lo + span * Fraction(k, grid) for k in range(grid + 1)]
 
 
 def generator_deviation(rs: RescaledSystem, name, radius, grid):
-    """Largest |g_hat(x) - x - g_hat(0)| over the rational grid; a lower bound
-    for the sup, exact at every sampled point."""
+    """Largest |g_hat(x) - x - g_hat(0)| over the rational grid of the
+    rescaled window within the radius; a lower bound for the sup, exact at
+    every sampled point."""
     if grid < 2:
         raise ValueError("grid resolution must be at least 2")
-    shift = rs.displacement_at_0(name)
-    best = ZERO
-    for x in _grid_points(rs, radius, grid):
-        dev = abs(rs.apply(name, x) - x - shift)
-        if dev > best:
-            best = dev
-    return best
+    g, p, u = rs._bound[name], rs.window.point, rs.window.unit
+    shift = g.apply(p) - p
+    radius = Fraction(radius)
+    lo, hi = rs.window.enlarged
+    lo, hi = max(lo, p - u * radius), min(hi, p + u * radius)
+    if lo > hi:
+        raise EmptyGridDomain(
+            "window does not meet the requested radius %s" % (radius,))
+    return max(abs(g.apply(x) - x - shift)
+               for x in _window_grid(lo, hi, grid)) / u
 
 
 def translation_deviation(rs: RescaledSystem, radius, grid):
@@ -209,10 +195,10 @@ def translation_deviation(rs: RescaledSystem, radius, grid):
                for name in rs.names)
 
 
-def _bisect_displacement(rs, name, a, va, b):
+def _bisect_displacement(g, a, va, b):
     for _ in range(BISECTION_STEPS):
         mid = (a + b) / 2
-        v = rs.apply(name, mid) - mid
+        v = g.apply(mid) - mid
         if v == 0:
             return (mid, mid)
         if (v > 0) == (va > 0):
@@ -226,12 +212,12 @@ def fixed_point_in_window(rs: RescaledSystem):
     """Per generator: an exact bracket in the rescaled window across which the
     displacement g_hat(x) - x changes sign (degenerate at an exact zero), or
     None when the displacement keeps one sign at grid granularity."""
-    lo, hi = rs.domain
-    span = hi - lo
-    pts = [lo + span * Fraction(k, rs.grid) for k in range(rs.grid + 1)]
+    p, u = rs.window.point, rs.window.unit
+    pts = _window_grid(*rs.window.enlarged, rs.grid)
     out = {}
     for name in rs.names:
-        vals = [rs.apply(name, x) - x for x in pts]
+        g = rs._bound[name]
+        vals = [g.apply(x) - x for x in pts]
         if all(v == 0 for v in vals):
             raise Degenerate("generator %s is the identity on the window" % name)
         bracket = None
@@ -241,9 +227,10 @@ def fixed_point_in_window(rs: RescaledSystem):
                 break
             if k and (vals[k - 1] > 0) != (v > 0):
                 bracket = _bisect_displacement(
-                    rs, name, pts[k - 1], vals[k - 1], pts[k])
+                    g, pts[k - 1], vals[k - 1], pts[k])
                 break
-        out[name] = bracket
+        # the bracket ends back in rescaled coordinates
+        out[name] = None if bracket is None else tuple((x - p) / u for x in bracket)
     return out
 
 

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 from nonsmooth.cli import point_obj
 from nonsmooth.cover import TORUS_A, TORUS_B, CoverPoint, lift_through
-from nonsmooth.errors import BadInterval
+from nonsmooth.errors import BadInterval, Degenerate, EmptyGridDomain
 from nonsmooth.plmaps import IntervalMapExpr, ModelTranslation, PLMap, as_expr, cell_shift
 from nonsmooth.projline import MoebiusMap, ProjPoint, ordering_name
 from nonsmooth.record import Record
+from nonsmooth.renorm import BISECTION_STEPS
 
 
 def rand_rat(rng, lim=12):
@@ -174,6 +175,63 @@ def row_obj(row):
 def sandwich_apply(window, m, x):
     """A generator rescaled to a window by the affine sandwich
     x -> (m(p + u x) - p)/u, with p the base point and u the unit; the
-    oracle that the conjugated germs of RescaledSystem must agree with."""
+    oracle that RescaledSystem.apply must agree with."""
     p, u = window.point, window.unit
     return (m.apply(p + u * x) - p) / u
+
+
+def generator_deviation_oracle(rs, name, radius, grid):
+    """renorm.generator_deviation with every value taken through
+    RescaledSystem.apply in rescaled coordinates; the oracle for the window
+    coordinates the library evaluates in."""
+    if grid < 2:
+        raise ValueError("grid resolution must be at least 2")
+    shift = rs.displacement_at_0(name)
+    radius = Fraction(radius)
+    lo, hi = rs.domain
+    lo, hi = max(lo, -radius), min(hi, radius)
+    if lo > hi:
+        raise EmptyGridDomain(
+            "window does not meet the requested radius %s" % (radius,))
+    span = hi - lo
+    best = Fraction(0)
+    for x in [lo + span * Fraction(k, grid) for k in range(grid + 1)]:
+        dev = abs(rs.apply(name, x) - x - shift)
+        if dev > best:
+            best = dev
+    return best
+
+
+def fixed_point_oracle(rs):
+    """renorm.fixed_point_in_window with every value taken through
+    RescaledSystem.apply in rescaled coordinates; the oracle for the window
+    coordinates the library evaluates in."""
+    lo, hi = rs.domain
+    span = hi - lo
+    pts = [lo + span * Fraction(k, rs.grid) for k in range(rs.grid + 1)]
+    out = {}
+    for name in rs.names:
+        vals = [rs.apply(name, x) - x for x in pts]
+        if all(v == 0 for v in vals):
+            raise Degenerate("generator %s is the identity on the window" % name)
+        bracket = None
+        for k, v in enumerate(vals):
+            if v == 0:
+                bracket = (pts[k], pts[k])
+                break
+            if k and (vals[k - 1] > 0) != (v > 0):
+                a, va, b = pts[k - 1], vals[k - 1], pts[k]
+                for _ in range(BISECTION_STEPS):
+                    mid = (a + b) / 2
+                    v = rs.apply(name, mid) - mid
+                    if v == 0:
+                        a = b = mid
+                        break
+                    if (v > 0) == (va > 0):
+                        a, va = mid, v
+                    else:
+                        b = mid
+                bracket = (a, b)
+                break
+        out[name] = bracket
+    return out

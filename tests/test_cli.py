@@ -531,6 +531,8 @@ def test_action_defaults(capsys):
      % (cli.MAX_POWER + 1), "--word", "a", "--count", "1"),
     ("orbit", "--action", '{"type":"model-translation","power":%d}'
      % -(cli.MAX_POWER + 1), "--word", "a", "--count", "1"),
+    ("orbit", "--word", "(" * 1000 + "a" + ")" * 1000, "--count", "1"),
+    ("orbit", "--word", "[" * 1000 + "a" + ",b]" * 1000, "--count", "1"),
 ])
 def test_bad_input_exits_two_without_traceback(capsys, argv):
     code, _, err = run(capsys, *argv)

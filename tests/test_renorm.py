@@ -10,7 +10,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import rand_interior, rand_plmap, sandwich_apply
+from helpers import (
+    fixed_point_oracle,
+    generator_deviation_oracle,
+    rand_cover,
+    rand_interior,
+    rand_model,
+    rand_plmap,
+    sandwich_apply,
+)
 import nonsmooth
 from nonsmooth.cover import COVER_BASEPOINT, compactify
 from nonsmooth.errors import (
@@ -258,8 +266,8 @@ def rand_unit_germ(rng, lim=6):
 
 
 class TestConjugatedGerm:
-    """The germ generators of a RescaledSystem are conjugated once per window;
-    the affine sandwich of tests/helpers.py is their oracle."""
+    """RescaledSystem.apply on germ generators agrees with the affine sandwich
+    of tests/helpers.py, and a germ applies to x = n/m exactly."""
 
     def test_matches_sandwich_oracle(self):
         rng = random.Random(80)
@@ -314,6 +322,62 @@ class TestConjugatedGerm:
             with pytest.raises(OutOfDomain):
                 g.apply(Fraction(-g.d, g.c))
             seen += 1
+
+
+class TestWindowCoordinates:
+    """generator_deviation and fixed_point_in_window evaluate each generator
+    at the window points X = p + u x and rescale only the results; the
+    oracles of tests/helpers.py take every value through
+    RescaledSystem.apply instead, and the two must agree exactly."""
+
+    RADII = (-Fraction(1, 3), 0, Fraction(1, 3), 2, 1000)
+
+    def check(self, rs, rng):
+        for name in rs.names:
+            for radius in self.RADII:
+                grid = rng.randint(2, 12)
+                try:
+                    expected = generator_deviation_oracle(rs, name, radius, grid)
+                except EmptyGridDomain:
+                    with pytest.raises(EmptyGridDomain):
+                        generator_deviation(rs, name, radius, grid)
+                    continue
+                assert generator_deviation(rs, name, radius, grid) == expected
+        try:
+            expected = fixed_point_oracle(rs)
+        except Degenerate:
+            with pytest.raises(Degenerate):
+                fixed_point_in_window(rs)
+            return 0
+        assert fixed_point_in_window(rs) == expected
+        return sum(b is not None for b in expected.values())
+
+    def test_interval_generators_match_oracle(self):
+        rng = random.Random(111)
+        makers = (rand_unit_germ, rand_plmap, rand_model)
+        cases = brackets = 0
+        while cases < 300:
+            maps = tuple(rng.choice(makers)(rng)
+                         for _ in range(rng.randint(1, 2)))
+            act = MarkedAction(("a", "b")[:len(maps)], maps, UNIT_INTERVAL)
+            try:
+                w = build_windows(act, [rand_interior(rng, 97)],
+                                  enlargement=rng.randint(1, 4))[0]
+            except EmptyDisplacement:
+                continue
+            brackets += self.check(rescale(w, act, rng.randint(2, 12)), rng)
+            cases += 1
+        assert brackets > 50
+
+    def test_torus_windows_match_oracle(self):
+        rng = random.Random(112)
+        act = compactified_action(punctured_torus_action())
+        brackets = 0
+        for _ in range(40):
+            w = build_windows(act, [compactify(rand_cover(rng))],
+                              enlargement=rng.randint(1, 4))[0]
+            brackets += self.check(rescale(w, act, rng.randint(2, 12)), rng)
+        assert brackets > 20
 
 
 class TestTranslationDeviation:
