@@ -22,12 +22,14 @@ from .plmaps import (
     RIGHT,
     anchor,
     base_cell_shift,
-    cell_midpoint,
     cell_shift,
     chart_index,
     chart_shift,
+    chart_shift_slope,
+    from_chart,
+    to_chart,
 )
-from .record import Record
+from .record import Record, _rebuild
 
 COVER_LINE = "cover-line"
 UNIT_INTERVAL = "unit-interval"
@@ -110,6 +112,11 @@ class Word(Record):
         return "Word(%r)" % (list(self.letters),)
 
 
+def _reduced_word(letters):
+    # the Word of letters that _reduce has already freely reduced and checked
+    return _rebuild(Word, (tuple(letters),))
+
+
 def commutator(w1, w2):
     return w1 * w2 * w1.inverse() * w2.inverse()
 
@@ -150,50 +157,51 @@ def parse_word(text, names=DEFAULT_NAMES):
         pos += 1
 
     def parse_atom():
+        # the atom's letters, freely reduced and checked
         nonlocal pos
         ch = s[pos]
         if ch == "(":
             pos += 1
-            w = parse_seq(")")
+            letters = parse_seq(")")
             expect(")")
-            return w
+            return letters
         if ch == "[":
             pos += 1
             first = parse_seq(",")
             expect(",")
             second = parse_seq("]")
             expect("]")
-            return commutator(first, second)
+            return commutator(_reduced_word(first), _reduced_word(second)).letters
         low = ch.lower()
         if low in index:
             pos += 1
-            return Word(((index[low], 1 if ch == low else -1),))
+            return ((index[low], 1 if ch == low else -1),)
         raise WordSyntaxError("unexpected character %r at position %d of %r" % (ch, pos, text))
 
     def parse_seq(stop):
-        # one freely reduced list per sequence, so each letter is reduced
-        # once here and once more when the Word is built: linear time
+        # the sequence's letters as one freely reduced list: each flat letter
+        # is reduced once, on its way into the list, and never again
         nonlocal pos
         acc = []
         while True:
             skip_ws()
             if pos >= n:
                 if stop is None:
-                    return Word(acc)
+                    return acc
                 raise WordSyntaxError("missing %r in %r" % (stop, text))
             if stop is not None and s[pos] == stop:
-                return Word(acc)
-            w = parse_atom()
+                return acc
+            letters = parse_atom()
             skip_ws()
             if pos < n and s[pos] == "^":
                 pos += 1
                 skip_ws()
-                w = w ** parse_int()
-            _check_length(len(acc) + len(w))
-            _reduce(w.letters, acc)
+                letters = (_reduced_word(letters) ** parse_int()).letters
+            _check_length(len(acc) + len(letters))
+            _reduce(letters, acc)
 
     try:
-        return parse_seq(None)
+        return _reduced_word(parse_seq(None))
     except RecursionError:
         raise WordSyntaxError("word nests parentheses or brackets too deeply "
                               "to parse") from None
@@ -341,22 +349,29 @@ class ZZAction(Record):
 
 def zz_slope_mid(z, i):
     """Slope of the product action at the midpoint of cell i: the chain rule
-    through the i-th chart shift, the base cell shift power, and the chart
-    shift back.  The midpoint is a breakpoint, so the two one-sided slopes
-    differ; the larger one is returned (the derivative exists iff they agree).
-    One pass walks the chain: each factor moves the point once and multiplies
-    its left and right slopes into their own products.
+    through the shift by -i, the base cell shift power, and the shift back by
+    i.  The midpoint is a breakpoint, so the two one-sided slopes differ; the
+    larger one is returned (the derivative exists iff they agree).
+
+    The two outer shifts are walked in chart coordinates, where the midpoint
+    of cell i is t = i + 1/2 and the shift by p is t -> t + p: each costs one
+    closed-form width ratio (chart_shift_slope), and no point the size of
+    cell i is built.  The shift by -i lands on cell 0's midpoint, where the
+    base cell shift moves a 7-bit point and gives its two one-sided slopes.
+    Its image is interior to cell 0, and so is t, so each outer shift has one
+    slope there, the same on both sides.  The image under the shift back is
+    never needed.
     """
     k = z.table.get(int(i), 0)
     if k == 0:
         return Fraction(1)
-    y = cell_midpoint(i)
-    left = right = Fraction(1)
-    for f in (chart_shift(-i), base_cell_shift(k), chart_shift(i)):
-        left *= f.one_sided_slope(y, LEFT)
-        right *= f.one_sided_slope(y, RIGHT)
-        y = f.apply(y)
-    return max(left, right)
+    t = Fraction(2 * i + 1, 2)
+    y = from_chart(t - i)
+    base = base_cell_shift(k)
+    outer = (chart_shift_slope(t, -i, RIGHT)
+             * chart_shift_slope(to_chart(base.apply(y)), i, RIGHT))
+    return max(outer * base.one_sided_slope(y, LEFT),
+               outer * base.one_sided_slope(y, RIGHT))
 
 
 def zz_letter_action():

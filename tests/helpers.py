@@ -6,7 +6,18 @@ from fractions import Fraction
 from nonsmooth.cli import point_obj
 from nonsmooth.cover import TORUS_A, TORUS_B, CoverPoint, lift_through
 from nonsmooth.errors import BadInterval, Degenerate, EmptyGridDomain
-from nonsmooth.plmaps import IntervalMapExpr, ModelTranslation, PLMap, as_expr, cell_shift
+from nonsmooth.plmaps import (
+    LEFT,
+    RIGHT,
+    IntervalMapExpr,
+    ModelTranslation,
+    PLMap,
+    as_expr,
+    base_cell_shift,
+    cell_midpoint,
+    cell_shift,
+    chart_shift,
+)
 from nonsmooth.projline import MoebiusMap, ProjPoint, ordering_name
 from nonsmooth.record import Record
 from nonsmooth.renorm import BISECTION_STEPS
@@ -92,8 +103,6 @@ def rand_word_letters(rng, gens=2, length=6):
 def slope_quotient_oracle(m, x, side, need=3):
     # independent slope oracle: exact difference quotients, shrink the step
     # until the same value appears `need` times in a row
-    from nonsmooth.plmaps import RIGHT, as_expr
-
     e = as_expr(m)
     fx = e.apply(x)
     h = Fraction(1, 16)
@@ -158,6 +167,24 @@ def word_expr(act, w):
 def zz_expr(z):
     """A cell-shift product action as a composition of its cell shifts."""
     return IntervalMapExpr(tuple(cell_shift(i, k) for i, k in sorted(z.table.items())))
+
+
+def zz_slope_mid_oracle(z, i):
+    """groupact.zz_slope_mid as a walk of interval points: the midpoint of
+    cell i goes through chart_shift(-i), the base cell shift power and
+    chart_shift(i), each factor moving the point once and multiplying its
+    left and right slopes into their own products; the oracle for the
+    chart-coordinate walk."""
+    k = z.table.get(int(i), 0)
+    if k == 0:
+        return Fraction(1)
+    y = cell_midpoint(i)
+    left = right = Fraction(1)
+    for f in (chart_shift(-i), base_cell_shift(k), chart_shift(i)):
+        left *= f.one_sided_slope(y, LEFT)
+        right *= f.one_sided_slope(y, RIGHT)
+        y = f.apply(y)
+    return max(left, right)
 
 
 def row_obj(row):

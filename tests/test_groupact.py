@@ -4,7 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import rand_cover, rand_interior, rand_word_letters, slope_quotient_oracle
+from helpers import (
+    rand_cover,
+    rand_interior,
+    rand_word_letters,
+    slope_quotient_oracle,
+    zz_slope_mid_oracle,
+)
 
 from nonsmooth import groupact
 from nonsmooth.cover import COVER_BASEPOINT, CoverPoint, compactify
@@ -26,7 +32,7 @@ from nonsmooth.groupact import (
     zz_letter_action,
     zz_slope_mid,
 )
-from nonsmooth.plmaps import LEFT, RIGHT, anchor, cell_midpoint, cell_shift
+from nonsmooth.plmaps import LEFT, RIGHT, ModelTranslation, anchor, cell_midpoint, cell_shift
 
 A = Word.generator(0)
 B = Word.generator(1)
@@ -112,9 +118,17 @@ class TestParser:
                 parse_word(bad)
 
     def test_letter_cap(self):
+        # a sequence is capped on its freely reduced letters so far plus
+        # the next atom, before the two cancel
+        half = MAX_WORD_LETTERS // 2
         assert len(parse_word("a^%d" % MAX_WORD_LETTERS)) == MAX_WORD_LETTERS
+        for ok in ("a" * MAX_WORD_LETTERS, "aA" * MAX_WORD_LETTERS,
+                   "(a^%d)(a^%d)" % (half, half), "a^%dA" % (MAX_WORD_LETTERS - 1)):
+            parse_word(ok)
         for big in ("a^99999999999", "A^-99999999999", "(a^1000)^1000",
-                    "(a^1000000)^1000000", "[a^60000,b^60000]"):
+                    "(a^1000000)^1000000", "[a^60000,b^60000]",
+                    "a" * (MAX_WORD_LETTERS + 1), "(a^%d)(a^%d)" % (half, half + 1),
+                    "a^%d" % (half + 1) + "b" * half, "a^%dA" % MAX_WORD_LETTERS):
             with pytest.raises(WordSyntaxError):
                 parse_word(big)
 
@@ -140,6 +154,21 @@ class TestParser:
         w = parse_word(text)
         monkeypatch.undo()
         assert w == expected()
+
+    def test_flat_letters_are_reduced_once(self, monkeypatch):
+        fed = [0]
+        reduce = groupact._reduce
+
+        def counted(letters, *rest):
+            letters = list(letters)
+            fed[0] += len(letters)
+            return reduce(letters, *rest)
+
+        monkeypatch.setattr(groupact, "_reduce", counted)
+        w = parse_word("ab" * 10000)
+        monkeypatch.undo()
+        assert fed[0] == 20000
+        assert w == (A * B) ** 10000
 
     def test_roundtrip(self):
         rng = random.Random(404)
@@ -338,8 +367,42 @@ class TestZZSlopeMid:
         assert zz_slope_mid(ZZAction({}), 0) == 1
 
     def test_cell_independence(self):
-        for i in (-200, -16, -5, 0, 5, 16, 200):
+        for i in (-2000, -200, -16, -5, 0, 5, 16, 200, 2000, 4999):
             assert zz_slope_mid(ZZAction({i: 4}), i) == Fraction(16, 51)
+
+    def test_matches_point_walk_oracle(self):
+        rng = random.Random(418)
+        cells = [rng.randint(-5000, 5000) for _ in range(30)]
+        for i in cells:
+            for k in range(-8, 9):
+                z = ZZAction({i: k})
+                assert zz_slope_mid(z, i) == zz_slope_mid_oracle(z, i), (i, k)
+        for i in (0, 1, -1, 37, -37, 1000, -1000, 4999):
+            for k in (1, 3, 4):
+                z = ZZAction({i: k})
+                assert zz_slope_mid(z, i) == zz_slope_mid_oracle(z, i), (i, k)
+
+    def test_no_cell_sized_point(self, monkeypatch):
+        # the outer chart shifts are width ratios, so the PL maps only ever
+        # see points of cell 0; the interval-point walk feeds them points of
+        # about 2|i| bits
+        def widest(fn):
+            def wrapped(self, x, *rest):
+                x = Fraction(x)
+                seen.append(max(x.numerator.bit_length(), x.denominator.bit_length()))
+                return fn(self, x, *rest)
+            return wrapped
+
+        for name in ("apply", "one_sided_slope"):
+            monkeypatch.setattr(ModelTranslation, name,
+                                widest(getattr(ModelTranslation, name)))
+        z = ZZAction({4000: 4})
+        seen = []
+        assert zz_slope_mid(z, 4000) == Fraction(16, 51)
+        assert seen and max(seen) <= 64, seen
+        seen = []
+        assert zz_slope_mid_oracle(z, 4000) == Fraction(16, 51)
+        assert max(seen) > 7000
 
     def test_against_difference_quotients(self):
         rng = random.Random(417)

@@ -34,6 +34,7 @@ from nonsmooth.plmaps import (
     cell_width,
     chart_index,
     chart_shift,
+    chart_shift_slope,
     from_chart,
     germ_slope,
     pow2,
@@ -199,6 +200,33 @@ class TestSlopes:
                 continue
             assert quotient_oracle(m, x, side) == want
             checked += 1
+
+    def test_chart_shift_slope_at_anchors(self):
+        # an integer t is the anchor between two cells: the left slope is
+        # the lower cell's width ratio, the right slope the upper cell's
+        for j in range(-40, 41):
+            for p in (-37, -3, -1, 0, 1, 2, 5, 40):
+                for side in (LEFT, RIGHT):
+                    assert (chart_shift_slope(j, p, side)
+                            == chart_shift(p).one_sided_slope(anchor(j), side))
+        assert chart_shift_slope(0, 1, LEFT) == 1
+        assert chart_shift_slope(0, 1, RIGHT) == Fraction(4, 5)
+
+    def test_chart_shift_slope_inside_cells(self):
+        rng = random.Random(310)
+        for _ in range(300):
+            t = Fraction(rng.randint(-2000, 2000), rng.randint(2, 9))
+            if t.denominator == 1:
+                continue
+            p = rng.randint(-60, 60)
+            x = from_chart(t)
+            for side in (LEFT, RIGHT):
+                assert (chart_shift_slope(t, p, side)
+                        == chart_shift(p).one_sided_slope(x, side))
+
+    def test_chart_shift_slope_bad_side(self):
+        with pytest.raises(ValueError):
+            chart_shift_slope(Fraction(1, 2), 1, "up")
 
     def test_accumulation_point(self):
         with pytest.raises(AccumulationPoint):
