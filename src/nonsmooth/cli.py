@@ -93,6 +93,9 @@ def parse_action_spec(text):
         obj = json.loads(text)
     except json.JSONDecodeError:
         obj = {"type": text.strip()}
+    except RecursionError:
+        raise UsageError("action spec nests JSON arrays or objects too deeply "
+                         "to parse") from None
     if isinstance(obj, str):
         obj = {"type": obj}
     if not isinstance(obj, dict) or "type" not in obj:
@@ -544,7 +547,9 @@ def cmd_orbit(argv):
         description="Print the exact orbit of a point under repeated "
                     "application of a word.")
     parser.add_argument("--action", default="punctured-torus")
-    parser.add_argument("--word", default="[a,b]")
+    parser.add_argument("--word", default=None,
+                        help="word to apply (default: the action's advancing "
+                             "word, [a,b] for punctured-torus, a otherwise)")
     parser.add_argument("--point", default=None,
                         help="pt, t=RAT,sheet=INT, or a rational")
     parser.add_argument("--count", type=int, default=5)
@@ -553,10 +558,11 @@ def cmd_orbit(argv):
         parser.error("--count must be nonnegative")
     check_cap("--count", args.count, MAX_COUNT)
 
-    act, point, _ = parse_action_spec(args.action)
+    act, point, word = parse_action_spec(args.action)
     if args.point is not None:
         point = parse_point(args.point, act.domain)
-    word = act.parse(args.word)
+    if args.word is not None:
+        word = act.parse(args.word)
     for n, p in enumerate(orbit_sequence(act, word, point, args.count)):
         sys.stdout.write("%d\t%s\n" % (n, format_point(p)))
     return 0

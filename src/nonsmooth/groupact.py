@@ -5,6 +5,7 @@ domains: the covered projective line (cover points) or the unit interval
 (rationals).  Words act on the left, so the rightmost letter is applied first.
 """
 
+from collections import deque
 from fractions import Fraction
 
 from .cover import (
@@ -123,88 +124,78 @@ def commutator(w1, w2):
 
 def parse_word(text, names=DEFAULT_NAMES):
     """Parse a word: letters with capitals as inverses, ^n powers, [x,y]
-    commutators, parentheses for grouping, whitespace ignored."""
+    commutators, parentheses for grouping, whitespace ignored.
+
+    One pass over the text with an explicit stack of open groups, so no
+    depth of nesting is too deep to parse; MAX_WORD_LETTERS is the only
+    bound.  An open sequence is its letters, freely reduced as they arrive
+    (each flat letter once), the character that closes it, and, in the
+    second half of a commutator, the first half.
+    """
     index = {}
     for i, name in enumerate(names):
         if len(name) != 1 or not name.islower():
             raise WordSyntaxError("letter names must be single lowercase characters")
         index[name] = i
-    s = text
-    n = len(s)
+    n = len(text)
     pos = 0
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and s[pos].isspace():
+    stack = []
+    acc, close, first = deque(), None, None
+    while True:
+        while pos < n and text[pos].isspace():
             pos += 1
-
-    def parse_int():
-        nonlocal pos
-        start = pos
-        if pos < n and s[pos] in "+-":
-            pos += 1
-        if pos >= n or not s[pos].isdigit():
-            raise WordSyntaxError("expected an integer at position %d of %r" % (start, text))
-        while pos < n and s[pos].isdigit():
-            pos += 1
-        return int(s[start:pos])
-
-    def expect(ch):
-        nonlocal pos
-        skip_ws()
-        if pos >= n or s[pos] != ch:
-            raise WordSyntaxError("expected %r at position %d of %r" % (ch, pos, text))
+        if pos == n:
+            if close is None:
+                return _reduced_word(acc)
+            raise WordSyntaxError("missing %r in %r" % (close, text))
+        ch = text[pos]
         pos += 1
-
-    def parse_atom():
-        # the atom's letters, freely reduced and checked
-        nonlocal pos
-        ch = s[pos]
-        if ch == "(":
+        if ch == close == ",":
+            acc, close, first = deque(), "]", acc
+            continue
+        if ch == "(" or ch == "[":
+            stack.append((acc, close, first))
+            acc, close, first = deque(), ")" if ch == "(" else ",", None
+            continue
+        if ch == close:
+            # a closed group: its letters, freely reduced and checked
+            letters = acc if close == ")" else commutator(
+                _reduced_word(first), _reduced_word(acc)).letters
+            acc, close, first = stack.pop()
+        elif ch.lower() in index:
+            low = ch.lower()
+            letters = ((index[low], 1 if ch == low else -1),)
+        else:
+            raise WordSyntaxError("unexpected character %r at position %d of %r"
+                                  % (ch, pos - 1, text))
+        while pos < n and text[pos].isspace():
             pos += 1
-            letters = parse_seq(")")
-            expect(")")
-            return letters
-        if ch == "[":
+        if pos < n and text[pos] == "^":
             pos += 1
-            first = parse_seq(",")
-            expect(",")
-            second = parse_seq("]")
-            expect("]")
-            return commutator(_reduced_word(first), _reduced_word(second)).letters
-        low = ch.lower()
-        if low in index:
-            pos += 1
-            return ((index[low], 1 if ch == low else -1),)
-        raise WordSyntaxError("unexpected character %r at position %d of %r" % (ch, pos, text))
-
-    def parse_seq(stop):
-        # the sequence's letters as one freely reduced list: each flat letter
-        # is reduced once, on its way into the list, and never again
-        nonlocal pos
-        acc = []
-        while True:
-            skip_ws()
-            if pos >= n:
-                if stop is None:
-                    return acc
-                raise WordSyntaxError("missing %r in %r" % (stop, text))
-            if stop is not None and s[pos] == stop:
-                return acc
-            letters = parse_atom()
-            skip_ws()
-            if pos < n and s[pos] == "^":
+            while pos < n and text[pos].isspace():
                 pos += 1
-                skip_ws()
-                letters = (_reduced_word(letters) ** parse_int()).letters
-            _check_length(len(acc) + len(letters))
+            start = pos
+            if pos < n and text[pos] in "+-":
+                pos += 1
+            digits = pos
+            while pos < n and text[pos].isdigit():
+                pos += 1
+            if pos == digits:
+                raise WordSyntaxError("expected an integer at position %d of %r"
+                                      % (start, text))
+            letters = (_reduced_word(letters) ** int(text[start:pos])).letters
+        _check_length(len(acc) + len(letters))
+        if len(letters) > len(acc) and isinstance(letters, deque):
+            # a group longer than the letters before it takes them at its
+            # front, so each join costs its shorter side and a deep nest
+            # does not re-reduce its inner letters once per level
+            while acc and acc[-1] == (letters[0][0], -letters[0][1]):
+                acc.pop()
+                letters.popleft()
+            letters.extendleft(reversed(acc))
+            acc = letters
+        else:
             _reduce(letters, acc)
-
-    try:
-        return _reduced_word(parse_seq(None))
-    except RecursionError:
-        raise WordSyntaxError("word nests parentheses or brackets too deeply "
-                              "to parse") from None
 
 
 class MarkedAction(Record):

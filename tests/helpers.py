@@ -5,7 +5,14 @@ from fractions import Fraction
 
 from nonsmooth.cli import point_obj
 from nonsmooth.cover import TORUS_A, TORUS_B, CoverPoint, lift_through
-from nonsmooth.errors import BadInterval, Degenerate, EmptyGridDomain
+from nonsmooth.errors import BadInterval, Degenerate, EmptyGridDomain, WordSyntaxError
+from nonsmooth.groupact import (
+    DEFAULT_NAMES,
+    _check_length,
+    _reduce,
+    _reduced_word,
+    commutator,
+)
 from nonsmooth.plmaps import (
     LEFT,
     RIGHT,
@@ -119,6 +126,93 @@ def slope_quotient_oracle(m, x, side, need=3):
                 prev, run = q, 0
         h /= 2
     raise AssertionError("difference quotient did not stabilize at %s" % x)
+
+
+def parse_word_oracle(text, names=DEFAULT_NAMES):
+    """groupact.parse_word as recursive descent, one nested call per group,
+    so a word nested deeper than the recursion limit allows does not parse;
+    the oracle for the explicit stack."""
+    index = {}
+    for i, name in enumerate(names):
+        if len(name) != 1 or not name.islower():
+            raise WordSyntaxError("letter names must be single lowercase characters")
+        index[name] = i
+    s = text
+    n = len(s)
+    pos = 0
+
+    def skip_ws():
+        nonlocal pos
+        while pos < n and s[pos].isspace():
+            pos += 1
+
+    def parse_int():
+        nonlocal pos
+        start = pos
+        if pos < n and s[pos] in "+-":
+            pos += 1
+        if pos >= n or not s[pos].isdigit():
+            raise WordSyntaxError("expected an integer at position %d of %r" % (start, text))
+        while pos < n and s[pos].isdigit():
+            pos += 1
+        return int(s[start:pos])
+
+    def expect(ch):
+        nonlocal pos
+        skip_ws()
+        if pos >= n or s[pos] != ch:
+            raise WordSyntaxError("expected %r at position %d of %r" % (ch, pos, text))
+        pos += 1
+
+    def parse_atom():
+        # the atom's letters, freely reduced and checked
+        nonlocal pos
+        ch = s[pos]
+        if ch == "(":
+            pos += 1
+            letters = parse_seq(")")
+            expect(")")
+            return letters
+        if ch == "[":
+            pos += 1
+            first = parse_seq(",")
+            expect(",")
+            second = parse_seq("]")
+            expect("]")
+            return commutator(_reduced_word(first), _reduced_word(second)).letters
+        low = ch.lower()
+        if low in index:
+            pos += 1
+            return ((index[low], 1 if ch == low else -1),)
+        raise WordSyntaxError("unexpected character %r at position %d of %r" % (ch, pos, text))
+
+    def parse_seq(stop):
+        # the sequence's letters as one freely reduced list: each flat letter
+        # is reduced once, on its way into the list, and never again
+        nonlocal pos
+        acc = []
+        while True:
+            skip_ws()
+            if pos >= n:
+                if stop is None:
+                    return acc
+                raise WordSyntaxError("missing %r in %r" % (stop, text))
+            if stop is not None and s[pos] == stop:
+                return acc
+            letters = parse_atom()
+            skip_ws()
+            if pos < n and s[pos] == "^":
+                pos += 1
+                skip_ws()
+                letters = (_reduced_word(letters) ** parse_int()).letters
+            _check_length(len(acc) + len(letters))
+            _reduce(letters, acc)
+
+    try:
+        return _reduced_word(parse_seq(None))
+    except RecursionError:
+        raise WordSyntaxError("word nests parentheses or brackets too deeply "
+                              "to parse") from None
 
 
 class AffineChart(Record):

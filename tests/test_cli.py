@@ -7,6 +7,7 @@ import json
 import os
 import random
 import sys
+import time
 
 import pytest
 
@@ -416,6 +417,26 @@ class TestOrbit:
     def test_bad_word(self, capsys):
         assert run(capsys, "orbit", "--word", "c")[0] == 2
 
+    @pytest.mark.parametrize("depth", (1000, 10000))
+    def test_deeply_nested_word(self, capsys, depth):
+        started = time.perf_counter()
+        nested = run(capsys, "orbit", "--word", "(" * depth + "a" + ")" * depth,
+                     "--count", "1")
+        assert time.perf_counter() - started < 1
+        assert nested == run(capsys, "orbit", "--word", "a", "--count", "1")
+        assert nested[0] == 0
+
+    def test_negative_rational_point(self, capsys):
+        # a bare negative rational lies on sheet -1 of the cover, and is
+        # given with "=": argparse reads a separate "-1/3" as an option
+        assert run(capsys, "orbit", "--point=-1", "--count", "0") == (
+            0, "0\tt=-1,sheet=-1\n", "")
+        assert run(capsys, "orbit", "--point=-1/3", "--count", "0") == (
+            0, "0\tt=-1/3,sheet=-1\n", "")
+        code, out, err = run(capsys, "orbit", "--point", "-1/3", "--count", "0")
+        assert code == 2 and out == ""
+        assert "argument --point: expected one argument" in err
+
     def test_negative_count(self, capsys):
         assert run(capsys, "orbit", "--count", "-2")[0] == 2
 
@@ -491,6 +512,11 @@ class TestSpecsAndPoints:
         assert parse_point("7/12", COVER_LINE).sheet == 0
         assert parse_point("t=inf,sheet=0", COVER_LINE).base.is_infinite
 
+    def test_deeply_nested_action_spec(self, capsys):
+        assert run(capsys, "orbit", "--action", "[" * 5000 + "]" * 5000) == (
+            2, "", "UsageError: action spec nests JSON arrays or objects too "
+                   "deeply to parse\n")
+
     def test_parse_point_interval(self):
         assert parse_point("7/12", UNIT_INTERVAL) == Fraction(7, 12)
         from nonsmooth.cli import UsageError
@@ -531,8 +557,8 @@ def test_action_defaults(capsys):
      % (cli.MAX_POWER + 1), "--word", "a", "--count", "1"),
     ("orbit", "--action", '{"type":"model-translation","power":%d}'
      % -(cli.MAX_POWER + 1), "--word", "a", "--count", "1"),
-    ("orbit", "--word", "(" * 1000 + "a" + ")" * 1000, "--count", "1"),
     ("orbit", "--word", "[" * 1000 + "a" + ",b]" * 1000, "--count", "1"),
+    ("orbit", "--action", "[" * 5000 + "]" * 5000, "--count", "1"),
 ])
 def test_bad_input_exits_two_without_traceback(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -4,10 +4,12 @@ subcommands and their options, with malformed values mixed in.
 Every run must end in a documented exit code, with no exception escaping
 main() (a traceback from the console script), and a repeated run must give
 the same output.  Sizes are drawn small or above their caps, so no run does
-long work.
+long work.  A second grammar nests words and action specs up to 10,000
+levels deep; each of those runs must also end within a time bound.
 """
 
 import random
+import time
 
 import pytest
 
@@ -170,3 +172,57 @@ def test_random_argv_exit_cleanly_and_repeat(capsys, tmp_path):
         seen.add(code)
     # the grammar reaches success, usage errors and i/o errors alike
     assert {0, 2, 3, 64} <= seen
+
+
+# nesting depths of the deep inputs: around the 16 levels where doubling
+# commutators meet the letter cap, and far past the depth of Python's
+# recursion limit
+DEPTHS = (1, 2, 15, 16, 17, 100, 1000, 10000)
+NESTED_RUNS = 60
+NESTED_SECONDS = 2
+
+
+def nested_word(rng, depth):
+    letter = rng.choice("aAbB")
+    kind = rng.choice(("parentheses", "powers", "brackets"))
+    if kind == "parentheses":
+        # sometimes one closer short
+        return "(" * depth + letter + ")" * (depth - rng.choice((0, 0, 1)))
+    if kind == "powers":
+        return "(" * depth + letter + "".join(
+            ")^%d" % rng.choice((-1, 0, 1, 2)) for _ in range(depth))
+    # a nonempty second half doubles the word per level up to the letter
+    # cap; an empty one makes every commutator trivial
+    return "[" * depth + letter + (",%s]" % rng.choice("bA ")) * depth
+
+
+def nested_spec(rng, depth):
+    arrays = "[" * depth + "]" * depth
+    return rng.choice((arrays, '{"a":' * depth + "1" + "}" * depth,
+                       '{"type":%s}' % arrays,
+                       '{"type":"pl","breakpoints":[%s,1]}' % arrays,
+                       '{"type":"model-translation","support":%s}' % arrays))
+
+
+def nested_argv(rng):
+    depth = rng.choice(DEPTHS)
+    if rng.random() < 0.7:
+        # the word is parsed and not evaluated: the bound is on the parse
+        return ["orbit", "--word", nested_word(rng, depth), "--count", "0"]
+    return ["orbit", "--action", nested_spec(rng, depth), "--count", "1"]
+
+
+def test_nested_input_exits_cleanly_in_bounded_time(capsys):
+    rng = random.Random(516)
+    seen = set()
+    for _ in range(NESTED_RUNS):
+        argv = nested_argv(rng)
+        started = time.perf_counter()
+        first = run(capsys, argv)
+        assert time.perf_counter() - started < NESTED_SECONDS, argv[:2]
+        code, _, err = first
+        assert code in EXIT_CODES, argv[:2]
+        assert "Traceback" not in err, argv[:2]
+        assert run(capsys, argv) == first, argv[:2]
+        seen.add(code)
+    assert seen == {0, 2}

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from helpers import (
+    parse_word_oracle,
     rand_cover,
     rand_interior,
     rand_word_letters,
@@ -94,6 +95,29 @@ class TestWord:
         assert w.to_string() == "abA"
 
 
+def well_formed(rng, depth):
+    # a random word in the parser's grammar, nested at most four deep
+    r = rng.random()
+    if depth > 3 or r < 0.4:
+        text = rng.choice("aAbB")
+    elif r < 0.7:
+        text = "(%s)" % "".join(well_formed(rng, depth + 1)
+                                for _ in range(rng.randint(0, 3)))
+    else:
+        text = "[%s,%s]" % (well_formed(rng, depth + 1),
+                            well_formed(rng, depth + 1))
+    if rng.random() < 0.3:
+        text += rng.choice(("^", " ^ ")) + str(rng.randint(-3, 3))
+    return text
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text).letters
+    except WordSyntaxError as exc:
+        return str(exc)
+
+
 class TestParser:
     def test_basic_forms(self):
         assert parse_word("abAB") == commutator(A, B)
@@ -169,6 +193,39 @@ class TestParser:
         monkeypatch.undo()
         assert fed[0] == 20000
         assert w == (A * B) ** 10000
+
+    def test_matches_recursive_oracle(self):
+        # the same letters, or the same WordSyntaxError message, as the
+        # recursive-descent parser, on random strings over the grammar's
+        # characters and on random well-formed words, all within the depth
+        # the oracle's recursion reaches
+        rng = random.Random(405)
+        texts = ["".join(rng.choice("aAbBc()[],^-+0123 \t")
+                         for _ in range(rng.randint(0, 14)))
+                 for _ in range(95_000)]
+        texts += [well_formed(rng, 0) for _ in range(5_000)]
+        for depth in (100, 300):
+            texts += ["(" * depth + "a" + ")" * depth,
+                      "(" * depth + "a",
+                      "[" * depth + "a" + ",b]" * depth,
+                      "[" * depth + "a" + ",]" * depth,
+                      "(a^2" * depth + ")" * depth]
+        for text in texts:
+            assert parse_outcome(parse_word, text) == \
+                parse_outcome(parse_word_oracle, text), text
+
+    def test_deep_nesting(self):
+        # no depth is too deep: 10,000 groups parse, and the letter cap is
+        # the only bound
+        assert parse_word("(" * 10000 + "[a,b]" + ")" * 10000) == parse_word("[a,b]")
+        assert parse_word("[" * 10000 + "a" + ",]" * 10000) == Word.identity()
+        assert parse_word("(a" * 10000 + ")" * 10000) == A ** 10000
+        # an even number of inversions, one per level
+        assert parse_word("(" * 10000 + "ab" + ")^-1" * 10000) == A * B
+        with pytest.raises(WordSyntaxError, match="missing"):
+            parse_word("(" * 10000 + "a")
+        with pytest.raises(WordSyntaxError, match="cap"):
+            parse_word("[" * 10000 + "a" + ",b]" * 10000)
 
     def test_roundtrip(self):
         rng = random.Random(404)

@@ -1,5 +1,6 @@
-"""The README's examples against the code: its python block runs, and its
-orbit, order and renorm transcripts are what the command line prints."""
+"""The README's examples against the code: its python block runs, its
+orbit, order and renorm transcripts are what the command line prints, and
+each action in its Actions table orbits by its advancing word."""
 
 import os
 import re
@@ -57,3 +58,24 @@ def test_renorm_transcript_head(capsys):
     line, shown = transcript("renorm")
     assert shown[4:] == ["..."]
     assert printed(capsys, line)[:4] == shown[:4]
+
+
+def actions_table():
+    """(spec, advancing word) of each row of the README's Actions table."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    table = text.split("### Actions", 1)[1].split("\n\n")[2]
+    rows = []
+    for line in table.splitlines()[2:]:
+        cells = [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+        rows.append((cells[0], cells[3]))
+    return rows
+
+
+def test_orbit_defaults_to_the_advancing_word(capsys):
+    rows = actions_table()
+    assert len(rows) == 5
+    for spec, advance in rows:
+        line = "nonsmooth orbit --action %s --count 1" % shlex.quote(spec)
+        assert printed(capsys, line) == printed(
+            capsys, line + " --word %s" % shlex.quote(advance))
