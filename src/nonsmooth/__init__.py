@@ -65,7 +65,6 @@ from .renorm import (
     halving_germ,
     hull_displacement,
     parabolic_germ,
-    rescale,
     translation_deviation,
 )
 
@@ -119,7 +118,6 @@ __all__ = [
     "parse_word",
     "punctured_torus_action",
     "rat_to_decimal",
-    "rescale",
     "slope_character",
     "translation_deviation",
     "uncompactify",

@@ -39,11 +39,11 @@ from .plmaps import ModelTranslation, PLMap, cell_midpoint
 from .projline import ProjPoint, ordering_name
 from .rational import fmt_rat, parse_rat, rat_to_decimal
 from .renorm import (
+    RescaledSystem,
     build_windows,
     fixed_point_in_window,
     generator_deviation,
     germ_action,
-    rescale,
 )
 
 REPORT_VERSION = "1"
@@ -59,6 +59,8 @@ MAX_GRID = 10_000
 MAX_COUNT = 5_000
 # the same for the absolute "power" of a model-translation action spec
 MAX_POWER = 5_000
+# characters of its message an error line shows; a longer one is cut
+MAX_MESSAGE = 200
 
 USAGE = """usage: nonsmooth <command> [options]
 
@@ -439,10 +441,10 @@ def cmd_renorm(argv):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for window in build_windows(act, points):
-        rs = rescale(window, act, args.grid)
+        rs = RescaledSystem(window, act, args.grid)
         brackets = fixed_point_in_window(rs)
         for name in rs.names:
-            dev = generator_deviation(rs, name, radius, args.grid)
+            dev = generator_deviation(rs, name, radius)
             bracket = brackets[name]
             writer.writerow((
                 window.index,
@@ -619,14 +621,15 @@ def main(argv=None):
         return 0 if exc.code is None else int(exc.code)
     except (EmptyDisplacement, EmptyGridDomain, SearchExhausted,
             Degenerate) as exc:
-        sys.stderr.write("%s: %s\n" % (type(exc).__name__, exc))
-        return 1
+        label, message, code = type(exc).__name__, str(exc), 1
     except (UsageError, NonsmoothError, ValueError) as exc:
-        sys.stderr.write("%s: %s\n" % (type(exc).__name__, exc))
-        return 2
+        label, message, code = type(exc).__name__, str(exc), 2
     except OSError as exc:
-        sys.stderr.write("i/o error: %s\n" % (exc,))
-        return 3
+        label, message, code = "i/o error", str(exc), 3
+    if len(message) > MAX_MESSAGE:
+        message = message[:MAX_MESSAGE] + "..."
+    sys.stderr.write("%s: %s\n" % (label, message))
+    return code
 
 
 if __name__ == "__main__":

@@ -178,7 +178,7 @@ def parse_word(text, names=DEFAULT_NAMES):
             if pos < n and text[pos] in "+-":
                 pos += 1
             digits = pos
-            while pos < n and text[pos].isdigit():
+            while pos < n and "0" <= text[pos] <= "9":
                 pos += 1
             if pos == digits:
                 raise WordSyntaxError("expected an integer at position %d of %r"

@@ -2,7 +2,9 @@
 
 A subclass lists its fields in ``__slots__``.  A subclass that normalizes or
 validates its arguments keeps its own ``__init__`` and ends it with
-``Record.__init__(self, *fields)``; a pure record has no ``__init__`` at all.
+``Record.__init__(self, *fields)``; a check that needs the subclass's own
+methods runs after that call, once the fields are set.  A pure record has no
+``__init__`` at all.
 """
 
 

@@ -26,6 +26,8 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 # Halvings of a grid cell across which a displacement changes sign.
 BISECTION_STEPS = 12
+# Factor by which a window's generator hull is enlarged about its point.
+WINDOW_ENLARGEMENT = 3
 
 
 class MoebiusGermMap(Record):
@@ -97,14 +99,11 @@ class Window(Record):
         return "Window(%d, point=%s, hull=%r)" % (self.index, self.point, self.hull)
 
 
-def build_windows(act: MarkedAction, p_seq, enlargement=3):
+def build_windows(act: MarkedAction, p_seq):
     """Hull each point with its generator images, then enlarge about the point
-    by the given factor, clamped to the unit interval."""
+    by WINDOW_ENLARGEMENT, clamped to the unit interval."""
     if act.domain != UNIT_INTERVAL:
         raise Unsupported("windows need an interval action")
-    factor = Fraction(enlargement)
-    if factor < 1:
-        raise ValueError("enlargement factor must be at least 1")
     windows = []
     for index, p in enumerate(p_seq):
         p = act.check_point(p)
@@ -115,8 +114,8 @@ def build_windows(act: MarkedAction, p_seq, enlargement=3):
                 "every generator fixes the marked point %s" % (p,))
         lo = min(images + [p])
         hi = max(images + [p])
-        enlarged = (max(ZERO, p + factor * (lo - p)),
-                    min(ONE, p + factor * (hi - p)))
+        enlarged = (max(ZERO, p + WINDOW_ENLARGEMENT * (lo - p)),
+                    min(ONE, p + WINDOW_ENLARGEMENT * (hi - p)))
         windows.append(Window(index, p, (lo, hi), enlarged, unit))
     return tuple(windows)
 
@@ -124,22 +123,25 @@ def build_windows(act: MarkedAction, p_seq, enlargement=3):
 class RescaledSystem(Record):
     """A window blown up to unit scale: the base point moves to the origin and
     each generator becomes the partial map x -> (g(p + u x) - p)/u of the
-    rescaled enlarged window, with p the base point and u the unit.
+    rescaled enlarged window, with p the base point and u the unit.  Building
+    one checks that the largest generator displacement of the origin is
+    exactly 1; the statistics below sample the window in `grid` cells.
 
-    The statistics below never build that map: g_hat(x) - x is
+    The statistics never build the rescaled map: g_hat(x) - x is
     (g(X) - X)/u at the window point X = p + u x, so they run each generator
     at the window points themselves and rescale only the results.
     """
 
-    __slots__ = ("window", "act", "grid", "domain", "_bound")
+    __slots__ = ("window", "act", "grid", "domain")
 
     def __init__(self, window, act, grid):
         if grid < 2:
             raise ValueError("grid resolution must be at least 2")
         p, u = window.point, window.unit
         domain = ((window.enlarged[0] - p) / u, (window.enlarged[1] - p) / u)
-        Record.__init__(self, window, act, int(grid), domain,
-                        dict(zip(act.names, act.maps)))
+        Record.__init__(self, window, act, int(grid), domain)
+        if max(abs(self.displacement_at_0(n)) for n in self.names) != 1:
+            raise AssertionError("the largest rescaled displacement is not 1")
 
     @property
     def names(self):
@@ -151,19 +153,11 @@ class RescaledSystem(Record):
             raise OutOfDomain("%s is outside the rescaled window" % (x,))
         x = Fraction(x)
         w = self.window
-        return (self._bound[name].apply(w.point + w.unit * x) - w.point) / w.unit
+        g = self.act.maps[self.names.index(name)]
+        return (g.apply(w.point + w.unit * x) - w.point) / w.unit
 
     def displacement_at_0(self, name):
         return self.apply(name, ZERO)
-
-
-def rescale(w: Window, act: MarkedAction, grid=64) -> RescaledSystem:
-    """Normalized local picture of the action on a window; the largest
-    generator displacement of the origin is exactly 1."""
-    rs = RescaledSystem(w, act, grid)
-    if max(abs(rs.displacement_at_0(n)) for n in rs.names) != 1:
-        raise AssertionError("the largest rescaled displacement is not 1")
-    return rs
 
 
 def _window_grid(lo, hi, grid):
@@ -171,13 +165,12 @@ def _window_grid(lo, hi, grid):
     return [lo + span * Fraction(k, grid) for k in range(grid + 1)]
 
 
-def generator_deviation(rs: RescaledSystem, name, radius, grid):
-    """Largest |g_hat(x) - x - g_hat(0)| over the rational grid of the
+def generator_deviation(rs: RescaledSystem, name, radius):
+    """Largest |g_hat(x) - x - g_hat(0)| over the system's grid of the
     rescaled window within the radius; a lower bound for the sup, exact at
     every sampled point."""
-    if grid < 2:
-        raise ValueError("grid resolution must be at least 2")
-    g, p, u = rs._bound[name], rs.window.point, rs.window.unit
+    g = rs.act.maps[rs.names.index(name)]
+    p, u = rs.window.point, rs.window.unit
     shift = g.apply(p) - p
     radius = Fraction(radius)
     lo, hi = rs.window.enlarged
@@ -186,13 +179,12 @@ def generator_deviation(rs: RescaledSystem, name, radius, grid):
         raise EmptyGridDomain(
             "window does not meet the requested radius %s" % (radius,))
     return max(abs(g.apply(x) - x - shift)
-               for x in _window_grid(lo, hi, grid)) / u
+               for x in _window_grid(lo, hi, rs.grid)) / u
 
 
-def translation_deviation(rs: RescaledSystem, radius, grid):
+def translation_deviation(rs: RescaledSystem, radius):
     """How far the rescaled system is from a system of translations."""
-    return max(generator_deviation(rs, name, radius, grid)
-               for name in rs.names)
+    return max(generator_deviation(rs, name, radius) for name in rs.names)
 
 
 def _bisect_displacement(g, a, va, b):
@@ -215,8 +207,7 @@ def fixed_point_in_window(rs: RescaledSystem):
     p, u = rs.window.point, rs.window.unit
     pts = _window_grid(*rs.window.enlarged, rs.grid)
     out = {}
-    for name in rs.names:
-        g = rs._bound[name]
+    for name, g in zip(rs.names, rs.act.maps):
         vals = [g.apply(x) - x for x in pts]
         if all(v == 0 for v in vals):
             raise Degenerate("generator %s is the identity on the window" % name)

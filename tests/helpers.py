@@ -301,12 +301,10 @@ def sandwich_apply(window, m, x):
     return (m.apply(p + u * x) - p) / u
 
 
-def generator_deviation_oracle(rs, name, radius, grid):
+def generator_deviation_oracle(rs, name, radius):
     """renorm.generator_deviation with every value taken through
     RescaledSystem.apply in rescaled coordinates; the oracle for the window
     coordinates the library evaluates in."""
-    if grid < 2:
-        raise ValueError("grid resolution must be at least 2")
     shift = rs.displacement_at_0(name)
     radius = Fraction(radius)
     lo, hi = rs.domain
@@ -316,7 +314,7 @@ def generator_deviation_oracle(rs, name, radius, grid):
             "window does not meet the requested radius %s" % (radius,))
     span = hi - lo
     best = Fraction(0)
-    for x in [lo + span * Fraction(k, grid) for k in range(grid + 1)]:
+    for x in [lo + span * Fraction(k, rs.grid) for k in range(rs.grid + 1)]:
         dev = abs(rs.apply(name, x) - x - shift)
         if dev > best:
             best = dev

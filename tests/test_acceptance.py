@@ -52,11 +52,11 @@ from nonsmooth.obstruction import certify_domination, slope_character, zz_witnes
 from nonsmooth.plmaps import LEFT, RIGHT, anchor, cell_shift
 from nonsmooth.projline import GREATER, LESS, MoebiusMap, ProjPoint, bracket_roots, fixed_quadratic
 from nonsmooth.renorm import (
+    RescaledSystem,
     build_windows,
     fixed_point_in_window,
     germ_action,
     hull_displacement,
-    rescale,
     translation_deviation,
 )
 
@@ -174,12 +174,12 @@ def test_c5_zz_witness():
 def parabolic_system(i, grid=64):
     act = germ_action()
     w = build_windows(act, [Fraction(1, i)])[0]
-    return rescale(w, act, grid)
+    return RescaledSystem(w, act, grid)
 
 
 def test_c6a_germ_deviation_bound():
     i = 1000
-    dev = translation_deviation(parabolic_system(i), 2, 64)
+    dev = translation_deviation(parabolic_system(i, 64), 2)
     closed_form = Fraction(2 * (2 * i - 1), (i + 1) ** 2 - 2)
     ok = dev < Fraction(4, i) and dev == closed_form
     verdict("c6a germ deviation bound", ok,
@@ -188,7 +188,7 @@ def test_c6a_germ_deviation_bound():
 
 
 def test_c6a_germ_deviation_monotone():
-    devs = [translation_deviation(parabolic_system(i), 2, 64)
+    devs = [translation_deviation(parabolic_system(i, 64), 2)
             for i in (10, 100, 1000)]
     ok = devs[0] >= devs[1] >= devs[2] > 0
     verdict("c6a germ deviation monotone", ok,
@@ -201,7 +201,7 @@ def test_c6b_torus_window_dichotomy():
     comm = parse_word("[a,b]")
     ok = True
     for w in build_windows(act, pts):
-        rs = rescale(w, act, grid=64)
+        rs = RescaledSystem(w, act, 64)
         brackets = fixed_point_in_window(rs)
         ok = ok and any(b is not None for b in brackets.values())
         ok = ok and hull_displacement(rs, comm) >= 1

@@ -559,11 +559,24 @@ def test_action_defaults(capsys):
      % -(cli.MAX_POWER + 1), "--word", "a", "--count", "1"),
     ("orbit", "--word", "[" * 1000 + "a" + ",b]" * 1000, "--count", "1"),
     ("orbit", "--action", "[" * 5000 + "]" * 5000, "--count", "1"),
+    ("orbit", "--word", "a^\u00b2", "--count", "1"),
 ])
 def test_bad_input_exits_two_without_traceback(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("word, start", [
+    ("a^\u00b2", "WordSyntaxError: expected an integer at position 2 of "),
+    ("(" * 10000, "WordSyntaxError: missing ')'"),
+], ids=("superscript-power", "unclosed-parens"))
+def test_error_is_one_short_line(capsys, word, start):
+    # a message that echoes the input is cut to cli.MAX_MESSAGE characters
+    code, out, err = run(capsys, "orbit", "--word", word, "--count", "1")
+    assert code == 2 and out == ""
+    assert err.startswith(start) and err.count("\n") == 1
+    assert len(err.encode()) <= 240
 
 
 @pytest.mark.parametrize("argv, cap", [

@@ -137,7 +137,10 @@ class TestParser:
         assert parse_word("(a[a,b])^-1") == (A * k).inverse()
 
     def test_errors(self):
-        for bad in ("c", "a^", "a^x", "[ab]", "[a,b", "(ab", "ab)", "a]", "2a"):
+        # a power's digits are ASCII: superscripts and other scripts' digits
+        # pass str.isdigit but are errors
+        for bad in ("c", "a^", "a^x", "[ab]", "[a,b", "(ab", "ab)", "a]", "2a",
+                    "a^\u00b2", "a^\u0661", "a^\u0663b"):
             with pytest.raises(WordSyntaxError):
                 parse_word(bad)
 

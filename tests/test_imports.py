@@ -1,14 +1,17 @@
 """Import hygiene of the package, read from the source with ast: no module
 imports a name it never uses, the package exports exactly what its __init__
-imports, only cli knows the report format, and one function of cli decides
-what each action spec means."""
+imports, only cli knows the report format, one function of cli decides
+what each action spec means, and no module function reads a private field.
+The renorm signatures are pinned against knobs that were folded away."""
 
 import ast
+import inspect
 import os
 
 import pytest
 
 import nonsmooth
+from nonsmooth import renorm
 
 PACKAGE = os.path.dirname(nonsmooth.__file__)
 MODULES = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))
@@ -87,3 +90,27 @@ def test_only_parse_action_spec_builds_named_actions():
              for node in ast.walk(top)
              if isinstance(node, ast.Name) and node.id in builders}
     assert users == {"parse_action_spec"}, users
+
+
+@pytest.mark.parametrize("filename", MODULES)
+def test_module_functions_read_no_private_attribute(filename):
+    # a method may read its own record's private helpers; a module-level
+    # function goes through the public fields
+    reads = sorted("%s.%s" % (top.name, node.attr)
+                   for top in parse(filename).body
+                   if isinstance(top, ast.FunctionDef)
+                   for node in ast.walk(top)
+                   if isinstance(node, ast.Attribute)
+                   and node.attr.startswith("_")
+                   and not node.attr.startswith("__"))
+    assert not reads, "%s: %s" % (filename, reads)
+
+
+def test_renorm_has_one_grid_and_one_enlargement():
+    def params(f):
+        return list(inspect.signature(f).parameters)
+
+    assert params(renorm.build_windows) == ["act", "p_seq"]
+    assert params(renorm.generator_deviation) == ["rs", "name", "radius"]
+    assert params(renorm.translation_deviation) == ["rs", "radius"]
+    assert not hasattr(renorm, "rescale")

@@ -58,7 +58,6 @@ from nonsmooth.renorm import (
     build_windows,
     germ_action,
     parabolic_germ,
-    rescale,
 )
 
 
@@ -98,7 +97,7 @@ BUILDERS = {
     AffineChart: lambda: AffineChart(Fraction(1, 3), Fraction(3, 4)),
     MoebiusGermMap: parabolic_germ,
     Window: germ_window,
-    RescaledSystem: lambda: rescale(germ_window(), germ_action(), 8),
+    RescaledSystem: lambda: RescaledSystem(germ_window(), germ_action(), 8),
 }
 
 

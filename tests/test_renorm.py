@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -20,6 +21,7 @@ from helpers import (
     sandwich_apply,
 )
 import nonsmooth
+from nonsmooth import renorm
 from nonsmooth.cover import COVER_BASEPOINT, compactify
 from nonsmooth.errors import (
     BadInterval,
@@ -49,7 +51,6 @@ from nonsmooth.renorm import (
     halving_germ,
     hull_displacement,
     parabolic_germ,
-    rescale,
     translation_deviation,
 )
 
@@ -57,13 +58,18 @@ from nonsmooth.renorm import (
 def torus_windows(ns, grid=64):
     act = compactified_action(punctured_torus_action())
     pts = [compactify(COVER_BASEPOINT.deck(n)) for n in ns]
-    return act, [rescale(w, act, grid) for w in build_windows(act, pts)]
+    return act, [RescaledSystem(w, act, grid) for w in build_windows(act, pts)]
 
 
 def parabolic_system(i, grid=64):
     act = germ_action()
     w = build_windows(act, [Fraction(1, i)])[0]
-    return rescale(w, act, grid)
+    return RescaledSystem(w, act, grid)
+
+
+def build_windows_enlarged_by(k, act, p_seq):
+    with mock.patch.object(renorm, "WINDOW_ENLARGEMENT", k):
+        return build_windows(act, p_seq)
 
 
 class TestGermMaps:
@@ -131,17 +137,13 @@ class TestBuildWindows:
 
     def test_enlargement_one_gives_hull(self):
         act = germ_action()
-        w = build_windows(act, [Fraction(1, 5)], enlargement=1)[0]
+        w = build_windows_enlarged_by(1, act, [Fraction(1, 5)])[0]
         assert w.enlarged == w.hull
 
     def test_identity_action_rejected(self):
         act = MarkedAction(("a",), (PLMap([(0, 0), (1, 1)]),), UNIT_INTERVAL)
         with pytest.raises(EmptyDisplacement):
             build_windows(act, [Fraction(1, 3)])
-
-    def test_bad_enlargement(self):
-        with pytest.raises(ValueError):
-            build_windows(germ_action(), [Fraction(1, 5)], enlargement=Fraction(1, 2))
 
     def test_cover_action_unsupported(self):
         with pytest.raises(Unsupported):
@@ -188,7 +190,7 @@ class TestRescale:
     def test_halving_domain(self):
         act = germ_action(halving_germ())
         w = build_windows(act, [Fraction(1, 64)])[0]
-        rs = rescale(w, act)
+        rs = RescaledSystem(w, act, 64)
         assert rs.domain == (-2, 0)
         assert rs.apply("a", Fraction(-1, 2)) == Fraction(-5, 4)
 
@@ -196,7 +198,7 @@ class TestRescale:
         act = MarkedAction(("a", "b"),
                            (parabolic_germ(), PLMap([(0, 0), (1, 1)])),
                            UNIT_INTERVAL)
-        rs = rescale(build_windows(act, [Fraction(1, 7)])[0], act)
+        rs = RescaledSystem(build_windows(act, [Fraction(1, 7)])[0], act, 64)
         lo, hi = rs.domain
         for k in range(9):
             x = lo + (hi - lo) * Fraction(k, 8)
@@ -226,20 +228,21 @@ class TestRescale:
         act = germ_action()
         w = build_windows(act, [Fraction(1, 10)])[0]
         with pytest.raises(ValueError):
-            rescale(w, act, grid=1)
+            RescaledSystem(w, act, 1)
 
     def test_wrong_unit_raises_under_optimize(self):
         # python -O strips bare asserts; the normalization check must not be one
         child = textwrap.dedent("""
             import sys
             from fractions import Fraction
-            from nonsmooth.renorm import Window, build_windows, germ_action, rescale
+            from nonsmooth.renorm import (
+                RescaledSystem, Window, build_windows, germ_action)
             act = germ_action()
             w = build_windows(act, [Fraction(1, 10)])[0]
             bad = Window(w.index, w.point, w.hull, w.enlarged, 2 * w.unit)
             print("optimize", sys.flags.optimize)
             try:
-                rescale(bad, act)
+                RescaledSystem(bad, act, 64)
             except AssertionError:
                 print("raised")
         """)
@@ -277,8 +280,8 @@ class TestConjugatedGerm:
             maps = (g,) if rng.random() < 0.7 else (g, rand_plmap(rng))
             act = MarkedAction(("a", "b")[:len(maps)], maps, UNIT_INTERVAL)
             try:
-                w = build_windows(act, [rand_interior(rng, 97)],
-                                  enlargement=rng.randint(1, 4))[0]
+                w = build_windows_enlarged_by(rng.randint(1, 4), act,
+                                              [rand_interior(rng, 97)])[0]
             except EmptyDisplacement:
                 continue
             rs = RescaledSystem(w, act, 8)
@@ -335,14 +338,14 @@ class TestWindowCoordinates:
     def check(self, rs, rng):
         for name in rs.names:
             for radius in self.RADII:
-                grid = rng.randint(2, 12)
+                probe = RescaledSystem(rs.window, rs.act, rng.randint(2, 12))
                 try:
-                    expected = generator_deviation_oracle(rs, name, radius, grid)
+                    expected = generator_deviation_oracle(probe, name, radius)
                 except EmptyGridDomain:
                     with pytest.raises(EmptyGridDomain):
-                        generator_deviation(rs, name, radius, grid)
+                        generator_deviation(probe, name, radius)
                     continue
-                assert generator_deviation(rs, name, radius, grid) == expected
+                assert generator_deviation(probe, name, radius) == expected
         try:
             expected = fixed_point_oracle(rs)
         except Degenerate:
@@ -361,11 +364,11 @@ class TestWindowCoordinates:
                          for _ in range(rng.randint(1, 2)))
             act = MarkedAction(("a", "b")[:len(maps)], maps, UNIT_INTERVAL)
             try:
-                w = build_windows(act, [rand_interior(rng, 97)],
-                                  enlargement=rng.randint(1, 4))[0]
+                w = build_windows_enlarged_by(rng.randint(1, 4), act,
+                                              [rand_interior(rng, 97)])[0]
             except EmptyDisplacement:
                 continue
-            brackets += self.check(rescale(w, act, rng.randint(2, 12)), rng)
+            brackets += self.check(RescaledSystem(w, act, rng.randint(2, 12)), rng)
             cases += 1
         assert brackets > 50
 
@@ -374,18 +377,18 @@ class TestWindowCoordinates:
         act = compactified_action(punctured_torus_action())
         brackets = 0
         for _ in range(40):
-            w = build_windows(act, [compactify(rand_cover(rng))],
-                              enlargement=rng.randint(1, 4))[0]
-            brackets += self.check(rescale(w, act, rng.randint(2, 12)), rng)
+            w = build_windows_enlarged_by(rng.randint(1, 4), act,
+                                          [compactify(rand_cover(rng))])[0]
+            brackets += self.check(RescaledSystem(w, act, rng.randint(2, 12)), rng)
         assert brackets > 20
 
 
 class TestTranslationDeviation:
     def test_frozen_parabolic_values(self):
-        assert translation_deviation(parabolic_system(100), 2, 64) \
+        assert translation_deviation(parabolic_system(100, 64), 2) \
             == Fraction(398, 10199)
-        assert translation_deviation(parabolic_system(100), 2, 64) < Fraction(1, 25)
-        assert translation_deviation(parabolic_system(1000), 2, 64) \
+        assert translation_deviation(parabolic_system(100, 64), 2) < Fraction(1, 25)
+        assert translation_deviation(parabolic_system(1000, 64), 2) \
             == Fraction(3998, 1001999)
 
     def test_closed_form_oracle(self):
@@ -398,44 +401,46 @@ class TestTranslationDeviation:
                 abs(-x * (2 * i + 1 + x) / ((i + 1) ** 2 + x))
                 for k in range(65)
                 for x in [lo + (hi - lo) * Fraction(k, 64)])
-            assert translation_deviation(rs, 2, 64) == expected
+            assert translation_deviation(rs, 2) == expected
 
     def test_nonincreasing_along_sequence(self):
-        devs = [translation_deviation(parabolic_system(i), 2, 64)
+        devs = [translation_deviation(parabolic_system(i, 64), 2)
                 for i in (10, 20, 40, 80, 160)]
         assert all(a >= b for a, b in zip(devs, devs[1:]))
 
     def test_halving_deviation_is_half_radius(self):
         act = germ_action(halving_germ())
-        rs = rescale(build_windows(act, [Fraction(1, 512)])[0], act)
-        assert translation_deviation(rs, 1, 64) == Fraction(1, 2)
-        assert translation_deviation(rs, 2, 64) == 1
-        assert translation_deviation(rs, Fraction(1, 3), 10) == Fraction(1, 6)
+        w = build_windows(act, [Fraction(1, 512)])[0]
+        rs = RescaledSystem(w, act, 64)
+        assert translation_deviation(rs, 1) == Fraction(1, 2)
+        assert translation_deviation(rs, 2) == 1
+        assert translation_deviation(RescaledSystem(w, act, 10),
+                                     Fraction(1, 3)) == Fraction(1, 6)
 
     def test_exact_translation_gives_zero(self):
         # slope-1 middle piece: a genuine translation near the marked point
         g = PLMap([(0, 0), (Fraction(1, 8), Fraction(1, 4)),
                    (Fraction(5, 8), Fraction(3, 4)), (1, 1)])
         act = MarkedAction(("a",), (g,), UNIT_INTERVAL)
-        rs = rescale(build_windows(act, [Fraction(1, 4)])[0], act)
-        assert translation_deviation(rs, 2, 64) == 0
-        assert translation_deviation(rs, 3, 64) == 0
+        rs = RescaledSystem(build_windows(act, [Fraction(1, 4)])[0], act, 64)
+        assert translation_deviation(rs, 2) == 0
+        assert translation_deviation(rs, 3) == 0
 
     def test_empty_grid_domain(self):
         with pytest.raises(EmptyGridDomain):
-            translation_deviation(parabolic_system(10), -1, 64)
+            translation_deviation(parabolic_system(10, 64), -1)
 
     def test_bad_grid(self):
         with pytest.raises(ValueError):
-            translation_deviation(parabolic_system(10), 2, 1)
+            translation_deviation(parabolic_system(10, 1), 2)
 
     def test_max_over_generators(self):
         act = MarkedAction(("a", "b"), (parabolic_germ(), halving_germ()),
                            UNIT_INTERVAL)
-        rs = rescale(build_windows(act, [Fraction(1, 30)])[0], act)
-        assert translation_deviation(rs, 1, 32) == max(
-            generator_deviation(rs, "a", 1, 32),
-            generator_deviation(rs, "b", 1, 32))
+        rs = RescaledSystem(build_windows(act, [Fraction(1, 30)])[0], act, 32)
+        assert translation_deviation(rs, 1) == max(
+            generator_deviation(rs, "a", 1),
+            generator_deviation(rs, "b", 1))
 
 
 class TestFixedPointPersistence:
@@ -447,7 +452,7 @@ class TestFixedPointPersistence:
         # the contraction's fixed point sits exactly two units below the
         # marked point in every window
         act = germ_action(halving_germ())
-        rs = rescale(build_windows(act, [Fraction(1, 256)])[0], act)
+        rs = RescaledSystem(build_windows(act, [Fraction(1, 256)])[0], act, 64)
         assert fixed_point_in_window(rs) == {"a": (-2, -2)}
 
     def test_torus_windows_have_generator_brackets(self):
@@ -469,7 +474,7 @@ class TestFixedPointPersistence:
         act = MarkedAction(("a", "b"),
                            (parabolic_germ(), PLMap([(0, 0), (1, 1)])),
                            UNIT_INTERVAL)
-        rs = rescale(build_windows(act, [Fraction(1, 7)])[0], act)
+        rs = RescaledSystem(build_windows(act, [Fraction(1, 7)])[0], act, 64)
         with pytest.raises(Degenerate):
             fixed_point_in_window(rs)
 
