@@ -79,6 +79,13 @@ class UsageError(Exception):
     """Malformed arguments or action/point specs; exits with code 2."""
 
 
+class Parser(argparse.ArgumentParser):
+    """A command's option parser; its errors are usage errors, one line."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def check_cap(option, value, cap):
     if value > cap:
         raise UsageError("%s %d is above its cap of %d" % (option, value, cap))
@@ -344,7 +351,7 @@ def timestamp():
 
 
 def cmd_certify(argv):
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="nonsmooth certify",
         description="Emit a machine-checkable nonsmoothability certificate.")
     parser.add_argument("target", choices=("punctured-torus", "zz"))
@@ -401,7 +408,7 @@ CSV_COLUMNS = ("window_index", "generator", "displacement_at_0",
 
 
 def cmd_renorm(argv):
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="nonsmooth renorm",
         description="Blow up an action along a marked orbit; write one CSV "
                     "row per window and generator.")
@@ -479,7 +486,7 @@ def _px(q):
 
 
 def cmd_plot(argv):
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="nonsmooth plot",
         description="Render a renorm CSV as one grid-deviation polyline per "
                     "generator.")
@@ -544,7 +551,7 @@ def cmd_plot(argv):
 
 
 def cmd_orbit(argv):
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="nonsmooth orbit",
         description="Print the exact orbit of a point under repeated "
                     "application of a word.")
@@ -571,7 +578,7 @@ def cmd_orbit(argv):
 
 
 def cmd_order(argv):
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="nonsmooth order",
         description="Compare consecutive words by where they move a point; "
                     "one verdict per line.")
@@ -613,7 +620,8 @@ def main(argv=None):
         return 0 if argv else 64
     handler = COMMANDS.get(argv[0])
     if handler is None:
-        sys.stderr.write("unknown command %r\n%s" % (argv[0], USAGE))
+        name = repr(argv[0])[:MAX_MESSAGE]
+        sys.stderr.write("unknown command %s\n%s" % (name, USAGE))
         return 64
     try:
         return handler(argv[1:])

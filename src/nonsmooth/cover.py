@@ -60,9 +60,6 @@ class CoverPoint(Record):
     def __lt__(self, other):
         return cover_cmp(self, other) == LESS
 
-    def __repr__(self):
-        return f"CoverPoint(t={self.base.coordinate()}, sheet={self.sheet})"
-
 
 COVER_BASEPOINT = CoverPoint(BASEPOINT, 0)
 
@@ -124,9 +121,6 @@ class LiftedMap(Record):
     def deck(self, k: int) -> "LiftedMap":
         return LiftedMap(self.moebius, self.basepoint_image.deck(k))
 
-    def __repr__(self):
-        return f"LiftedMap({self.moebius!r}, {self.basepoint_image!r})"
-
 
 def identity_lift() -> LiftedMap:
     return LiftedMap(MoebiusMap(1, 0, 0, 1), COVER_BASEPOINT)
@@ -152,9 +146,6 @@ class CoverBracket(Record):
 
     def deck(self, k: int) -> "CoverBracket":
         return CoverBracket(self.lo.deck(k), self.hi.deck(k), self.sign_lo, self.sign_hi)
-
-    def __repr__(self):
-        return f"CoverBracket({self.lo!r}, {self.hi!r}, {self.sign_lo}, {self.sign_hi})"
 
 
 class FixedPointCertificate(Record):

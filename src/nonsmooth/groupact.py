@@ -109,9 +109,6 @@ class Word(Record):
             parts.append(names[i] if e > 0 else names[i].upper())
         return "".join(parts)
 
-    def __repr__(self):
-        return "Word(%r)" % (list(self.letters),)
-
 
 def _reduced_word(letters):
     # the Word of letters that _reduce has already freely reduced and checked
@@ -264,9 +261,6 @@ class CompactifiedLift(Record):
     def inverse(self):
         return CompactifiedLift(self.lift.inverse())
 
-    def __repr__(self):
-        return "CompactifiedLift(%r)" % (self.lift,)
-
 
 def punctured_torus_action():
     """The two-generator action on the covered line by fixed-point lifts.
@@ -333,9 +327,6 @@ class ZZAction(Record):
         for i, k in other.table.items():
             merged[i] = merged.get(i, 0) + k
         return ZZAction(merged)
-
-    def __repr__(self):
-        return "ZZAction(%r)" % (self.table,)
 
 
 def zz_slope_mid(z, i):

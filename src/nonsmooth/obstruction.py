@@ -48,9 +48,6 @@ class OrderResult(Record):
     def name(self):
         return ordering_name(self.ordering)
 
-    def __repr__(self):
-        return "OrderResult(%s)" % self.name
-
 
 def order_cmp(act, w1, w2, p):
     """Compare two words by where they send p; Equal marks a stabilizer coset."""

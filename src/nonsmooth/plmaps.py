@@ -152,9 +152,6 @@ class PLMap(Record):
                     | {inv.apply(x) for x, _ in self.breakpoints})
         return PLMap([(x, self.apply(other.apply(x))) for x in xs])
 
-    def __repr__(self):
-        return "PLMap(%s)" % (list(self.breakpoints),)
-
 
 class ModelTranslation(Record):
     """Integer chart translation conjugated into a subinterval, identity outside.
@@ -209,9 +206,6 @@ class ModelTranslation(Record):
             i -= 1
         return cell_width(i + self.power) / cell_width(i)
 
-    def __repr__(self):
-        return "ModelTranslation([%s, %s], %d)" % (self.lo, self.hi, self.power)
-
 
 _ATOMS = (PLMap, ModelTranslation)
 
@@ -265,9 +259,6 @@ class IntervalMapExpr(Record):
             acc *= f.one_sided_slope(y, side)
             y = f.apply(y)
         return acc
-
-    def __repr__(self):
-        return "IntervalMapExpr(%s)" % (list(self.factors),)
 
 
 def as_expr(m):

@@ -71,9 +71,6 @@ class ProjPoint(Record):
         """The affine coordinate as reports write it: "inf" or a rational."""
         return "inf" if self.is_infinite else fmt_rat(self.affine())
 
-    def __repr__(self):
-        return f"ProjPoint({self.coordinate()})"
-
 
 BASEPOINT = ProjPoint(0, 1)
 
@@ -148,9 +145,6 @@ class MoebiusMap(Record):
 
     def __hash__(self):
         return hash(canonical_entries(self.entries))
-
-    def __repr__(self):
-        return f"MoebiusMap{self.entries}"
 
     def apply(self, u: ProjPoint) -> ProjPoint:
         return ProjPoint(self.a * u.num + self.b * u.den, self.c * u.num + self.d * u.den)

@@ -3,8 +3,12 @@
 A subclass lists its fields in ``__slots__``.  A subclass that normalizes or
 validates its arguments keeps its own ``__init__`` and ends it with
 ``Record.__init__(self, *fields)``; a check that needs the subclass's own
-methods runs after that call, once the fields are set.  A pure record has no
-``__init__`` at all.
+methods runs after that call, once the fields are set.  ``ProjPoint`` and
+``CoverPoint``, the most built records (32,119 and 40,123 in a depth-2000
+``certify punctured-torus``), set theirs with ``object.__setattr__``:
+through ``Record.__init__`` one took 1.40 us, not 0.85, and the other
+1.48 us, not 0.79 (timeit, Python 3.11.7, Intel Xeon).  A pure record has
+no ``__init__`` at all.  Every record's repr comes from its slots.
 """
 
 
@@ -38,6 +42,10 @@ class Record:
 
     def _values(self):
         return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
 
     def __eq__(self, other):
         return type(other) is type(self) and self._values() == other._values()

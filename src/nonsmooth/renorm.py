@@ -57,9 +57,6 @@ class MoebiusGermMap(Record):
     def inverse(self) -> "MoebiusGermMap":
         return MoebiusGermMap(self.d, -self.b, -self.c, self.a)
 
-    def __repr__(self):
-        return "MoebiusGermMap(%s, %s, %s, %s)" % (self.a, self.b, self.c, self.d)
-
 
 def parabolic_germ() -> MoebiusGermMap:
     """x -> x/(1+x): parabolic at 0, pushes everything toward the origin."""
@@ -94,9 +91,6 @@ class Window(Record):
             raise BadInterval("window must have positive size")
         Record.__init__(self, int(index), point, hull, enlarged,
                         hull[1] - hull[0], unit)
-
-    def __repr__(self):
-        return "Window(%d, point=%s, hull=%r)" % (self.index, self.point, self.hull)
 
 
 def build_windows(act: MarkedAction, p_seq):

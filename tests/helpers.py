@@ -246,9 +246,6 @@ class AffineChart(Record):
             return self._conjugate_atom(m)
         return IntervalMapExpr(tuple(self._conjugate_atom(f) for f in as_expr(m).factors))
 
-    def __repr__(self):
-        return "AffineChart(%s, %s)" % (self.lo, self.hi)
-
 
 def word_expr(act, w):
     """Materialize a word of an interval action as a composition expression."""

@@ -52,6 +52,32 @@ class TestDispatch:
         assert "certify" in err
 
 
+# a value of 10,000 characters for each kind of argparse error, and for an
+# unknown command: argparse's own errors quote the value
+LONG = "x" * 10_000
+LONG_ERRORS = {
+    "invalid-int": (("renorm", "--windows", LONG), 2),
+    "invalid-choice": (("certify", LONG), 2),
+    "unrecognized-option": (("orbit", "--" + LONG), 2),
+    "missing-required": (("plot", "--out", LONG), 2),
+    "unknown-command": ((LONG,), 64),
+    # each control character takes four characters in the quoted name
+    "unknown-command-escaped": (("\x01" * 10_000,), 64),
+}
+
+
+@pytest.mark.parametrize("kind", LONG_ERRORS)
+def test_error_line_is_short(capsys, kind):
+    argv, expected = LONG_ERRORS[kind]
+    code, out, err = run(capsys, *argv)
+    assert code == expected and out == ""
+    lines = err.splitlines(keepends=True)
+    if code == 2:
+        # a usage error is one line, with no usage block
+        assert len(lines) == 1 and lines[0].startswith("UsageError: ")
+    assert len(lines[0].encode()) <= 240
+
+
 class TestCertify:
     def test_punctured_torus_certified(self, capsys):
         code, out, _ = run(capsys, "certify", "punctured-torus", "--depth", "2")

@@ -1,7 +1,8 @@
 """Import hygiene of the package, read from the source with ast: no module
 imports a name it never uses, the package exports exactly what its __init__
-imports, only cli knows the report format, one function of cli decides
-what each action spec means, and no module function reads a private field.
+imports, only cli knows the report format, only Record writes a repr, one
+function of cli decides what each action spec means, and no module function
+reads a private field.
 The renorm signatures are pinned against knobs that were folded away."""
 
 import ast
@@ -65,6 +66,16 @@ def test_no_class_serializes_itself(filename):
                     and any(isinstance(item, ast.FunctionDef)
                             and item.name == "to_obj" for item in node.body))
     assert not owners, "%s: %s define to_obj; the report format lives in cli" % (
+        filename, owners)
+
+
+@pytest.mark.parametrize("filename", MODULES)
+def test_only_record_writes_a_repr(filename):
+    owners = sorted(node.name for node in ast.walk(parse(filename))
+                    if isinstance(node, ast.ClassDef) and node.name != "Record"
+                    and any(isinstance(item, ast.FunctionDef)
+                            and item.name == "__repr__" for item in node.body))
+    assert not owners, "%s: %s define __repr__; Record writes it" % (
         filename, owners)
 
 

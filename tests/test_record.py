@@ -1,5 +1,6 @@
 """Immutable records: every value type refuses assignment, equal instances
-hash equal, and copy, deepcopy and pickle give back an equal record."""
+hash equal, copy, deepcopy and pickle give back an equal record, and the
+repr names every field in slot order."""
 
 import copy
 import pickle
@@ -128,3 +129,16 @@ def test_copy_and_pickle_round_trip(cls, how):
     a = BUILDERS[cls]()
     b = ROUND_TRIPS[how](a)
     assert type(b) is cls and b == a and hash(b) == hash(a)
+
+
+@pytest.mark.parametrize("cls", BUILDERS, ids=lambda cls: cls.__name__)
+def test_repr_names_every_field_in_slot_order(cls):
+    x = BUILDERS[cls]()
+    fields = ["%s=%r" % (name, getattr(x, name)) for name in cls.__slots__]
+    assert repr(x) == "%s(%s)" % (cls.__name__, ", ".join(fields))
+
+
+def test_repr_of_nested_records():
+    assert repr(ProjPoint(2, -4)) == "ProjPoint(num=-1, den=2)"
+    assert repr(CoverPoint(ProjPoint(1, 3), -2)) == (
+        "CoverPoint(base=ProjPoint(num=1, den=3), sheet=-2)")
