@@ -1,4 +1,4 @@
-"""Command surface: certificate reports, renormalization traces, plots, and
+"""Command surface: certificate reports, renormalization traces, and
 orbit/order queries.  This module alone knows the report and CSV formats;
 the certificates it writes are plain records.
 
@@ -67,7 +67,6 @@ USAGE = """usage: nonsmooth <command> [options]
 commands:
   certify   emit a JSON certificate report (punctured-torus | zz)
   renorm    emit a CSV renormalization trace for an action
-  plot      render a renorm CSV as an SVG deviation chart
   orbit     print an exact orbit, one point per line
   order     compare words by where they move a point
 
@@ -467,89 +466,6 @@ def cmd_renorm(argv):
     return 0
 
 
-SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN = 640, 400, 70
-SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
-
-
-def _svg_x(i, max_i):
-    span = Fraction(max(max_i, 1))
-    return SVG_MARGIN + Fraction(i) / span * (SVG_WIDTH - 2 * SVG_MARGIN)
-
-
-def _svg_y(v, max_v):
-    top = max_v if max_v > 0 else Fraction(1)
-    return SVG_HEIGHT - SVG_MARGIN - v / top * (SVG_HEIGHT - 2 * SVG_MARGIN)
-
-
-def _px(q):
-    return rat_to_decimal(q, 2)
-
-
-def cmd_plot(argv):
-    parser = Parser(
-        prog="nonsmooth plot",
-        description="Render a renorm CSV as one grid-deviation polyline per "
-                    "generator.")
-    parser.add_argument("--in", dest="in_path", required=True)
-    parser.add_argument("--out", default=None, help="SVG path (default stdout)")
-    args = parser.parse_args(argv)
-
-    series = {}
-    with open(args.in_path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            try:
-                idx = int(row["window_index"])
-                dev = parse_rat(row["grid_deviation"])
-                name = row["generator"]
-            except (KeyError, TypeError, ValueError):
-                raise UsageError("%s is not a renorm CSV" % (args.in_path,))
-            series.setdefault(name, []).append((idx, dev))
-    if not series:
-        raise UsageError("no data rows in %s" % (args.in_path,))
-
-    max_i = max(i for pts in series.values() for i, _ in pts)
-    max_v = max(v for pts in series.values() for _, v in pts)
-    top = max_v if max_v > 0 else Fraction(1)
-    lines = [
-        '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
-        'viewBox="0 0 %d %d">' % (SVG_WIDTH, SVG_HEIGHT, SVG_WIDTH, SVG_HEIGHT),
-        '<rect width="%d" height="%d" fill="white"/>' % (SVG_WIDTH, SVG_HEIGHT),
-        '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="black"/>' % (
-            _px(Fraction(SVG_MARGIN)), _px(Fraction(SVG_HEIGHT - SVG_MARGIN)),
-            _px(Fraction(SVG_WIDTH - SVG_MARGIN)),
-            _px(Fraction(SVG_HEIGHT - SVG_MARGIN))),
-        '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="black"/>' % (
-            _px(Fraction(SVG_MARGIN)), _px(Fraction(SVG_HEIGHT - SVG_MARGIN)),
-            _px(Fraction(SVG_MARGIN)), _px(Fraction(SVG_MARGIN))),
-        '<text x="%d" y="%d" text-anchor="middle">window_index</text>' % (
-            SVG_WIDTH // 2, SVG_HEIGHT - SVG_MARGIN // 3),
-        '<text x="%d" y="%d" text-anchor="middle" '
-        'transform="rotate(-90 %d %d)">grid_deviation</text>' % (
-            SVG_MARGIN // 3, SVG_HEIGHT // 2, SVG_MARGIN // 3, SVG_HEIGHT // 2),
-        '<text x="%s" y="%d" text-anchor="middle">0</text>' % (
-            _px(Fraction(SVG_MARGIN)), SVG_HEIGHT - SVG_MARGIN + 20),
-        '<text x="%s" y="%d" text-anchor="middle">%d</text>' % (
-            _px(Fraction(SVG_WIDTH - SVG_MARGIN)), SVG_HEIGHT - SVG_MARGIN + 20,
-            max_i),
-        '<text x="%d" y="%s" text-anchor="end">%s</text>' % (
-            SVG_MARGIN - 6, _px(_svg_y(Fraction(0), top) + 4), "0"),
-        '<text x="%d" y="%s" text-anchor="end">%s</text>' % (
-            SVG_MARGIN - 6, _px(_svg_y(top, top) + 4), rat_to_decimal(top, 4)),
-    ]
-    for pos, name in enumerate(sorted(series)):
-        color = SVG_COLORS[pos % len(SVG_COLORS)]
-        pts = " ".join("%s,%s" % (_px(_svg_x(i, max_i)), _px(_svg_y(v, top)))
-                       for i, v in sorted(series[name]))
-        lines.append('<polyline fill="none" stroke="%s" points="%s"/>' % (
-            color, pts))
-        lines.append('<text x="%d" y="%d" fill="%s">%s</text>' % (
-            SVG_WIDTH - SVG_MARGIN + 8, SVG_MARGIN + 18 * pos + 4, color, name))
-    lines.append("</svg>")
-    with open_output(args.out) as fh:
-        fh.write("\n".join(lines) + "\n")
-    return 0
-
-
 def cmd_orbit(argv):
     parser = Parser(
         prog="nonsmooth orbit",
@@ -607,7 +523,6 @@ def cmd_order(argv):
 COMMANDS = {
     "certify": cmd_certify,
     "renorm": cmd_renorm,
-    "plot": cmd_plot,
     "orbit": cmd_orbit,
     "order": cmd_order,
 }

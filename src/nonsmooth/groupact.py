@@ -216,7 +216,10 @@ class MarkedAction(Record):
             return x
         if isinstance(x, CoverPoint):
             raise OutOfDomain("this action moves rationals in [0,1], got %r" % (x,))
-        return Fraction(x)
+        x = Fraction(x)
+        if not 0 <= x <= 1:
+            raise OutOfDomain("a point %s is outside [0,1]" % ("below 0" if x < 0 else "above 1"))
+        return x
 
     def bound_map(self, index, exp=1):
         return self.maps[index] if exp > 0 else self.inverses[index]
@@ -232,7 +235,7 @@ def word_eval(act, w, x):
         if idx >= len(act.maps):
             raise WordSyntaxError("word uses generator %d, action has %d" % (idx, len(act.maps)))
         y = act.bound_map(idx, exp).apply(y)
-    return y
+    return act.check_point(y)
 
 
 def orbit_sequence(act, w, x0, n):

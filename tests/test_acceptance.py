@@ -321,3 +321,75 @@ def test_c8_golden_reports(capsys, tmp_path):
         ok = ok and json.loads(outs[0])["verdict"] == "certified"
     verdict("c8 golden reports", ok,
             "both certify targets byte-identical modulo timestamp")
+
+
+def test_c9_torus_group_free():
+    """The torus group is free, hence locally indicable.
+
+    Table-tennis lemma (de la Harpe, Topics in Geometric Group Theory, II):
+    on the projective line take the open arcs J1 = (-inf,-1), J2 = (-1,0),
+    J3 = (0,1), J4 = (1,inf), and put X_A = J1 u J3, X_B = J2 u J4, which
+    are disjoint.  A and B have determinant 1 and send two cusps each to
+    cusps: A(-1) = 0, A(inf) = 1, A^-1(0) = -1, A^-1(1) = inf, and B(1) = 0,
+    B(inf) = -1, B^-1(0) = 1, B^-1(-1) = inf.  An orientation-preserving
+    homeomorphism of the circle maps a closed arc onto the closed arc
+    between the images of its ends, so A maps the complement of J1 onto the
+    closure of J3, A^-1 the complement of J3 onto the closure of J1, B the
+    complement of J4 onto the closure of J2 and B^-1 the complement of J2
+    onto the closure of J4.  Each open arc involved lies in the interior of
+    the complement it is mapped from, so A^n(X_B) lies in X_A and B^n(X_A)
+    in X_B for every n != 0.  A reduced word in A and B that is not a power
+    of one letter is conjugate to one that begins and ends with a power of
+    A; it maps X_B into X_A, away from X_B, so it is not the identity, and
+    neither is a nonzero power of one letter.  So <A, B> is free on A and
+    B.  The lifted group maps onto it with a -> A and b -> B, so a word that
+    acts trivially as lifts acts trivially as Moebius maps and is the empty
+    word: the lifted group, and its compactification on (0,1), are free of
+    rank 2.  Every nontrivial finitely generated subgroup of a free group is
+    free of positive rank (Nielsen-Schreier) and maps onto Z.
+
+    The test checks the premises exactly and then the containments they
+    imply on seeded rational points for the powers +-1 to +-3.
+    """
+    def arc(u):
+        # the index of the open arc J1..J4 holding u; None at a cusp or inf
+        if u.is_infinite or u.affine() in (-1, 0, 1):
+            return None
+        return 1 + sum(u.affine() > cusp for cusp in (-1, 0, 1))
+
+    def pt(t):
+        return ProjPoint.infinity() if t is None else ProjPoint.from_affine(t)
+
+    a_inv, b_inv = TORUS_A.inverse(), TORUS_B.inverse()
+    ok = all(m.a * m.d - m.b * m.c == 1 for m in (TORUS_A, TORUS_B))
+    for m, t, image in ((TORUS_A, -1, 0), (TORUS_A, None, 1),
+                        (a_inv, 0, -1), (a_inv, 1, None),
+                        (TORUS_B, 1, 0), (TORUS_B, None, -1),
+                        (b_inv, 0, 1), (b_inv, -1, None)):
+        ok = ok and m.apply(pt(t)) == pt(image)
+
+    def powers(m):
+        # m^n for n = +-1, +-2, +-3
+        out, p, q = [], m, m.inverse()
+        for _ in range(3):
+            out += [p, q]
+            p, q = p.compose(m), q.compose(m.inverse())
+        return out
+
+    ping = {1: powers(TORUS_B), 3: powers(TORUS_B),
+            2: powers(TORUS_A), 4: powers(TORUS_A)}
+    rng = random.Random(9009)
+    pairs = 0
+    while pairs < 30_000:
+        u = ProjPoint.from_affine(rand_rat(rng, 60))
+        k = arc(u)
+        if k is None:
+            continue
+        # a point of X_A goes into X_B under B's powers, and back again
+        # under A's; the arcs of X_A have odd index
+        for m in ping[k]:
+            image = arc(m.apply(u))
+            ok = ok and image is not None and image % 2 != k % 2
+            pairs += 1
+    verdict("c9 torus group free", ok,
+            "eight cusp images; %d (point, power) pairs ping-pong" % pairs)

@@ -37,9 +37,11 @@ def strip_header(text):
 
 class TestDispatch:
     def test_unknown_command(self, capsys):
-        code, _, err = run(capsys, "frobnicate")
-        assert code == 64
-        assert "unknown command" in err and "usage:" in err
+        # "plot" was a command; it is now as unknown as any other name
+        for name in ("frobnicate", "plot"):
+            code, _, err = run(capsys, name)
+            assert code == 64
+            assert "unknown command" in err and "usage:" in err
 
     def test_no_arguments(self, capsys):
         code, _, err = run(capsys)
@@ -51,6 +53,12 @@ class TestDispatch:
         assert code == 0
         assert "certify" in err
 
+    def test_usage_lists_the_commands(self):
+        # the indented lines under "commands:" name one command each
+        listed = [line.split()[0] for line in cli.USAGE.splitlines()
+                  if line.startswith("  ")]
+        assert sorted(listed) == sorted(cli.COMMANDS)
+
 
 # a value of 10,000 characters for each kind of argparse error, and for an
 # unknown command: argparse's own errors quote the value
@@ -59,7 +67,7 @@ LONG_ERRORS = {
     "invalid-int": (("renorm", "--windows", LONG), 2),
     "invalid-choice": (("certify", LONG), 2),
     "unrecognized-option": (("orbit", "--" + LONG), 2),
-    "missing-required": (("plot", "--out", LONG), 2),
+    "missing-required": (("order", "--point", LONG), 2),
     "unknown-command": ((LONG,), 64),
     # each control character takes four characters in the quoted name
     "unknown-command-escaped": (("\x01" * 10_000,), 64),
@@ -380,47 +388,6 @@ def test_renorm_commands_reach_every_layer(capsys, monkeypatch):
     assert all(calls.values()), calls
 
 
-class TestPlot:
-    def trace(self, capsys, tmp_path):
-        path = tmp_path / "trace.csv"
-        run(capsys, "renorm", "--action", "punctured-torus", "--windows", "4",
-            "--grid", "8", "--out", str(path))
-        return path
-
-    def test_polyline_per_generator(self, capsys, tmp_path):
-        src = self.trace(capsys, tmp_path)
-        out = tmp_path / "plot.svg"
-        code, _, _ = run(capsys, "plot", "--in", str(src), "--out", str(out))
-        assert code == 0
-        svg = out.read_text()
-        assert svg.count("<polyline") == 2
-        assert "window_index" in svg and "grid_deviation" in svg
-        assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
-
-    def test_empty_csv(self, capsys, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("window_index,generator,displacement_at_0,"
-                        "grid_deviation,fixed_point_bracket_lo,"
-                        "fixed_point_bracket_hi,grid_deviation_dec\n")
-        code, _, err = run(capsys, "plot", "--in", str(path))
-        assert code == 2
-        assert "no data rows" in err
-
-    def test_not_a_trace(self, capsys, tmp_path):
-        path = tmp_path / "junk.csv"
-        path.write_text("hello\nworld\n")
-        assert run(capsys, "plot", "--in", str(path))[0] == 2
-
-    def test_missing_input(self, capsys, tmp_path):
-        assert run(capsys, "plot", "--in", str(tmp_path / "nope.csv"))[0] == 3
-
-    def test_deterministic(self, capsys, tmp_path):
-        src = self.trace(capsys, tmp_path)
-        _, first, _ = run(capsys, "plot", "--in", str(src))
-        _, second, _ = run(capsys, "plot", "--in", str(src))
-        assert first == second
-
-
 class TestOrbit:
     def test_commutator_orbit(self, capsys):
         code, out, _ = run(capsys, "orbit", "--word", "[a,b]", "--count", "5")
@@ -468,6 +435,18 @@ class TestOrbit:
 
     def test_point_domain_mismatch(self, capsys):
         assert run(capsys, "orbit", "--action", "zz", "--point", "pt")[0] == 2
+
+    def test_no_point_outside_unit_interval(self, capsys):
+        # an interval action refuses a start point outside [0,1] before it
+        # prints anything, and stops at the first image outside it
+        code, out, err = run(capsys, "orbit", "--action", '{"type":"pl"}',
+                             "--point", "5", "--count", "1")
+        assert (code, out) == (2, "")
+        assert err == "OutOfDomain: a point above 1 is outside [0,1]\n"
+        code, out, err = run(capsys, "orbit", "--action", "parabolic-germ",
+                             "--word", "A", "--point", "3/4", "--count", "2")
+        assert (code, out) == (2, "0\t3/4\n")
+        assert err.startswith("OutOfDomain: ") and err.count("\n") == 1
 
     def test_stops_at_first_unprintable_point(self, capsys, monkeypatch):
         # each point of a power-5000 model translation is about 1,500 digits
@@ -586,6 +565,11 @@ def test_action_defaults(capsys):
     ("orbit", "--word", "[" * 1000 + "a" + ",b]" * 1000, "--count", "1"),
     ("orbit", "--action", "[" * 5000 + "]" * 5000, "--count", "1"),
     ("orbit", "--word", "a^\u00b2", "--count", "1"),
+    ("orbit", "--action", "parabolic-germ", "--point", "5", "--count", "2"),
+    ("order", "--action", "parabolic-germ", "--point", "-2", "--words", "a,A"),
+    ("renorm", "--action", "parabolic-germ", "--start", "-2"),
+    ("orbit", "--action", "parabolic-germ", "--word", "A", "--point", "3/4",
+     "--count", "2"),
 ])
 def test_bad_input_exits_two_without_traceback(capsys, argv):
     code, _, err = run(capsys, *argv)

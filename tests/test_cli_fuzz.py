@@ -86,6 +86,7 @@ def words(rng):
 
 
 def argv_for(rng, tmp_path):
+    # "plot" and "frobnicate" name no command
     command = rng.choice(("certify", "renorm", "plot", "orbit", "orbit",
                           "order", "order") * 3 + ("frobnicate", "--help"))
     argv = [command]
@@ -106,8 +107,6 @@ def argv_for(rng, tmp_path):
             argv += ["--start", rng.choice(POINTS)]
         if rng.random() < 0.4:
             argv += ["--advance", word(rng)]
-    elif command == "plot":
-        argv += ["--in", str(rng.choice(PLOT_INPUTS)(tmp_path))]
     elif command == "orbit":
         if rng.random() < 0.8:
             argv += ["--action", action(rng)]
@@ -123,29 +122,11 @@ def argv_for(rng, tmp_path):
             argv += ["--point", rng.choice(POINTS)]
         if rng.random() < 0.9:
             argv += ["--words", words(rng)]
-    if command in ("certify", "renorm", "plot") and rng.random() < 0.2:
+    if command in ("certify", "renorm") and rng.random() < 0.2:
         argv += ["--out", str(tmp_path / "missing-dir" / "out.txt")]
     if rng.random() < 0.05:
         argv.append(rng.choice(("--bogus", "extra", "--help")))
     return argv
-
-
-def write(tmp_path, name, text):
-    path = tmp_path / name
-    path.write_text(text, encoding="utf-8")
-    return path
-
-
-PLOT_INPUTS = (
-    lambda tmp: write(tmp, "good.csv",
-                      "window_index,generator,grid_deviation\n0,a,1/2\n1,a,1/4\n"),
-    lambda tmp: write(tmp, "bad.csv", "window_index,generator,grid_deviation\n"
-                                      "x,a,1/0\n"),
-    lambda tmp: write(tmp, "empty.csv", ""),
-    lambda tmp: write(tmp, "junk.csv", "\x00\x01,\n,,,\n"),
-    lambda tmp: tmp / "missing.csv",
-    lambda tmp: tmp,
-)
 
 
 def run(capsys, argv):

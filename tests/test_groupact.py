@@ -34,6 +34,7 @@ from nonsmooth.groupact import (
     zz_slope_mid,
 )
 from nonsmooth.plmaps import LEFT, RIGHT, ModelTranslation, anchor, cell_midpoint, cell_shift
+from nonsmooth.renorm import germ_action
 
 A = Word.generator(0)
 B = Word.generator(1)
@@ -279,6 +280,12 @@ class TestTorusAction:
             word_eval(act, A, Fraction(1, 2))
         with pytest.raises(OutOfDomain):
             word_eval(zz_letter_action(), A, COVER_BASEPOINT)
+        # an interval action takes and gives only points of [0,1]: the
+        # germ's inverse letter maps 3/4 to 3
+        for word, x in ((A, Fraction(5)), (A, Fraction(-2)),
+                        (A.inverse(), Fraction(3, 4))):
+            with pytest.raises(OutOfDomain):
+                word_eval(germ_action(), word, x)
 
     def test_commutator_orbit_climbs_sheets(self):
         act = punctured_torus_action()
