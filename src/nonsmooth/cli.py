@@ -92,6 +92,10 @@ def check_cap(option, value, cap):
 
 # ---------------------------------------------------------------- specs
 
+# The fields each action type takes besides "type"; any other is refused.
+SPEC_FIELDS = {"punctured-torus": (), "zz": (), "pl": ("breakpoints",),
+               "model-translation": ("support", "power"), "parabolic-germ": ()}
+
 
 def parse_action_spec(text):
     """Accept a bare type name or a JSON record; return (action, start,
@@ -109,14 +113,16 @@ def parse_action_spec(text):
     if not isinstance(obj, dict) or "type" not in obj:
         raise UsageError("action spec needs a \"type\" field: %r" % (text,))
     kind = obj["type"]
+    if not isinstance(kind, str) or kind not in SPEC_FIELDS:
+        raise UsageError("unknown action type %r" % (kind,))
+    for field in obj:
+        if field != "type" and field not in SPEC_FIELDS[kind]:
+            raise UsageError("action type %s takes no field %r" % (kind, field))
     try:
         if kind == "punctured-torus":
             act = punctured_torus_action()
             return act, COVER_BASEPOINT, act.parse("[a,b]")
         if kind == "zz":
-            # no command reads the truncation, but a bad one is still refused
-            if int(obj.get("truncation", 16)) < 0:
-                raise UsageError("zz truncation must be nonnegative")
             act, start = zz_letter_action(), cell_midpoint(0)
         elif kind == "pl":
             points = obj.get("breakpoints", [["0", "0"], ["1", "1"]])
@@ -133,10 +139,8 @@ def parse_action_spec(text):
                 ("a",), (ModelTranslation((lo, hi), power),), UNIT_INTERVAL)
             # the support endpoints are fixed; start in the middle
             start = (lo + hi) / 2
-        elif kind == "parabolic-germ":
+        else:  # parabolic-germ
             act, start = germ_action(), Fraction(1, 2)
-        else:
-            raise UsageError("unknown action type %r" % (kind,))
     except (ValueError, TypeError, OverflowError) as exc:
         raise UsageError("bad action spec %r: %s" % (text, exc))
     return act, start, act.parse("a")

@@ -268,22 +268,17 @@ class CompactifiedLift(Record):
 def punctured_torus_action():
     """The two-generator action on the covered line by fixed-point lifts.
 
-    Generators are normalized so the commutator moves the basepoint up one
-    sheet; the applied normalization is recorded in the action metadata.
-    """
+    The commutator of the lifts of TORUS_A and TORUS_B moves the basepoint
+    up one sheet, so the generators keep their order; the metadata records
+    that identity normalization."""
     a, _ = fixed_point_lift(TORUS_A)
     b, _ = fixed_point_lift(TORUS_B)
     k = a.compose(b).compose(a.inverse()).compose(b.inverse())
     moved = k.apply(COVER_BASEPOINT)
-    if moved == COVER_BASEPOINT.deck(1):
-        names, maps, note = ("a", "b"), (a, b), "identity"
-    elif moved == COVER_BASEPOINT.deck(-1):
-        # swapping the generators inverts the commutator
-        names, maps, note = ("a", "b"), (b, a), "swapped-generators"
-    else:
+    if moved != COVER_BASEPOINT.deck(1):
         raise Unsupported("commutator displacement is not one sheet: %r" % (moved,))
-    return MarkedAction(names, maps, COVER_LINE,
-                        meta={"orientation_normalization": note})
+    return MarkedAction(("a", "b"), (a, b), COVER_LINE,
+                        meta={"orientation_normalization": "identity"})
 
 
 def compactified_action(act):

@@ -60,13 +60,12 @@ def chart_index(x):
     x = Fraction(x)
     if not 0 < x < 1:
         raise OutOfDomain("chart covers (0,1) only, got %s" % x)
+    # anchor(i) <= x  iff  2^i * b <= a.  With la the bit length of a and
+    # i = la - (bit length of b): 2^(i+1) * b >= 2^la > a, so i + 1 never
+    # qualifies, and 2^(i-1) * b < 2^(la-1) <= a, so i - 1 always does.
     a, b = x.numerator, x.denominator - x.numerator
     i = a.bit_length() - b.bit_length()
-    while _pow2_le(b, i + 1, a):
-        i += 1
-    while not _pow2_le(b, i, a):
-        i -= 1
-    return i
+    return i if _pow2_le(b, i, a) else i - 1
 
 
 def from_chart(t):

@@ -218,11 +218,11 @@ def bracket_roots(coeffs, max_width=Fraction(1)):
     vertex = -b / (2 * a)
     if disc == 0:
         return [(vertex, vertex)]
-    # integer-cleared coefficients give the classical root bound
+    # integer-cleared coefficients give the classical root bound; with
+    # |ia| >= 1 it is at least Cauchy's 1 + max(|ib|, |ic|)/|ia|, which every
+    # root lies strictly inside, so no root sits at -bound or bound
     ia, ib, ic = _clear_to_int((a, b, c))
     bound = Fraction(1 + max(abs(ia), abs(ib), abs(ic)))
-    while _eval_quad(a, b, c, bound) == 0 or _eval_quad(a, b, c, -bound) == 0:
-        bound += 1
     s_out = _sign(a)
     s_mid = -s_out  # sign at the vertex when disc > 0
     left = _refine(a, b, c, -bound, vertex, s_out, max_width)

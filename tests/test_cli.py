@@ -570,6 +570,11 @@ def test_action_defaults(capsys):
     ("renorm", "--action", "parabolic-germ", "--start", "-2"),
     ("orbit", "--action", "parabolic-germ", "--word", "A", "--point", "3/4",
      "--count", "2"),
+    ("orbit", "--action",
+     '{"type":"pl","breakpoint":[["0","0"],["1/8","1/4"],["1","1"]]}',
+     "--count", "2"),
+    ("orbit", "--action", '{"type":"model-translation","powr":3}'),
+    ("orbit", "--action", '{"type":"zz","truncation":3}'),
 ])
 def test_bad_input_exits_two_without_traceback(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -71,8 +71,11 @@ class TestChart:
 
     def test_chart_index_brackets_point(self):
         rng = random.Random(301)
-        for _ in range(1000):
-            x = rand_interior(rng)
+        points = [rand_interior(rng) for _ in range(1000)]
+        points += [anchor(i) for i in range(-300, 301)]
+        points += [rand_interior(rng, rng.randint(2, 1 << 200))
+                   for _ in range(1000)]
+        for x in points:
             i = chart_index(x)
             assert anchor(i) <= x < anchor(i + 1)
 
