@@ -130,10 +130,10 @@ def parse_action_spec(text):
             act, start = MarkedAction(("a",), (pl,), UNIT_INTERVAL), Fraction(1, 2)
         elif kind == "model-translation":
             support = obj.get("support", ["1/2", "2/3"])
-            power = int(obj.get("power", 1))
-            if abs(power) > MAX_POWER:
-                raise UsageError("model-translation power %d is outside "
-                                 "[-%d, %d]" % (power, MAX_POWER, MAX_POWER))
+            power = obj.get("power", 1)
+            if type(power) is not int or abs(power) > MAX_POWER:
+                raise UsageError("model-translation power %r is not an integer "
+                                 "in [-%d, %d]" % (power, MAX_POWER, MAX_POWER))
             lo, hi = (parse_rat(str(v)) for v in support)
             act = MarkedAction(
                 ("a",), (ModelTranslation((lo, hi), power),), UNIT_INTERVAL)
@@ -271,16 +271,11 @@ def domination_obj(cert):
 
 
 def witness_obj(w):
+    """Everything but the entries, which render_report writes from w.entries."""
     return {
         "truncation": w.truncation,
         "cap": w.cap,
         "support": {str(i): k for i, k in sorted(w.support.items())},
-        "entries": [
-            {"index": e.index, "power": e.power,
-             "midpoint": fmt_rat(cell_midpoint(e.index)), "slope": fmt_rat(e.slope),
-             "rejected_slope":
-                 None if e.rejected_slope is None else fmt_rat(e.rejected_slope)}
-            for e in w.entries],
         "anchors_checked": list(w.anchors_checked),
         "anchors_fixed": w.anchors_fixed,
         "valid": w.valid,
@@ -288,9 +283,10 @@ def witness_obj(w):
     }
 
 
-# One domination row, its points as point_obj writes them, indented as
-# json.dumps(indent=2, sort_keys=True) lays it out at certificate.rows; the
-# "t" values need no JSON escaping.
+# One domination row and one zz entry, indented as json.dumps(indent=2,
+# sort_keys=True) lays them out at certificate.rows and certificate.entries;
+# their points and rationals, as point_obj and fmt_rat write them, need no
+# JSON escaping.
 ROW_TEMPLATE = """\
       {
         "bracket_route": %s,
@@ -307,43 +303,54 @@ ROW_TEMPLATE = """\
         "ordering": "%s",
         "sign": %d
       }"""
-ROWS_MARKER = "@rows@"
-ROWS_PER_BLOCK = 1024
+ENTRY_TEMPLATE = """\
+      {
+        "index": %d,
+        "midpoint": "%s",
+        "power": %d,
+        "rejected_slope": %s,
+        "slope": "%s"
+      }"""
+ITEMS_MARKER = "@items@"
 
 
-def render_report(report, fh, rows=None):
-    """Write report to fh as json.dumps(indent=2, sort_keys=True) lays it
-    out, with the domination rows of a cover-line certificate, if given, as
-    certificate.rows.
-
-    json.dumps renders only the rest of the report.  The rows go through
-    ROW_TEMPLATE and are written a block at a time, so the rendered rows
-    are never held whole.
-    """
-    if rows is None:
-        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        return
-    header = dict(report, certificate=dict(report["certificate"],
-                                           rows=ROWS_MARKER))
-    head, tail = json.dumps(header, indent=2, sort_keys=True).split(
-        json.dumps(ROWS_MARKER))
-    if not rows:
-        fh.write(head + "[]" + tail + "\n")
-        return
+def row_lines(rows):
+    """Each domination row through ROW_TEMPLATE."""
     quoted = {name: json.dumps(name) for name in {r.generator for r in rows}}
-    fh.write(head + "[\n")
-    for start in range(0, len(rows), ROWS_PER_BLOCK):
-        if start:
-            fh.write(",\n")
-        fh.write(",\n".join([
-            ROW_TEMPLATE % (
-                "null" if r.bracket_route is None else '"%s"' % r.bracket_route,
-                r.dominator.sheet, r.dominator.base.coordinate(),
-                quoted[r.generator], r.m,
-                r.moved.sheet, r.moved.base.coordinate(),
-                ordering_name(r.ordering), r.sign)
-            for r in rows[start:start + ROWS_PER_BLOCK]]))
-    fh.write("\n    ]" + tail + "\n")
+    return (ROW_TEMPLATE % (
+        "null" if r.bracket_route is None else '"%s"' % r.bracket_route,
+        r.dominator.sheet, r.dominator.base.coordinate(),
+        quoted[r.generator], r.m,
+        r.moved.sheet, r.moved.base.coordinate(),
+        ordering_name(r.ordering), r.sign) for r in rows)
+
+
+def entry_lines(entries):
+    """Each zz witness entry through ENTRY_TEMPLATE."""
+    return (ENTRY_TEMPLATE % (
+        e.index, fmt_rat(cell_midpoint(e.index)), e.power,
+        "null" if e.rejected_slope is None else '"%s"' % fmt_rat(e.rejected_slope),
+        fmt_rat(e.slope)) for e in entries)
+
+
+def render_report(report, fh, key, lines):
+    """Write report to fh as json.dumps(indent=2, sort_keys=True) lays it
+    out, with the items that lines yields, each already rendered, as the
+    list certificate[key].
+
+    json.dumps renders only the rest of the report.  Each item is written
+    as it is rendered, so the rendered list is never held whole.
+    """
+    header = dict(report, certificate=dict(report["certificate"],
+                                           **{key: ITEMS_MARKER}))
+    head, tail = json.dumps(header, indent=2, sort_keys=True).split(
+        json.dumps(ITEMS_MARKER))
+    fh.write(head)
+    close = "[]"
+    for n, line in enumerate(lines):
+        fh.write((",\n" if n else "[\n") + line)
+        close = "\n    ]"
+    fh.write(close + tail + "\n")
 
 
 def timestamp():
@@ -380,7 +387,7 @@ def cmd_certify(argv):
         action = {"type": "punctured-torus"}
         size_key, size = "depth", args.depth
         normalization, certificate = cert.normalization, domination_obj(cert)
-        rows = cert.rows
+        key, lines = "rows", row_lines(cert.rows)
     else:
         if args.truncation < 0:
             parser.error("--truncation must be nonnegative")
@@ -390,7 +397,7 @@ def cmd_certify(argv):
         action = {"type": "zz", "truncation": args.truncation}
         size_key, size = "truncation", args.truncation
         normalization, certificate = {}, witness_obj(witness)
-        rows = None
+        key, lines = "entries", entry_lines(witness.entries)
     report = {
         "version": REPORT_VERSION,
         "generated_at": timestamp(),
@@ -401,7 +408,7 @@ def cmd_certify(argv):
         "verdict": verdict,
     }
     with open_output(args.out) as fh:
-        render_report(report, fh, rows)
+        render_report(report, fh, key, lines)
     return 0 if verdict != "invalid" else 1
 
 

@@ -148,13 +148,6 @@ class CoverBracket(Record):
         return CoverBracket(self.lo.deck(k), self.hi.deck(k), self.sign_lo, self.sign_hi)
 
 
-class FixedPointCertificate(Record):
-    """Certificate attached to a fixed-point lift: one bracket per isolated
-    fixed point, displacement signs evaluated exactly under that lift."""
-
-    __slots__ = ("matrix", "brackets")
-
-
 def _displacement_sign(f: LiftedMap, x: CoverPoint) -> int:
     return cover_cmp(f.apply(x), x)
 
@@ -162,18 +155,19 @@ def _displacement_sign(f: LiftedMap, x: CoverPoint) -> int:
 def fixed_point_lift(m: MoebiusMap):
     """The unique deck representative of m with fixed points on the cover.
 
-    Returns (lift, certificate). For a hyperbolic m the certificate brackets
-    each carry a strict displacement sign change; for a parabolic m the
-    (rational) double fixed point is certified exactly with a degenerate
-    bracket; a scalar m yields the identity lift. Maps whose only fixed point
-    is the point at infinity have no root in the affine fixed quadratic and
-    raise NoRealFixedPoint, as do elliptic maps.
+    Returns (lift, brackets): one bracket per isolated fixed point, its
+    displacement signs evaluated exactly under the lift. For a hyperbolic m
+    each bracket carries a strict displacement sign change; for a parabolic
+    m the (rational) double fixed point is certified exactly with a
+    degenerate bracket; a scalar m yields the identity lift. Maps whose only
+    fixed point is the point at infinity have no root in the affine fixed
+    quadratic and raise NoRealFixedPoint, as do elliptic maps.
     """
     coeffs = fixed_quadratic(m)
     if coeffs == (0, 0, 0):
         lift = identity_lift()
         bracket = CoverBracket(COVER_BASEPOINT, COVER_BASEPOINT, 0, 0)
-        return lift, FixedPointCertificate(m, (bracket,))
+        return lift, (bracket,)
     roots = bracket_roots(coeffs, max_width=LIFT_BRACKET_WIDTH)
     if not roots:
         raise NoRealFixedPoint(f"no real fixed point to bracket for {m!r}")
@@ -187,7 +181,7 @@ def fixed_point_lift(m: MoebiusMap):
             raise AssertionError("double root is not fixed by the map")
         lift = ref.deck(fixed.sheet - image.sheet)
         bracket = CoverBracket(fixed, fixed, 0, 0)
-        return lift, FixedPointCertificate(m, (bracket,))
+        return lift, (bracket,)
 
     endpoints = [(line_point(lo), line_point(hi)) for lo, hi in roots]
     ref = lift_through(m)
@@ -212,7 +206,7 @@ def fixed_point_lift(m: MoebiusMap):
         if t_lo * t_hi != -1:
             raise AssertionError("secondary bracket lost its sign change")
         brackets.append(CoverBracket(x_lo, x_hi, t_lo, t_hi))
-    return lift, FixedPointCertificate(m, tuple(brackets))
+    return lift, tuple(brackets)
 
 
 def displacement_growth_check(f: LiftedMap, x: CoverPoint, n: int) -> bool:

@@ -327,11 +327,13 @@ class ZZAction(Record):
         return ZZAction(merged)
 
 
-def zz_slope_mid(z, i):
-    """Slope of the product action at the midpoint of cell i: the chain rule
-    through the shift by -i, the base cell shift power, and the shift back by
-    i.  The midpoint is a breakpoint, so the two one-sided slopes differ; the
-    larger one is returned (the derivative exists iff they agree).
+def zz_slope_mid(i, k):
+    """Slope at the midpoint of cell i of the cell shift of cell i to the
+    power k: the chain rule through the shift by -i, the base cell shift to
+    the power k, and the shift back by i.  The midpoint is a breakpoint, so
+    the two one-sided slopes differ; the larger one is returned (the
+    derivative exists iff they agree).  At k = 0 the two outer ratios cancel
+    and the slope is exactly 1.
 
     The two outer shifts are walked in chart coordinates, where the midpoint
     of cell i is t = i + 1/2 and the shift by p is t -> t + p: each costs one
@@ -342,9 +344,6 @@ def zz_slope_mid(z, i):
     slope there, the same on both sides.  The image under the shift back is
     never needed.
     """
-    k = z.table.get(int(i), 0)
-    if k == 0:
-        return Fraction(1)
     t = Fraction(2 * i + 1, 2)
     y = from_chart(t - i)
     base = base_cell_shift(k)

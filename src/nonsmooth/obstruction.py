@@ -86,14 +86,14 @@ def certify_interleaving(act, window_base=None):
     window = (base, base.deck(1))
     entries = []
     for name, bound in zip(act.names, act.maps):
-        fixed, cert = fixed_point_lift(bound.moebius)
+        fixed, brackets = fixed_point_lift(bound.moebius)
         if fixed != bound:
             raise BracketOutsideWindow(
                 "generator %s is a deck shift of its fixed-point lift" % name)
         placed = None
         # prefer the smallest deck shift so unshifted brackets win
         for k in sorted(range(-3, 4), key=abs):
-            for bracket in cert.brackets:
+            for bracket in brackets:
                 moved = bracket.deck(k)
                 if (cover_cmp(window[0], moved.lo) == LESS
                         and cover_cmp(moved.hi, window[1]) == LESS):
@@ -224,7 +224,7 @@ def _least_power(i, cap):
     one half, as (n, slope, slope at n - 1 or None when n == 1)."""
     rejected = None
     for n in range(1, cap + 1):
-        slope = zz_slope_mid(ZZAction({i: n}), i)
+        slope = zz_slope_mid(i, n)
         if slope < HALF:
             return n, slope, rejected
         rejected = slope
@@ -253,8 +253,8 @@ def zz_witness(truncation, cap=64):
     for i in range(-truncation, truncation + 1):
         found = shared
         if i != 0:
-            found = (power, zz_slope_mid(ZZAction({i: power}), i),
-                     zz_slope_mid(ZZAction({i: power - 1}), i) if power > 1 else None)
+            found = (power, zz_slope_mid(i, power),
+                     zz_slope_mid(i, power - 1) if power > 1 else None)
             if found != shared:
                 found = _least_power(i, cap)
         support[i] = found[0]

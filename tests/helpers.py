@@ -26,6 +26,7 @@ from nonsmooth.plmaps import (
     chart_shift,
 )
 from nonsmooth.projline import MoebiusMap, ProjPoint, ordering_name
+from nonsmooth.rational import fmt_rat
 from nonsmooth.record import Record
 from nonsmooth.renorm import BISECTION_STEPS
 
@@ -288,6 +289,17 @@ def row_obj(row):
             "dominator": point_obj(row.dominator),
             "ordering": ordering_name(row.ordering),
             "bracket_route": row.bracket_route}
+
+
+def entry_obj(entry):
+    """A zz witness entry as the report lists it under certificate.entries;
+    the oracle that cli.ENTRY_TEMPLATE must agree with."""
+    return {"index": entry.index,
+            "power": entry.power,
+            "midpoint": fmt_rat(cell_midpoint(entry.index)),
+            "slope": fmt_rat(entry.slope),
+            "rejected_slope": (None if entry.rejected_slope is None
+                               else fmt_rat(entry.rejected_slope))}
 
 
 def sandwich_apply(window, m, x):

@@ -11,14 +11,16 @@ import time
 
 import pytest
 
-from helpers import rand_cover, rand_proj, row_obj
+from helpers import entry_obj, rand_cover, rand_proj, rand_rat, row_obj
 from nonsmooth import cli, groupact, renorm
-from nonsmooth.cli import ROWS_PER_BLOCK, main, parse_point, render_report, split_words
+from nonsmooth.cli import main, parse_point, render_report, split_words
 from nonsmooth.cover import COVER_BASEPOINT, CoverPoint
 from nonsmooth.errors import OutOfDomain
 from nonsmooth.groupact import COVER_LINE, UNIT_INTERVAL, parse_word, punctured_torus_action
-from nonsmooth.obstruction import DominationRow, certify_domination
+from nonsmooth.obstruction import DominationRow, ZZWitnessEntry, certify_domination, zz_witness
+from nonsmooth.plmaps import cell_midpoint
 from nonsmooth.projline import EQUAL, GREATER, LESS
+from nonsmooth.rational import fmt_rat
 from fractions import Fraction
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -159,10 +161,11 @@ class TestCertify:
         assert out == ""
 
     def test_stdout_and_out_file_agree_across_blocks(self, capsys, tmp_path):
-        # 4 rows per step: at least three blocks, the last one partial
-        depth = 5 * ROWS_PER_BLOCK // 8
+        # 4 rows per step: more than two blocks of 1024 rows, the last one
+        # partial
+        depth = 640
         rows = 4 * (depth + 1)
-        assert rows > 2 * ROWS_PER_BLOCK and rows % ROWS_PER_BLOCK
+        assert rows > 2 * 1024 and rows % 1024
         out_file = tmp_path / "report.json"
         code, _, _ = run(capsys, "certify", "punctured-torus",
                          "--depth", str(depth), "--out", str(out_file))
@@ -173,6 +176,22 @@ class TestCertify:
         text = out_file.read_text(encoding="utf-8")
         assert strip_header(text) == strip_header(out)
         assert len(json.loads(text)["certificate"]["rows"]) == rows
+
+    def test_zz_report_is_written_one_entry_at_a_time(self, monkeypatch):
+        class Recorder:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+
+        recorder = Recorder()
+        monkeypatch.setattr(sys, "stdout", recorder)
+        assert main(["certify", "zz", "--truncation", "50"]) == 0
+        counts = [text.count('"midpoint"') for text in recorder.writes]
+        assert sum(counts) == 101
+        assert max(counts) == 1
+        assert len(json.loads("".join(recorder.writes))["certificate"]["entries"]) == 101
 
     def test_depth_3000_report_is_pinned(self, capsys):
         code, out, _ = run(capsys, "certify", "punctured-torus",
@@ -186,7 +205,7 @@ class TestCertify:
 
 def rendered(report, rows):
     fh = io.StringIO()
-    render_report(report, fh, rows)
+    render_report(report, fh, "rows", cli.row_lines(rows))
     return fh.getvalue()
 
 
@@ -207,7 +226,7 @@ def torus_report(cert):
 
 
 class TestRenderReport:
-    """The row template against json.dumps of the rows' dicts."""
+    """The row and entry templates against json.dumps of their dicts."""
 
     def rand_rows(self, count):
         rng = random.Random(7000 + count)
@@ -223,9 +242,7 @@ class TestRenderReport:
             rng.choice((LESS, EQUAL, GREATER)),
             rng.choice((None, "Less", "Equal", "Greater")))
 
-    @pytest.mark.parametrize("count", [0, 1, 5, ROWS_PER_BLOCK - 1,
-                                       ROWS_PER_BLOCK, ROWS_PER_BLOCK + 1,
-                                       2 * ROWS_PER_BLOCK + 3])
+    @pytest.mark.parametrize("count", [0, 1, 5, 1023, 1024, 1025, 2051])
     def test_random_rows_match_json_dumps(self, count):
         rows = self.rand_rows(count)
         report = torus_report(certify_domination(
@@ -234,7 +251,7 @@ class TestRenderReport:
         assert rendered(report, rows) == dumped(report, rows)
 
     def test_random_rows_cover_every_field_kind(self):
-        rows = self.rand_rows(2 * ROWS_PER_BLOCK + 3)
+        rows = self.rand_rows(2051)
         points = [p for r in rows for p in (r.moved, r.dominator)]
         assert any(p.base.is_infinite for p in points)
         assert any(p.sheet < 0 for p in points)
@@ -253,6 +270,39 @@ class TestRenderReport:
         assert all(r.bracket_route is None for r in cert.rows)
         report = torus_report(cert)
         assert rendered(report, cert.rows) == dumped(report, cert.rows)
+
+    def rand_entry(self, rng):
+        return ZZWitnessEntry(
+            rng.choice((0, -1, 1, rng.randint(-50, 50), rng.randint(-5000, 5000))),
+            rng.randint(1, 64),
+            rand_rat(rng, lim=10 ** rng.randint(1, 30)),
+            rng.choice((None, rand_rat(rng, lim=10 ** rng.randint(1, 30)))))
+
+    def test_random_entries_match_json_dumps(self):
+        """The entry template against json.dumps of the entries' dicts."""
+        rng = random.Random(7100)
+        entries = tuple(self.rand_entry(rng) for _ in range(60))
+        assert any(e.rejected_slope is None for e in entries)
+        assert any(e.rejected_slope is not None for e in entries)
+        assert any(e.index < 0 for e in entries)
+        assert any(e.index == 0 for e in entries)
+        assert any(len(fmt_rat(cell_midpoint(e.index))) > 1000 for e in entries)
+        w = zz_witness(1)
+        report = {"version": cli.REPORT_VERSION,
+                  "generated_at": "2000-01-01T00:00:00+00:00",
+                  "action": {"type": "zz", "truncation": w.truncation},
+                  "truncation": w.truncation,
+                  "normalization": {},
+                  "certificate": cli.witness_obj(w),
+                  "verdict": "certified"}
+        for items in ((), entries[:1], entries, w.entries):
+            fh = io.StringIO()
+            render_report(report, fh, "entries", cli.entry_lines(items))
+            certificate = dict(report["certificate"],
+                               entries=[entry_obj(e) for e in items])
+            assert fh.getvalue() == json.dumps(
+                dict(report, certificate=certificate),
+                indent=2, sort_keys=True) + "\n"
 
 
 class TestRenorm:
@@ -575,6 +625,12 @@ def test_action_defaults(capsys):
      "--count", "2"),
     ("orbit", "--action", '{"type":"model-translation","powr":3}'),
     ("orbit", "--action", '{"type":"zz","truncation":3}'),
+    ("orbit", "--action", '{"type":"model-translation","power":2.7}',
+     "--count", "1"),
+    ("orbit", "--action", '{"type":"model-translation","power":true}',
+     "--count", "1"),
+    ("orbit", "--action", '{"type":"model-translation","power":"3"}',
+     "--count", "1"),
 ])
 def test_bad_input_exits_two_without_traceback(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -110,24 +110,24 @@ class TestLiftedMaps:
             assert ident.apply(x) == x
 
     def test_fixed_point_lift_of_first_generator(self):
-        lift, cert = fixed_point_lift(TORUS_A)
+        lift, brackets = fixed_point_lift(TORUS_A)
         # frozen: basepoint [0:1] -> t = 1/2 on sheet 0
         assert lift.basepoint_image == cp(Fraction(1, 2), 0)
         # direct evaluation oracle for the displacement signs:
         # (1/2 + 1)/(1/2 + 2) = 3/5 > 1/2 and (1 + 1)/(1 + 2) = 2/3 < 1
         assert Fraction(3, 5) > Fraction(1, 2)
         assert Fraction(2, 3) < 1
-        for bracket in cert.brackets:
+        for bracket in brackets:
             assert bracket.sign_lo * bracket.sign_hi == -1
 
     def test_fixed_point_lift_of_second_generator(self):
-        lift, cert = fixed_point_lift(TORUS_B)
+        lift, brackets = fixed_point_lift(TORUS_B)
         assert lift.basepoint_image == cp(Fraction(-1, 2), -1)
         # some deck translate of a certificate bracket sits strictly inside
         # the fundamental window ((0, sheet 0), (0, sheet 1))
         window_lo, window_hi = cp(0, 0), cp(0, 1)
         placed = False
-        for bracket in cert.brackets:
+        for bracket in brackets:
             for k in range(-3, 4):
                 moved = bracket.deck(k)
                 if window_lo < moved.lo and moved.hi < window_hi:
@@ -214,9 +214,9 @@ class TestCommutator:
 
     def test_parabolic_fixed_lift_is_deck_shift_of_commutator(self):
         k = self.commutator_lift()
-        fixed, cert = fixed_point_lift(k.moebius)
-        assert cert.brackets[0].degenerate
-        assert cert.brackets[0].lo == cp(0, 0)
+        fixed, brackets = fixed_point_lift(k.moebius)
+        assert brackets[0].degenerate
+        assert brackets[0].lo == cp(0, 0)
         assert fixed.apply(cp(0, 0)) == cp(0, 0)
         assert k == fixed.deck(1)
 
@@ -242,15 +242,15 @@ class TestFixedPointLiftEdgeCases:
             fixed_point_lift(MoebiusMap(1, 1, 0, 1))
 
     def test_identity_matrix(self):
-        lift, cert = fixed_point_lift(MoebiusMap(1, 0, 0, 1))
+        lift, brackets = fixed_point_lift(MoebiusMap(1, 0, 0, 1))
         assert lift == identity_lift()
-        assert cert.brackets[0].degenerate
+        assert brackets[0].degenerate
 
     def test_hyperbolic_with_rational_fixed_point(self):
         # t -> 2t fixes 0 and infinity; the root bracket straddles the cut
-        lift, cert = fixed_point_lift(MoebiusMap(2, 0, 0, 1))
+        lift, brackets = fixed_point_lift(MoebiusMap(2, 0, 0, 1))
         assert lift.apply(cp(0, 0)) == cp(0, 0)
-        (bracket,) = cert.brackets
+        (bracket,) = brackets
         assert bracket.lo < cp(0, 0) < bracket.hi
         assert bracket.sign_lo * bracket.sign_hi == -1
 
@@ -261,8 +261,8 @@ class TestFixedPointLiftEdgeCases:
             m = rand_torus_word_matrix(rng)
             if abs(m.trace()) <= 2 or m.c == 0:
                 continue
-            lift, cert = fixed_point_lift(m)
-            for bracket in cert.brackets:
+            lift, brackets = fixed_point_lift(m)
+            for bracket in brackets:
                 assert bracket.sign_lo * bracket.sign_hi == -1
                 assert cover_cmp(lift.apply(bracket.lo), bracket.lo) == bracket.sign_lo
                 assert cover_cmp(lift.apply(bracket.hi), bracket.hi) == bracket.sign_hi

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    entry_obj,
     rand_word_letters,
     row_obj,
     slope_quotient_oracle,
@@ -408,16 +409,16 @@ class TestZZWitness:
                                                   probes):
         calls = []
 
-        def skewed(z, i):
-            calls.append((i, z.table.get(i, 0)))
+        def skewed(i, k):
+            calls.append((i, k))
             if i == 3:
-                z = ZZAction({3: skew(z.table[3])})
-            return zz_slope_mid(z, i)
+                k = skew(k)
+            return zz_slope_mid(i, k)
 
         monkeypatch.setattr(obstruction, "zz_slope_mid", skewed)
         w = zz_witness(4)
         by_cell = {e.index: e for e in w.entries}
-        rejected = zz_slope_mid(ZZAction({0: rejected_power}), 0)
+        rejected = zz_slope_mid(0, rejected_power)
         assert by_cell[3] == ZZWitnessEntry(3, power, Fraction(16, 51),
                                             rejected)
         assert all(e.power == 4 for i, e in by_cell.items() if i != 3)
@@ -425,8 +426,8 @@ class TestZZWitness:
         assert w.support[3] == power and w.valid
 
     def test_disagreeing_cell_can_exhaust(self, monkeypatch):
-        def flat_on_cell_3(z, i):
-            return Fraction(1) if i == 3 else zz_slope_mid(z, i)
+        def flat_on_cell_3(i, k):
+            return Fraction(1) if i == 3 else zz_slope_mid(i, k)
 
         monkeypatch.setattr(obstruction, "zz_slope_mid", flat_on_cell_3)
         with pytest.raises(SearchExhausted, match="cell 3 "):
@@ -485,10 +486,11 @@ class TestZZWitness:
         assert not broken.valid
 
     def test_to_obj(self):
-        obj = witness_obj(zz_witness(1))
+        w = zz_witness(1)
+        obj = witness_obj(w)
         assert obj["support"] == {"-1": 4, "0": 4, "1": 4}
-        assert obj["entries"][1]["midpoint"] == "7/12"
-        assert obj["entries"][1]["slope"] == "16/51"
+        assert entry_obj(w.entries[1])["midpoint"] == "7/12"
+        assert entry_obj(w.entries[1])["slope"] == "16/51"
         assert obj["valid"] is True
         assert "derivative" in obj["narrative"]
 

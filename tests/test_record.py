@@ -14,7 +14,6 @@ from nonsmooth.cover import (
     TORUS_A,
     CoverBracket,
     CoverPoint,
-    FixedPointCertificate,
     LiftedMap,
     fixed_point_lift,
     lift_through,
@@ -77,8 +76,7 @@ BUILDERS = {
     MoebiusMap: lambda: MoebiusMap(1, 1, 1, 2),
     CoverPoint: lambda: CoverPoint(ProjPoint(1, 3), -2),
     LiftedMap: lambda: lift_through(TORUS_A, 1),
-    CoverBracket: lambda: fixed_point_lift(TORUS_A)[1].brackets[0],
-    FixedPointCertificate: lambda: fixed_point_lift(TORUS_A)[1],
+    CoverBracket: lambda: fixed_point_lift(TORUS_A)[1][0],
     Word: lambda: parse_word("[a,b]^2"),
     MarkedAction: punctured_torus_action,
     CompactifiedLift: lambda: compactified_action(punctured_torus_action()).maps[0],
