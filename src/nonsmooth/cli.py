@@ -158,10 +158,12 @@ def parse_point(text, domain):
                 t_text = t_part[2:].strip()
                 if not sheet_part.strip().startswith("sheet="):
                     raise ValueError("missing sheet field")
-                sheet = int(sheet_part.strip()[6:])
+                sheet = sheet_part.strip()[6:]
+                if not sheet.isascii() or "_" in sheet:
+                    raise ValueError("sheet must be an integer in ASCII digits")
                 base = (ProjPoint.infinity() if t_text == "inf"
                         else ProjPoint.from_affine(parse_rat(t_text)))
-                return CoverPoint(base, sheet)
+                return CoverPoint(base, int(sheet))
             except ValueError as exc:
                 raise UsageError("bad cover point %r: %s" % (text, exc))
         try:
@@ -176,9 +178,14 @@ def parse_point(text, domain):
         raise UsageError("bad rational point %r: %s" % (text, exc))
 
 
+def coordinate(u):
+    """The affine coordinate of u as reports write it: "inf" or a rational."""
+    return "inf" if u.is_infinite else fmt_rat(u.affine())
+
+
 def format_point(p):
     if isinstance(p, CoverPoint):
-        return "t=%s,sheet=%d" % (p.base.coordinate(), p.sheet)
+        return "t=%s,sheet=%d" % (coordinate(p.base), p.sheet)
     return fmt_rat(p)
 
 
@@ -238,7 +245,7 @@ def point_obj(x):
     """A point as the report writes it: a cover point as its coordinate and
     sheet, a rational as its exact string."""
     if isinstance(x, CoverPoint):
-        return {"t": x.base.coordinate(), "sheet": x.sheet}
+        return {"t": coordinate(x.base), "sheet": x.sheet}
     return fmt_rat(x)
 
 
@@ -314,14 +321,14 @@ ENTRY_TEMPLATE = """\
 ITEMS_MARKER = "@items@"
 
 
-def row_lines(rows):
-    """Each domination row through ROW_TEMPLATE."""
-    quoted = {name: json.dumps(name) for name in {r.generator for r in rows}}
+def row_lines(rows, names):
+    """Each domination row through ROW_TEMPLATE, quoting the given names."""
+    quoted = {name: json.dumps(name) for name in names}
     return (ROW_TEMPLATE % (
         "null" if r.bracket_route is None else '"%s"' % r.bracket_route,
-        r.dominator.sheet, r.dominator.base.coordinate(),
+        r.dominator.sheet, coordinate(r.dominator.base),
         quoted[r.generator], r.m,
-        r.moved.sheet, r.moved.base.coordinate(),
+        r.moved.sheet, coordinate(r.moved.base),
         ordering_name(r.ordering), r.sign) for r in rows)
 
 
@@ -387,7 +394,7 @@ def cmd_certify(argv):
         action = {"type": "punctured-torus"}
         size_key, size = "depth", args.depth
         normalization, certificate = cert.normalization, domination_obj(cert)
-        key, lines = "rows", row_lines(cert.rows)
+        key, lines = "rows", row_lines(cert.rows, cert.generators)
     else:
         if args.truncation < 0:
             parser.error("--truncation must be nonnegative")

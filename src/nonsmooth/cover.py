@@ -122,14 +122,10 @@ class LiftedMap(Record):
         return LiftedMap(self.moebius, self.basepoint_image.deck(k))
 
 
-def identity_lift() -> LiftedMap:
-    return LiftedMap(MoebiusMap(1, 0, 0, 1), COVER_BASEPOINT)
-
-
-def lift_through(m: MoebiusMap, sheet: int = 0) -> LiftedMap:
-    """The lift sending the basepoint into the given sheet (a reference lift;
-    all lifts of m are its deck translates)."""
-    return LiftedMap(m, CoverPoint(m.apply(BASEPOINT), sheet))
+def lift_through(m: MoebiusMap) -> LiftedMap:
+    """The lift sending the basepoint into sheet 0 (a reference lift; all
+    lifts of m are its deck translates)."""
+    return LiftedMap(m, CoverPoint(m.apply(BASEPOINT), 0))
 
 
 class CoverBracket(Record):
@@ -165,7 +161,7 @@ def fixed_point_lift(m: MoebiusMap):
     """
     coeffs = fixed_quadratic(m)
     if coeffs == (0, 0, 0):
-        lift = identity_lift()
+        lift = LiftedMap(MoebiusMap(1, 0, 0, 1), COVER_BASEPOINT)
         bracket = CoverBracket(COVER_BASEPOINT, COVER_BASEPOINT, 0, 0)
         return lift, (bracket,)
     roots = bracket_roots(coeffs, max_width=LIFT_BRACKET_WIDTH)

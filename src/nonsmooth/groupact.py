@@ -71,14 +71,6 @@ class Word(Record):
     def __init__(self, letters=()):
         Record.__init__(self, tuple(_reduce(letters)))
 
-    @classmethod
-    def identity(cls):
-        return cls()
-
-    @classmethod
-    def generator(cls, index, exp=1):
-        return cls(((index, exp),))
-
     def __mul__(self, other):
         _check_length(len(self.letters) + len(other.letters))
         return Word(self.letters + other.letters)
@@ -91,9 +83,6 @@ class Word(Record):
             return self.inverse() ** (-n)
         _check_length(len(self.letters) * n)
         return Word(self.letters * n)
-
-    def __len__(self):
-        return len(self.letters)
 
     def exponent_sum(self, index):
         return sum(e for i, e in self.letters if i == index)
@@ -221,7 +210,7 @@ class MarkedAction(Record):
             raise OutOfDomain("a point %s is outside [0,1]" % ("below 0" if x < 0 else "above 1"))
         return x
 
-    def bound_map(self, index, exp=1):
+    def bound_map(self, index, exp):
         return self.maps[index] if exp > 0 else self.inverses[index]
 
     def parse(self, text):

@@ -9,7 +9,7 @@ fixed-point sequence).
 
 from fractions import Fraction
 
-from .cover import COVER_BASEPOINT, cover_cmp, fixed_point_lift
+from .cover import cover_cmp, fixed_point_lift
 from .errors import (
     BracketOutsideWindow,
     DegenerateSequence,
@@ -31,6 +31,8 @@ from .projline import LESS, ordering_name
 from .record import Record
 
 HALF = Fraction(1, 2)
+# Largest power the zz witness tries on one cell before it gives up.
+ZZ_SEARCH_CAP = 64
 
 
 def _cmp_points(domain, x, y):
@@ -76,13 +78,12 @@ class DominationCertificate(Record):
                  "valid", "flags", "structural", "interleaving", "normalization")
 
 
-def certify_interleaving(act, window_base=None):
+def certify_interleaving(act, base):
     """Bracket a fixed point of every generator strictly inside the window
     (base, base+1); deck periodicity then repeats the picture on every sheet.
     """
     if act.domain != COVER_LINE:
         raise Unsupported("interleaving certificates need a cover-line action")
-    base = COVER_BASEPOINT if window_base is None else window_base
     window = (base, base.deck(1))
     entries = []
     for name, bound in zip(act.names, act.maps):
@@ -139,7 +140,7 @@ def certify_domination(act, h, seq, depth):
         deck_jump = (h_img.base == base.base and h_img.sheet > base.sheet)
         if deck_step and deck_jump:
             try:
-                interleaving = certify_interleaving(act, window_base=base)
+                interleaving = certify_interleaving(act, base)
             except BracketOutsideWindow:
                 interleaving = None
             if interleaving is not None:
@@ -219,21 +220,21 @@ class ZZWitness(Record):
                 and all(e.slope < HALF for e in self.entries))
 
 
-def _least_power(i, cap):
-    """Least power n <= cap whose slope at the midpoint of cell i is below
-    one half, as (n, slope, slope at n - 1 or None when n == 1)."""
+def _least_power(i):
+    """Least power n <= ZZ_SEARCH_CAP whose slope at the midpoint of cell i
+    is below one half, as (n, slope, slope at n - 1 or None when n == 1)."""
     rejected = None
-    for n in range(1, cap + 1):
+    for n in range(1, ZZ_SEARCH_CAP + 1):
         slope = zz_slope_mid(i, n)
         if slope < HALF:
             return n, slope, rejected
         rejected = slope
     raise SearchExhausted(
         "no power up to %d brings the midpoint slope of cell %d below 1/2"
-        % (cap, i))
+        % (ZZ_SEARCH_CAP, i))
 
 
-def zz_witness(truncation, cap=64):
+def zz_witness(truncation):
     """Find for each cell the least power whose midpoint slope drops below
     one half, then verify the assembled product fixes all nearby anchors.
 
@@ -244,9 +245,7 @@ def zz_witness(truncation, cap=64):
     """
     if truncation < 0:
         raise ValueError("truncation radius must be nonnegative")
-    if cap < 1:
-        raise ValueError("search cap must be positive")
-    shared = _least_power(0, cap)
+    shared = _least_power(0)
     power = shared[0]
     entries = []
     support = {}
@@ -256,12 +255,12 @@ def zz_witness(truncation, cap=64):
             found = (power, zz_slope_mid(i, power),
                      zz_slope_mid(i, power - 1) if power > 1 else None)
             if found != shared:
-                found = _least_power(i, cap)
+                found = _least_power(i)
         support[i] = found[0]
         entries.append(ZZWitnessEntry(i, *found))
     product = ZZAction(support)
     lo, hi = -truncation - 2, truncation + 2
     anchors_fixed = all(product.apply(anchor(j)) == anchor(j)
                         for j in range(lo, hi + 1))
-    return ZZWitness(truncation, cap, tuple(entries), support, (lo, hi),
-                     anchors_fixed)
+    return ZZWitness(truncation, ZZ_SEARCH_CAP, tuple(entries), support,
+                     (lo, hi), anchors_fixed)

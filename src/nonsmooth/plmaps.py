@@ -115,10 +115,6 @@ class PLMap(Record):
         kept.append(pts[-1])
         Record.__init__(self, tuple(kept))
 
-    @classmethod
-    def identity(cls):
-        return cls([(0, 0), (1, 1)])
-
     def _xs(self):
         return [p[0] for p in self.breakpoints]
 
@@ -224,10 +220,6 @@ class IntervalMapExpr(Record):
             else:
                 raise Unsupported("cannot compose %r" % (f,))
         Record.__init__(self, tuple(flat))
-
-    @classmethod
-    def identity(cls):
-        return cls()
 
     def apply(self, x):
         y = Fraction(x)

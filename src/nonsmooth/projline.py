@@ -18,7 +18,6 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DegenerateQuadratic
-from .rational import fmt_rat
 from .record import Record
 
 LESS, EQUAL, GREATER = -1, 0, 1
@@ -66,10 +65,6 @@ class ProjPoint(Record):
         if self.is_infinite:
             raise ValueError("the point at infinity has no affine coordinate")
         return Fraction(self.num, self.den)
-
-    def coordinate(self) -> str:
-        """The affine coordinate as reports write it: "inf" or a rational."""
-        return "inf" if self.is_infinite else fmt_rat(self.affine())
 
 
 BASEPOINT = ProjPoint(0, 1)

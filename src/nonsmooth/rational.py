@@ -11,7 +11,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-_RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# ASCII digits only: \d and Fraction would also read other scripts' digits
+_RAT_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
 
 def parse_rat(text: str) -> Fraction:

@@ -63,14 +63,8 @@ def parabolic_germ() -> MoebiusGermMap:
     return MoebiusGermMap(1, 0, 1, 1)
 
 
-def halving_germ() -> MoebiusGermMap:
-    """x -> x/2: hyperbolic contraction at 0."""
-    return MoebiusGermMap(1, 0, 0, 2)
-
-
-def germ_action(germ=None) -> MarkedAction:
-    return MarkedAction(("a",), (parabolic_germ() if germ is None else germ,),
-                        UNIT_INTERVAL)
+def germ_action() -> MarkedAction:
+    return MarkedAction(("a",), (parabolic_germ(),), UNIT_INTERVAL)
 
 
 class Window(Record):

@@ -70,7 +70,7 @@ def rand_torus_word_matrix(rng, length=5):
 
 def rand_lift(rng):
     # an arbitrary lift (any deck power) of a random word in the two generators
-    return lift_through(rand_torus_word_matrix(rng), rng.randint(-2, 2))
+    return lift_through(rand_torus_word_matrix(rng)).deck(rng.randint(-2, 2))
 
 
 def rand_interior(rng, den=720):

@@ -149,7 +149,7 @@ def test_c4_domination_certificate():
 
 
 def test_c5_zz_witness():
-    w = zz_witness(16, cap=64)
+    w = zz_witness(16)
     ok = w.valid and w.anchors_checked == (-18, 18)
     ok = ok and len(w.entries) == 33
     ok = ok and all(e.slope < HALF for e in w.entries)

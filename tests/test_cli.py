@@ -205,7 +205,7 @@ class TestCertify:
 
 def rendered(report, rows):
     fh = io.StringIO()
-    render_report(report, fh, "rows", cli.row_lines(rows))
+    render_report(report, fh, "rows", cli.row_lines(rows, ROW_NAMES))
     return fh.getvalue()
 
 
@@ -213,6 +213,10 @@ def dumped(report, rows):
     certificate = dict(report["certificate"], rows=[row_obj(r) for r in rows])
     return json.dumps(dict(report, certificate=certificate),
                       indent=2, sort_keys=True) + "\n"
+
+
+# the generator names random rows draw from; certified rows use the first two
+ROW_NAMES = ("a", "b", "g\u00e9n")
 
 
 def torus_report(cert):
@@ -235,12 +239,19 @@ class TestRenderReport:
     def rand_row(self, rng):
         return DominationRow(
             rng.choice((0, 7, 12345, rng.randint(0, 10 ** 9))),
-            rng.choice(("a", "b", "g\u00e9n")),
+            rng.choice(ROW_NAMES),
             rng.choice((1, -1)),
             rand_cover(rng, lim=10 ** rng.randint(1, 6), sheets=1000),
             CoverPoint(rand_proj(rng, p_inf=0.3), rng.randint(-5, 5)),
             rng.choice((LESS, EQUAL, GREATER)),
             rng.choice((None, "Less", "Equal", "Greater")))
+
+    def test_row_lines_reads_rows_once(self):
+        # the names come from the caller, so a one-shot iterator of rows
+        # renders the same lines as the tuple
+        rows = self.rand_rows(5)
+        assert list(cli.row_lines(iter(rows), ROW_NAMES)) == list(
+            cli.row_lines(rows, ROW_NAMES))
 
     @pytest.mark.parametrize("count", [0, 1, 5, 1023, 1024, 1025, 2051])
     def test_random_rows_match_json_dumps(self, count):
@@ -256,7 +267,7 @@ class TestRenderReport:
         assert any(p.base.is_infinite for p in points)
         assert any(p.sheet < 0 for p in points)
         assert any(p.sheet == 0 for p in points)
-        coords = [p.base.coordinate() for p in points]
+        coords = [cli.coordinate(p.base) for p in points]
         assert any(c.startswith("-") and "/" in c for c in coords)
         assert {r.bracket_route for r in rows} == {None, "Less", "Equal",
                                                    "Greater"}
@@ -631,6 +642,11 @@ def test_action_defaults(capsys):
      "--count", "1"),
     ("orbit", "--action", '{"type":"model-translation","power":"3"}',
      "--count", "1"),
+    # literals are ASCII digits only
+    ("orbit", "--action", "zz", "--point", "\u0661/\u0663", "--count", "0"),
+    ("renorm", "--radius", "\u0662"),
+    ("orbit", "--point", "t=0,sheet=\u0661", "--count", "0"),
+    ("orbit", "--point", "t=0,sheet=1_0", "--count", "0"),
 ])
 def test_bad_input_exits_two_without_traceback(capsys, argv):
     code, _, err = run(capsys, *argv)

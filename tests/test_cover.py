@@ -17,13 +17,14 @@ from nonsmooth.cover import (
     cover_cmp,
     displacement_growth_check,
     fixed_point_lift,
-    identity_lift,
     lift_through,
     line_point,
     uncompactify,
 )
 from nonsmooth.errors import NoRealFixedPoint, OutOfDomain
 from nonsmooth.projline import EQUAL, GREATER, LESS, MoebiusMap, ProjPoint
+
+IDENTITY_LIFT = LiftedMap(MoebiusMap(1, 0, 0, 1), COVER_BASEPOINT)
 
 
 def cp(t, sheet=0):
@@ -102,7 +103,7 @@ class TestCoverOrder:
 
 class TestLiftedMaps:
     def test_identity_lift(self):
-        ident = identity_lift()
+        ident = IDENTITY_LIFT
         assert ident.apply(COVER_BASEPOINT) == COVER_BASEPOINT
         rng = random.Random(202)
         for _ in range(50):
@@ -168,8 +169,8 @@ class TestLiftedMaps:
         rng = random.Random(207)
         for _ in range(200):
             m, n = rand_torus_word_matrix(rng), rand_torus_word_matrix(rng)
-            f = lift_through(m, rng.randint(-2, 2))
-            g = lift_through(n, rng.randint(-2, 2))
+            f = lift_through(m).deck(rng.randint(-2, 2))
+            g = lift_through(n).deck(rng.randint(-2, 2))
             h = f.compose(g)
             assert h.moebius == m.compose(n)
             # same projective base means the two lifts differ by a deck power
@@ -178,7 +179,7 @@ class TestLiftedMaps:
 
     def test_rejects_non_cover_input(self):
         with pytest.raises(OutOfDomain):
-            identity_lift().apply(Fraction(1, 2))
+            IDENTITY_LIFT.apply(Fraction(1, 2))
 
 
 class TestCommutator:
@@ -227,7 +228,7 @@ class TestCommutator:
         for _ in range(100):
             x = rand_cover(rng)
             assert displacement_growth_check(k, x, 1)
-        assert not displacement_growth_check(identity_lift(), cp(0, 0), 2)
+        assert not displacement_growth_check(IDENTITY_LIFT, cp(0, 0), 2)
         with pytest.raises(ValueError):
             displacement_growth_check(k, cp(0, 0), 0)
 
@@ -243,7 +244,7 @@ class TestFixedPointLiftEdgeCases:
 
     def test_identity_matrix(self):
         lift, brackets = fixed_point_lift(MoebiusMap(1, 0, 0, 1))
-        assert lift == identity_lift()
+        assert lift == IDENTITY_LIFT
         assert brackets[0].degenerate
 
     def test_hyperbolic_with_rational_fixed_point(self):

@@ -3,7 +3,8 @@ imports a name it never uses, the package root defines no names, only cli
 knows the report format, only Record writes a repr, one function of cli
 decides what each action spec means, and no module function reads a private
 field.
-The renorm signatures are pinned against knobs that were folded away."""
+The signatures are pinned against knobs that were folded away, and the
+constructors only tests called stay gone."""
 
 import ast
 import inspect
@@ -12,7 +13,7 @@ import os
 import pytest
 
 import nonsmooth
-from nonsmooth import renorm
+from nonsmooth import cover, groupact, obstruction, plmaps, projline, renorm
 
 PACKAGE = os.path.dirname(nonsmooth.__file__)
 MODULES = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))
@@ -44,6 +45,20 @@ def exported_names(tree):
 
 def used_names(tree):
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def imported_modules(tree):
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.add(node.module.split(".")[0])
+    return modules
+
+
+def params(f):
+    return list(inspect.signature(f).parameters)
 
 
 @pytest.mark.parametrize("filename", MODULES)
@@ -84,14 +99,15 @@ def test_only_record_writes_a_repr(filename):
 
 @pytest.mark.parametrize("filename", [f for f in MODULES if f != "cli.py"])
 def test_only_cli_imports_json(filename):
-    tree = parse(filename)
-    modules = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            modules.update(a.name.split(".")[0] for a in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            modules.add(node.module.split(".")[0])
+    modules = imported_modules(parse(filename))
     assert "json" not in modules, "%s imports json" % filename
+
+
+@pytest.mark.parametrize("filename", [f for f in MODULES if f != "cli.py"])
+def test_only_cli_imports_rational(filename):
+    # the report format, fmt_rat included, lives in cli
+    modules = imported_modules(parse(filename))
+    assert "rational" not in modules, "%s imports rational" % filename
 
 
 def test_only_parse_action_spec_builds_named_actions():
@@ -121,10 +137,36 @@ def test_module_functions_read_no_private_attribute(filename):
 
 
 def test_renorm_has_one_grid_and_one_enlargement():
-    def params(f):
-        return list(inspect.signature(f).parameters)
-
     assert params(renorm.build_windows) == ["act", "p_seq"]
     assert params(renorm.generator_deviation) == ["rs", "name", "radius"]
     assert params(renorm.translation_deviation) == ["rs", "radius"]
     assert not hasattr(renorm, "rescale")
+
+
+@pytest.mark.parametrize("f, names", [
+    (obstruction.zz_witness, ["truncation"]),
+    (renorm.germ_action, []),
+    (cover.lift_through, ["m"]),
+    (obstruction.certify_interleaving, ["act", "base"]),
+    (groupact.MarkedAction.bound_map, ["self", "index", "exp"]),
+], ids=("zz_witness", "germ_action", "lift_through", "certify_interleaving",
+        "bound_map"))
+def test_one_value_settings_are_folded(f, names):
+    # a setting only one value reaches is a constant, not a parameter
+    assert params(f) == names
+    assert all(p.default is inspect.Parameter.empty
+               for p in inspect.signature(f).parameters.values())
+
+
+@pytest.mark.parametrize("owner, name", [
+    (groupact.Word, "identity"),
+    (groupact.Word, "generator"),
+    (groupact.Word, "__len__"),
+    (plmaps.PLMap, "identity"),
+    (plmaps.IntervalMapExpr, "identity"),
+    (cover, "identity_lift"),
+    (renorm, "halving_germ"),
+    (projline.ProjPoint, "coordinate"),
+], ids=lambda v: v if isinstance(v, str) else v.__name__)
+def test_test_only_constructors_are_gone(owner, name):
+    assert not hasattr(owner, name)

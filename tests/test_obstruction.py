@@ -61,8 +61,8 @@ from nonsmooth.plmaps import (
 from nonsmooth.projline import EQUAL, GREATER, LESS
 
 PT = COVER_BASEPOINT
-A = Word.generator(0)
-B = Word.generator(1)
+A = Word(((0, 1),))
+B = Word(((1, 1),))
 K = parse_word("[a,b]")
 
 
@@ -106,7 +106,7 @@ class TestOrderCmp:
 
     def test_stabilizer_gives_equal(self):
         # the base cell shift fixes everything outside (1/2, 2/3)
-        r = order_cmp(zz_letter_action(), B, Word.identity(), Fraction(1, 4))
+        r = order_cmp(zz_letter_action(), B, Word(), Fraction(1, 4))
         assert r.ordering == EQUAL
 
     def test_left_multiplication_invariance(self):
@@ -130,7 +130,7 @@ class TestOrderCmp:
 
 class TestCommutatorClass:
     def test_trivial_classes(self):
-        assert is_commutator_class_trivial(Word.identity())
+        assert is_commutator_class_trivial(Word())
         assert is_commutator_class_trivial(K)
         assert is_commutator_class_trivial(K * K)
         assert is_commutator_class_trivial(parse_word("aabAAB"))
@@ -151,7 +151,7 @@ class TestCommutatorClass:
 
 class TestInterleaving:
     def test_frozen_certificate(self):
-        cert = certify_interleaving(punctured_torus_action())
+        cert = certify_interleaving(punctured_torus_action(), PT)
         assert cert.window == (PT, PT.deck(1))
         (na, ba, ka), (nb, bb, kb) = cert.entries
         assert (na, nb) == ("a", "b")
@@ -165,7 +165,7 @@ class TestInterleaving:
         # the bracket for a sits strictly inside the unit-width sign change
         # bracket (t=1/2, t=1) on sheet zero
         act = punctured_torus_action()
-        cert = certify_interleaving(act)
+        cert = certify_interleaving(act, PT)
         _, ba, _ = cert.entries[0]
         coarse_lo, coarse_hi = cp(Fraction(1, 2), 0), cp(1, 0)
         assert cover_cmp(coarse_lo, ba.lo) == LESS
@@ -175,15 +175,15 @@ class TestInterleaving:
         assert cover_cmp(a.apply(coarse_hi), coarse_hi) == LESS
 
     def test_brackets_alternate_inside_window(self):
-        cert = certify_interleaving(punctured_torus_action())
+        cert = certify_interleaving(punctured_torus_action(), PT)
         _, ba, _ = cert.entries[0]
         _, bb, _ = cert.entries[1]
         assert cover_cmp(ba.hi, bb.lo) == LESS
 
     def test_shifted_window(self):
         act = punctured_torus_action()
-        base_cert = certify_interleaving(act)
-        cert = certify_interleaving(act, window_base=PT.deck(3))
+        base_cert = certify_interleaving(act, PT)
+        cert = certify_interleaving(act, PT.deck(3))
         assert cert.window == (PT.deck(3), PT.deck(4))
         for (name, bracket, shift), (_, base_bracket, _) in zip(
                 cert.entries, base_cert.entries):
@@ -194,21 +194,21 @@ class TestInterleaving:
     def test_window_beyond_scan_range(self):
         act = punctured_torus_action()
         with pytest.raises(BracketOutsideWindow):
-            certify_interleaving(act, window_base=PT.deck(10))
+            certify_interleaving(act, PT.deck(10))
 
     def test_deck_shifted_binding_is_rejected(self):
         act = punctured_torus_action()
         shifted = MarkedAction(("a", "b"),
                                (act.maps[0].deck(1), act.maps[1]), COVER_LINE)
         with pytest.raises(BracketOutsideWindow):
-            certify_interleaving(shifted)
+            certify_interleaving(shifted, PT)
 
     def test_interval_action_unsupported(self):
         with pytest.raises(Unsupported):
-            certify_interleaving(zz_letter_action())
+            certify_interleaving(zz_letter_action(), PT)
 
     def test_to_obj(self):
-        obj = interleaving_obj(certify_interleaving(punctured_torus_action()))
+        obj = interleaving_obj(certify_interleaving(punctured_torus_action(), PT))
         assert obj["window"] == [{"t": "0", "sheet": 0}, {"t": "0", "sheet": 1}]
         assert obj["brackets"][0] == {
             "generator": "a",
@@ -279,7 +279,7 @@ class TestDomination:
 
     def test_identity_dominator_is_invalid(self):
         act = punctured_torus_action()
-        cert = certify_domination(act, Word.identity(), (PT, K), 2)
+        cert = certify_domination(act, Word(), (PT, K), 2)
         assert not cert.valid
         assert not cert.structural
         assert cert.flags == ()
@@ -292,7 +292,7 @@ class TestDomination:
     def test_fixed_base_rejected(self):
         act = punctured_torus_action()
         with pytest.raises(DegenerateSequence):
-            certify_domination(act, K * K, (PT, Word.identity()), 2)
+            certify_domination(act, K * K, (PT, Word()), 2)
 
     def test_negative_depth_rejected(self):
         act = punctured_torus_action()
@@ -389,8 +389,9 @@ def per_cell_search(truncation, cap):
 
 class TestZZWitness:
     @pytest.mark.parametrize("truncation, cap", [(16, 64), (4, 4)])
-    def test_matches_per_cell_search(self, truncation, cap):
-        w = zz_witness(truncation, cap=cap)
+    def test_matches_per_cell_search(self, monkeypatch, truncation, cap):
+        monkeypatch.setattr(obstruction, "ZZ_SEARCH_CAP", cap)
+        w = zz_witness(truncation)
         want = per_cell_search(truncation, cap)
         assert len(w.entries) == len(want)
         for got, ref in zip(w.entries, want):
@@ -452,16 +453,16 @@ class TestZZWitness:
         assert w.anchors_checked == (-2, 2)
         assert w.valid
 
-    def test_low_cap_exhausts(self):
+    def test_low_cap_exhausts(self, monkeypatch):
+        monkeypatch.setattr(obstruction, "ZZ_SEARCH_CAP", 3)
         with pytest.raises(SearchExhausted):
-            zz_witness(2, cap=3)
-        assert zz_witness(2, cap=4).valid
+            zz_witness(2)
+        monkeypatch.setattr(obstruction, "ZZ_SEARCH_CAP", 4)
+        assert zz_witness(2).valid
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             zz_witness(-1)
-        with pytest.raises(ValueError):
-            zz_witness(1, cap=0)
 
     def test_slopes_match_difference_quotients(self):
         w = zz_witness(3)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from helpers import rand_proj, rand_sl2
 
+from nonsmooth.cli import coordinate
 from nonsmooth.errors import DegenerateQuadratic
 from nonsmooth.projline import (
     EQUAL,
@@ -55,7 +56,7 @@ class TestProjPoint:
 
     def test_serialization(self):
         p = ProjPoint.from_affine(Fraction(-3, 5))
-        assert p.coordinate() == "-3/5"
+        assert coordinate(p) == "-3/5"
 
 
 class TestMoebius:

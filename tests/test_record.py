@@ -75,7 +75,7 @@ BUILDERS = {
     ProjPoint: lambda: ProjPoint(2, -4),
     MoebiusMap: lambda: MoebiusMap(1, 1, 1, 2),
     CoverPoint: lambda: CoverPoint(ProjPoint(1, 3), -2),
-    LiftedMap: lambda: lift_through(TORUS_A, 1),
+    LiftedMap: lambda: lift_through(TORUS_A).deck(1),
     CoverBracket: lambda: fixed_point_lift(TORUS_A)[1][0],
     Word: lambda: parse_word("[a,b]^2"),
     MarkedAction: punctured_torus_action,
@@ -84,7 +84,8 @@ BUILDERS = {
     OrderResult: lambda: order_cmp(punctured_torus_action(), parse_word("a"),
                                    parse_word("b"), COVER_BASEPOINT),
     DominationRow: lambda: domination().rows[0],
-    InterleavingCertificate: lambda: certify_interleaving(punctured_torus_action()),
+    InterleavingCertificate: lambda: certify_interleaving(
+        punctured_torus_action(), COVER_BASEPOINT),
     DominationCertificate: domination,
     SlopeCharacter: lambda: slope_character(
         MarkedAction(("s",), (cell_shift(0, 1),), UNIT_INTERVAL), Fraction(1, 2)),

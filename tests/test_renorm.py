@@ -48,7 +48,6 @@ from nonsmooth.renorm import (
     fixed_point_in_window,
     generator_deviation,
     germ_action,
-    halving_germ,
     hull_displacement,
     parabolic_germ,
     translation_deviation,
@@ -59,6 +58,11 @@ def torus_windows(ns, grid=64):
     act = compactified_action(punctured_torus_action())
     pts = [compactify(COVER_BASEPOINT.deck(n)) for n in ns]
     return act, [RescaledSystem(w, act, grid) for w in build_windows(act, pts)]
+
+
+def halving_action():
+    """x -> x/2, a hyperbolic contraction at 0, as the letter a."""
+    return MarkedAction(("a",), (MoebiusGermMap(1, 0, 0, 2),), UNIT_INTERVAL)
 
 
 def parabolic_system(i, grid=64):
@@ -77,11 +81,12 @@ class TestGermMaps:
         g = parabolic_germ()
         assert g.apply(Fraction(1, 2)) == Fraction(1, 3)
         assert g.apply(1) == Fraction(1, 2)
-        assert halving_germ().apply(Fraction(1, 2)) == Fraction(1, 4)
+        assert MoebiusGermMap(1, 0, 0, 2).apply(Fraction(1, 2)) == Fraction(1, 4)
 
     def test_inverse_roundtrip(self):
         rng = random.Random(70)
-        for g in (parabolic_germ(), halving_germ(), MoebiusGermMap(3, 1, 1, 2)):
+        for g in (parabolic_germ(), MoebiusGermMap(1, 0, 0, 2),
+                  MoebiusGermMap(3, 1, 1, 2)):
             inv = g.inverse()
             for _ in range(200):
                 x = rand_interior(rng)
@@ -100,8 +105,8 @@ class TestGermMaps:
             MoebiusGermMap(1, 2, 2, 4)
 
     def test_projective_equality(self):
-        assert MoebiusGermMap(2, 0, 0, 4) == halving_germ()
-        assert parabolic_germ() != halving_germ()
+        assert MoebiusGermMap(2, 0, 0, 4) == MoebiusGermMap(1, 0, 0, 2)
+        assert parabolic_germ() != MoebiusGermMap(1, 0, 0, 2)
 
     def test_equal_germs_hash_equal(self):
         scalings = {MoebiusGermMap(1, 0, 1, 1), MoebiusGermMap(2, 0, 2, 2),
@@ -131,7 +136,7 @@ class TestBuildWindows:
         assert w.unit == Fraction(1, 14)
 
     def test_clamped_to_unit_interval(self):
-        act = germ_action(halving_germ())
+        act = halving_action()
         w = build_windows(act, [Fraction(1, 1024)])[0]
         assert w.enlarged == (0, Fraction(1, 1024))
 
@@ -188,7 +193,7 @@ class TestRescale:
             assert max(abs(rs.displacement_at_0(n)) for n in rs.names) == 1
 
     def test_halving_domain(self):
-        act = germ_action(halving_germ())
+        act = halving_action()
         w = build_windows(act, [Fraction(1, 64)])[0]
         rs = RescaledSystem(w, act, 64)
         assert rs.domain == (-2, 0)
@@ -409,7 +414,7 @@ class TestTranslationDeviation:
         assert all(a >= b for a, b in zip(devs, devs[1:]))
 
     def test_halving_deviation_is_half_radius(self):
-        act = germ_action(halving_germ())
+        act = halving_action()
         w = build_windows(act, [Fraction(1, 512)])[0]
         rs = RescaledSystem(w, act, 64)
         assert translation_deviation(rs, 1) == Fraction(1, 2)
@@ -435,7 +440,8 @@ class TestTranslationDeviation:
             translation_deviation(parabolic_system(10, 1), 2)
 
     def test_max_over_generators(self):
-        act = MarkedAction(("a", "b"), (parabolic_germ(), halving_germ()),
+        act = MarkedAction(("a", "b"),
+                           (parabolic_germ(), MoebiusGermMap(1, 0, 0, 2)),
                            UNIT_INTERVAL)
         rs = RescaledSystem(build_windows(act, [Fraction(1, 30)])[0], act, 32)
         assert translation_deviation(rs, 1) == max(
@@ -451,7 +457,7 @@ class TestFixedPointPersistence:
     def test_halving_keeps_its_fixed_point(self):
         # the contraction's fixed point sits exactly two units below the
         # marked point in every window
-        act = germ_action(halving_germ())
+        act = halving_action()
         rs = RescaledSystem(build_windows(act, [Fraction(1, 256)])[0], act, 64)
         assert fixed_point_in_window(rs) == {"a": (-2, -2)}
 
@@ -491,5 +497,5 @@ class TestHullDisplacement:
 
     def test_single_generator_moves_one_hull(self):
         rs = parabolic_system(9)
-        assert hull_displacement(rs, Word.generator(0)) == 1
-        assert hull_displacement(rs, Word.identity()) == 0
+        assert hull_displacement(rs, Word(((0, 1),))) == 1
+        assert hull_displacement(rs, Word()) == 0
