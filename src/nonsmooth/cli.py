@@ -34,7 +34,7 @@ from .groupact import (
     punctured_torus_action,
     zz_letter_action,
 )
-from .obstruction import certify_domination, order_cmp, zz_witness
+from .obstruction import DeckRows, certify_domination, order_cmp, zz_witness
 from .plmaps import ModelTranslation, PLMap, cell_midpoint
 from .projline import ProjPoint, ordering_name
 from .rational import fmt_rat, parse_rat, rat_to_decimal
@@ -324,12 +324,31 @@ ITEMS_MARKER = "@items@"
 def row_lines(rows, names):
     """Each domination row through ROW_TEMPLATE, quoting the given names."""
     quoted = {name: json.dumps(name) for name in names}
-    return (ROW_TEMPLATE % (
-        "null" if r.bracket_route is None else '"%s"' % r.bracket_route,
-        r.dominator.sheet, coordinate(r.dominator.base),
-        quoted[r.generator], r.m,
-        r.moved.sheet, coordinate(r.moved.base),
-        ordering_name(r.ordering), r.sign) for r in rows)
+    if isinstance(rows, DeckRows):
+        return deck_row_lines(rows, quoted)
+    return (ROW_TEMPLATE % row_fields(r, quoted) for r in rows)
+
+
+def row_fields(r, quoted):
+    """The ROW_TEMPLATE values of one row."""
+    return ("null" if r.bracket_route is None else '"%s"' % r.bracket_route,
+            r.dominator.sheet, coordinate(r.dominator.base),
+            quoted[r.generator], r.m,
+            r.moved.sheet, coordinate(r.moved.base),
+            ordering_name(r.ordering), r.sign)
+
+
+def deck_row_lines(rows, quoted):
+    """The rows of a DeckRows from its step-0 rows, each point formatted
+    once: row j of step m is row j of step 0 with m and both sheets
+    shifted by m."""
+    period = [row_fields(r, quoted) for r in rows.period]
+    carries = rows.carries_routes
+    for m in range(rows.depth + 1):
+        for route, dsheet, dt, name, _, msheet, mt, ordering, sign in period:
+            yield ROW_TEMPLATE % (route if m == 0 or carries else "null",
+                                  dsheet + m, dt, name, m, msheet + m, mt,
+                                  ordering, sign)
 
 
 def entry_lines(entries):

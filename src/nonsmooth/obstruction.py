@@ -73,6 +73,42 @@ class InterleavingCertificate(Record):
     __slots__ = ("window", "entries")
 
 
+class DeckRows(Record):
+    """The rows of a domination table whose advancing word moves the base
+    one sheet up: row j of step m is row j of step 0 (``period``) with its
+    moved and dominating points moved up m sheets.  Each row is built when
+    it is asked for, so the table is never held whole.
+    """
+
+    __slots__ = ("period", "depth")
+
+    @property
+    def carries_routes(self):
+        """Whether steps m >= 1 repeat step 0's bracket routes.  The table
+        stops routing at its first miss, so they repeat only when every
+        step-0 route is Less; otherwise every later route is None."""
+        return all(r.bracket_route == ordering_name(LESS) for r in self.period)
+
+    def __len__(self):
+        return len(self.period) * (self.depth + 1)
+
+    def __iter__(self):
+        return map(self._row, range(len(self)))
+
+    def __getitem__(self, index):
+        picked = range(len(self))[index]
+        if isinstance(picked, range):
+            return tuple(map(self._row, picked))
+        return self._row(picked)
+
+    def _row(self, i):
+        m, j = divmod(i, len(self.period))
+        r = self.period[j]
+        route = r.bracket_route if m == 0 or self.carries_routes else None
+        return DominationRow(m, r.generator, r.sign, r.moved.deck(m),
+                             r.dominator.deck(m), r.ordering, route)
+
+
 class DominationCertificate(Record):
     __slots__ = ("h", "generators", "base", "advancing", "depth", "rows",
                  "valid", "flags", "structural", "interleaving", "normalization")
@@ -119,7 +155,11 @@ def certify_interleaving(act, base):
 def certify_domination(act, h, seq, depth):
     """Comparison table certifying h strictly dominates every generator and
     inverse along the advancing sequence, plus the structural extension when
-    the bracket route applies."""
+    the bracket route applies.
+
+    When the advancing word moves the base one sheet up on the cover line,
+    only step 0 is evaluated and the rows are a DeckRows; otherwise every
+    step is evaluated and the rows are a tuple."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if not is_commutator_class_trivial(h):
@@ -134,11 +174,17 @@ def certify_domination(act, h, seq, depth):
     structural = False
     interleaving = None
     brackets = {}
-    if act.domain == COVER_LINE:
+    # The lifts commute with the deck map (LiftedMap.apply adds x.sheet to
+    # the image's sheet), so a one-sheet advancing step gives
+    # p_m = base.deck(m), and every point of step m is its step-0 point
+    # moved up m sheets.  cover_cmp compares sheets first and then the
+    # bases, so cover_cmp(x.deck(m), y.deck(m)) == cover_cmp(x, y): each
+    # ordering and bracket route of step m is that of step 0, and step 0
+    # alone decides `valid` and the structural route.
+    deck_step = act.domain == COVER_LINE and adv_img == base.deck(1)
+    if deck_step:
         h_img = word_eval(act, h, base)
-        deck_step = (adv_img == base.deck(1))
-        deck_jump = (h_img.base == base.base and h_img.sheet > base.sheet)
-        if deck_step and deck_jump:
+        if h_img.base == base.base and h_img.sheet > base.sheet:
             try:
                 interleaving = certify_interleaving(act, base)
             except BracketOutsideWindow:
@@ -150,7 +196,8 @@ def certify_domination(act, h, seq, depth):
 
     rows = []
     valid = True
-    for m, p_m in enumerate(orbit_sequence(act, advancing, base, depth)):
+    steps = 0 if deck_step else depth
+    for m, p_m in enumerate(orbit_sequence(act, advancing, base, steps)):
         dominator = word_eval(act, h, p_m)
         for idx, name in enumerate(act.names):
             for sign in (1, -1):
@@ -160,7 +207,8 @@ def certify_domination(act, h, seq, depth):
                     valid = False
                 route = None
                 if structural:
-                    route_ordering = cover_cmp(moved, brackets[name].hi.deck(m))
+                    # only a deck step routes, and it evaluates step 0 alone
+                    route_ordering = cover_cmp(moved, brackets[name].hi)
                     route = ordering_name(route_ordering)
                     if route_ordering != LESS:
                         # the two routes must agree; a miss voids the extension
@@ -174,8 +222,9 @@ def certify_domination(act, h, seq, depth):
         flags.append("ShallowDepth")
     if structural:
         flags.append("StructurallyExtended")
+    rows = DeckRows(tuple(rows), depth) if deck_step else tuple(rows)
     return DominationCertificate(
-        h, act.names, base, advancing, depth, tuple(rows), valid, tuple(flags),
+        h, act.names, base, advancing, depth, rows, valid, tuple(flags),
         structural, interleaving, dict(act.meta))
 
 

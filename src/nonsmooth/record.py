@@ -4,11 +4,13 @@ A subclass lists its fields in ``__slots__``.  A subclass that normalizes or
 validates its arguments keeps its own ``__init__`` and ends it with
 ``Record.__init__(self, *fields)``; a check that needs the subclass's own
 methods runs after that call, once the fields are set.  ``ProjPoint`` and
-``CoverPoint``, the most built records (32,119 and 40,123 in a depth-2000
-``certify punctured-torus``), set theirs with ``object.__setattr__``:
-through ``Record.__init__`` one took 1.40 us, not 0.85, and the other
-1.48 us, not 0.79 (timeit, Python 3.11.7, Intel Xeon).  A pure record has
-no ``__init__`` at all.  Every record's repr comes from its slots.
+``CoverPoint``, the most built records (18,993 and 18,983 in a ``renorm
+--action punctured-torus --windows 32 --grid 64 --start 1/2``; a
+``certify punctured-torus`` builds 119 and 123 at any depth),
+set theirs with ``object.__setattr__``: through ``Record.__init__`` one
+took 0.90 us, not 0.54, and the other 0.89 us, not 0.48 (timeit, Python
+3.11.7, Intel Xeon).  A pure record has no ``__init__`` at all.  Every
+record's repr comes from its slots.
 """
 
 

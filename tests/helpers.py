@@ -4,14 +4,32 @@ oracles only the tests use."""
 from fractions import Fraction
 
 from nonsmooth.cli import point_obj
-from nonsmooth.cover import TORUS_A, TORUS_B, CoverPoint, lift_through
-from nonsmooth.errors import BadInterval, Degenerate, EmptyGridDomain, WordSyntaxError
+from nonsmooth.cover import TORUS_A, TORUS_B, CoverPoint, cover_cmp, lift_through
+from nonsmooth.errors import (
+    BadInterval,
+    BracketOutsideWindow,
+    Degenerate,
+    DegenerateSequence,
+    EmptyGridDomain,
+    NotCommutatorClass,
+    WordSyntaxError,
+)
 from nonsmooth.groupact import (
+    COVER_LINE,
     DEFAULT_NAMES,
     _check_length,
     _reduce,
     _reduced_word,
     commutator,
+    orbit_sequence,
+    word_eval,
+)
+from nonsmooth.obstruction import (
+    DominationCertificate,
+    DominationRow,
+    _cmp_points,
+    certify_interleaving,
+    is_commutator_class_trivial,
 )
 from nonsmooth.plmaps import (
     LEFT,
@@ -25,7 +43,7 @@ from nonsmooth.plmaps import (
     cell_shift,
     chart_shift,
 )
-from nonsmooth.projline import MoebiusMap, ProjPoint, ordering_name
+from nonsmooth.projline import LESS, MoebiusMap, ProjPoint, ordering_name
 from nonsmooth.rational import fmt_rat
 from nonsmooth.record import Record
 from nonsmooth.renorm import BISECTION_STEPS
@@ -289,6 +307,73 @@ def row_obj(row):
             "dominator": point_obj(row.dominator),
             "ordering": ordering_name(row.ordering),
             "bracket_route": row.bracket_route}
+
+
+def certify_domination_oracle(act, h, seq, depth):
+    """obstruction.certify_domination as a loop over every row: each word is
+    evaluated at every step, and the rows are a tuple.  The certificate must
+    agree with it wherever it derives the rows from step 0.
+
+    Comparison table certifying h strictly dominates every generator and
+    inverse along the advancing sequence, plus the structural extension when
+    the bracket route applies."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    if not is_commutator_class_trivial(h):
+        raise NotCommutatorClass(
+            "dominating word has nonzero exponent sum: %r" % (h,))
+    base, advancing = seq
+    base = act.check_point(base)
+    adv_img = word_eval(act, advancing, base)
+    if adv_img == base:
+        raise DegenerateSequence("advancing word fixes the base point")
+
+    structural = False
+    interleaving = None
+    brackets = {}
+    if act.domain == COVER_LINE:
+        h_img = word_eval(act, h, base)
+        deck_step = (adv_img == base.deck(1))
+        deck_jump = (h_img.base == base.base and h_img.sheet > base.sheet)
+        if deck_step and deck_jump:
+            try:
+                interleaving = certify_interleaving(act, base)
+            except BracketOutsideWindow:
+                interleaving = None
+            if interleaving is not None:
+                structural = True
+                brackets = {name: bracket
+                            for name, bracket, _ in interleaving.entries}
+
+    rows = []
+    valid = True
+    for m, p_m in enumerate(orbit_sequence(act, advancing, base, depth)):
+        dominator = word_eval(act, h, p_m)
+        for idx, name in enumerate(act.names):
+            for sign in (1, -1):
+                moved = act.bound_map(idx, sign).apply(p_m)
+                ordering = _cmp_points(act.domain, moved, dominator)
+                if ordering != LESS:
+                    valid = False
+                route = None
+                if structural:
+                    route_ordering = cover_cmp(moved, brackets[name].hi.deck(m))
+                    route = ordering_name(route_ordering)
+                    if route_ordering != LESS:
+                        # the two routes must agree; a miss voids the extension
+                        structural = False
+                rows.append(DominationRow(m, name, sign, moved, dominator,
+                                          ordering, route))
+
+    structural = structural and valid
+    flags = []
+    if depth == 0:
+        flags.append("ShallowDepth")
+    if structural:
+        flags.append("StructurallyExtended")
+    return DominationCertificate(
+        h, act.names, base, advancing, depth, tuple(rows), valid, tuple(flags),
+        structural, interleaving, dict(act.meta))
 
 
 def entry_obj(entry):

@@ -8,16 +8,23 @@ import os
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 
 from helpers import entry_obj, rand_cover, rand_proj, rand_rat, row_obj
 from nonsmooth import cli, groupact, renorm
 from nonsmooth.cli import main, parse_point, render_report, split_words
-from nonsmooth.cover import COVER_BASEPOINT, CoverPoint
+from nonsmooth.cover import COVER_BASEPOINT, CoverPoint, LiftedMap
 from nonsmooth.errors import OutOfDomain
 from nonsmooth.groupact import COVER_LINE, UNIT_INTERVAL, parse_word, punctured_torus_action
-from nonsmooth.obstruction import DominationRow, ZZWitnessEntry, certify_domination, zz_witness
+from nonsmooth.obstruction import (
+    DeckRows,
+    DominationRow,
+    ZZWitnessEntry,
+    certify_domination,
+    zz_witness,
+)
 from nonsmooth.plmaps import cell_midpoint
 from nonsmooth.projline import EQUAL, GREATER, LESS
 from nonsmooth.rational import fmt_rat
@@ -177,6 +184,43 @@ class TestCertify:
         assert strip_header(text) == strip_header(out)
         assert len(json.loads(text)["certificate"]["rows"]) == rows
 
+    def test_work_and_memory_flat_in_depth(self, monkeypatch, tmp_path):
+        # rows after step 0 come from step 0 by deck equivariance, and each
+        # step-0 point is formatted once
+        calls = {}
+
+        def counting(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(LiftedMap, "apply",
+                            counting("apply", LiftedMap.apply))
+        monkeypatch.setattr(cli, "coordinate",
+                            counting("coordinate", cli.coordinate))
+        out = tmp_path / "report.json"
+        seen = []
+        for depth in (10, 2000):
+            calls.update(apply=0, coordinate=0)
+            assert main(["certify", "punctured-torus", "--depth", str(depth),
+                         "--out", str(out)]) == 0
+            seen.append(dict(calls))
+            rows = json.loads(out.read_text(encoding="utf-8"))[
+                "certificate"]["rows"]
+            assert len(rows) == 4 * (depth + 1)
+        assert seen[0] == seen[1]
+        assert seen[0]["apply"] > 0 and seen[0]["coordinate"] > 0
+        monkeypatch.undo()
+        tracemalloc.start()
+        try:
+            assert main(["certify", "punctured-torus", "--depth", "20000",
+                         "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, peak
+
     def test_zz_report_is_written_one_entry_at_a_time(self, monkeypatch):
         class Recorder:
             def __init__(self):
@@ -281,6 +325,23 @@ class TestRenderReport:
         assert all(r.bracket_route is None for r in cert.rows)
         report = torus_report(cert)
         assert rendered(report, cert.rows) == dumped(report, cert.rows)
+
+    def test_deck_rows_render_as_their_rows(self):
+        cert = certify_domination(punctured_torus_action(),
+                                  parse_word("[a,b]^2"),
+                                  (COVER_BASEPOINT, parse_word("[a,b]")), 9)
+        # a period whose second route misses: later steps carry no route
+        missed = DeckRows(tuple(
+            DominationRow(0, r.generator, r.sign, r.moved, r.dominator,
+                          r.ordering, route)
+            for r, route in zip(cert.rows.period,
+                                ("Less", "Greater", None, None))), 5)
+        report = torus_report(cert)
+        for rows in (cert.rows, missed, DeckRows(cert.rows.period, 0)):
+            assert isinstance(rows, DeckRows)
+            assert list(cli.row_lines(rows, ROW_NAMES)) == list(
+                cli.row_lines(tuple(rows), ROW_NAMES))
+            assert rendered(report, rows) == dumped(report, rows)
 
     def rand_entry(self, rng):
         return ZZWitnessEntry(

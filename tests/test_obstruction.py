@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    certify_domination_oracle,
     entry_obj,
+    rand_cover,
     rand_word_letters,
     row_obj,
     slope_quotient_oracle,
@@ -38,7 +40,9 @@ from nonsmooth.groupact import (
     zz_slope_mid,
 )
 from nonsmooth.obstruction import (
+    DeckRows,
     DominationCertificate,
+    DominationRow,
     ZZWitness,
     ZZWitnessEntry,
     certify_domination,
@@ -316,6 +320,79 @@ class TestDomination:
         assert obj["flags"] == ["StructurallyExtended"]
         assert row_obj(cert.rows[0])["ordering"] == "Less"
         assert obj["interleaving"]["brackets"][0]["generator"] == "a"
+
+
+def oracle_cases():
+    """(base, advancing word) pairs: the deck step [a,b] from a lift of the
+    basepoint, and advancing words that are no deck step, [a,b] from other
+    points among them (seeded)."""
+    act = punctured_torus_action()
+    rng = random.Random(2020)
+    cases = [(PT, K), (PT.deck(-2), K), (PT, A), (PT, B), (PT, K * K),
+             (cp(Fraction(1, 2)), K)]
+    cases += [(rand_cover(rng), K) for _ in range(3)]
+    deck_steps = [word_eval(act, w, p) == p.deck(1) for p, w in cases]
+    assert deck_steps == [True, True] + [False] * (len(cases) - 2)
+    return cases
+
+
+class TestDeckRows:
+    """The certificate against the per-row loop it derives from step 0."""
+
+    @pytest.mark.parametrize("h", [K * K, K ** 3, Word()],
+                             ids=("[a,b]^2", "[a,b]^3", "empty"))
+    @pytest.mark.parametrize("case", oracle_cases(),
+                             ids=lambda c: "%s@%s,%d" % (
+                                 c[1].to_string("ab"), point_obj(c[0])["t"],
+                                 c[0].sheet))
+    def test_matches_per_row_oracle(self, case, h):
+        act = punctured_torus_action()
+        for depth in range(61):
+            cert = certify_domination(act, h, case, depth)
+            oracle = certify_domination_oracle(act, h, case, depth)
+            assert tuple(cert.rows) == oracle.rows
+            for field in DominationCertificate.__slots__:
+                if field != "rows":
+                    assert getattr(cert, field) == getattr(oracle, field), field
+            deck = case[1] == K and case[0].base == PT.base
+            assert isinstance(cert.rows, DeckRows if deck else tuple)
+            assert cert.structural == (deck and h != Word())
+            if h == Word():
+                assert not cert.valid
+
+    def test_rows_as_a_sequence(self):
+        act = punctured_torus_action()
+        rows = certify_domination(act, K * K, (PT, K), 12).rows
+        expected = certify_domination_oracle(act, K * K, (PT, K), 12).rows
+        assert isinstance(rows, DeckRows)
+        assert len(rows) == len(expected) == 52
+        assert tuple(rows) == expected
+        assert [r for r in rows] == list(expected)
+        assert rows[0] == expected[0] and rows[-1] == expected[-1]
+        assert [rows[i] for i in range(-52, 52)] == [
+            expected[i] for i in range(-52, 52)]
+        for k in (0, 1, 3, 4, 5, 27, 51, 52, 60, -1, -5):
+            assert rows[:k] == expected[:k]
+            assert rows[k:] == expected[k:]
+        assert rows[::-3] == expected[::-3]
+        assert rows[5:40:7] == expected[5:40:7]
+        for i in (52, -53):
+            with pytest.raises(IndexError):
+                rows[i]
+
+    def test_a_missed_route_stops_the_routes_of_later_steps(self):
+        # as the per-row loop stops routing at its first miss
+        period = tuple(
+            DominationRow(0, g, s, cp(Fraction(1, 2)), PT.deck(2), LESS, route)
+            for (g, s), route in zip(
+                (("a", 1), ("a", -1), ("b", 1), ("b", -1)),
+                ("Less", "Greater", None, None)))
+        rows = DeckRows(period, 3)
+        assert not rows.carries_routes
+        assert rows[:4] == period
+        assert all(r.bracket_route is None for r in rows[4:])
+        assert [r.moved.sheet for r in rows] == [m for m in range(4)
+                                                 for _ in range(4)]
 
 
 class TestSlopeCharacter:

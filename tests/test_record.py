@@ -29,6 +29,7 @@ from nonsmooth.groupact import (
     punctured_torus_action,
 )
 from nonsmooth.obstruction import (
+    DeckRows,
     DominationCertificate,
     DominationRow,
     InterleavingCertificate,
@@ -84,6 +85,7 @@ BUILDERS = {
     OrderResult: lambda: order_cmp(punctured_torus_action(), parse_word("a"),
                                    parse_word("b"), COVER_BASEPOINT),
     DominationRow: lambda: domination().rows[0],
+    DeckRows: lambda: domination().rows,
     InterleavingCertificate: lambda: certify_interleaving(
         punctured_torus_action(), COVER_BASEPOINT),
     DominationCertificate: domination,
