@@ -34,7 +34,7 @@ from .groupact import (
     punctured_torus_action,
     zz_letter_action,
 )
-from .obstruction import DeckRows, certify_domination, order_cmp, zz_witness
+from .obstruction import certify_domination, order_cmp, zz_witness
 from .plmaps import ModelTranslation, PLMap, cell_midpoint
 from .projline import ProjPoint, ordering_name
 from .rational import fmt_rat, parse_rat, rat_to_decimal
@@ -154,12 +154,13 @@ def parse_point(text, domain):
             return COVER_BASEPOINT
         if s.startswith("t="):
             try:
-                t_part, sheet_part = s.split(",")
-                t_text = t_part[2:].strip()
-                if not sheet_part.strip().startswith("sheet="):
-                    raise ValueError("missing sheet field")
-                sheet = sheet_part.strip()[6:]
-                if not sheet.isascii() or "_" in sheet:
+                parts = s.split(",")
+                if len(parts) != 2 or not parts[1].strip().startswith("sheet="):
+                    raise ValueError("expected the form t=RAT,sheet=INT")
+                t_text = parts[0][2:].strip()
+                sheet = parts[1].strip()[6:].strip()
+                digits = sheet[1:] if sheet[:1] in ("+", "-") else sheet
+                if not (digits.isascii() and digits.isdigit()):
                     raise ValueError("sheet must be an integer in ASCII digits")
                 base = (ProjPoint.infinity() if t_text == "inf"
                         else ProjPoint.from_affine(parse_rat(t_text)))
@@ -322,33 +323,22 @@ ITEMS_MARKER = "@items@"
 
 
 def row_lines(rows, names):
-    """Each domination row through ROW_TEMPLATE, quoting the given names."""
+    """Each row of a DeckRows through ROW_TEMPLATE, quoting the given names.
+    Row j of step m is row j of step 0 with m added to its m and to both
+    sheets, so each step-0 point is formatted once, and DeckRows(rows, 0)
+    renders any rows as they are."""
     quoted = {name: json.dumps(name) for name in names}
-    if isinstance(rows, DeckRows):
-        return deck_row_lines(rows, quoted)
-    return (ROW_TEMPLATE % row_fields(r, quoted) for r in rows)
-
-
-def row_fields(r, quoted):
-    """The ROW_TEMPLATE values of one row."""
-    return ("null" if r.bracket_route is None else '"%s"' % r.bracket_route,
-            r.dominator.sheet, coordinate(r.dominator.base),
-            quoted[r.generator], r.m,
-            r.moved.sheet, coordinate(r.moved.base),
-            ordering_name(r.ordering), r.sign)
-
-
-def deck_row_lines(rows, quoted):
-    """The rows of a DeckRows from its step-0 rows, each point formatted
-    once: row j of step m is row j of step 0 with m and both sheets
-    shifted by m."""
-    period = [row_fields(r, quoted) for r in rows.period]
+    period = [("null" if r.bracket_route is None else '"%s"' % r.bracket_route,
+               r.dominator.sheet, coordinate(r.dominator.base),
+               quoted[r.generator], r.m,
+               r.moved.sheet, coordinate(r.moved.base),
+               ordering_name(r.ordering), r.sign) for r in rows.period]
     carries = rows.carries_routes
     for m in range(rows.depth + 1):
-        for route, dsheet, dt, name, _, msheet, mt, ordering, sign in period:
+        for route, dsheet, dt, name, row_m, msheet, mt, ordering, sign in period:
             yield ROW_TEMPLATE % (route if m == 0 or carries else "null",
-                                  dsheet + m, dt, name, m, msheet + m, mt,
-                                  ordering, sign)
+                                  dsheet + m, dt, name, row_m + m,
+                                  msheet + m, mt, ordering, sign)
 
 
 def entry_lines(entries):
@@ -392,7 +382,8 @@ def cmd_certify(argv):
         description="Emit a machine-checkable nonsmoothability certificate.")
     parser.add_argument("target", choices=("punctured-torus", "zz"))
     parser.add_argument("--depth", type=int, default=50,
-                        help="domination rows per generator (punctured-torus)")
+                        help="deck steps after step 0 in the domination "
+                             "table (punctured-torus)")
     parser.add_argument("--truncation", type=int, default=16,
                         help="cell radius of the finite table (zz)")
     parser.add_argument("--out", default=None, help="report path (default stdout)")
@@ -474,6 +465,8 @@ def cmd_renorm(argv):
         radius = parse_rat(args.radius)
     except ValueError as exc:
         raise UsageError("bad radius %r: %s" % (args.radius, exc))
+    if radius < 0:
+        parser.error("--radius must be nonnegative")
     if args.start is not None:
         start = parse_point(args.start, act.domain)
     if args.advance is not None:

@@ -205,17 +205,6 @@ def fixed_point_lift(m: MoebiusMap):
     return lift, tuple(brackets)
 
 
-def displacement_growth_check(f: LiftedMap, x: CoverPoint, n: int) -> bool:
-    """Exact check that the n-th iterate of f pushes x above x + (n - 1)
-    deck units."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    cur = x
-    for _ in range(n):
-        cur = f.apply(cur)
-    return cover_cmp(cur, x.deck(n - 1)) == GREATER
-
-
 def compactify(x: CoverPoint) -> Fraction:
     """Strictly increasing embedding of the cover into (0, 1).
 

@@ -26,13 +26,14 @@ class BadInterval(NonsmoothError):
 
 
 class AccumulationPoint(NonsmoothError):
-    """One-sided slope requested where breakpoints accumulate; use germ_slope."""
+    """One-sided slope of a model translation requested at an end of its
+    support, from the side where its breakpoints accumulate."""
 
 
 class Unsupported(NonsmoothError):
-    """An input the operation does not handle: a map that cannot be composed
-    or a power above its cap, a malformed action, or an action on the wrong
-    domain."""
+    """An input the operation does not handle: a malformed action, an action
+    on a domain the operation does not take, or an advancing word that does
+    not move the base exactly one sheet up."""
 
 
 class WordSyntaxError(NonsmoothError):
@@ -50,10 +51,6 @@ class DegenerateSequence(NonsmoothError):
 class BracketOutsideWindow(NonsmoothError):
     """A fixed-point bracket cannot be placed strictly inside the fundamental
     window, which signals a mis-selected lift."""
-
-
-class NotFixed(NonsmoothError):
-    """Slope character requested at a point some generator does not fix."""
 
 
 class SearchExhausted(NonsmoothError):

@@ -14,19 +14,11 @@ from .errors import (
     BracketOutsideWindow,
     DegenerateSequence,
     NotCommutatorClass,
-    NotFixed,
     SearchExhausted,
     Unsupported,
 )
-from .groupact import (
-    COVER_LINE,
-    UNIT_INTERVAL,
-    ZZAction,
-    orbit_sequence,
-    word_eval,
-    zz_slope_mid,
-)
-from .plmaps import RIGHT, anchor, as_expr, germ_slope
+from .groupact import COVER_LINE, ZZAction, word_eval, zz_slope_mid
+from .plmaps import anchor
 from .projline import LESS, ordering_name
 from .record import Record
 
@@ -75,9 +67,10 @@ class InterleavingCertificate(Record):
 
 class DeckRows(Record):
     """The rows of a domination table whose advancing word moves the base
-    one sheet up: row j of step m is row j of step 0 (``period``) with its
-    moved and dominating points moved up m sheets.  Each row is built when
-    it is asked for, so the table is never held whole.
+    one sheet up, as step 0 (``period``) and the last step ``depth``: row j
+    of step m is row j of step 0 with its moved and dominating points moved
+    up m sheets.  cli.row_lines expands it as it writes the rows, so the
+    table is never held whole.
     """
 
     __slots__ = ("period", "depth")
@@ -88,25 +81,6 @@ class DeckRows(Record):
         stops routing at its first miss, so they repeat only when every
         step-0 route is Less; otherwise every later route is None."""
         return all(r.bracket_route == ordering_name(LESS) for r in self.period)
-
-    def __len__(self):
-        return len(self.period) * (self.depth + 1)
-
-    def __iter__(self):
-        return map(self._row, range(len(self)))
-
-    def __getitem__(self, index):
-        picked = range(len(self))[index]
-        if isinstance(picked, range):
-            return tuple(map(self._row, picked))
-        return self._row(picked)
-
-    def _row(self, i):
-        m, j = divmod(i, len(self.period))
-        r = self.period[j]
-        route = r.bracket_route if m == 0 or self.carries_routes else None
-        return DominationRow(m, r.generator, r.sign, r.moved.deck(m),
-                             r.dominator.deck(m), r.ordering, route)
 
 
 class DominationCertificate(Record):
@@ -157,9 +131,9 @@ def certify_domination(act, h, seq, depth):
     inverse along the advancing sequence, plus the structural extension when
     the bracket route applies.
 
-    When the advancing word moves the base one sheet up on the cover line,
-    only step 0 is evaluated and the rows are a DeckRows; otherwise every
-    step is evaluated and the rows are a tuple."""
+    The action must be on the cover line and the advancing word must move
+    the base one sheet up; only step 0 is evaluated, and the rows are a
+    DeckRows."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if not is_commutator_class_trivial(h):
@@ -170,10 +144,10 @@ def certify_domination(act, h, seq, depth):
     adv_img = word_eval(act, advancing, base)
     if adv_img == base:
         raise DegenerateSequence("advancing word fixes the base point")
+    if act.domain != COVER_LINE or adv_img != base.deck(1):
+        raise Unsupported("domination tables need a cover-line action whose "
+                          "advancing word moves the base one sheet up")
 
-    structural = False
-    interleaving = None
-    brackets = {}
     # The lifts commute with the deck map (LiftedMap.apply adds x.sheet to
     # the image's sheet), so a one-sheet advancing step gives
     # p_m = base.deck(m), and every point of step m is its step-0 point
@@ -181,40 +155,34 @@ def certify_domination(act, h, seq, depth):
     # bases, so cover_cmp(x.deck(m), y.deck(m)) == cover_cmp(x, y): each
     # ordering and bracket route of step m is that of step 0, and step 0
     # alone decides `valid` and the structural route.
-    deck_step = act.domain == COVER_LINE and adv_img == base.deck(1)
-    if deck_step:
-        h_img = word_eval(act, h, base)
-        if h_img.base == base.base and h_img.sheet > base.sheet:
-            try:
-                interleaving = certify_interleaving(act, base)
-            except BracketOutsideWindow:
-                interleaving = None
-            if interleaving is not None:
-                structural = True
-                brackets = {name: bracket
-                            for name, bracket, _ in interleaving.entries}
+    dominator = word_eval(act, h, base)
+    interleaving = None
+    if dominator.base == base.base and dominator.sheet > base.sheet:
+        try:
+            interleaving = certify_interleaving(act, base)
+        except BracketOutsideWindow:
+            pass
+    structural = interleaving is not None
+    brackets = ({name: bracket for name, bracket, _ in interleaving.entries}
+                if structural else {})
 
-    rows = []
+    period = []
     valid = True
-    steps = 0 if deck_step else depth
-    for m, p_m in enumerate(orbit_sequence(act, advancing, base, steps)):
-        dominator = word_eval(act, h, p_m)
-        for idx, name in enumerate(act.names):
-            for sign in (1, -1):
-                moved = act.bound_map(idx, sign).apply(p_m)
-                ordering = _cmp_points(act.domain, moved, dominator)
-                if ordering != LESS:
-                    valid = False
-                route = None
-                if structural:
-                    # only a deck step routes, and it evaluates step 0 alone
-                    route_ordering = cover_cmp(moved, brackets[name].hi)
-                    route = ordering_name(route_ordering)
-                    if route_ordering != LESS:
-                        # the two routes must agree; a miss voids the extension
-                        structural = False
-                rows.append(DominationRow(m, name, sign, moved, dominator,
-                                          ordering, route))
+    for idx, name in enumerate(act.names):
+        for sign in (1, -1):
+            moved = act.bound_map(idx, sign).apply(base)
+            ordering = cover_cmp(moved, dominator)
+            if ordering != LESS:
+                valid = False
+            route = None
+            if structural:
+                route_ordering = cover_cmp(moved, brackets[name].hi)
+                route = ordering_name(route_ordering)
+                if route_ordering != LESS:
+                    # the two routes must agree; a miss voids the extension
+                    structural = False
+            period.append(DominationRow(0, name, sign, moved, dominator,
+                                        ordering, route))
 
     structural = structural and valid
     flags = []
@@ -222,37 +190,9 @@ def certify_domination(act, h, seq, depth):
         flags.append("ShallowDepth")
     if structural:
         flags.append("StructurallyExtended")
-    rows = DeckRows(tuple(rows), depth) if deck_step else tuple(rows)
     return DominationCertificate(
-        h, act.names, base, advancing, depth, rows, valid, tuple(flags),
-        structural, interleaving, dict(act.meta))
-
-
-class SlopeCharacter(Record):
-    """Multiplicative character: each generator's exact germ slope at a common
-    fixed point."""
-
-    __slots__ = ("point", "side", "table")
-
-    def of_word(self, w, names):
-        sigma = Fraction(1)
-        for idx, exp in w.letters:
-            s = self.table[names[idx]]
-            sigma *= s if exp > 0 else 1 / s
-        return sigma
-
-
-def slope_character(act, p, side=RIGHT):
-    if act.domain != UNIT_INTERVAL:
-        raise Unsupported("slope characters live on interval actions")
-    p = Fraction(p)
-    table = {}
-    for name, bound in zip(act.names, act.maps):
-        expr = as_expr(bound)
-        if expr.apply(p) != p:
-            raise NotFixed("generator %s moves the base point %s" % (name, p))
-        table[name] = germ_slope(expr, p, side)
-    return SlopeCharacter(p, side, table)
+        h, act.names, base, advancing, depth, DeckRows(tuple(period), depth),
+        valid, tuple(flags), structural, interleaving, dict(act.meta))
 
 
 class ZZWitnessEntry(Record):

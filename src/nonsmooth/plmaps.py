@@ -8,23 +8,16 @@ rational PL map of (0,1) whose breakpoints accumulate only at 0 and 1.
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from .errors import AccumulationPoint, BadInterval, OutOfDomain, Unsupported
+from .errors import AccumulationPoint, BadInterval, OutOfDomain
 from .record import Record
 
 LEFT = "left"
 RIGHT = "right"
-# Most factors a power of an expression may expand to; the factors are
-# materialized, so this bounds the memory one power can take.
-MAX_EXPR_FACTORS = 100_000
 
 
 def _check_side(side):
     if side not in (LEFT, RIGHT):
         raise ValueError("side must be LEFT or RIGHT, got %r" % (side,))
-
-
-def pow2(k):
-    return Fraction(2) ** k
 
 
 def anchor(i):
@@ -140,13 +133,6 @@ class PLMap(Record):
         (x0, y0), (x1, y1) = self.breakpoints[j], self.breakpoints[j + 1]
         return (y1 - y0) / (x1 - x0)
 
-    def compose(self, other):
-        """Exact PL composition self after other, by merging breakpoints."""
-        inv = other.inverse()
-        xs = sorted({x for x, _ in other.breakpoints}
-                    | {inv.apply(x) for x, _ in self.breakpoints})
-        return PLMap([(x, self.apply(other.apply(x))) for x in xs])
-
 
 class ModelTranslation(Record):
     """Integer chart translation conjugated into a subinterval, identity outside.
@@ -200,84 +186,6 @@ class ModelTranslation(Record):
         if side == LEFT and u == anchor(i):
             i -= 1
         return cell_width(i + self.power) / cell_width(i)
-
-
-_ATOMS = (PLMap, ModelTranslation)
-
-
-class IntervalMapExpr(Record):
-    """Lazy composition of PL atoms: factors (f1, ..., fk) mean f1 o ... o fk."""
-
-    __slots__ = ("factors",)
-
-    def __init__(self, factors=()):
-        flat = []
-        for f in factors:
-            if isinstance(f, IntervalMapExpr):
-                flat.extend(f.factors)
-            elif isinstance(f, _ATOMS):
-                flat.append(f)
-            else:
-                raise Unsupported("cannot compose %r" % (f,))
-        Record.__init__(self, tuple(flat))
-
-    def apply(self, x):
-        y = Fraction(x)
-        if not 0 <= y <= 1:
-            raise OutOfDomain("point %s outside [0,1]" % y)
-        for f in reversed(self.factors):
-            y = f.apply(y)
-        return y
-
-    def compose(self, other):
-        return IntervalMapExpr((self, as_expr(other)))
-
-    def inverse(self):
-        return IntervalMapExpr(tuple(f.inverse() for f in reversed(self.factors)))
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        if len(self.factors) * n > MAX_EXPR_FACTORS:
-            raise Unsupported("power would expand to %d factors, more than the "
-                              "cap of %d" % (len(self.factors) * n, MAX_EXPR_FACTORS))
-        return IntervalMapExpr(self.factors * n)
-
-    def one_sided_slope(self, x, side):
-        _check_side(side)
-        acc, y = Fraction(1), Fraction(x)
-        for f in reversed(self.factors):
-            acc *= f.one_sided_slope(y, side)
-            y = f.apply(y)
-        return acc
-
-
-def as_expr(m):
-    if isinstance(m, IntervalMapExpr):
-        return m
-    if isinstance(m, _ATOMS):
-        return IntervalMapExpr((m,))
-    raise Unsupported("not an interval map: %r" % (m,))
-
-
-def _atom_germ_slope(atom, x, side):
-    try:
-        return atom.one_sided_slope(x, side)
-    except AccumulationPoint:
-        # model translation seen from inside its support endpoint
-        if side == RIGHT and x == atom.lo:
-            return pow2(atom.power)
-        return pow2(-atom.power)
-
-
-def germ_slope(m, x, side):
-    """One-sided slope with the closed-form limit at accumulation endpoints."""
-    _check_side(side)
-    acc, y = Fraction(1), Fraction(x)
-    for f in reversed(as_expr(m).factors):
-        acc *= _atom_germ_slope(f, y, side)
-        y = f.apply(y)
-    return acc
 
 
 def chart_shift(power=1):

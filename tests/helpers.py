@@ -1,22 +1,30 @@
-"""Shared deterministic random generators for the property suites, and the
-oracles only the tests use."""
+"""Shared deterministic random generators for the property suites, the
+oracles only the tests use, and the reference code that only the tests
+call: composition expressions with their germ slopes, slope characters,
+PL composition, the displacement growth check and the expansion of a
+DeckRows into its rows."""
 
 from fractions import Fraction
 
 from nonsmooth.cli import point_obj
 from nonsmooth.cover import TORUS_A, TORUS_B, CoverPoint, cover_cmp, lift_through
 from nonsmooth.errors import (
+    AccumulationPoint,
     BadInterval,
     BracketOutsideWindow,
     Degenerate,
     DegenerateSequence,
     EmptyGridDomain,
+    NonsmoothError,
     NotCommutatorClass,
+    OutOfDomain,
+    Unsupported,
     WordSyntaxError,
 )
 from nonsmooth.groupact import (
     COVER_LINE,
     DEFAULT_NAMES,
+    UNIT_INTERVAL,
     _check_length,
     _reduce,
     _reduced_word,
@@ -34,19 +42,182 @@ from nonsmooth.obstruction import (
 from nonsmooth.plmaps import (
     LEFT,
     RIGHT,
-    IntervalMapExpr,
     ModelTranslation,
     PLMap,
-    as_expr,
+    _check_side,
     base_cell_shift,
     cell_midpoint,
     cell_shift,
     chart_shift,
 )
-from nonsmooth.projline import LESS, MoebiusMap, ProjPoint, ordering_name
+from nonsmooth.projline import GREATER, LESS, MoebiusMap, ProjPoint, ordering_name
 from nonsmooth.rational import fmt_rat
 from nonsmooth.record import Record
 from nonsmooth.renorm import BISECTION_STEPS
+
+# Most factors a power of an expression may expand to; the factors are
+# materialized, so this bounds the memory one power can take.
+MAX_EXPR_FACTORS = 100_000
+
+
+class NotFixed(NonsmoothError):
+    """Slope character requested at a point some generator does not fix."""
+
+
+def pow2(k):
+    return Fraction(2) ** k
+
+
+def pl_compose(f, g):
+    """Exact PL composition f after g, by merging breakpoints."""
+    inv = g.inverse()
+    xs = sorted({x for x, _ in g.breakpoints}
+                | {inv.apply(x) for x, _ in f.breakpoints})
+    return PLMap([(x, f.apply(g.apply(x))) for x in xs])
+
+
+_ATOMS = (PLMap, ModelTranslation)
+
+
+class IntervalMapExpr(Record):
+    """Lazy composition of PL atoms: factors (f1, ..., fk) mean f1 o ... o fk."""
+
+    __slots__ = ("factors",)
+
+    def __init__(self, factors=()):
+        flat = []
+        for f in factors:
+            if isinstance(f, IntervalMapExpr):
+                flat.extend(f.factors)
+            elif isinstance(f, _ATOMS):
+                flat.append(f)
+            else:
+                raise Unsupported("cannot compose %r" % (f,))
+        Record.__init__(self, tuple(flat))
+
+    def apply(self, x):
+        y = Fraction(x)
+        if not 0 <= y <= 1:
+            raise OutOfDomain("point %s outside [0,1]" % y)
+        for f in reversed(self.factors):
+            y = f.apply(y)
+        return y
+
+    def compose(self, other):
+        return IntervalMapExpr((self, as_expr(other)))
+
+    def inverse(self):
+        return IntervalMapExpr(tuple(f.inverse() for f in reversed(self.factors)))
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
+        if len(self.factors) * n > MAX_EXPR_FACTORS:
+            raise Unsupported("power would expand to %d factors, more than the "
+                              "cap of %d" % (len(self.factors) * n, MAX_EXPR_FACTORS))
+        return IntervalMapExpr(self.factors * n)
+
+    def one_sided_slope(self, x, side):
+        _check_side(side)
+        acc, y = Fraction(1), Fraction(x)
+        for f in reversed(self.factors):
+            acc *= f.one_sided_slope(y, side)
+            y = f.apply(y)
+        return acc
+
+
+def as_expr(m):
+    if isinstance(m, IntervalMapExpr):
+        return m
+    if isinstance(m, _ATOMS):
+        return IntervalMapExpr((m,))
+    raise Unsupported("not an interval map: %r" % (m,))
+
+
+def _atom_germ_slope(atom, x, side):
+    try:
+        return atom.one_sided_slope(x, side)
+    except AccumulationPoint:
+        # model translation seen from inside its support endpoint
+        if side == RIGHT and x == atom.lo:
+            return pow2(atom.power)
+        return pow2(-atom.power)
+
+
+def germ_slope(m, x, side):
+    """One-sided slope with the closed-form limit at accumulation endpoints."""
+    _check_side(side)
+    acc, y = Fraction(1), Fraction(x)
+    for f in reversed(as_expr(m).factors):
+        acc *= _atom_germ_slope(f, y, side)
+        y = f.apply(y)
+    return acc
+
+
+class SlopeCharacter(Record):
+    """Multiplicative character: each generator's exact germ slope at a common
+    fixed point."""
+
+    __slots__ = ("point", "side", "table")
+
+    def of_word(self, w, names):
+        sigma = Fraction(1)
+        for idx, exp in w.letters:
+            s = self.table[names[idx]]
+            sigma *= s if exp > 0 else 1 / s
+        return sigma
+
+
+def slope_character(act, p, side=RIGHT):
+    if act.domain != UNIT_INTERVAL:
+        raise Unsupported("slope characters live on interval actions")
+    p = Fraction(p)
+    table = {}
+    for name, bound in zip(act.names, act.maps):
+        expr = as_expr(bound)
+        if expr.apply(p) != p:
+            raise NotFixed("generator %s moves the base point %s" % (name, p))
+        table[name] = germ_slope(expr, p, side)
+    return SlopeCharacter(p, side, table)
+
+
+def displacement_growth_check(f, x, n):
+    """Exact check that the n-th iterate of the lift f pushes the cover point
+    x above x + (n - 1) deck units."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    cur = x
+    for _ in range(n):
+        cur = f.apply(cur)
+    return cover_cmp(cur, x.deck(n - 1)) == GREATER
+
+
+class ExpandedRows:
+    """Every row a DeckRows stands for, as a sequence that builds each row
+    when it is asked for: row j of step m is row j of step 0 with m added
+    to its m and its moved and dominating points moved up m sheets."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __len__(self):
+        return len(self.rows.period) * (self.rows.depth + 1)
+
+    def __iter__(self):
+        return map(self._row, range(len(self)))
+
+    def __getitem__(self, index):
+        picked = range(len(self))[index]
+        if isinstance(picked, range):
+            return tuple(map(self._row, picked))
+        return self._row(picked)
+
+    def _row(self, i):
+        m, j = divmod(i, len(self.rows.period))
+        r = self.rows.period[j]
+        route = r.bracket_route if m == 0 or self.rows.carries_routes else None
+        return DominationRow(r.m + m, r.generator, r.sign, r.moved.deck(m),
+                             r.dominator.deck(m), r.ordering, route)
 
 
 def rand_rat(rng, lim=12):

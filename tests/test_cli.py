@@ -12,7 +12,7 @@ import tracemalloc
 
 import pytest
 
-from helpers import entry_obj, rand_cover, rand_proj, rand_rat, row_obj
+from helpers import ExpandedRows, entry_obj, rand_cover, rand_proj, rand_rat, row_obj
 from nonsmooth import cli, groupact, renorm
 from nonsmooth.cli import main, parse_point, render_report, split_words
 from nonsmooth.cover import COVER_BASEPOINT, CoverPoint, LiftedMap
@@ -254,7 +254,8 @@ def rendered(report, rows):
 
 
 def dumped(report, rows):
-    certificate = dict(report["certificate"], rows=[row_obj(r) for r in rows])
+    certificate = dict(report["certificate"],
+                       rows=[row_obj(r) for r in ExpandedRows(rows)])
     return json.dumps(dict(report, certificate=certificate),
                       indent=2, sort_keys=True) + "\n"
 
@@ -290,16 +291,9 @@ class TestRenderReport:
             rng.choice((LESS, EQUAL, GREATER)),
             rng.choice((None, "Less", "Equal", "Greater")))
 
-    def test_row_lines_reads_rows_once(self):
-        # the names come from the caller, so a one-shot iterator of rows
-        # renders the same lines as the tuple
-        rows = self.rand_rows(5)
-        assert list(cli.row_lines(iter(rows), ROW_NAMES)) == list(
-            cli.row_lines(rows, ROW_NAMES))
-
     @pytest.mark.parametrize("count", [0, 1, 5, 1023, 1024, 1025, 2051])
     def test_random_rows_match_json_dumps(self, count):
-        rows = self.rand_rows(count)
+        rows = DeckRows(self.rand_rows(count), 0)
         report = torus_report(certify_domination(
             punctured_torus_action(), parse_word("[a,b]^2"),
             (COVER_BASEPOINT, parse_word("[a,b]")), 1))
@@ -319,10 +313,9 @@ class TestRenderReport:
         assert any(r.m >= 10 ** 4 for r in rows)
 
     def test_non_structural_certificate(self):
-        cert = certify_domination(punctured_torus_action(),
-                                  parse_word("[a,b]^2"),
-                                  (COVER_BASEPOINT, parse_word("a")), 6)
-        assert all(r.bracket_route is None for r in cert.rows)
+        cert = certify_domination(punctured_torus_action(), parse_word(""),
+                                  (COVER_BASEPOINT, parse_word("[a,b]")), 6)
+        assert all(r.bracket_route is None for r in ExpandedRows(cert.rows))
         report = torus_report(cert)
         assert rendered(report, cert.rows) == dumped(report, cert.rows)
 
@@ -340,7 +333,7 @@ class TestRenderReport:
         for rows in (cert.rows, missed, DeckRows(cert.rows.period, 0)):
             assert isinstance(rows, DeckRows)
             assert list(cli.row_lines(rows, ROW_NAMES)) == list(
-                cli.row_lines(tuple(rows), ROW_NAMES))
+                cli.row_lines(DeckRows(tuple(ExpandedRows(rows)), 0), ROW_NAMES))
             assert rendered(report, rows) == dumped(report, rows)
 
     def rand_entry(self, rng):
@@ -644,6 +637,18 @@ class TestSpecsAndPoints:
             2, "", "UsageError: action spec nests JSON arrays or objects too "
                    "deeply to parse\n")
 
+    @pytest.mark.parametrize("point, reason", [
+        ("t=1/2,sheet=3,x", "expected the form t=RAT,sheet=INT"),
+        ("t=1/2", "expected the form t=RAT,sheet=INT"),
+        ("t=1/2,sheet=", "sheet must be an integer in ASCII digits"),
+        ("t=1/2,sheet=+-1", "sheet must be an integer in ASCII digits"),
+    ])
+    def test_malformed_cover_point_is_one_usage_line(self, capsys, point,
+                                                     reason):
+        # no message of Python's own, such as an unpacking or int() error
+        assert run(capsys, "orbit", "--point", point) == (
+            2, "", "UsageError: bad cover point %r: %s\n" % (point, reason))
+
     def test_parse_point_interval(self):
         assert parse_point("7/12", UNIT_INTERVAL) == Fraction(7, 12)
         from nonsmooth.cli import UsageError
@@ -708,6 +713,7 @@ def test_action_defaults(capsys):
     ("renorm", "--radius", "\u0662"),
     ("orbit", "--point", "t=0,sheet=\u0661", "--count", "0"),
     ("orbit", "--point", "t=0,sheet=1_0", "--count", "0"),
+    ("renorm", "--radius", "-1"),
 ])
 def test_bad_input_exits_two_without_traceback(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -4,7 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import rand_cover, rand_lift, rand_rat, rand_torus_word_matrix
+from helpers import (
+    displacement_growth_check,
+    rand_cover,
+    rand_lift,
+    rand_rat,
+    rand_torus_word_matrix,
+)
 
 from nonsmooth.cli import point_obj
 from nonsmooth.cover import (
@@ -15,7 +21,6 @@ from nonsmooth.cover import (
     LiftedMap,
     compactify,
     cover_cmp,
-    displacement_growth_check,
     fixed_point_lift,
     lift_through,
     line_point,

@@ -4,7 +4,7 @@ knows the report format, only Record writes a repr, one function of cli
 decides what each action spec means, and no module function reads a private
 field.
 The signatures are pinned against knobs that were folded away, and the
-constructors only tests called stay gone."""
+constructors and reference code only tests call stay out of the package."""
 
 import ast
 import inspect
@@ -12,8 +12,9 @@ import os
 
 import pytest
 
+import helpers
 import nonsmooth
-from nonsmooth import cover, groupact, obstruction, plmaps, projline, renorm
+from nonsmooth import cover, errors, groupact, obstruction, plmaps, projline, renorm
 
 PACKAGE = os.path.dirname(nonsmooth.__file__)
 MODULES = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))
@@ -163,10 +164,26 @@ def test_one_value_settings_are_folded(f, names):
     (groupact.Word, "generator"),
     (groupact.Word, "__len__"),
     (plmaps.PLMap, "identity"),
-    (plmaps.IntervalMapExpr, "identity"),
+    (helpers.IntervalMapExpr, "identity"),
     (cover, "identity_lift"),
     (renorm, "halving_germ"),
     (projline.ProjPoint, "coordinate"),
+    # the reference code in tests/helpers.py
+    (obstruction, "slope_character"),
+    (obstruction, "SlopeCharacter"),
+    (errors, "NotFixed"),
+    (plmaps, "germ_slope"),
+    (plmaps, "_atom_germ_slope"),
+    (plmaps, "as_expr"),
+    (plmaps, "pow2"),
+    (plmaps, "IntervalMapExpr"),
+    (plmaps, "MAX_EXPR_FACTORS"),
+    (plmaps.PLMap, "compose"),
+    (cover, "displacement_growth_check"),
+    (obstruction.DeckRows, "__len__"),
+    (obstruction.DeckRows, "__iter__"),
+    (obstruction.DeckRows, "__getitem__"),
+    (obstruction.DeckRows, "_row"),
 ], ids=lambda v: v if isinstance(v, str) else v.__name__)
 def test_test_only_constructors_are_gone(owner, name):
     assert not hasattr(owner, name)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import AffineChart
+from helpers import AffineChart, IntervalMapExpr, SlopeCharacter, slope_character
 from nonsmooth.cover import (
     COVER_BASEPOINT,
     TORUS_A,
@@ -34,17 +34,14 @@ from nonsmooth.obstruction import (
     DominationRow,
     InterleavingCertificate,
     OrderResult,
-    SlopeCharacter,
     ZZWitness,
     ZZWitnessEntry,
     certify_domination,
     certify_interleaving,
     order_cmp,
-    slope_character,
     zz_witness,
 )
 from nonsmooth.plmaps import (
-    IntervalMapExpr,
     ModelTranslation,
     PLMap,
     cell_shift,
@@ -84,7 +81,7 @@ BUILDERS = {
     ZZAction: lambda: ZZAction({0: 4, -1: 2}),
     OrderResult: lambda: order_cmp(punctured_torus_action(), parse_word("a"),
                                    parse_word("b"), COVER_BASEPOINT),
-    DominationRow: lambda: domination().rows[0],
+    DominationRow: lambda: domination().rows.period[0],
     DeckRows: lambda: domination().rows,
     InterleavingCertificate: lambda: certify_interleaving(
         punctured_torus_action(), COVER_BASEPOINT),
