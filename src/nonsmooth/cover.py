@@ -205,8 +205,9 @@ def fixed_point_lift(m: MoebiusMap):
     return lift, tuple(brackets)
 
 
-def compactify(x: CoverPoint) -> Fraction:
-    """Strictly increasing embedding of the cover into (0, 1).
+def compactify_pair(x: CoverPoint):
+    """Strictly increasing embedding of the cover into (0, 1), as an integer
+    pair (num, den) with den > 0.
 
     The cover first maps to the real line by sheet + n/d, where n/d is the
     traversal coordinate of the base [p : q], a strictly increasing [0, 1)
@@ -218,13 +219,19 @@ def compactify(x: CoverPoint) -> Fraction:
     p, q = x.base.num, x.base.den
     n, d = (p, 2 * (p + q)) if p >= 0 else (2 * q - p, 2 * (q - p))
     lam = x.sheet * d + n
-    return Fraction(lam + d + abs(lam), 2 * (d + abs(lam)))
+    return lam + d + abs(lam), 2 * (d + abs(lam))
 
 
-def uncompactify(y) -> CoverPoint:
-    """Exact inverse of compactify on (0, 1)."""
-    y = Fraction(y)
-    a, b = y.numerator, y.denominator
+def compactify(x: CoverPoint) -> Fraction:
+    return Fraction(*compactify_pair(x))
+
+
+def uncompactify_pair(a: int, b: int) -> CoverPoint:
+    """Exact inverse of compactify on (0, 1), at the point a/b with b > 0.
+
+    The pair need not be reduced: m, d and r below all scale with it, the
+    sheet and the test 2r <= d do not, and ProjPoint reduces the base.
+    """
     if not (0 < a < b):
         raise OutOfDomain("uncompactify needs a point strictly inside (0, 1)")
     # the line point m/d, its sheet, and w = r/d in [0, 1)
@@ -236,3 +243,7 @@ def uncompactify(y) -> CoverPoint:
     else:
         base = ProjPoint(2 * (r - d), 2 * r - d)
     return CoverPoint(base, sheet)
+
+
+def uncompactify(y) -> CoverPoint:
+    return uncompactify_pair(*Fraction(y).as_integer_ratio())

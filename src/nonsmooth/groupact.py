@@ -14,8 +14,10 @@ from .cover import (
     TORUS_A,
     TORUS_B,
     compactify,
+    compactify_pair,
     fixed_point_lift,
     uncompactify,
+    uncompactify_pair,
 )
 from .errors import OutOfDomain, Unsupported, WordSyntaxError
 from .plmaps import (
@@ -240,9 +242,19 @@ def orbit_sequence(act, w, x0, n):
 
 
 class CompactifiedLift(Record):
-    """A lift of the covered line viewed inside (0,1), endpoints fixed."""
+    """A lift of the covered line viewed inside (0,1), endpoints fixed.
+
+    `apply_pair` maps n/m, m > 0, to an unreduced pair (num, den), den > 0,
+    through the integer pair forms of cover; `apply` composes their Fraction
+    wrappers.
+    """
 
     __slots__ = ("lift",)
+
+    def apply_pair(self, n, m):
+        if n == 0 or n == m:
+            return n, m
+        return compactify_pair(self.lift.apply(uncompactify_pair(n, m)))
 
     def apply(self, x):
         x = Fraction(x)

@@ -9,6 +9,7 @@ obstructed actions keep a generator fixed point inside every window.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     BadInterval,
@@ -46,13 +47,15 @@ class MoebiusGermMap(Record):
             raise BadInterval("germ must be orientation preserving")
         Record.__init__(self, *canonical_entries((a, b, c, d)))
 
-    def apply(self, x):
-        # the entries are integers: with x = n/m, one normalization suffices
-        n, m = x.as_integer_ratio()
-        den = self.c * n + self.d * m
+    def apply_pair(self, n, m):
+        """g(n/m), m > 0, as the unreduced integer pair (num, den), den > 0."""
+        num, den = self.a * n + self.b * m, self.c * n + self.d * m
         if den == 0:
-            raise OutOfDomain("germ has a pole at %s" % (x,))
-        return Fraction(self.a * n + self.b * m, den)
+            raise OutOfDomain("germ has a pole at %s" % (Fraction(n, m),))
+        return (num, den) if den > 0 else (-num, -den)
+
+    def apply(self, x):
+        return Fraction(*self.apply_pair(*x.as_integer_ratio()))
 
     def inverse(self) -> "MoebiusGermMap":
         return MoebiusGermMap(self.d, -self.b, -self.c, self.a)
@@ -117,7 +120,10 @@ class RescaledSystem(Record):
 
     The statistics never build the rescaled map: g_hat(x) - x is
     (g(X) - X)/u at the window point X = p + u x, so they run each generator
-    at the window points themselves and rescale only the results.
+    at the window points themselves and rescale only the results.  The
+    window points are integer numerators over one denominator, and a
+    generator with a pair form maps them to integer pairs, so the grid
+    loops build no Fraction per point.
     """
 
     __slots__ = ("window", "act", "grid", "domain")
@@ -148,9 +154,28 @@ class RescaledSystem(Record):
         return self.apply(name, ZERO)
 
 
-def _window_grid(lo, hi, grid):
-    span = hi - lo
-    return [lo + span * Fraction(k, grid) for k in range(grid + 1)]
+def _grid(lo, hi, grid):
+    """The points lo + (hi - lo) k/grid, k = 0..grid, as integer numerators
+    over one common denominator: (numerators, denominator)."""
+    m = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (m // lo.denominator)
+    b = hi.numerator * (m // hi.denominator)
+    return [a * grid + (b - a) * k for k in range(grid + 1)], m * grid
+
+
+def _displacements(g, nums, den):
+    """g(x) - x at each grid point x = n/den, as an unreduced integer pair
+    (v, q) with q > 0.  A map with a pair form `apply_pair` is evaluated on
+    the integers; any other map goes through Fraction."""
+    pair = getattr(g, "apply_pair", None)
+    if pair is None:
+        def pair(n, m):
+            return g.apply(Fraction(n, m)).as_integer_ratio()
+    out = []
+    for n in nums:
+        p, q = pair(n, den)
+        out.append((p * den - n * q, q * den))
+    return out
 
 
 def generator_deviation(rs: RescaledSystem, name, radius):
@@ -159,15 +184,21 @@ def generator_deviation(rs: RescaledSystem, name, radius):
     every sampled point."""
     g = rs.act.maps[rs.names.index(name)]
     p, u = rs.window.point, rs.window.unit
-    shift = g.apply(p) - p
+    sn, sd = (g.apply(p) - p).as_integer_ratio()
     radius = Fraction(radius)
     lo, hi = rs.window.enlarged
     lo, hi = max(lo, p - u * radius), min(hi, p + u * radius)
     if lo > hi:
         raise EmptyGridDomain(
             "window does not meet the requested radius %s" % (radius,))
-    return max(abs(g.apply(x) - x - shift)
-               for x in _window_grid(lo, hi, rs.grid)) / u
+    # |v/q - sn/sd| = |v sd - sn q|/(q sd): with sd fixed, the largest
+    # |v sd - sn q|/q wins, found by cross-multiplying
+    best, best_q = 0, 1
+    for v, q in _displacements(g, *_grid(lo, hi, rs.grid)):
+        dev = abs(v * sd - sn * q)
+        if dev * best_q > best * q:
+            best, best_q = dev, q
+    return Fraction(best * u.denominator, best_q * sd * u.numerator)
 
 
 def translation_deviation(rs: RescaledSystem, radius):
@@ -193,20 +224,22 @@ def fixed_point_in_window(rs: RescaledSystem):
     displacement g_hat(x) - x changes sign (degenerate at an exact zero), or
     None when the displacement keeps one sign at grid granularity."""
     p, u = rs.window.point, rs.window.unit
-    pts = _window_grid(*rs.window.enlarged, rs.grid)
+    nums, den = _grid(*rs.window.enlarged, rs.grid)
     out = {}
     for name, g in zip(rs.names, rs.act.maps):
-        vals = [g.apply(x) - x for x in pts]
-        if all(v == 0 for v in vals):
+        # the scan reads only the sign of each displacement
+        signs = [(v > 0) - (v < 0) for v, _ in _displacements(g, nums, den)]
+        if not any(signs):
             raise Degenerate("generator %s is the identity on the window" % name)
         bracket = None
-        for k, v in enumerate(vals):
-            if v == 0:
-                bracket = (pts[k], pts[k])
+        for k, s in enumerate(signs):
+            if s == 0:
+                bracket = (Fraction(nums[k], den),) * 2
                 break
-            if k and (vals[k - 1] > 0) != (v > 0):
+            if k and signs[k - 1] != s:
                 bracket = _bisect_displacement(
-                    g, pts[k - 1], vals[k - 1], pts[k])
+                    g, Fraction(nums[k - 1], den), signs[k - 1],
+                    Fraction(nums[k], den))
                 break
         # the bracket ends back in rescaled coordinates
         out[name] = None if bracket is None else tuple((x - p) / u for x in bracket)

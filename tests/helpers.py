@@ -53,7 +53,7 @@ from nonsmooth.plmaps import (
 from nonsmooth.projline import GREATER, LESS, MoebiusMap, ProjPoint, ordering_name
 from nonsmooth.rational import fmt_rat
 from nonsmooth.record import Record
-from nonsmooth.renorm import BISECTION_STEPS
+from nonsmooth.renorm import BISECTION_STEPS, _bisect_displacement
 
 # Most factors a power of an expression may expand to; the factors are
 # materialized, so this bounds the memory one power can take.
@@ -566,6 +566,12 @@ def sandwich_apply(window, m, x):
     return (m.apply(p + u * x) - p) / u
 
 
+def window_grid(lo, hi, grid):
+    """The points lo + (hi - lo) k/grid, k = 0..grid, each one a Fraction."""
+    span = hi - lo
+    return [lo + span * Fraction(k, grid) for k in range(grid + 1)]
+
+
 def generator_deviation_oracle(rs, name, radius):
     """renorm.generator_deviation with every value taken through
     RescaledSystem.apply in rescaled coordinates; the oracle for the window
@@ -577,9 +583,8 @@ def generator_deviation_oracle(rs, name, radius):
     if lo > hi:
         raise EmptyGridDomain(
             "window does not meet the requested radius %s" % (radius,))
-    span = hi - lo
     best = Fraction(0)
-    for x in [lo + span * Fraction(k, rs.grid) for k in range(rs.grid + 1)]:
+    for x in window_grid(lo, hi, rs.grid):
         dev = abs(rs.apply(name, x) - x - shift)
         if dev > best:
             best = dev
@@ -590,9 +595,7 @@ def fixed_point_oracle(rs):
     """renorm.fixed_point_in_window with every value taken through
     RescaledSystem.apply in rescaled coordinates; the oracle for the window
     coordinates the library evaluates in."""
-    lo, hi = rs.domain
-    span = hi - lo
-    pts = [lo + span * Fraction(k, rs.grid) for k in range(rs.grid + 1)]
+    pts = window_grid(*rs.domain, rs.grid)
     out = {}
     for name in rs.names:
         vals = [rs.apply(name, x) - x for x in pts]
@@ -618,4 +621,44 @@ def fixed_point_oracle(rs):
                 bracket = (a, b)
                 break
         out[name] = bracket
+    return out
+
+
+def window_deviation_oracle(rs, name, radius):
+    """renorm.generator_deviation with one Fraction per window point and
+    per value; the oracle for the integer pairs the library compares."""
+    g = rs.act.maps[rs.names.index(name)]
+    p, u = rs.window.point, rs.window.unit
+    shift = g.apply(p) - p
+    radius = Fraction(radius)
+    lo, hi = rs.window.enlarged
+    lo, hi = max(lo, p - u * radius), min(hi, p + u * radius)
+    if lo > hi:
+        raise EmptyGridDomain(
+            "window does not meet the requested radius %s" % (radius,))
+    return max(abs(g.apply(x) - x - shift)
+               for x in window_grid(lo, hi, rs.grid)) / u
+
+
+def window_fixed_point_oracle(rs):
+    """renorm.fixed_point_in_window with one Fraction per window point and
+    per value; the oracle for the integer pairs whose signs the library
+    scans."""
+    p, u = rs.window.point, rs.window.unit
+    pts = window_grid(*rs.window.enlarged, rs.grid)
+    out = {}
+    for name, g in zip(rs.names, rs.act.maps):
+        vals = [g.apply(x) - x for x in pts]
+        if all(v == 0 for v in vals):
+            raise Degenerate("generator %s is the identity on the window" % name)
+        bracket = None
+        for k, v in enumerate(vals):
+            if v == 0:
+                bracket = (pts[k], pts[k])
+                break
+            if k and (vals[k - 1] > 0) != (v > 0):
+                bracket = _bisect_displacement(
+                    g, pts[k - 1], vals[k - 1], pts[k])
+                break
+        out[name] = None if bracket is None else tuple((x - p) / u for x in bracket)
     return out

@@ -1,8 +1,8 @@
 """Import hygiene of the package, read from the source with ast: no module
 imports a name it never uses, the package root defines no names, only cli
 knows the report format, only Record writes a repr, one function of cli
-decides what each action spec means, and no module function reads a private
-field.
+decides what each action spec means, no module function reads a private
+field, and no function of renorm checks a generator's type.
 The signatures are pinned against knobs that were folded away, and the
 constructors and reference code only tests call stay out of the package."""
 
@@ -137,6 +137,19 @@ def test_module_functions_read_no_private_attribute(filename):
     assert not reads, "%s: %s" % (filename, reads)
 
 
+def test_renorm_checks_no_generator_type():
+    # every generator goes through apply, or apply_pair when it has one, so
+    # no function of renorm asks what type a map is
+    calls = sorted("%s calls %s" % (top.name, node.func.id)
+                   for top in ast.walk(parse("renorm.py"))
+                   if isinstance(top, ast.FunctionDef)
+                   for node in ast.walk(top)
+                   if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Name)
+                   and node.func.id in ("isinstance", "issubclass", "type"))
+    assert not calls, calls
+
+
 def test_renorm_has_one_grid_and_one_enlargement():
     assert params(renorm.build_windows) == ["act", "p_seq"]
     assert params(renorm.generator_deviation) == ["rs", "name", "radius"]
@@ -167,6 +180,7 @@ def test_one_value_settings_are_folded(f, names):
     (helpers.IntervalMapExpr, "identity"),
     (cover, "identity_lift"),
     (renorm, "halving_germ"),
+    (renorm, "_window_grid"),
     (projline.ProjPoint, "coordinate"),
     # the reference code in tests/helpers.py
     (obstruction, "slope_character"),

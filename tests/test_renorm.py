@@ -18,11 +18,22 @@ from helpers import (
     rand_interior,
     rand_model,
     rand_plmap,
+    rand_pos_rat,
+    rand_rat,
     sandwich_apply,
+    window_deviation_oracle,
+    window_fixed_point_oracle,
 )
 import nonsmooth
 from nonsmooth import renorm
-from nonsmooth.cover import COVER_BASEPOINT, compactify
+from nonsmooth.cover import (
+    COVER_BASEPOINT,
+    CoverPoint,
+    compactify,
+    compactify_pair,
+    uncompactify,
+    uncompactify_pair,
+)
 from nonsmooth.errors import (
     BadInterval,
     Degenerate,
@@ -36,10 +47,13 @@ from nonsmooth.groupact import (
     MarkedAction,
     Word,
     compactified_action,
+    orbit_sequence,
     parse_word,
     punctured_torus_action,
+    zz_letter_action,
 )
-from nonsmooth.plmaps import PLMap
+from nonsmooth.plmaps import ModelTranslation, PLMap
+from nonsmooth.projline import BASEPOINT, ProjPoint
 from nonsmooth.renorm import (
     MoebiusGermMap,
     RescaledSystem,
@@ -386,6 +400,139 @@ class TestWindowCoordinates:
                                           [compactify(rand_cover(rng))])[0]
             brackets += self.check(RescaledSystem(w, act, rng.randint(2, 12)), rng)
         assert brackets > 20
+
+
+class TestPairForms:
+    """A map's pair form agrees with its apply for every scaling of the pair:
+    Fraction(*g.apply_pair(k n, k m)) == g.apply(n/m) for k >= 1, with a
+    positive second entry."""
+
+    def check(self, g, x, rng):
+        n, m = x.as_integer_ratio()
+        expected = g.apply(x)
+        for k in (1, rng.randint(2, 50), rng.randint(51, 10 ** 9)):
+            num, den = g.apply_pair(k * n, k * m)
+            assert den > 0
+            assert Fraction(num, den) == expected
+
+    def test_germs(self):
+        rng = random.Random(120)
+        germs = [parabolic_germ(), parabolic_germ().inverse(),
+                 MoebiusGermMap(1, 0, 0, 2)]
+        germs += [rand_unit_germ(rng, lim=9) for _ in range(40)]
+        checked = 0
+        for g in germs:
+            for x in [ZERO, ONE] + [rand_rat(rng, 30) for _ in range(20)]:
+                if g.c * x + g.d == 0:
+                    continue  # the pole: see test_pole_message_matches_apply
+                self.check(g, x, rng)
+                checked += 1
+        assert checked > 800
+
+    def test_compactified_lifts(self):
+        rng = random.Random(121)
+        act = compactified_action(punctured_torus_action())
+        # the branch boundaries of uncompactify on each sheet: the base at
+        # infinity (2r == d) and the basepoint, where the sheet changes (r == 0)
+        infinities = [compactify(CoverPoint(ProjPoint.infinity(), s))
+                      for s in range(-3, 4)]
+        sheet_changes = [compactify(CoverPoint(BASEPOINT, s))
+                         for s in range(-3, 4)]
+        assert all(uncompactify(y).base.is_infinite for y in infinities)
+        assert [uncompactify(y).sheet for y in sheet_changes] == list(range(-3, 4))
+        interior = (infinities + sheet_changes
+                    + [compactify(rand_cover(rng)) for _ in range(60)])
+        for y in interior:
+            n, m = y.as_integer_ratio()
+            k = rng.randint(2, 10 ** 9)
+            assert uncompactify_pair(k * n, k * m) == uncompactify(y)
+            assert Fraction(*compactify_pair(uncompactify(y))) == y
+        # the endpoints 0 and 1, which every lift fixes
+        for g in act.maps + act.inverses:
+            for y in [ZERO, ONE] + interior:
+                self.check(g, y, rng)
+
+    def test_pole_message_matches_apply(self):
+        rng = random.Random(122)
+        seen = 0
+        while seen < 50:
+            g = rand_unit_germ(rng, lim=9)
+            if g.c == 0:
+                continue
+            pole = Fraction(-g.d, g.c)
+            n, m = pole.as_integer_ratio()
+            k = rng.randint(1, 1000)
+            with pytest.raises(OutOfDomain) as via_apply:
+                g.apply(pole)
+            with pytest.raises(OutOfDomain) as via_pair:
+                g.apply_pair(k * n, k * m)
+            assert str(via_pair.value) == str(via_apply.value)
+            seen += 1
+
+    def test_pole_on_the_grid(self):
+        # x -> x/(1 - 2x) has its pole at 1/2, a point of the 4-cell grid of
+        # the window (0, 1) about 1/4
+        act = MarkedAction(("a",), (MoebiusGermMap(1, 0, -2, 1),), UNIT_INTERVAL)
+        w = Window(0, Fraction(1, 4), (Fraction(1, 4), Fraction(1, 2)), (0, 1),
+                   Fraction(1, 4))
+        rs = RescaledSystem(w, act, 4)
+        for library, oracle in (
+                (fixed_point_in_window, window_fixed_point_oracle),
+                (lambda rs: generator_deviation(rs, "a", 3),
+                 lambda rs: window_deviation_oracle(rs, "a", 3))):
+            with pytest.raises(OutOfDomain) as via_pair:
+                library(rs)
+            with pytest.raises(OutOfDomain) as via_apply:
+                oracle(rs)
+            assert str(via_pair.value) == str(via_apply.value) \
+                == "germ has a pole at 1/2"
+
+
+class TestPairPathMatchesFractionLoops:
+    """generator_deviation and fixed_point_in_window on integer pairs agree
+    exactly with the loops over Fraction window points that they replaced
+    (tests/helpers.py), on every action type, at grid 64 along orbits from
+    the renorm benchmark's starts."""
+
+    STARTS = (Fraction(1, 2), Fraction(2, 5), Fraction(6, 11))
+    RADII = (0, Fraction(1, 3), 2, 1000)
+
+    @staticmethod
+    def actions():
+        pl = PLMap([(0, 0), (Fraction(1, 3), Fraction(1, 2)), (1, 1)])
+        model = ModelTranslation((Fraction(1, 3), Fraction(3, 4)), 2)
+        return {
+            "germ": (germ_action(), "a"),
+            "torus": (compactified_action(punctured_torus_action()), "[a,b]"),
+            "pl": (MarkedAction(("a",), (pl,), UNIT_INTERVAL), "a"),
+            "model": (MarkedAction(("a",), (model,), UNIT_INTERVAL), "a"),
+            "zz": (zz_letter_action(), "a"),
+        }
+
+    def test_every_action_type_at_grid_64(self):
+        rng = random.Random(123)
+        seen = set()
+        for kind, (act, advance) in self.actions().items():
+            for start in self.STARTS:
+                points = orbit_sequence(act, act.parse(advance), start, 5)
+                for w in build_windows(act, points):
+                    rs = RescaledSystem(w, act, 64)
+                    for name in rs.names:
+                        for radius in self.RADII + (rand_pos_rat(rng),):
+                            assert generator_deviation(rs, name, radius) \
+                                == window_deviation_oracle(rs, name, radius)
+                    try:
+                        expected = window_fixed_point_oracle(rs)
+                    except Degenerate:
+                        with pytest.raises(Degenerate):
+                            fixed_point_in_window(rs)
+                        seen.add((kind, "degenerate"))
+                        continue
+                    assert fixed_point_in_window(rs) == expected
+                    seen.update((kind, "none" if b is None else "bracket")
+                                for b in expected.values())
+        assert {("germ", "none"), ("torus", "bracket"),
+                ("zz", "degenerate")} <= seen, seen
 
 
 class TestTranslationDeviation:
