@@ -29,6 +29,7 @@ from .projline import (
     bracket_roots,
     fixed_quadratic,
     traversal_cmp,
+    traversal_cmp_pair,
 )
 from .record import Record
 
@@ -97,15 +98,21 @@ class LiftedMap(Record):
             raise ValueError("basepoint image does not project to M(basepoint)")
         Record.__init__(self, moebius, basepoint_image)
 
+    def apply_triple(self, p: int, q: int, sheet: int):
+        """The image of the cover point over [p : q] on the given sheet, as
+        a triple (r, s, sheet) whose pair is sign-normalized, not reduced."""
+        r, s = self.moebius.apply_pair(p, q)
+        v0 = self.basepoint_image
+        sheet += v0.sheet
+        if traversal_cmp_pair(r, s, v0.base.num, v0.base.den) == LESS:
+            sheet += 1
+        return r, s, sheet
+
     def apply(self, x: CoverPoint) -> CoverPoint:
         if not isinstance(x, CoverPoint):
             raise OutOfDomain("lifted maps act on cover points")
-        image_base = self.moebius.apply(x.base)
-        v0 = self.basepoint_image
-        sheet = v0.sheet + x.sheet
-        if traversal_cmp(image_base, v0.base) == LESS:
-            sheet += 1
-        return CoverPoint(image_base, sheet)
+        r, s, sheet = self.apply_triple(x.base.num, x.base.den, x.sheet)
+        return CoverPoint(ProjPoint(r, s), sheet)
 
     def compose(self, other: "LiftedMap") -> "LiftedMap":
         return LiftedMap(
@@ -205,32 +212,39 @@ def fixed_point_lift(m: MoebiusMap):
     return lift, tuple(brackets)
 
 
-def compactify_pair(x: CoverPoint):
-    """Strictly increasing embedding of the cover into (0, 1), as an integer
-    pair (num, den) with den > 0.
+def compactify_triple(p: int, q: int, sheet: int):
+    """Strictly increasing embedding of the cover into (0, 1): the image of
+    the point over [p : q] on the given sheet, as an integer pair (num, den)
+    with den > 0.
 
     The cover first maps to the real line by sheet + n/d, where n/d is the
     traversal coordinate of the base [p : q], a strictly increasing [0, 1)
     parametrization of the cut circle: t/(2(1 + t)) for t >= 0 (1/2 at
     infinity) and 1/2 + 1/(2(1 - t)) for t < 0. The line point lam/d is then
     squashed into the open unit interval by (lam/(d + |lam|) + 1)/2;
-    endpoints 0 and 1 compactify the two ends.
+    endpoints 0 and 1 compactify the two ends. The pair [p : q] must be
+    sign-normalized (q >= 0, and p > 0 when q == 0) but need not be
+    reduced: scaling it by k > 0 scales n, d, lam and the result by k.
     """
-    p, q = x.base.num, x.base.den
     n, d = (p, 2 * (p + q)) if p >= 0 else (2 * q - p, 2 * (q - p))
-    lam = x.sheet * d + n
+    lam = sheet * d + n
     return lam + d + abs(lam), 2 * (d + abs(lam))
+
+
+def compactify_pair(x: CoverPoint):
+    return compactify_triple(x.base.num, x.base.den, x.sheet)
 
 
 def compactify(x: CoverPoint) -> Fraction:
     return Fraction(*compactify_pair(x))
 
 
-def uncompactify_pair(a: int, b: int) -> CoverPoint:
-    """Exact inverse of compactify on (0, 1), at the point a/b with b > 0.
+def uncompactify_triple(a: int, b: int):
+    """Exact inverse of compactify on (0, 1), at the point a/b with b > 0,
+    as a triple (p, q, sheet) whose pair [p : q] is sign-normalized.
 
-    The pair need not be reduced: m, d and r below all scale with it, the
-    sheet and the test 2r <= d do not, and ProjPoint reduces the base.
+    The pair a/b need not be reduced: m, d and r below all scale with it,
+    the sheet and the test 2r <= d do not, and [p : q] scales with it.
     """
     if not (0 < a < b):
         raise OutOfDomain("uncompactify needs a point strictly inside (0, 1)")
@@ -239,10 +253,13 @@ def uncompactify_pair(a: int, b: int) -> CoverPoint:
     d = b - abs(m)
     sheet, r = divmod(m, d)
     if 2 * r <= d:
-        base = ProjPoint(2 * r, d - 2 * r)  # [d : 0] is infinity
-    else:
-        base = ProjPoint(2 * (r - d), 2 * r - d)
-    return CoverPoint(base, sheet)
+        return 2 * r, d - 2 * r, sheet  # [d : 0] is infinity
+    return 2 * (r - d), 2 * r - d, sheet
+
+
+def uncompactify_pair(a: int, b: int) -> CoverPoint:
+    p, q, sheet = uncompactify_triple(a, b)
+    return CoverPoint(ProjPoint(p, q), sheet)
 
 
 def uncompactify(y) -> CoverPoint:

@@ -14,10 +14,10 @@ from .cover import (
     TORUS_A,
     TORUS_B,
     compactify,
-    compactify_pair,
+    compactify_triple,
     fixed_point_lift,
     uncompactify,
-    uncompactify_pair,
+    uncompactify_triple,
 )
 from .errors import OutOfDomain, Unsupported, WordSyntaxError
 from .plmaps import (
@@ -245,8 +245,10 @@ class CompactifiedLift(Record):
     """A lift of the covered line viewed inside (0,1), endpoints fixed.
 
     `apply_pair` maps n/m, m > 0, to an unreduced pair (num, den), den > 0,
-    through the integer pair forms of cover; `apply` composes their Fraction
-    wrappers.
+    on plain integers: the cover point comes and goes as an integer triple
+    (uncompactify_triple, LiftedMap.apply_triple, compactify_triple), so no
+    ProjPoint or CoverPoint is built.  `apply` composes the object forms,
+    which wrap the same integer steps.
     """
 
     __slots__ = ("lift",)
@@ -254,7 +256,8 @@ class CompactifiedLift(Record):
     def apply_pair(self, n, m):
         if n == 0 or n == m:
             return n, m
-        return compactify_pair(self.lift.apply(uncompactify_pair(n, m)))
+        return compactify_triple(
+            *self.lift.apply_triple(*uncompactify_triple(n, m)))
 
     def apply(self, x):
         x = Fraction(x)

@@ -70,20 +70,28 @@ class ProjPoint(Record):
 BASEPOINT = ProjPoint(0, 1)
 
 
-def traversal_cmp(u: ProjPoint, v: ProjPoint) -> int:
-    """The traversal order with basepoint [0 : 1], on the integer pairs.
+def traversal_cmp_pair(p: int, q: int, r: int, s: int) -> int:
+    """The traversal order with basepoint [0 : 1], on the integer pairs
+    [p : q] and [r : s].
 
     Finite t >= 0 come first (increasing), then infinity, then finite t < 0
     (increasing): the cyclic order of the circle cut open. Points in one
-    half compare by cross-multiplication; denominators are nonnegative, and
-    two infinities cross-multiply to zero.
+    half compare by cross-multiplication. Each pair must be sign-normalized
+    (second entry >= 0, and first entry > 0 when the second is 0) but need
+    not be reduced: the half and the sign of the cross product are
+    invariant under positive scaling, and two infinities cross-multiply to
+    zero.
     """
-    hu = 1 if u.den == 0 else (0 if u.num >= 0 else 2)
-    hv = 1 if v.den == 0 else (0 if v.num >= 0 else 2)
+    hu = 1 if q == 0 else (0 if p >= 0 else 2)
+    hv = 1 if s == 0 else (0 if r >= 0 else 2)
     if hu != hv:
         return LESS if hu < hv else GREATER
-    d = u.num * v.den - v.num * u.den
+    d = p * s - r * q
     return (d > 0) - (d < 0)
+
+
+def traversal_cmp(u: ProjPoint, v: ProjPoint) -> int:
+    return traversal_cmp_pair(u.num, u.den, v.num, v.den)
 
 
 def _clear_to_int(entries):
@@ -141,8 +149,15 @@ class MoebiusMap(Record):
     def __hash__(self):
         return hash(canonical_entries(self.entries))
 
+    def apply_pair(self, p: int, q: int):
+        """The image of [p : q] as the sign-normalized pair (r, s): s >= 0,
+        and r > 0 when s == 0. It is not reduced; scaling [p : q] by k > 0
+        scales the image by k."""
+        r, s = self.a * p + self.b * q, self.c * p + self.d * q
+        return (r, s) if s > 0 or (s == 0 and r > 0) else (-r, -s)
+
     def apply(self, u: ProjPoint) -> ProjPoint:
-        return ProjPoint(self.a * u.num + self.b * u.den, self.c * u.num + self.d * u.den)
+        return ProjPoint(*self.apply_pair(u.num, u.den))
 
     def compose(self, other: "MoebiusMap") -> "MoebiusMap":
         a, b, c, d = self.entries

@@ -206,17 +206,22 @@ def translation_deviation(rs: RescaledSystem, radius):
     return max(generator_deviation(rs, name, radius) for name in rs.names)
 
 
-def _bisect_displacement(g, a, va, b):
+def _bisect_displacement(g, a, sa, b, den):
+    """Halve the grid cell [a/den, b/den], across which g(x) - x changes
+    sign from sa at a/den, BISECTION_STEPS times: each step doubles den, so
+    the midpoint is the integer numerator of the two old ends' sum.  Returns
+    the bracket as two Fractions, degenerate at an exact zero."""
     for _ in range(BISECTION_STEPS):
-        mid = (a + b) / 2
-        v = g.apply(mid) - mid
+        mid = a + b
+        a, b, den = 2 * a, 2 * b, 2 * den
+        ((v, _),) = _displacements(g, (mid,), den)
         if v == 0:
-            return (mid, mid)
-        if (v > 0) == (va > 0):
-            a, va = mid, v
+            return (Fraction(mid, den),) * 2
+        if (v > 0) == (sa > 0):
+            a = mid
         else:
             b = mid
-    return (a, b)
+    return Fraction(a, den), Fraction(b, den)
 
 
 def fixed_point_in_window(rs: RescaledSystem):
@@ -238,8 +243,7 @@ def fixed_point_in_window(rs: RescaledSystem):
                 break
             if k and signs[k - 1] != s:
                 bracket = _bisect_displacement(
-                    g, Fraction(nums[k - 1], den), signs[k - 1],
-                    Fraction(nums[k], den))
+                    g, nums[k - 1], signs[k - 1], nums[k], den)
                 break
         # the bracket ends back in rescaled coordinates
         out[name] = None if bracket is None else tuple((x - p) / u for x in bracket)

@@ -53,7 +53,7 @@ from nonsmooth.plmaps import (
 from nonsmooth.projline import GREATER, LESS, MoebiusMap, ProjPoint, ordering_name
 from nonsmooth.rational import fmt_rat
 from nonsmooth.record import Record
-from nonsmooth.renorm import BISECTION_STEPS, _bisect_displacement
+from nonsmooth.renorm import BISECTION_STEPS
 
 # Most factors a power of an expression may expand to; the factors are
 # materialized, so this bounds the memory one power can take.
@@ -640,6 +640,23 @@ def window_deviation_oracle(rs, name, radius):
                for x in window_grid(lo, hi, rs.grid)) / u
 
 
+def bisect_displacement_oracle(g, a, va, b):
+    """Halve [a, b], across which g(x) - x changes sign from the sign of va
+    at a, BISECTION_STEPS times on Fraction midpoints; degenerate at an
+    exact zero.  The oracle for renorm._bisect_displacement, which bisects
+    on grid numerators."""
+    for _ in range(BISECTION_STEPS):
+        mid = (a + b) / 2
+        v = g.apply(mid) - mid
+        if v == 0:
+            return (mid, mid)
+        if (v > 0) == (va > 0):
+            a, va = mid, v
+        else:
+            b = mid
+    return (a, b)
+
+
 def window_fixed_point_oracle(rs):
     """renorm.fixed_point_in_window with one Fraction per window point and
     per value; the oracle for the integer pairs whose signs the library
@@ -657,7 +674,7 @@ def window_fixed_point_oracle(rs):
                 bracket = (pts[k], pts[k])
                 break
             if k and (vals[k - 1] > 0) != (v > 0):
-                bracket = _bisect_displacement(
+                bracket = bisect_displacement_oracle(
                     g, pts[k - 1], vals[k - 1], pts[k])
                 break
         out[name] = None if bracket is None else tuple((x - p) / u for x in bracket)

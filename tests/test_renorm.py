@@ -1,11 +1,13 @@
 """Blow-up probe: windows, rescaled systems, translation deviation, and
 fixed-point persistence, with closed-form oracles for the germ examples."""
 
+import contextlib
 import os
 import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -19,7 +21,9 @@ from helpers import (
     rand_model,
     rand_plmap,
     rand_pos_rat,
+    rand_proj,
     rand_rat,
+    rand_sl2,
     sandwich_apply,
     window_deviation_oracle,
     window_fixed_point_oracle,
@@ -28,11 +32,15 @@ import nonsmooth
 from nonsmooth import renorm
 from nonsmooth.cover import (
     COVER_BASEPOINT,
+    TORUS_A,
+    TORUS_B,
     CoverPoint,
     compactify,
     compactify_pair,
+    compactify_triple,
     uncompactify,
     uncompactify_pair,
+    uncompactify_triple,
 )
 from nonsmooth.errors import (
     BadInterval,
@@ -53,7 +61,13 @@ from nonsmooth.groupact import (
     zz_letter_action,
 )
 from nonsmooth.plmaps import ModelTranslation, PLMap
-from nonsmooth.projline import BASEPOINT, ProjPoint
+from nonsmooth.projline import (
+    BASEPOINT,
+    MoebiusMap,
+    ProjPoint,
+    traversal_cmp,
+    traversal_cmp_pair,
+)
 from nonsmooth.renorm import (
     MoebiusGermMap,
     RescaledSystem,
@@ -488,6 +502,159 @@ class TestPairForms:
                 == "germ has a pole at 1/2"
 
 
+def sign_normalized(p, q):
+    return q > 0 or (q == 0 and p > 0)
+
+
+class TestIntegerForms:
+    """Each integer step of CompactifiedLift.apply_pair agrees with the
+    object form that wraps it, at every positive scaling of its input:
+    MoebiusMap.apply_pair, traversal_cmp_pair, LiftedMap.apply_triple,
+    compactify_triple and uncompactify_triple.  Each returned pair is
+    sign-normalized and scales with the input."""
+
+    # the basepoint (r == 0 once compactified), infinity (2r == d) and one
+    # point on each side of the cut
+    BASES = (BASEPOINT, ProjPoint.infinity(), ProjPoint(1, 1), ProjPoint(-1, 1))
+
+    @staticmethod
+    def scales(rng):
+        return (1, rng.randint(2, 50), rng.randint(51, 10 ** 9))
+
+    def cover_points(self, rng):
+        return ([CoverPoint(u, s) for s in range(-3, 4) for u in self.BASES]
+                + [CoverPoint(rand_proj(rng), rng.randint(-3, 3))
+                   for _ in range(60)])
+
+    @staticmethod
+    def lifts():
+        # both torus lifts, their inverses and deck translates
+        act = punctured_torus_action()
+        return [f.deck(k) for f in act.maps + act.inverses for k in range(-2, 3)]
+
+    def test_moebius_apply_pair(self):
+        rng = random.Random(130)
+        maps = [TORUS_A, TORUS_B, TORUS_A.inverse(), TORUS_B.inverse(),
+                MoebiusMap(-1, -1, -1, -2)] + [rand_sl2(rng) for _ in range(30)]
+        points = list(self.BASES) + [rand_proj(rng) for _ in range(30)]
+        for m in maps:
+            for u in points:
+                base = m.apply_pair(u.num, u.den)
+                for k in self.scales(rng):
+                    r, s = m.apply_pair(k * u.num, k * u.den)
+                    assert sign_normalized(r, s)
+                    assert (r, s) == (k * base[0], k * base[1])
+                    assert ProjPoint(r, s) == m.apply(u)
+
+    def test_traversal_cmp_pair(self):
+        rng = random.Random(131)
+        points = list(self.BASES) + [rand_proj(rng) for _ in range(30)]
+        infinite_sides = set()
+        for u in points:
+            for v in points:
+                j, k = rng.choice(self.scales(rng)), rng.choice(self.scales(rng))
+                assert traversal_cmp_pair(j * u.num, j * u.den, k * v.num,
+                                          k * v.den) == traversal_cmp(u, v)
+                infinite_sides.add((u.is_infinite, v.is_infinite))
+        assert infinite_sides == {(False, False), (False, True),
+                                  (True, False), (True, True)}
+
+    def test_lifted_apply_triple(self):
+        rng = random.Random(132)
+        points = self.cover_points(rng)
+        for f in self.lifts():
+            for x in points:
+                for k in self.scales(rng):
+                    r, s, sheet = f.apply_triple(k * x.base.num,
+                                                 k * x.base.den, x.sheet)
+                    assert sign_normalized(r, s)
+                    assert CoverPoint(ProjPoint(r, s), sheet) == f.apply(x)
+
+    def test_compactify_triple(self):
+        rng = random.Random(133)
+        for x in self.cover_points(rng):
+            for k in self.scales(rng):
+                num, den = compactify_triple(k * x.base.num, k * x.base.den,
+                                             x.sheet)
+                assert den > 0
+                assert Fraction(num, den) == compactify(x)
+
+    def test_uncompactify_triple(self):
+        rng = random.Random(134)
+        for x in self.cover_points(rng):
+            n, m = compactify(x).as_integer_ratio()
+            for k in self.scales(rng):
+                p, q, sheet = uncompactify_triple(k * n, k * m)
+                assert sign_normalized(p, q)
+                assert CoverPoint(ProjPoint(p, q), sheet) == uncompactify(
+                    Fraction(n, m)) == x
+                # the two branch boundaries keep their exact shape
+                if x.base == BASEPOINT:
+                    assert p == 0
+                if x.base.is_infinite:
+                    assert q == 0
+
+    def test_outside_the_open_interval_is_one_message(self):
+        rng = random.Random(135)
+        lifts = compactified_action(punctured_torus_action()).maps
+        for n, m in ((0, 1), (1, 1), (-1, 3), (4, 3), (2, 1), (-5, 1)):
+            for k in self.scales(rng):
+                with pytest.raises(OutOfDomain) as via_object:
+                    uncompactify(Fraction(n, m))
+                with pytest.raises(OutOfDomain) as via_triple:
+                    uncompactify_triple(k * n, k * m)
+                assert str(via_triple.value) == str(via_object.value)
+                if 0 <= n <= m:
+                    continue  # the endpoints, which every lift fixes
+                for g in lifts:
+                    with pytest.raises(OutOfDomain) as via_apply:
+                        g.apply(Fraction(n, m))
+                    with pytest.raises(OutOfDomain) as via_pair:
+                        g.apply_pair(k * n, k * m)
+                    assert str(via_pair.value) == str(via_apply.value) \
+                        == str(via_object.value)
+
+
+@contextlib.contextmanager
+def counting_cover_objects():
+    """Count the ProjPoint and CoverPoint constructions inside the block."""
+    counts = Counter()
+    patches = []
+    for cls in (ProjPoint, CoverPoint):
+        def init(self, *args, _cls=cls, _init=cls.__init__):
+            counts[_cls.__name__] += 1
+            _init(self, *args)
+        patches.append(mock.patch.object(cls, "__init__", init))
+    with patches[0], patches[1]:
+        yield counts
+
+
+class TestNoCoverObjectsOnTheGrid:
+    """The compactified torus grid and its bisection run on integers: they
+    build no ProjPoint and no CoverPoint."""
+
+    def test_grid_and_bisection(self):
+        _, systems = torus_windows(range(4))
+        bisected = 0
+        for rs in systems:
+            g = rs.act.maps[0]
+            nums, den = renorm._grid(*rs.window.enlarged, rs.grid)
+            assert len(nums) == 65
+            with counting_cover_objects() as counts:
+                renorm._displacements(g, nums, den)
+                brackets = fixed_point_in_window(rs)
+            assert not counts, counts
+            bisected += sum(b is not None and b[0] != b[1]
+                            for b in brackets.values())
+        assert bisected >= 4
+
+    def test_the_count_sees_the_object_path(self):
+        g = compactified_action(punctured_torus_action()).maps[0]
+        with counting_cover_objects() as counts:
+            g.apply(Fraction(1, 3))
+        assert counts["ProjPoint"] >= 2 and counts["CoverPoint"] >= 2
+
+
 class TestPairPathMatchesFractionLoops:
     """generator_deviation and fixed_point_in_window on integer pairs agree
     exactly with the loops over Fraction window points that they replaced
@@ -533,6 +700,22 @@ class TestPairPathMatchesFractionLoops:
                                 for b in expected.values())
         assert {("germ", "none"), ("torus", "bracket"),
                 ("zz", "degenerate")} <= seen, seen
+
+
+    def test_bisection_midpoint_is_an_exact_zero(self):
+        # the PL map's one interior fixed point, 11/32, is no point of the
+        # grid 1/4, 1/2, 3/4 but the third midpoint of its first cell
+        z = Fraction(11, 32)
+        g = PLMap([(0, 0), (Fraction(1, 8), Fraction(1, 4)), (z, z),
+                   (Fraction(3, 4), Fraction(5, 8)), (1, 1)])
+        act = MarkedAction(("a",), (g,), UNIT_INTERVAL)
+        p = Fraction(1, 2)
+        gp = g.apply(p)
+        w = Window(0, p, (gp, p), (Fraction(1, 4), Fraction(3, 4)), p - gp)
+        rs = RescaledSystem(w, act, 2)
+        expected = window_fixed_point_oracle(rs)
+        assert expected == {"a": ((z - p) / (p - gp),) * 2}
+        assert fixed_point_in_window(rs) == expected
 
 
 class TestTranslationDeviation:
