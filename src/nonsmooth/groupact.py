@@ -331,7 +331,18 @@ class ZZAction(Record):
         return ZZAction(merged)
 
 
-def zz_slope_mid(i, k):
+def zz_base_link(k):
+    """The middle link of zz_slope_mid's chain, the only one that does not
+    depend on the cell: the base cell shift to the power k at cell 0's
+    midpoint 7/12, as (s, left, right), where s is the chart coordinate of
+    the image and left and right are the two one-sided slopes there."""
+    y = from_chart(Fraction(1, 2))
+    base = base_cell_shift(k)
+    return (to_chart(base.apply(y)), base.one_sided_slope(y, LEFT),
+            base.one_sided_slope(y, RIGHT))
+
+
+def zz_slope_mid(i, k, links):
     """Slope at the midpoint of cell i of the cell shift of cell i to the
     power k: the chain rule through the shift by -i, the base cell shift to
     the power k, and the shift back by i.  The midpoint is a breakpoint, so
@@ -339,22 +350,24 @@ def zz_slope_mid(i, k):
     derivative exists iff they agree).  At k = 0 the two outer ratios cancel
     and the slope is exactly 1.
 
-    The two outer shifts are walked in chart coordinates, where the midpoint
-    of cell i is t = i + 1/2 and the shift by p is t -> t + p: each costs one
-    closed-form width ratio (chart_shift_slope), and no point the size of
-    cell i is built.  The shift by -i lands on cell 0's midpoint, where the
-    base cell shift moves a 7-bit point and gives its two one-sided slopes.
-    Its image is interior to cell 0, and so is t, so each outer shift has one
-    slope there, the same on both sides.  The image under the shift back is
-    never needed.
+    The middle link is zz_base_link(k), read from links, a dict from power
+    to link that the caller owns and this call fills: one witness evaluates
+    each power's base link once and keeps nothing after it returns.  The
+    two outer shifts are walked in chart coordinates, where the midpoint of
+    cell i is t = i + 1/2 and the shift by p is t -> t + p: each is one
+    ratio of closed-form integer cell widths (chart_shift_slope), computed
+    for cell i on every call, and no point the size of cell i is built.
+    The base link's image is interior to cell 0 and t is interior to cell
+    i, so each outer shift has one slope there, the same on both sides.
+    The image under the shift back is never needed.
     """
-    t = Fraction(2 * i + 1, 2)
-    y = from_chart(t - i)
-    base = base_cell_shift(k)
-    outer = (chart_shift_slope(t, -i, RIGHT)
-             * chart_shift_slope(to_chart(base.apply(y)), i, RIGHT))
-    return max(outer * base.one_sided_slope(y, LEFT),
-               outer * base.one_sided_slope(y, RIGHT))
+    link = links.get(k)
+    if link is None:
+        link = links[k] = zz_base_link(k)
+    s, left, right = link
+    outer = (chart_shift_slope(Fraction(2 * i + 1, 2), -i, RIGHT)
+             * chart_shift_slope(s, i, RIGHT))
+    return outer * max(left, right)
 
 
 def zz_letter_action():

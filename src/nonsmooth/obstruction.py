@@ -209,12 +209,13 @@ class ZZWitness(Record):
                 and all(e.slope < HALF for e in self.entries))
 
 
-def _least_power(i):
+def _least_power(i, links):
     """Least power n <= ZZ_SEARCH_CAP whose slope at the midpoint of cell i
-    is below one half, as (n, slope, slope at n - 1 or None when n == 1)."""
+    is below one half, as (n, slope, slope at n - 1 or None when n == 1);
+    links is the witness's dict of base links, passed to zz_slope_mid."""
     rejected = None
     for n in range(1, ZZ_SEARCH_CAP + 1):
-        slope = zz_slope_mid(i, n)
+        slope = zz_slope_mid(i, n, links)
         if slope < HALF:
             return n, slope, rejected
         rejected = slope
@@ -231,20 +232,25 @@ def zz_witness(truncation):
     cell 0's slope chain to every cell.  Each other cell is re-verified
     exactly through its own chain, at that power and at the power before it;
     a cell whose two slopes differ from cell 0's gets its own search.
+
+    Every slope goes through one dict of base links, made here and dropped
+    on return: the base cell shift is evaluated once per power this witness
+    probes, and each cell adds only its two integer width ratios.
     """
     if truncation < 0:
         raise ValueError("truncation radius must be nonnegative")
-    shared = _least_power(0)
+    links = {}
+    shared = _least_power(0, links)
     power = shared[0]
     entries = []
     support = {}
     for i in range(-truncation, truncation + 1):
         found = shared
         if i != 0:
-            found = (power, zz_slope_mid(i, power),
-                     zz_slope_mid(i, power - 1) if power > 1 else None)
+            found = (power, zz_slope_mid(i, power, links),
+                     zz_slope_mid(i, power - 1, links) if power > 1 else None)
             if found != shared:
-                found = _least_power(i)
+                found = _least_power(i, links)
         support[i] = found[0]
         entries.append(ZZWitnessEntry(i, *found))
     product = ZZAction(support)

@@ -27,14 +27,26 @@ def anchor(i):
     return Fraction(1, (1 << -i) + 1)
 
 
+def _width_pair(i):
+    # c_(i+1) - c_i as an integer pair (num, den), both positive
+    if i >= 0:
+        p = 1 << i
+        return p, ((p << 1) + 1) * (p + 1)
+    p = 1 << (-i - 1)
+    return p, (p + 1) * ((p << 1) + 1)
+
+
 def cell_width(i):
     """c_(i+1) - c_i in closed form: 2^i/((2^(i+1)+1)(2^i+1)) for i >= 0 and,
     with j = -i, 2^(j-1)/((2^(j-1)+1)(2^j+1)) for i < 0."""
-    if i >= 0:
-        p = 1 << i
-        return Fraction(p, ((p << 1) + 1) * (p + 1))
-    p = 1 << (-i - 1)
-    return Fraction(p, (p + 1) * ((p << 1) + 1))
+    return Fraction(*_width_pair(i))
+
+
+def _width_ratio(j, power):
+    # cell_width(j + power) / cell_width(j), one Fraction from the pairs
+    a0, b0 = _width_pair(j)
+    a1, b1 = _width_pair(j + power)
+    return Fraction(a1 * b0, b1 * a0)
 
 
 def cell_midpoint(i):
@@ -78,13 +90,14 @@ def chart_shift_slope(t, power, side):
     """One-sided slope of chart_shift(power) at the point of chart coordinate
     t.  The shift is t -> t + power in chart coordinates, so on cell j it is
     affine with slope cell_width(j + power) / cell_width(j); j = floor(t), or
-    t - 1 on the left at an integer t.  No interval point is built."""
+    t - 1 on the left at an integer t.  The ratio is formed on the integer
+    width pairs, so no interval point and no width Fraction is built."""
     _check_side(side)
     t = Fraction(t)
     j = t.numerator // t.denominator
     if side == LEFT and t == j:
         j -= 1
-    return cell_width(j + power) / cell_width(j)
+    return _width_ratio(j, power)
 
 
 class PLMap(Record):
@@ -185,7 +198,7 @@ class ModelTranslation(Record):
         i = chart_index(u)
         if side == LEFT and u == anchor(i):
             i -= 1
-        return cell_width(i + self.power) / cell_width(i)
+        return _width_ratio(i, self.power)
 
 
 def chart_shift(power=1):

@@ -2,7 +2,8 @@
 imports a name it never uses, the package root defines no names, only cli
 knows the report format, only Record writes a repr, one function of cli
 decides what each action spec means, no module function reads a private
-field, and no function of renorm checks a generator's type.
+field, no module keeps a functools cache, and no function of renorm checks
+a generator's type.
 The signatures are pinned against knobs that were folded away, and the
 constructors and reference code only tests call stay out of the package."""
 
@@ -135,6 +136,22 @@ def test_module_functions_read_no_private_attribute(filename):
                    and node.attr.startswith("_")
                    and not node.attr.startswith("__"))
     assert not reads, "%s: %s" % (filename, reads)
+
+
+@pytest.mark.parametrize("filename", MODULES)
+def test_no_module_keeps_a_hidden_cache(filename):
+    # a memo that outlives one call would hide layers from the per-run call
+    # counts and break "no cache kept between runs"; a memo lives in a dict
+    # its caller owns
+    caches = {"lru_cache", "cache"}
+    uses = sorted(
+        "line %d" % node.lineno for node in ast.walk(parse(filename))
+        if (isinstance(node, ast.ImportFrom) and node.module == "functools"
+            and any(a.name in caches for a in node.names))
+        or (isinstance(node, ast.Attribute) and node.attr in caches
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"))
+    assert not uses, "%s uses functools caching at %s" % (filename, uses)
 
 
 def test_renorm_checks_no_generator_type():

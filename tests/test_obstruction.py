@@ -58,6 +58,7 @@ from nonsmooth.obstruction import (
 from nonsmooth.plmaps import (
     LEFT,
     RIGHT,
+    ModelTranslation,
     base_cell_shift,
     cell_midpoint,
     cell_shift,
@@ -484,16 +485,16 @@ class TestZZWitness:
                                                   probes):
         calls = []
 
-        def skewed(i, k):
+        def skewed(i, k, links):
             calls.append((i, k))
             if i == 3:
                 k = skew(k)
-            return zz_slope_mid(i, k)
+            return zz_slope_mid(i, k, links)
 
         monkeypatch.setattr(obstruction, "zz_slope_mid", skewed)
         w = zz_witness(4)
         by_cell = {e.index: e for e in w.entries}
-        rejected = zz_slope_mid(0, rejected_power)
+        rejected = zz_slope_mid(0, rejected_power, {})
         assert by_cell[3] == ZZWitnessEntry(3, power, Fraction(16, 51),
                                             rejected)
         assert all(e.power == 4 for i, e in by_cell.items() if i != 3)
@@ -501,12 +502,47 @@ class TestZZWitness:
         assert w.support[3] == power and w.valid
 
     def test_disagreeing_cell_can_exhaust(self, monkeypatch):
-        def flat_on_cell_3(i, k):
-            return Fraction(1) if i == 3 else zz_slope_mid(i, k)
+        def flat_on_cell_3(i, k, links):
+            return Fraction(1) if i == 3 else zz_slope_mid(i, k, links)
 
         monkeypatch.setattr(obstruction, "zz_slope_mid", flat_on_cell_3)
         with pytest.raises(SearchExhausted, match="cell 3 "):
             zz_witness(4)
+
+    def test_base_links_live_for_one_witness(self, monkeypatch):
+        # each power the witness probes costs one base cell shift, and a
+        # second witness in the same process pays for its own links
+        applied, powers = [], []
+        apply = ModelTranslation.apply
+        slope_mid = obstruction.zz_slope_mid
+
+        def counted_apply(self, x):
+            applied.append(self.power)
+            return apply(self, x)
+
+        def probed(i, k, links):
+            powers.append(k)
+            return slope_mid(i, k, links)
+
+        monkeypatch.setattr(ModelTranslation, "apply", counted_apply)
+        monkeypatch.setattr(obstruction, "zz_slope_mid", probed)
+        for _ in range(2):
+            applied.clear()
+            powers.clear()
+            w = zz_witness(50)
+            assert w.valid and len(powers) == 2 * (2 * 50 + 1) + 2
+            assert sorted(applied) == sorted(set(powers))
+
+    def test_shared_links_match_fresh_ones(self):
+        rng = random.Random(2401)
+        pairs = [(rng.randint(-5000, 5000), rng.randint(-8, 8))
+                 for _ in range(195)]
+        pairs += [(i, 0) for i in (-5000, -1, 0, 1, 5000)]
+        rng.shuffle(pairs)
+        links = {}
+        for i, k in pairs:
+            assert zz_slope_mid(i, k, links) == zz_slope_mid(i, k, {}), (i, k)
+        assert set(links) == {k for _, k in pairs}
 
     def test_frozen_powers_and_slopes(self):
         w = zz_witness(4)

@@ -227,6 +227,22 @@ class TestSlopes:
                 assert (chart_shift_slope(t, p, side)
                         == chart_shift(p).one_sided_slope(x, side))
 
+    def test_chart_shift_slope_at_zz_sizes(self):
+        # zz_slope_mid shifts by -i and i with |i| up to the truncation cap
+        # of 5000; at an integer t the left slope is the lower cell's
+        rng = random.Random(311)
+        crossed = 0
+        for _ in range(300):
+            j = rng.randint(-5000, 5000)
+            p = rng.randint(-5000, 5000)
+            crossed += (j < 0) != (j + p < 0)
+            for t in (Fraction(j), j + Fraction(1, 2)):
+                for side in (LEFT, RIGHT):
+                    cell = j - 1 if side == LEFT and t == j else j
+                    assert (chart_shift_slope(t, p, side)
+                            == cell_width(cell + p) / cell_width(cell)), (t, p)
+        assert crossed > 50
+
     def test_chart_shift_slope_bad_side(self):
         with pytest.raises(ValueError):
             chart_shift_slope(Fraction(1, 2), 1, "up")
