@@ -97,6 +97,13 @@ SPEC_FIELDS = {"punctured-torus": (), "zz": (), "pl": ("breakpoints",),
                "model-translation": ("support", "power"), "parabolic-germ": ()}
 
 
+def spec_pair(value, field):
+    # a JSON string would unpack into its characters
+    if not (isinstance(value, list) and len(value) == 2):
+        raise UsageError("%s must be a JSON array of two rationals" % field)
+    return [parse_rat(str(v)) for v in value]
+
+
 def parse_action_spec(text):
     """Accept a bare type name or a JSON record; return (action, start,
     advance): the action, the point its orbits start from unless a command
@@ -126,7 +133,10 @@ def parse_action_spec(text):
             act, start = zz_letter_action(), cell_midpoint(0)
         elif kind == "pl":
             points = obj.get("breakpoints", [["0", "0"], ["1", "1"]])
-            pl = PLMap([(parse_rat(str(x)), parse_rat(str(y))) for x, y in points])
+            if not isinstance(points, list):
+                raise UsageError("pl field \"breakpoints\" must be a JSON array")
+            pl = PLMap([spec_pair(b, "pl breakpoint %d" % k)
+                        for k, b in enumerate(points)])
             act, start = MarkedAction(("a",), (pl,), UNIT_INTERVAL), Fraction(1, 2)
         elif kind == "model-translation":
             support = obj.get("support", ["1/2", "2/3"])
@@ -134,7 +144,7 @@ def parse_action_spec(text):
             if type(power) is not int or abs(power) > MAX_POWER:
                 raise UsageError("model-translation power %r is not an integer "
                                  "in [-%d, %d]" % (power, MAX_POWER, MAX_POWER))
-            lo, hi = (parse_rat(str(v)) for v in support)
+            lo, hi = spec_pair(support, "model-translation field \"support\"")
             act = MarkedAction(
                 ("a",), (ModelTranslation((lo, hi), power),), UNIT_INTERVAL)
             # the support endpoints are fixed; start in the middle

@@ -52,8 +52,7 @@ class CoverPoint(Record):
     def __init__(self, base: ProjPoint, sheet: int):
         if not isinstance(sheet, int):
             raise TypeError("sheet must be an int")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "sheet", sheet)
+        Record.__init__(self, base, sheet)
 
     def deck(self, k: int) -> "CoverPoint":
         return CoverPoint(self.base, self.sheet + k)
@@ -231,12 +230,8 @@ def compactify_triple(p: int, q: int, sheet: int):
     return lam + d + abs(lam), 2 * (d + abs(lam))
 
 
-def compactify_pair(x: CoverPoint):
-    return compactify_triple(x.base.num, x.base.den, x.sheet)
-
-
 def compactify(x: CoverPoint) -> Fraction:
-    return Fraction(*compactify_pair(x))
+    return Fraction(*compactify_triple(x.base.num, x.base.den, x.sheet))
 
 
 def uncompactify_triple(a: int, b: int):
@@ -257,10 +252,6 @@ def uncompactify_triple(a: int, b: int):
     return 2 * (r - d), 2 * r - d, sheet
 
 
-def uncompactify_pair(a: int, b: int) -> CoverPoint:
-    p, q, sheet = uncompactify_triple(a, b)
-    return CoverPoint(ProjPoint(p, q), sheet)
-
-
 def uncompactify(y) -> CoverPoint:
-    return uncompactify_pair(*Fraction(y).as_integer_ratio())
+    p, q, sheet = uncompactify_triple(*Fraction(y).as_integer_ratio())
+    return CoverPoint(ProjPoint(p, q), sheet)

@@ -247,8 +247,8 @@ class CompactifiedLift(Record):
     `apply_pair` maps n/m, m > 0, to an unreduced pair (num, den), den > 0,
     on plain integers: the cover point comes and goes as an integer triple
     (uncompactify_triple, LiftedMap.apply_triple, compactify_triple), so no
-    ProjPoint or CoverPoint is built.  `apply` composes the object forms,
-    which wrap the same integer steps.
+    ProjPoint or CoverPoint is built.  `apply` composes the object forms of
+    the same steps, which the benchmark traces as layers.
     """
 
     __slots__ = ("lift",)

@@ -45,8 +45,7 @@ class ProjPoint(Record):
         den //= g
         if den < 0 or (den == 0 and num < 0):
             num, den = -num, -den
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        Record.__init__(self, num, den)
 
     @staticmethod
     def from_affine(t) -> "ProjPoint":

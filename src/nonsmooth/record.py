@@ -3,13 +3,7 @@
 A subclass lists its fields in ``__slots__``.  A subclass that normalizes or
 validates its arguments keeps its own ``__init__`` and ends it with
 ``Record.__init__(self, *fields)``; a check that needs the subclass's own
-methods runs after that call, once the fields are set.  ``ProjPoint`` and
-``CoverPoint``, the most built records (817 and 807 in a ``renorm
---action punctured-torus --windows 32 --grid 64 --start 1/2``, whose grid
-runs on integer triples; a ``certify punctured-torus`` builds 111 of each
-at any depth), set theirs with ``object.__setattr__``: through
-``Record.__init__`` one took 0.90 us, not 0.54, and the other 0.89 us, not
-0.48 (timeit, Python 3.11.7, Intel Xeon).  A pure record has no
+methods runs after that call, once the fields are set.  A pure record has no
 ``__init__`` at all.  Every record's repr comes from its slots.
 """
 

@@ -91,23 +91,24 @@ class Window(Record):
 
 
 def build_windows(act: MarkedAction, p_seq):
-    """Hull each point with its generator images, then enlarge about the point
-    by WINDOW_ENLARGEMENT, clamped to the unit interval."""
+    """Hull each point p with its generator images, read as the shifts
+    g(p) - p that the grid helper computes on integers, then enlarge about
+    the point by WINDOW_ENLARGEMENT, clamped to the unit interval."""
     if act.domain != UNIT_INTERVAL:
         raise Unsupported("windows need an interval action")
     windows = []
     for index, p in enumerate(p_seq):
         p = act.check_point(p)
-        images = [m.apply(p) for m in act.maps]
-        unit = max(abs(x - p) for x in images)
+        shifts = [Fraction(v, q) for g in act.maps
+                  for v, q in _displacements(g, (p.numerator,), p.denominator)]
+        unit = max(abs(s) for s in shifts)
         if unit == 0:
             raise EmptyDisplacement(
                 "every generator fixes the marked point %s" % (p,))
-        lo = min(images + [p])
-        hi = max(images + [p])
-        enlarged = (max(ZERO, p + WINDOW_ENLARGEMENT * (lo - p)),
-                    min(ONE, p + WINDOW_ENLARGEMENT * (hi - p)))
-        windows.append(Window(index, p, (lo, hi), enlarged, unit))
+        lo, hi = min(shifts + [ZERO]), max(shifts + [ZERO])
+        enlarged = (max(ZERO, p + WINDOW_ENLARGEMENT * lo),
+                    min(ONE, p + WINDOW_ENLARGEMENT * hi))
+        windows.append(Window(index, p, (p + lo, p + hi), enlarged, unit))
     return tuple(windows)
 
 
@@ -184,7 +185,7 @@ def generator_deviation(rs: RescaledSystem, name, radius):
     every sampled point."""
     g = rs.act.maps[rs.names.index(name)]
     p, u = rs.window.point, rs.window.unit
-    sn, sd = (g.apply(p) - p).as_integer_ratio()
+    ((sn, sd),) = _displacements(g, (p.numerator,), p.denominator)
     radius = Fraction(radius)
     lo, hi = rs.window.enlarged
     lo, hi = max(lo, p - u * radius), min(hi, p + u * radius)
@@ -192,7 +193,8 @@ def generator_deviation(rs: RescaledSystem, name, radius):
         raise EmptyGridDomain(
             "window does not meet the requested radius %s" % (radius,))
     # |v/q - sn/sd| = |v sd - sn q|/(q sd): with sd fixed, the largest
-    # |v sd - sn q|/q wins, found by cross-multiplying
+    # |v sd - sn q|/q wins, found by cross-multiplying; the shift sn/sd is
+    # unreduced, and scaling it scales every term alike
     best, best_q = 0, 1
     for v, q in _displacements(g, *_grid(lo, hi, rs.grid)):
         dev = abs(v * sd - sn * q)

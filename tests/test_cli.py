@@ -637,6 +637,27 @@ class TestSpecsAndPoints:
             2, "", "UsageError: action spec nests JSON arrays or objects too "
                    "deeply to parse\n")
 
+    @pytest.mark.parametrize("spec, message", [
+        # a string is not a pair, though it unpacks into two characters
+        ('{"type":"model-translation","support":"01","power":2}',
+         'model-translation field "support" must be a JSON array of two '
+         'rationals'),
+        ('{"type":"model-translation","support":["1/2"]}',
+         'model-translation field "support" must be a JSON array of two '
+         'rationals'),
+        ('{"type":"pl","breakpoints":[["0","0"],"11",["1","1"]]}',
+         "pl breakpoint 1 must be a JSON array of two rationals"),
+        ('{"type":"pl","breakpoints":[null]}',
+         "pl breakpoint 0 must be a JSON array of two rationals"),
+        ('{"type":"pl","breakpoints":5}',
+         'pl field "breakpoints" must be a JSON array'),
+    ], ids=("support-string", "support-one", "breakpoint-string",
+            "breakpoint-null", "breakpoints-number"))
+    def test_misshapen_spec_field_is_one_usage_line(self, capsys, spec,
+                                                    message):
+        assert run(capsys, "orbit", "--action", spec, "--count", "2") == (
+            2, "", "UsageError: %s\n" % message)
+
     @pytest.mark.parametrize("point, reason", [
         ("t=1/2,sheet=3,x", "expected the form t=RAT,sheet=INT"),
         ("t=1/2", "expected the form t=RAT,sheet=INT"),

@@ -1,9 +1,9 @@
 """Import hygiene of the package, read from the source with ast: no module
 imports a name it never uses, the package root defines no names, only cli
-knows the report format, only Record writes a repr, one function of cli
-decides what each action spec means, no module function reads a private
-field, no module keeps a functools cache, and no function of renorm checks
-a generator's type.
+knows the report format, only Record writes a repr or sets a field, one
+function of cli decides what each action spec means, no module function
+reads a private field, no module keeps a functools cache, and no function of
+renorm checks a generator's type.
 The signatures are pinned against knobs that were folded away, and the
 constructors and reference code only tests call stay out of the package."""
 
@@ -97,6 +97,19 @@ def test_only_record_writes_a_repr(filename):
                             and item.name == "__repr__" for item in node.body))
     assert not owners, "%s: %s define __repr__; Record writes it" % (
         filename, owners)
+
+
+@pytest.mark.parametrize("filename", [f for f in MODULES if f != "record.py"])
+def test_only_record_sets_fields(filename):
+    # a normalizing record ends its __init__ with Record.__init__, so
+    # immutability is defined in one place
+    calls = sorted("line %d" % node.lineno
+                   for node in ast.walk(parse(filename))
+                   if isinstance(node, ast.Attribute)
+                   and node.attr == "__setattr__"
+                   and isinstance(node.value, ast.Name)
+                   and node.value.id == "object")
+    assert not calls, "%s calls object.__setattr__ at %s" % (filename, calls)
 
 
 @pytest.mark.parametrize("filename", [f for f in MODULES if f != "cli.py"])
@@ -198,6 +211,8 @@ def test_one_value_settings_are_folded(f, names):
     (cover, "identity_lift"),
     (renorm, "halving_germ"),
     (renorm, "_window_grid"),
+    (cover, "compactify_pair"),
+    (cover, "uncompactify_pair"),
     (projline.ProjPoint, "coordinate"),
     # the reference code in tests/helpers.py
     (obstruction, "slope_character"),

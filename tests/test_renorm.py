@@ -36,10 +36,8 @@ from nonsmooth.cover import (
     TORUS_B,
     CoverPoint,
     compactify,
-    compactify_pair,
     compactify_triple,
     uncompactify,
-    uncompactify_pair,
     uncompactify_triple,
 )
 from nonsmooth.errors import (
@@ -52,6 +50,7 @@ from nonsmooth.errors import (
 )
 from nonsmooth.groupact import (
     UNIT_INTERVAL,
+    CompactifiedLift,
     MarkedAction,
     Word,
     compactified_action,
@@ -459,8 +458,11 @@ class TestPairForms:
         for y in interior:
             n, m = y.as_integer_ratio()
             k = rng.randint(2, 10 ** 9)
-            assert uncompactify_pair(k * n, k * m) == uncompactify(y)
-            assert Fraction(*compactify_pair(uncompactify(y))) == y
+            p, q, sheet = uncompactify_triple(k * n, k * m)
+            assert CoverPoint(ProjPoint(p, q), sheet) == uncompactify(y)
+            x = uncompactify(y)
+            assert Fraction(*compactify_triple(
+                x.base.num, x.base.den, x.sheet)) == y
         # the endpoints 0 and 1, which every lift fixes
         for g in act.maps + act.inverses:
             for y in [ZERO, ONE] + interior:
@@ -616,16 +618,16 @@ class TestIntegerForms:
 
 
 @contextlib.contextmanager
-def counting_cover_objects():
-    """Count the ProjPoint and CoverPoint constructions inside the block."""
+def counting_calls(method, *classes):
+    """Count the calls of the named method of each class inside the block,
+    keyed by class name."""
     counts = Counter()
-    patches = []
-    for cls in (ProjPoint, CoverPoint):
-        def init(self, *args, _cls=cls, _init=cls.__init__):
-            counts[_cls.__name__] += 1
-            _init(self, *args)
-        patches.append(mock.patch.object(cls, "__init__", init))
-    with patches[0], patches[1]:
+    with contextlib.ExitStack() as stack:
+        for cls in classes:
+            def counted(self, *args, _cls=cls, _method=getattr(cls, method)):
+                counts[_cls.__name__] += 1
+                return _method(self, *args)
+            stack.enter_context(mock.patch.object(cls, method, counted))
         yield counts
 
 
@@ -640,7 +642,7 @@ class TestNoCoverObjectsOnTheGrid:
             g = rs.act.maps[0]
             nums, den = renorm._grid(*rs.window.enlarged, rs.grid)
             assert len(nums) == 65
-            with counting_cover_objects() as counts:
+            with counting_calls("__init__", ProjPoint, CoverPoint) as counts:
                 renorm._displacements(g, nums, den)
                 brackets = fixed_point_in_window(rs)
             assert not counts, counts
@@ -650,9 +652,45 @@ class TestNoCoverObjectsOnTheGrid:
 
     def test_the_count_sees_the_object_path(self):
         g = compactified_action(punctured_torus_action()).maps[0]
-        with counting_cover_objects() as counts:
+        with counting_calls("__init__", ProjPoint, CoverPoint) as counts:
             g.apply(Fraction(1, 3))
         assert counts["ProjPoint"] >= 2 and counts["CoverPoint"] >= 2
+
+
+class TestStatisticsReadThePairForm:
+    """build_windows, generator_deviation and fixed_point_in_window evaluate
+    a generator that has apply_pair only through it; RescaledSystem.apply is
+    the one object-path evaluation left in renorm."""
+
+    PAIR_FORMS = (CompactifiedLift, MoebiusGermMap)
+
+    @staticmethod
+    def cases():
+        torus = compactified_action(punctured_torus_action())
+        return [
+            (torus, [compactify(COVER_BASEPOINT.deck(n)) for n in range(4)]),
+            (germ_action(), [Fraction(1, i) for i in (2, 3, 50)]),
+        ]
+
+    def test_windows_deviation_and_brackets(self):
+        for act, points in self.cases():
+            with counting_calls("apply", *self.PAIR_FORMS) as counts:
+                windows = build_windows(act, points)
+            assert not counts, counts
+            for w in windows:
+                rs = RescaledSystem(w, act, 64)
+                with counting_calls("apply", *self.PAIR_FORMS) as counts:
+                    for name in rs.names:
+                        generator_deviation(rs, name, 2)
+                    fixed_point_in_window(rs)
+                assert not counts, counts
+
+    def test_the_count_sees_the_object_path(self):
+        for act, points in self.cases():
+            rs = RescaledSystem(build_windows(act, points)[0], act, 64)
+            with counting_calls("apply", *self.PAIR_FORMS) as counts:
+                rs.displacement_at_0(rs.names[0])
+            assert sum(counts.values()) == 1, counts
 
 
 class TestPairPathMatchesFractionLoops:
