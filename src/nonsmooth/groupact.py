@@ -28,7 +28,6 @@ from .plmaps import (
     cell_shift,
     chart_index,
     chart_shift,
-    chart_shift_slope,
     from_chart,
     to_chart,
 )
@@ -332,42 +331,33 @@ class ZZAction(Record):
 
 
 def zz_base_link(k):
-    """The middle link of zz_slope_mid's chain, the only one that does not
-    depend on the cell: the base cell shift to the power k at cell 0's
-    midpoint 7/12, as (s, left, right), where s is the chart coordinate of
-    the image and left and right are the two one-sided slopes there."""
+    """The base cell shift to the power k at cell 0's midpoint 7/12, as
+    (s, left, right), where s is the chart coordinate of the image and left
+    and right are the two one-sided slopes there."""
     y = from_chart(Fraction(1, 2))
     base = base_cell_shift(k)
     return (to_chart(base.apply(y)), base.one_sided_slope(y, LEFT),
             base.one_sided_slope(y, RIGHT))
 
 
-def zz_slope_mid(i, k, links):
-    """Slope at the midpoint of cell i of the cell shift of cell i to the
-    power k: the chain rule through the shift by -i, the base cell shift to
-    the power k, and the shift back by i.  The midpoint is a breakpoint, so
-    the two one-sided slopes differ; the larger one is returned (the
-    derivative exists iff they agree).  At k = 0 the two outer ratios cancel
-    and the slope is exactly 1.
+def zz_slope_mid(k):
+    """Slope at the midpoint of every cell i of the cell shift of cell i to
+    the power k: by the cell lemma (obstruction.zz_witness) it is the slope
+    of the base cell shift to the power k at 7/12, the midpoint of cell 0.
+    The midpoint is a breakpoint, so the two one-sided slopes differ; the
+    larger one is returned (the derivative exists iff they agree).  At
+    k = 0 the slope is exactly 1.
 
-    The middle link is zz_base_link(k), read from links, a dict from power
-    to link that the caller owns and this call fills: one witness evaluates
-    each power's base link once and keeps nothing after it returns.  The
-    two outer shifts are walked in chart coordinates, where the midpoint of
-    cell i is t = i + 1/2 and the shift by p is t -> t + p: each is one
-    ratio of closed-form integer cell widths (chart_shift_slope), computed
-    for cell i on every call, and no point the size of cell i is built.
-    The base link's image is interior to cell 0 and t is interior to cell
-    i, so each outer shift has one slope there, the same on both sides.
-    The image under the shift back is never needed.
+    The lemma's one premise is checked here, for the power k: the image of
+    7/12 has chart coordinate s with 0 < s < 1.  The check raises, so it
+    also holds under python -O.
     """
-    link = links.get(k)
-    if link is None:
-        link = links[k] = zz_base_link(k)
-    s, left, right = link
-    outer = (chart_shift_slope(Fraction(2 * i + 1, 2), -i, RIGHT)
-             * chart_shift_slope(s, i, RIGHT))
-    return outer * max(left, right)
+    s, left, right = zz_base_link(k)
+    if not 0 < s < 1:
+        raise AssertionError(
+            "the base cell shift to the power %d sends 7/12 to chart "
+            "coordinate %s, outside (0, 1)" % (k, s))
+    return max(left, right)
 
 
 def zz_letter_action():

@@ -23,7 +23,7 @@ from .projline import LESS, ordering_name
 from .record import Record
 
 HALF = Fraction(1, 2)
-# Largest power the zz witness tries on one cell before it gives up.
+# Largest power the zz witness tries before it gives up.
 ZZ_SEARCH_CAP = 64
 
 
@@ -209,53 +209,50 @@ class ZZWitness(Record):
                 and all(e.slope < HALF for e in self.entries))
 
 
-def _least_power(i, links):
-    """Least power n <= ZZ_SEARCH_CAP whose slope at the midpoint of cell i
-    is below one half, as (n, slope, slope at n - 1 or None when n == 1);
-    links is the witness's dict of base links, passed to zz_slope_mid."""
-    rejected = None
-    for n in range(1, ZZ_SEARCH_CAP + 1):
-        slope = zz_slope_mid(i, n, links)
-        if slope < HALF:
-            return n, slope, rejected
-        rejected = slope
-    raise SearchExhausted(
-        "no power up to %d brings the midpoint slope of cell %d below 1/2"
-        % (ZZ_SEARCH_CAP, i))
-
-
 def zz_witness(truncation):
-    """Find for each cell the least power whose midpoint slope drops below
-    one half, then verify the assembled product fixes all nearby anchors.
+    """Find the least power whose midpoint slope drops below one half, give
+    it to every cell of the truncation, then verify that the assembled
+    product fixes all nearby anchors.
 
-    The search runs once, on cell 0: conjugating by the chart shift carries
-    cell 0's slope chain to every cell.  Each other cell is re-verified
-    exactly through its own chain, at that power and at the power before it;
-    a cell whose two slopes differ from cell 0's gets its own search.
+    The search runs once, on cell 0, and every listed cell gets cell 0's
+    power, slope and rejected slope.  This is exact, by the cell lemma: for
+    every cell i and power k, the cell shift of cell i to the power k has at
+    the midpoint of cell i the same two one-sided slopes as the base cell
+    shift B_k to the power k at 7/12, the midpoint of cell 0.
 
-    Every slope goes through one dict of base links, made here and dropped
-    on return: the base cell shift is evaluated once per power this witness
-    probes, and each cell adds only its two integer width ratios.
+    Proof.  Let T_p be the chart shift by p, t -> t + p in chart
+    coordinates, and w(j) the width of cell j; the cell shift of cell i is
+    T_i o B_k o T_-i.  The chart is affine on each cell, so T_-i maps cell
+    i affinely onto cell 0, with slope w(0)/w(i), and sends the midpoint of
+    cell i to 7/12.  Let s be the chart coordinate of B_k(7/12).  If
+    0 < s < 1, B_k(7/12) is interior to cell 0, which T_i maps affinely
+    onto cell i with slope w(i)/w(0).  Both outer maps thus have one slope
+    at their point, the same on both sides, and by the chain rule each
+    one-sided slope of the composite is w(0)/w(i) times that side's slope
+    of B_k at 7/12 times w(i)/w(0).  The two outer ratios multiply to
+    exactly 1.  The premise 0 < s < 1 holds because B_k maps cell 0 onto
+    itself, fixing its ends, and 7/12 is interior; zz_slope_mid checks it
+    once per probed power and raises when it fails, so no entry rests on it
+    unchecked.
     """
     if truncation < 0:
         raise ValueError("truncation radius must be nonnegative")
-    links = {}
-    shared = _least_power(0, links)
-    power = shared[0]
-    entries = []
-    support = {}
-    for i in range(-truncation, truncation + 1):
-        found = shared
-        if i != 0:
-            found = (power, zz_slope_mid(i, power, links),
-                     zz_slope_mid(i, power - 1, links) if power > 1 else None)
-            if found != shared:
-                found = _least_power(i, links)
-        support[i] = found[0]
-        entries.append(ZZWitnessEntry(i, *found))
+    rejected = None
+    for power in range(1, ZZ_SEARCH_CAP + 1):
+        slope = zz_slope_mid(power)
+        if slope < HALF:
+            break
+        rejected = slope
+    else:
+        raise SearchExhausted(
+            "no power up to %d brings the midpoint slope below 1/2"
+            % ZZ_SEARCH_CAP)
+    cells = range(-truncation, truncation + 1)
+    entries = tuple(ZZWitnessEntry(i, power, slope, rejected) for i in cells)
+    support = dict.fromkeys(cells, power)
     product = ZZAction(support)
     lo, hi = -truncation - 2, truncation + 2
-    anchors_fixed = all(product.apply(anchor(j)) == anchor(j)
-                        for j in range(lo, hi + 1))
-    return ZZWitness(truncation, ZZ_SEARCH_CAP, tuple(entries), support,
-                     (lo, hi), anchors_fixed)
+    anchors_fixed = all(product.apply(c) == c
+                        for c in map(anchor, range(lo, hi + 1)))
+    return ZZWitness(truncation, ZZ_SEARCH_CAP, entries, support, (lo, hi),
+                     anchors_fixed)

@@ -86,20 +86,6 @@ def to_chart(x):
     return i + (x - anchor(i)) / cell_width(i)
 
 
-def chart_shift_slope(t, power, side):
-    """One-sided slope of chart_shift(power) at the point of chart coordinate
-    t.  The shift is t -> t + power in chart coordinates, so on cell j it is
-    affine with slope cell_width(j + power) / cell_width(j); j = floor(t), or
-    t - 1 on the left at an integer t.  The ratio is formed on the integer
-    width pairs, so no interval point and no width Fraction is built."""
-    _check_side(side)
-    t = Fraction(t)
-    j = t.numerator // t.denominator
-    if side == LEFT and t == j:
-        j -= 1
-    return _width_ratio(j, power)
-
-
 class PLMap(Record):
     """Increasing PL bijection of [0,1] given by finitely many breakpoints."""
 

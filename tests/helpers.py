@@ -1,8 +1,8 @@
 """Shared deterministic random generators for the property suites, the
 oracles only the tests use, and the reference code that only the tests
 call: composition expressions with their germ slopes, slope characters,
-PL composition, the displacement growth check and the expansion of a
-DeckRows into its rows."""
+PL composition, the displacement growth check, the expansion of a
+DeckRows into its rows and the per-cell zz slope chain."""
 
 from fractions import Fraction
 
@@ -18,6 +18,7 @@ from nonsmooth.errors import (
     NonsmoothError,
     NotCommutatorClass,
     OutOfDomain,
+    SearchExhausted,
     Unsupported,
     WordSyntaxError,
 )
@@ -33,8 +34,10 @@ from nonsmooth.groupact import (
     word_eval,
 )
 from nonsmooth.obstruction import (
+    HALF,
     DominationCertificate,
     DominationRow,
+    ZZWitnessEntry,
     _cmp_points,
     certify_interleaving,
     is_commutator_class_trivial,
@@ -45,10 +48,13 @@ from nonsmooth.plmaps import (
     ModelTranslation,
     PLMap,
     _check_side,
+    _width_ratio,
     base_cell_shift,
     cell_midpoint,
     cell_shift,
     chart_shift,
+    from_chart,
+    to_chart,
 )
 from nonsmooth.projline import GREATER, LESS, MoebiusMap, ProjPoint, ordering_name
 from nonsmooth.rational import fmt_rat
@@ -466,6 +472,50 @@ def zz_slope_mid_oracle(z, i):
         right *= f.one_sided_slope(y, RIGHT)
         y = f.apply(y)
     return max(left, right)
+
+
+def chart_shift_slope(t, power, side):
+    """One-sided slope of chart_shift(power) at the point of chart coordinate
+    t.  The shift is t -> t + power in chart coordinates, so on cell j it is
+    affine with slope cell_width(j + power) / cell_width(j); j = floor(t), or
+    t - 1 on the left at an integer t.  The ratio is formed on the integer
+    width pairs, so no interval point and no width Fraction is built."""
+    _check_side(side)
+    t = Fraction(t)
+    j = t.numerator // t.denominator
+    if side == LEFT and t == j:
+        j -= 1
+    return _width_ratio(j, power)
+
+
+def zz_slope_chain(i, k):
+    """The slope at the midpoint of cell i of the cell shift of cell i to
+    the power k, by the chain rule through the shift by -i, the base cell
+    shift to the power k and the shift back by i, with each outer shift one
+    chart_shift_slope in chart coordinates, where the midpoint of cell i is
+    i + 1/2.  The larger one-sided slope is returned.  The oracle for
+    groupact.zz_slope_mid, which by the cell lemma drops the two outer
+    ratios because their product is 1."""
+    y = from_chart(HALF)
+    base = base_cell_shift(k)
+    s = to_chart(base.apply(y))
+    outer = (chart_shift_slope(Fraction(2 * i + 1, 2), -i, RIGHT)
+             * chart_shift_slope(s, i, RIGHT))
+    return outer * max(base.one_sided_slope(y, LEFT),
+                       base.one_sided_slope(y, RIGHT))
+
+
+def zz_entry_chain(i, cap):
+    """The zz witness entry of cell i from its own least-power search over
+    zz_slope_chain; the oracle for the one search zz_witness runs on cell 0."""
+    rejected = None
+    for n in range(1, cap + 1):
+        slope = zz_slope_chain(i, n)
+        if slope < HALF:
+            return ZZWitnessEntry(i, n, slope, rejected)
+        rejected = slope
+    raise SearchExhausted("no power up to %d brings the midpoint slope of "
+                          "cell %d below 1/2" % (cap, i))
 
 
 def row_obj(row):

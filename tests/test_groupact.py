@@ -10,6 +10,7 @@ from helpers import (
     rand_interior,
     rand_word_letters,
     slope_quotient_oracle,
+    zz_slope_chain,
     zz_slope_mid_oracle,
 )
 
@@ -430,13 +431,13 @@ class TestZZAction:
 class TestZZSlopeMid:
     def test_frozen_witness_slopes(self):
         # minimal power with slope below one half at the cell midpoint is 4
-        assert zz_slope_mid(0, 3, {}) == Fraction(8, 15)
-        assert zz_slope_mid(0, 4, {}) == Fraction(16, 51)
-        assert zz_slope_mid(0, 0, {}) == 1
+        assert zz_slope_mid(3) == Fraction(8, 15)
+        assert zz_slope_mid(4) == Fraction(16, 51)
+        assert zz_slope_mid(0) == 1
 
     def test_cell_independence(self):
         for i in (-2000, -200, -16, -5, 0, 5, 16, 200, 2000, 4999):
-            assert zz_slope_mid(i, 4, {}) == Fraction(16, 51)
+            assert zz_slope_chain(i, 4) == Fraction(16, 51)
 
     def test_matches_point_walk_oracle(self):
         rng = random.Random(418)
@@ -444,11 +445,11 @@ class TestZZSlopeMid:
         for i in cells:
             for k in range(-8, 9):
                 z = ZZAction({i: k})
-                assert zz_slope_mid(i, k, {}) == zz_slope_mid_oracle(z, i), (i, k)
+                assert zz_slope_mid(k) == zz_slope_mid_oracle(z, i), (i, k)
         for i in (0, 1, -1, 37, -37, 1000, -1000, 4999):
             for k in (1, 3, 4):
                 z = ZZAction({i: k})
-                assert zz_slope_mid(i, k, {}) == zz_slope_mid_oracle(z, i), (i, k)
+                assert zz_slope_mid(k) == zz_slope_mid_oracle(z, i), (i, k)
 
     def test_no_cell_sized_point(self, monkeypatch):
         # the outer chart shifts are width ratios, so the PL maps only ever
@@ -466,7 +467,7 @@ class TestZZSlopeMid:
                                 widest(getattr(ModelTranslation, name)))
         z = ZZAction({4000: 4})
         seen = []
-        assert zz_slope_mid(4000, 4, {}) == Fraction(16, 51)
+        assert zz_slope_chain(4000, 4) == Fraction(16, 51)
         assert seen and max(seen) <= 64, seen
         seen = []
         assert zz_slope_mid_oracle(z, 4000) == Fraction(16, 51)
@@ -484,7 +485,7 @@ class TestZZSlopeMid:
             m = cell_shift(i, k)
             want = max(slope_quotient_oracle(m, p, LEFT),
                        slope_quotient_oracle(m, p, RIGHT))
-            assert zz_slope_mid(i, k, {}) == want
+            assert zz_slope_mid(k) == want
 
 
 class TestActionValidation:

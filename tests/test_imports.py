@@ -193,8 +193,10 @@ def test_renorm_has_one_grid_and_one_enlargement():
     (cover.lift_through, ["m"]),
     (obstruction.certify_interleaving, ["act", "base"]),
     (groupact.MarkedAction.bound_map, ["self", "index", "exp"]),
+    # the cell lemma makes the midpoint slope a function of the power alone
+    (groupact.zz_slope_mid, ["k"]),
 ], ids=("zz_witness", "germ_action", "lift_through", "certify_interleaving",
-        "bound_map"))
+        "bound_map", "zz_slope_mid"))
 def test_one_value_settings_are_folded(f, names):
     # a setting only one value reaches is a constant, not a parameter
     assert params(f) == names
@@ -226,6 +228,7 @@ def test_one_value_settings_are_folded(f, names):
     (plmaps, "MAX_EXPR_FACTORS"),
     (plmaps.PLMap, "compose"),
     (cover, "displacement_growth_check"),
+    (plmaps, "chart_shift_slope"),
     (obstruction.DeckRows, "__len__"),
     (obstruction.DeckRows, "__iter__"),
     (obstruction.DeckRows, "__getitem__"),

@@ -1,7 +1,11 @@
 """Certificate layer: order comparisons, interleaving and domination tables,
 slope characters, and the half-slope witness for the abelian action."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -19,9 +23,12 @@ from helpers import (
     slope_character,
     slope_quotient_oracle,
     word_expr,
+    zz_entry_chain,
     zz_expr,
+    zz_slope_chain,
 )
-from nonsmooth import obstruction
+import nonsmooth
+from nonsmooth import groupact, obstruction
 from nonsmooth.cli import domination_obj, interleaving_obj, point_obj, witness_obj
 from nonsmooth.cover import COVER_BASEPOINT, CoverPoint, cover_cmp, line_point
 from nonsmooth.errors import (
@@ -473,45 +480,10 @@ class TestZZWitness:
             assert got == ref
         assert w.support == {e.index: e.power for e in want}
 
-    @pytest.mark.parametrize("skew, power, rejected_power, probes", [
-        # every power reports the next one up, so the least power drops to 3
-        (lambda k: k + 1, 3, 3, [4, 3, 1, 2, 3]),
-        # only power 3 is off, so the shared power holds but its rejected
-        # slope must come from cell 3's own search
-        (lambda k: 2 if k == 3 else k, 4, 2, [4, 3, 1, 2, 3, 4]),
-    ], ids=("power", "power-before"))
-    def test_disagreeing_cell_gets_its_own_search(self, monkeypatch, skew,
-                                                  power, rejected_power,
-                                                  probes):
-        calls = []
-
-        def skewed(i, k, links):
-            calls.append((i, k))
-            if i == 3:
-                k = skew(k)
-            return zz_slope_mid(i, k, links)
-
-        monkeypatch.setattr(obstruction, "zz_slope_mid", skewed)
-        w = zz_witness(4)
-        by_cell = {e.index: e for e in w.entries}
-        rejected = zz_slope_mid(0, rejected_power, {})
-        assert by_cell[3] == ZZWitnessEntry(3, power, Fraction(16, 51),
-                                            rejected)
-        assert all(e.power == 4 for i, e in by_cell.items() if i != 3)
-        assert [k for i, k in calls if i == 3] == probes
-        assert w.support[3] == power and w.valid
-
-    def test_disagreeing_cell_can_exhaust(self, monkeypatch):
-        def flat_on_cell_3(i, k, links):
-            return Fraction(1) if i == 3 else zz_slope_mid(i, k, links)
-
-        monkeypatch.setattr(obstruction, "zz_slope_mid", flat_on_cell_3)
-        with pytest.raises(SearchExhausted, match="cell 3 "):
-            zz_witness(4)
-
-    def test_base_links_live_for_one_witness(self, monkeypatch):
-        # each power the witness probes costs one base cell shift, and a
-        # second witness in the same process pays for its own links
+    @pytest.mark.parametrize("truncation", [0, 50])
+    def test_one_search_on_cell_0(self, monkeypatch, truncation):
+        # the witness probes each power once, whatever its truncation, and
+        # each probe costs one base cell shift
         applied, powers = [], []
         apply = ModelTranslation.apply
         slope_mid = obstruction.zz_slope_mid
@@ -520,29 +492,69 @@ class TestZZWitness:
             applied.append(self.power)
             return apply(self, x)
 
-        def probed(i, k, links):
+        def probed(k):
             powers.append(k)
-            return slope_mid(i, k, links)
+            return slope_mid(k)
 
         monkeypatch.setattr(ModelTranslation, "apply", counted_apply)
         monkeypatch.setattr(obstruction, "zz_slope_mid", probed)
-        for _ in range(2):
-            applied.clear()
-            powers.clear()
-            w = zz_witness(50)
-            assert w.valid and len(powers) == 2 * (2 * 50 + 1) + 2
-            assert sorted(applied) == sorted(set(powers))
+        w = zz_witness(truncation)
+        assert w.valid and powers == [1, 2, 3, 4]
+        assert applied == powers
 
-    def test_shared_links_match_fresh_ones(self):
-        rng = random.Random(2401)
-        pairs = [(rng.randint(-5000, 5000), rng.randint(-8, 8))
-                 for _ in range(195)]
-        pairs += [(i, 0) for i in (-5000, -1, 0, 1, 5000)]
-        rng.shuffle(pairs)
-        links = {}
-        for i, k in pairs:
-            assert zz_slope_mid(i, k, links) == zz_slope_mid(i, k, {}), (i, k)
-        assert set(links) == {k for _, k in pairs}
+    def test_matches_cell_chain_oracle(self):
+        # the cell lemma against each cell's own chain: every entry of the
+        # truncations 0 to 60, and of 200 seeded cells of truncation 5000,
+        # is the entry of that cell's own search
+        chain = {i: zz_entry_chain(i, obstruction.ZZ_SEARCH_CAP)
+                 for i in range(-60, 61)}
+        for truncation in range(61):
+            cells = range(-truncation, truncation + 1)
+            assert zz_witness(truncation).entries == tuple(map(chain.get, cells))
+        rng = random.Random(2601)
+        seeded = [rng.randint(-5000, 5000) for _ in range(200)]
+        entries = zz_witness(5000).entries
+        for i in seeded:
+            assert entries[i + 5000] == zz_entry_chain(
+                i, obstruction.ZZ_SEARCH_CAP), i
+        for i in list(chain) + seeded:
+            for k in range(9):
+                assert zz_slope_chain(i, k) == zz_slope_mid(k), (i, k)
+
+    @pytest.mark.parametrize("s", [Fraction(0), Fraction(1)], ids=("s=0", "s=1"))
+    def test_premise_failure_raises(self, monkeypatch, s):
+        # a base link whose image leaves the interior of cell 0 voids the
+        # lemma for its power, and the witness stops there
+        base_link = groupact.zz_base_link
+
+        def moved(k):
+            return (s,) + base_link(k)[1:] if k == 3 else base_link(k)
+
+        monkeypatch.setattr(groupact, "zz_base_link", moved)
+        with pytest.raises(AssertionError, match="the power 3 "):
+            zz_witness(4)
+
+    def test_premise_failure_raises_under_optimize(self):
+        # python -O strips bare asserts; the premise check must not be one
+        child = textwrap.dedent("""
+            import sys
+            from fractions import Fraction
+            from nonsmooth import groupact
+            from nonsmooth.obstruction import zz_witness
+            base_link = groupact.zz_base_link
+            groupact.zz_base_link = lambda k: (
+                (Fraction(0),) + base_link(k)[1:] if k == 2 else base_link(k))
+            print("optimize", sys.flags.optimize)
+            try:
+                zz_witness(1)
+            except AssertionError as exc:
+                print("raised", "the power 2 " in str(exc))
+        """)
+        src = os.path.dirname(os.path.dirname(nonsmooth.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", child], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out == "optimize 1\nraised True\n"
 
     def test_frozen_powers_and_slopes(self):
         w = zz_witness(4)

@@ -8,6 +8,7 @@ from helpers import (
     MAX_EXPR_FACTORS,
     AffineChart,
     IntervalMapExpr,
+    chart_shift_slope,
     germ_slope,
     pl_compose,
     pow2,
@@ -36,7 +37,6 @@ from nonsmooth.plmaps import (
     cell_width,
     chart_index,
     chart_shift,
-    chart_shift_slope,
     from_chart,
     to_chart,
 )
@@ -228,7 +228,7 @@ class TestSlopes:
                         == chart_shift(p).one_sided_slope(x, side))
 
     def test_chart_shift_slope_at_zz_sizes(self):
-        # zz_slope_mid shifts by -i and i with |i| up to the truncation cap
+        # zz_slope_chain shifts by -i and i with |i| up to the truncation cap
         # of 5000; at an integer t the left slope is the lower cell's
         rng = random.Random(311)
         crossed = 0
