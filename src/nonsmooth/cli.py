@@ -304,18 +304,20 @@ def witness_obj(w):
 # One domination row and one zz entry, indented as json.dumps(indent=2,
 # sort_keys=True) lays them out at certificate.rows and certificate.entries;
 # their points and rationals, as point_obj and fmt_rat write them, need no
-# JSON escaping.
+# JSON escaping.  The row's three integers that move with the deck step
+# (the dominator's sheet, m and the moved sheet) are %s slots, so that
+# row_lines can fill them with "%d" and the step's integers later.
 ROW_TEMPLATE = """\
       {
         "bracket_route": %s,
         "dominator": {
-          "sheet": %d,
+          "sheet": %s,
           "t": "%s"
         },
         "generator": %s,
-        "m": %d,
+        "m": %s,
         "moved": {
-          "sheet": %d,
+          "sheet": %s,
           "t": "%s"
         },
         "ordering": "%s",
@@ -332,23 +334,43 @@ ENTRY_TEMPLATE = """\
 ITEMS_MARKER = "@items@"
 
 
+def escape(text):
+    """text as a % template that writes text."""
+    return text.replace("%", "%%")
+
+
 def row_lines(rows, names):
-    """Each row of a DeckRows through ROW_TEMPLATE, quoting the given names.
-    Row j of step m is row j of step 0 with m added to its m and to both
-    sheets, so each step-0 point is formatted once, and DeckRows(rows, 0)
-    renders any rows as they are."""
+    """The rows of a DeckRows through ROW_TEMPLATE, quoting the given names,
+    as one item per deck step: the step's rows, joined as render_report
+    joins its items.  Row j of step m is row j of step 0 with m added to its
+    m and to both sheets, so every other field is filled in once per report,
+    into a block template for step 0 and one for the later steps, whose
+    routes are null unless the rows carry them; each step then fills only
+    its three integers per row, with one %.  DeckRows(rows, 0) renders any
+    rows as they are, as one item, and an empty period as no item at all.
+    """
     quoted = {name: json.dumps(name) for name in names}
-    period = [("null" if r.bracket_route is None else '"%s"' % r.bracket_route,
-               r.dominator.sheet, coordinate(r.dominator.base),
-               quoted[r.generator], r.m,
-               r.moved.sheet, coordinate(r.moved.base),
-               ordering_name(r.ordering), r.sign) for r in rows.period]
-    carries = rows.carries_routes
-    for m in range(rows.depth + 1):
-        for route, dsheet, dt, name, row_m, msheet, mt, ordering, sign in period:
-            yield ROW_TEMPLATE % (route if m == 0 or carries else "null",
-                                  dsheet + m, dt, name, row_m + m,
-                                  msheet + m, mt, ordering, sign)
+    # every field but the route and the three integers, each formatted once;
+    # the strings are written into a template, so their % is escaped
+    fields = [(escape(coordinate(r.dominator.base)), escape(quoted[r.generator]),
+               escape(coordinate(r.moved.base)), ordering_name(r.ordering),
+               r.sign) for r in rows.period]
+
+    def block(routes):
+        return ",\n".join(
+            ROW_TEMPLATE % (escape(route), "%d", dt, name, "%d", "%d", mt,
+                            ordering, sign)
+            for route, (dt, name, mt, ordering, sign) in zip(routes, fields))
+
+    first = block(["null" if r.bracket_route is None
+                   else '"%s"' % r.bracket_route for r in rows.period])
+    rest = first if rows.carries_routes else block(["null"] * len(rows.period))
+    # one range per integer of step 0, so zip yields each step's integers;
+    # with no rows, zip() yields no step
+    steps = zip(*[range(n, n + rows.depth + 1) for r in rows.period
+                  for n in (r.dominator.sheet, r.m, r.moved.sheet)])
+    for m, integers in enumerate(steps):
+        yield (rest if m else first) % integers
 
 
 def entry_lines(entries):

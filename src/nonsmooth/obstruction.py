@@ -69,8 +69,9 @@ class DeckRows(Record):
     """The rows of a domination table whose advancing word moves the base
     one sheet up, as step 0 (``period``) and the last step ``depth``: row j
     of step m is row j of step 0 with its moved and dominating points moved
-    up m sheets.  cli.row_lines expands it as it writes the rows, so the
-    table is never held whole.
+    up m sheets.  cli.row_lines renders it one deck step at a time, each
+    step from one block template filled in once per report, so the table
+    is never held whole.
     """
 
     __slots__ = ("period", "depth")

@@ -2,11 +2,13 @@
 oracles only the tests use, and the reference code that only the tests
 call: composition expressions with their germ slopes, slope characters,
 PL composition, the displacement growth check, the expansion of a
-DeckRows into its rows and the per-cell zz slope chain."""
+DeckRows into its rows, the per-row torus render and the per-cell zz
+slope chain."""
 
+import json
 from fractions import Fraction
 
-from nonsmooth.cli import point_obj
+from nonsmooth.cli import ROW_TEMPLATE, coordinate, point_obj
 from nonsmooth.cover import TORUS_A, TORUS_B, CoverPoint, cover_cmp, lift_through
 from nonsmooth.errors import (
     AccumulationPoint,
@@ -528,6 +530,23 @@ def row_obj(row):
             "dominator": point_obj(row.dominator),
             "ordering": ordering_name(row.ordering),
             "bracket_route": row.bracket_route}
+
+
+def row_lines_oracle(rows, names):
+    """cli.row_lines as one item per row: each row of a DeckRows through
+    ROW_TEMPLATE, with m added to its m and to both sheets at step m."""
+    quoted = {name: json.dumps(name) for name in names}
+    period = [("null" if r.bracket_route is None else '"%s"' % r.bracket_route,
+               r.dominator.sheet, coordinate(r.dominator.base),
+               quoted[r.generator], r.m,
+               r.moved.sheet, coordinate(r.moved.base),
+               ordering_name(r.ordering), r.sign) for r in rows.period]
+    carries = rows.carries_routes
+    for m in range(rows.depth + 1):
+        for route, dsheet, dt, name, row_m, msheet, mt, ordering, sign in period:
+            yield ROW_TEMPLATE % (route if m == 0 or carries else "null",
+                                  dsheet + m, dt, name, row_m + m,
+                                  msheet + m, mt, ordering, sign)
 
 
 def certify_domination_oracle(act, h, seq, depth):

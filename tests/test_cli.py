@@ -12,7 +12,15 @@ import tracemalloc
 
 import pytest
 
-from helpers import ExpandedRows, entry_obj, rand_cover, rand_proj, rand_rat, row_obj
+from helpers import (
+    ExpandedRows,
+    entry_obj,
+    rand_cover,
+    rand_proj,
+    rand_rat,
+    row_lines_oracle,
+    row_obj,
+)
 from nonsmooth import cli, groupact, renorm
 from nonsmooth.cli import main, parse_point, render_report, split_words
 from nonsmooth.cover import COVER_BASEPOINT, CoverPoint, LiftedMap
@@ -237,6 +245,23 @@ class TestCertify:
         assert max(counts) == 1
         assert len(json.loads("".join(recorder.writes))["certificate"]["entries"]) == 101
 
+    def test_torus_report_is_written_one_step_at_a_time(self, monkeypatch):
+        class Recorder:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+
+        recorder = Recorder()
+        monkeypatch.setattr(sys, "stdout", recorder)
+        assert main(["certify", "punctured-torus", "--depth", "50"]) == 0
+        counts = [text.count('"moved"') for text in recorder.writes]
+        assert sum(counts) == 204
+        assert max(counts) <= 4
+        assert sum(1 for c in counts if c) == 51
+        assert len(json.loads("".join(recorder.writes))["certificate"]["rows"]) == 204
+
     def test_depth_3000_report_is_pinned(self, capsys):
         code, out, _ = run(capsys, "certify", "punctured-torus",
                            "--depth", "3000")
@@ -247,9 +272,9 @@ class TestCertify:
             "641970dfbf848fb5d04c96514356772e9a9b14f5f4fc3a0638ffc732f0a65e88")
 
 
-def rendered(report, rows):
+def rendered(report, rows, names=None):
     fh = io.StringIO()
-    render_report(report, fh, "rows", cli.row_lines(rows, ROW_NAMES))
+    render_report(report, fh, "rows", cli.row_lines(rows, names or ROW_NAMES))
     return fh.getvalue()
 
 
@@ -323,18 +348,54 @@ class TestRenderReport:
         cert = certify_domination(punctured_torus_action(),
                                   parse_word("[a,b]^2"),
                                   (COVER_BASEPOINT, parse_word("[a,b]")), 9)
-        # a period whose second route misses: later steps carry no route
-        missed = DeckRows(tuple(
-            DominationRow(0, r.generator, r.sign, r.moved, r.dominator,
-                          r.ordering, route)
-            for r, route in zip(cert.rows.period,
-                                ("Less", "Greater", None, None))), 5)
+        missed = self.missed_rows(cert, 5)
         report = torus_report(cert)
         for rows in (cert.rows, missed, DeckRows(cert.rows.period, 0)):
             assert isinstance(rows, DeckRows)
-            assert list(cli.row_lines(rows, ROW_NAMES)) == list(
+            assert ",\n".join(cli.row_lines(rows, ROW_NAMES)) == ",\n".join(
                 cli.row_lines(DeckRows(tuple(ExpandedRows(rows)), 0), ROW_NAMES))
             assert rendered(report, rows) == dumped(report, rows)
+
+    def missed_rows(self, cert, depth):
+        """cert's period with its second route a miss, so that later steps
+        carry no route."""
+        return DeckRows(tuple(
+            DominationRow(0, r.generator, r.sign, r.moved, r.dominator,
+                          r.ordering, route)
+            for r, route in zip(cert.rows.period,
+                                ("Less", "Greater", None, None))), depth)
+
+    def test_steps_match_row_oracle(self):
+        """Each step's item is that step's rows, as the per-row oracle
+        renders them and render_report joins them."""
+        act, advance = punctured_torus_action(), parse_word("[a,b]")
+        cert = certify_domination(act, advance ** 2,
+                                  (COVER_BASEPOINT, advance), 60)
+        cases = [DeckRows(cert.rows.period, depth) for depth in range(61)]
+        cases += [self.missed_rows(cert, depth) for depth in range(61)]
+        cases += [DeckRows(self.rand_rows(count), 0)
+                  for count in (0, 1, 5, 1023, 1024, 1025, 2051)]
+        for rows in cases:
+            items = list(cli.row_lines(rows, ROW_NAMES))
+            assert len(items) == (rows.depth + 1 if rows.period else 0)
+            assert ",\n".join(items) == ",\n".join(
+                row_lines_oracle(rows, ROW_NAMES))
+
+    def test_percent_in_filled_fields(self):
+        """Names and routes are written into a template before the step's
+        integers are; a % in them must come out as it is."""
+        names = ("a%d", "%s", "100%")
+        period = tuple(
+            DominationRow(r.m, names[k % 3], r.sign, r.moved, r.dominator,
+                          r.ordering, ("Le%ss", "%d", None)[k % 3])
+            for k, r in enumerate(self.rand_rows(9)))
+        report = torus_report(certify_domination(
+            punctured_torus_action(), parse_word("[a,b]^2"),
+            (COVER_BASEPOINT, parse_word("[a,b]")), 1))
+        for depth in (0, 1, 3):
+            rows = DeckRows(period, depth)
+            assert rendered(report, rows, names) == dumped(report, rows)
+        assert '"generator": "100%"' in rendered(report, rows, names)
 
     def rand_entry(self, rng):
         return ZZWitnessEntry(
