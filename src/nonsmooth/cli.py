@@ -35,7 +35,7 @@ from .groupact import (
     zz_letter_action,
 )
 from .obstruction import certify_domination, order_cmp, zz_witness
-from .plmaps import ModelTranslation, PLMap, cell_midpoint
+from .plmaps import ModelTranslation, PLMap, cell_midpoint, midpoint_pair
 from .projline import ProjPoint, ordering_name
 from .rational import fmt_rat, parse_rat, rat_to_decimal
 from .renorm import (
@@ -376,7 +376,7 @@ def row_lines(rows, names):
 def entry_lines(entries):
     """Each zz witness entry through ENTRY_TEMPLATE."""
     return (ENTRY_TEMPLATE % (
-        e.index, fmt_rat(cell_midpoint(e.index)), e.power,
+        e.index, "%d/%d" % midpoint_pair(e.index), e.power,
         "null" if e.rejected_slope is None else '"%s"' % fmt_rat(e.rejected_slope),
         fmt_rat(e.slope)) for e in entries)
 
@@ -442,10 +442,10 @@ def cmd_certify(argv):
             parser.error("--truncation must be nonnegative")
         check_cap("--truncation", args.truncation, MAX_TRUNCATION)
         witness = zz_witness(args.truncation)
-        verdict = "certified" if witness.valid else "invalid"
         action = {"type": "zz", "truncation": args.truncation}
         size_key, size = "truncation", args.truncation
         normalization, certificate = {}, witness_obj(witness)
+        verdict = "certified" if certificate["valid"] else "invalid"
         key, lines = "entries", entry_lines(witness.entries)
     report = {
         "version": REPORT_VERSION,

@@ -23,10 +23,10 @@ from .errors import OutOfDomain, Unsupported, WordSyntaxError
 from .plmaps import (
     LEFT,
     RIGHT,
-    anchor,
+    anchor_pair,
     base_cell_shift,
     cell_shift,
-    chart_index,
+    chart_index_pair,
     chart_shift,
     from_chart,
     to_chart,
@@ -308,17 +308,25 @@ class ZZAction(Record):
                 table[i] = table.get(i, 0) + k
         Record.__init__(self, {i: k for i, k in table.items() if k != 0})
 
+    def apply_pair(self, n, m):
+        """The image of n/m, 0 <= n <= m, as a pair: the input pair itself
+        wherever the product is the identity (at 0 and 1, off the listed
+        cells, and at each cell's left anchor), so a point it fixes is
+        never reduced or rebuilt."""
+        if n == 0 or n == m:
+            return n, m
+        i = chart_index_pair(n, m)
+        k = self.table.get(i, 0)
+        a, b = anchor_pair(i)
+        if k == 0 or n * b == a * m:
+            return n, m
+        return cell_shift(i, k).apply(Fraction(n, m)).as_integer_ratio()
+
     def apply(self, x):
         x = Fraction(x)
         if not 0 <= x <= 1:
             raise OutOfDomain("point %s outside [0,1]" % x)
-        if x == 0 or x == 1:
-            return x
-        i = chart_index(x)
-        k = self.table.get(i, 0)
-        if k == 0 or x == anchor(i):
-            return x
-        return cell_shift(i, k).apply(x)
+        return Fraction(*self.apply_pair(x.numerator, x.denominator))
 
     def inverse(self):
         return ZZAction({i: -k for i, k in self.table.items()})

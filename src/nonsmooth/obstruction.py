@@ -18,7 +18,7 @@ from .errors import (
     Unsupported,
 )
 from .groupact import COVER_LINE, ZZAction, word_eval, zz_slope_mid
-from .plmaps import anchor
+from .plmaps import anchor_pair
 from .projline import LESS, ordering_name
 from .record import Record
 
@@ -253,7 +253,7 @@ def zz_witness(truncation):
     support = dict.fromkeys(cells, power)
     product = ZZAction(support)
     lo, hi = -truncation - 2, truncation + 2
-    anchors_fixed = all(product.apply(c) == c
-                        for c in map(anchor, range(lo, hi + 1)))
+    anchors_fixed = all(product.apply_pair(*c) == c
+                        for c in map(anchor_pair, range(lo, hi + 1)))
     return ZZWitness(truncation, ZZ_SEARCH_CAP, entries, support, (lo, hi),
                      anchors_fixed)

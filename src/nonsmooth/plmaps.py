@@ -7,6 +7,7 @@ rational PL map of (0,1) whose breakpoints accumulate only at 0 and 1.
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from math import gcd
 
 from .errors import AccumulationPoint, BadInterval, OutOfDomain
 from .record import Record
@@ -20,11 +21,16 @@ def _check_side(side):
         raise ValueError("side must be LEFT or RIGHT, got %r" % (side,))
 
 
-def anchor(i):
-    """c_i = 2^i/(2^i + 1), built from integers; 1/(2^-i + 1) when i < 0."""
+def anchor_pair(i):
+    """c_i = 2^i/(2^i + 1) as the coprime pair (2^i, 2^i + 1); (1, 2^-i + 1)
+    when i < 0."""
     if i >= 0:
-        return Fraction(1 << i, (1 << i) + 1)
-    return Fraction(1, (1 << -i) + 1)
+        return 1 << i, (1 << i) + 1
+    return 1, (1 << -i) + 1
+
+
+def anchor(i):
+    return Fraction(*anchor_pair(i))
 
 
 def _width_pair(i):
@@ -49,8 +55,25 @@ def _width_ratio(j, power):
     return Fraction(a1 * b0, b1 * a0)
 
 
+def midpoint_pair(i):
+    """(c_i + c_(i+1))/2 as a coprime pair, in closed form: P(4P + 3) over
+    2(P + 1)(2P + 1) with P = 2^i for i >= 0, and (3Q + 4) over
+    2(Q + 1)(Q + 2) with Q = 2^-i for i < 0.  The odd part of each
+    denominator is prime to its numerator (4P + 3 = 4(P + 1) - 1 =
+    2(2P + 1) + 1, 3Q + 4 = 3(Q + 1) + 1 = 3(Q + 2) - 2), so the one common
+    factor is a power of two, at most the one in the denominator."""
+    if i >= 0:
+        p = 1 << i
+        num, den = p * (4 * p + 3), 2 * (p + 1) * (2 * p + 1)
+    else:
+        q = 1 << -i
+        num, den = 3 * q + 4, 2 * (q + 1) * (q + 2)
+    g = gcd(num, den & -den)
+    return num // g, den // g
+
+
 def cell_midpoint(i):
-    return (anchor(i) + anchor(i + 1)) / 2
+    return Fraction(*midpoint_pair(i))
 
 
 def _pow2_le(b, i, a):
@@ -60,17 +83,27 @@ def _pow2_le(b, i, a):
     return b <= (a << (-i))
 
 
+def chart_index_pair(n, m):
+    """Index i with anchor(i) <= n/m < anchor(i+1), for integers 0 < n < m.
+
+    With a = n and b = m - n, anchor(i) <= n/m iff 2^i b <= a, as
+    2^i/(2^i + 1) <= n/m iff 2^i (m - n) <= n.  Scaling the pair scales a
+    and b alike and leaves that test as it is, so the pair need not be
+    reduced."""
+    # With la the bit length of a and i = la - (bit length of b):
+    # 2^(i+1) * b >= 2^la > a, so i + 1 never qualifies, and
+    # 2^(i-1) * b < 2^(la-1) <= a, so i - 1 always does.
+    a, b = n, m - n
+    i = a.bit_length() - b.bit_length()
+    return i if _pow2_le(b, i, a) else i - 1
+
+
 def chart_index(x):
     """Index i with anchor(i) <= x < anchor(i+1), for x in (0,1)."""
     x = Fraction(x)
     if not 0 < x < 1:
         raise OutOfDomain("chart covers (0,1) only, got %s" % x)
-    # anchor(i) <= x  iff  2^i * b <= a.  With la the bit length of a and
-    # i = la - (bit length of b): 2^(i+1) * b >= 2^la > a, so i + 1 never
-    # qualifies, and 2^(i-1) * b < 2^(la-1) <= a, so i - 1 always does.
-    a, b = x.numerator, x.denominator - x.numerator
-    i = a.bit_length() - b.bit_length()
-    return i if _pow2_le(b, i, a) else i - 1
+    return chart_index_pair(x.numerator, x.denominator)
 
 
 def from_chart(t):

@@ -2,11 +2,14 @@
 oracles only the tests use, and the reference code that only the tests
 call: composition expressions with their germ slopes, slope characters,
 PL composition, the displacement growth check, the expansion of a
-DeckRows into its rows, the per-row torus render and the per-cell zz
-slope chain."""
+DeckRows into its rows, the per-row torus render, the per-cell zz
+slope chain and the zz midpoint as a sum of anchors; and a call counter."""
 
+import contextlib
 import json
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 from nonsmooth.cli import ROW_TEMPLATE, coordinate, point_obj
 from nonsmooth.cover import TORUS_A, TORUS_B, CoverPoint, cover_cmp, lift_through
@@ -51,8 +54,8 @@ from nonsmooth.plmaps import (
     PLMap,
     _check_side,
     _width_ratio,
+    anchor,
     base_cell_shift,
-    cell_midpoint,
     cell_shift,
     chart_shift,
     from_chart,
@@ -458,6 +461,12 @@ def zz_expr(z):
     return IntervalMapExpr(tuple(cell_shift(i, k) for i, k in sorted(z.table.items())))
 
 
+def cell_midpoint_oracle(i):
+    """The midpoint of cell i as the half sum of its two anchors; the
+    oracle for plmaps.midpoint_pair and the entries' midpoint strings."""
+    return (anchor(i) + anchor(i + 1)) / 2
+
+
 def zz_slope_mid_oracle(z, i):
     """groupact.zz_slope_mid as a walk of interval points: the midpoint of
     cell i goes through chart_shift(-i), the base cell shift power and
@@ -467,7 +476,7 @@ def zz_slope_mid_oracle(z, i):
     k = z.table.get(int(i), 0)
     if k == 0:
         return Fraction(1)
-    y = cell_midpoint(i)
+    y = cell_midpoint_oracle(i)
     left = right = Fraction(1)
     for f in (chart_shift(-i), base_cell_shift(k), chart_shift(i)):
         left *= f.one_sided_slope(y, LEFT)
@@ -621,7 +630,7 @@ def entry_obj(entry):
     the oracle that cli.ENTRY_TEMPLATE must agree with."""
     return {"index": entry.index,
             "power": entry.power,
-            "midpoint": fmt_rat(cell_midpoint(entry.index)),
+            "midpoint": fmt_rat(cell_midpoint_oracle(entry.index)),
             "slope": fmt_rat(entry.slope),
             "rejected_slope": (None if entry.rejected_slope is None
                                else fmt_rat(entry.rejected_slope))}
@@ -748,3 +757,18 @@ def window_fixed_point_oracle(rs):
                 break
         out[name] = None if bracket is None else tuple((x - p) / u for x in bracket)
     return out
+
+
+@contextlib.contextmanager
+def counting_calls(method, *classes):
+    """Count the calls of the named method of each class inside the block,
+    keyed by class name."""
+    counts = Counter()
+    with contextlib.ExitStack() as stack:
+        for cls in classes:
+            def counted(self, *args, _cls=cls, _method=getattr(cls, method),
+                        **kwargs):
+                counts[_cls.__name__] += 1
+                return _method(self, *args, **kwargs)
+            stack.enter_context(mock.patch.object(cls, method, counted))
+        yield counts

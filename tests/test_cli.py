@@ -14,6 +14,7 @@ import pytest
 
 from helpers import (
     ExpandedRows,
+    counting_calls,
     entry_obj,
     rand_cover,
     rand_proj,
@@ -25,7 +26,13 @@ from nonsmooth import cli, groupact, renorm
 from nonsmooth.cli import main, parse_point, render_report, split_words
 from nonsmooth.cover import COVER_BASEPOINT, CoverPoint, LiftedMap
 from nonsmooth.errors import OutOfDomain
-from nonsmooth.groupact import COVER_LINE, UNIT_INTERVAL, parse_word, punctured_torus_action
+from nonsmooth.groupact import (
+    COVER_LINE,
+    UNIT_INTERVAL,
+    ZZAction,
+    parse_word,
+    punctured_torus_action,
+)
 from nonsmooth.obstruction import (
     DeckRows,
     DominationRow,
@@ -33,7 +40,7 @@ from nonsmooth.obstruction import (
     certify_domination,
     zz_witness,
 )
-from nonsmooth.plmaps import cell_midpoint
+from nonsmooth.plmaps import anchor_pair, cell_midpoint
 from nonsmooth.projline import EQUAL, GREATER, LESS
 from nonsmooth.rational import fmt_rat
 from fractions import Fraction
@@ -123,6 +130,33 @@ class TestCertify:
         assert report["certificate"]["anchors_checked"] == [-4, 4]
         assert all(e["slope"] == "16/51"
                    for e in report["certificate"]["entries"])
+
+    def test_zz_moved_anchor_is_invalid(self, capsys, monkeypatch):
+        # a product that moves the last anchor checked fails the witness,
+        # and the command says so in its verdict and its exit code
+        moved = anchor_pair(4)
+        apply_pair = ZZAction.apply_pair
+        monkeypatch.setattr(ZZAction, "apply_pair", lambda self, n, m: (
+            (n, m + 1) if (n, m) == moved else apply_pair(self, n, m)))
+        code, out, _ = run(capsys, "certify", "zz", "--truncation", "2")
+        assert code == 1
+        report = json.loads(out)
+        assert report["verdict"] == "invalid"
+        assert report["certificate"]["anchors_checked"] == [-4, 4]
+        assert report["certificate"]["anchors_fixed"] is False
+        assert report["certificate"]["valid"] is False
+
+    def test_zz_fractions_flat_in_truncation(self):
+        # the anchor check and the midpoints run on integer pairs, so the
+        # Fractions a zz certify builds are the search's at any truncation
+        def built(truncation):
+            with counting_calls("__new__", Fraction) as counts:
+                w = zz_witness(truncation)
+                list(cli.entry_lines(w.entries))
+                assert w.valid
+            return counts["Fraction"]
+
+        assert built(50) == built(500)
 
     def test_negative_depth(self, capsys):
         code, _, err = run(capsys, "certify", "punctured-torus", "--depth", "-1")

@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from helpers import (
+    cell_midpoint_oracle,
     parse_word_oracle,
     rand_cover,
     rand_interior,
@@ -34,7 +36,15 @@ from nonsmooth.groupact import (
     zz_letter_action,
     zz_slope_mid,
 )
-from nonsmooth.plmaps import LEFT, RIGHT, ModelTranslation, anchor, cell_midpoint, cell_shift
+from nonsmooth.plmaps import (
+    LEFT,
+    RIGHT,
+    ModelTranslation,
+    anchor,
+    anchor_pair,
+    cell_midpoint,
+    cell_shift,
+)
 from nonsmooth.renorm import germ_action
 
 A = Word(((0, 1),))
@@ -426,6 +436,37 @@ class TestZZAction:
     def test_out_of_domain(self):
         with pytest.raises(OutOfDomain):
             ZZAction({0: 1}).apply(Fraction(3, 2))
+
+    def test_apply_pair_agrees_with_apply(self):
+        rng = random.Random(419)
+        for _ in range(60):
+            z = ZZAction(rand_support(rng))
+            points = [Fraction(0), Fraction(1)]
+            points += [rand_interior(rng) for _ in range(10)]
+            points += [rand_interior(rng, rng.randint(2, 1 << 80))
+                       for _ in range(5)]
+            points += [anchor(i) for i in range(-8, 9)]
+            points += [cell_midpoint_oracle(i) for i in range(-7, 7)]
+            for x in points:
+                want = z.apply(x)
+                n, m = z.apply_pair(x.numerator, x.denominator)
+                assert gcd(n, m) == 1 and Fraction(n, m) == want, (z, x)
+                k = rng.randint(2, 5)
+                assert Fraction(*z.apply_pair(k * x.numerator,
+                                              k * x.denominator)) == want
+
+    def test_apply_pair_returns_a_fixed_pair_as_given(self):
+        # the anchor check compares the pair it passes in, unreduced or not
+        rng = random.Random(420)
+        for _ in range(20):
+            z = ZZAction(rand_support(rng))
+            for i in range(-8, 9):
+                a, b = anchor_pair(i)
+                for k in range(1, 6):
+                    assert z.apply_pair(k * a, k * b) == (k * a, k * b)
+            for k in range(1, 6):
+                assert z.apply_pair(0, k) == (0, k)
+                assert z.apply_pair(k, k) == (k, k)
 
 
 class TestZZSlopeMid:

@@ -204,6 +204,17 @@ def test_one_value_settings_are_folded(f, names):
                for p in inspect.signature(f).parameters.values())
 
 
+@pytest.mark.parametrize("f, names", [
+    (plmaps.anchor_pair, ["i"]),
+    (plmaps.chart_index_pair, ["n", "m"]),
+    (plmaps.midpoint_pair, ["i"]),
+    (groupact.ZZAction.apply_pair, ["self", "n", "m"]),
+], ids=("anchor_pair", "chart_index_pair", "midpoint_pair", "apply_pair"))
+def test_zz_pair_forms_take_integers(f, names):
+    # the zz witness and its render pass plain integers, never a Fraction
+    assert params(f) == names
+
+
 @pytest.mark.parametrize("owner, name", [
     (groupact.Word, "identity"),
     (groupact.Word, "generator"),

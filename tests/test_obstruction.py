@@ -66,6 +66,7 @@ from nonsmooth.plmaps import (
     LEFT,
     RIGHT,
     ModelTranslation,
+    anchor_pair,
     base_cell_shift,
     cell_midpoint,
     cell_shift,
@@ -607,6 +608,22 @@ class TestZZWitness:
         entry = ZZWitnessEntry(0, 4, Fraction(16, 51), Fraction(8, 15))
         broken = ZZWitness(0, 64, [entry], {0: 4}, (-2, 2), False)
         assert not broken.valid
+
+    @pytest.mark.parametrize("index", [-5, 0, 5])
+    def test_a_moved_anchor_voids_the_witness(self, monkeypatch, index):
+        # the check reads every anchor of [lo, hi] = [-5, 5] through
+        # apply_pair, so a product that moves any one of them is caught
+        moved = anchor_pair(index)
+        apply_pair = ZZAction.apply_pair
+
+        def moving(self, n, m):
+            return (n, m + 1) if (n, m) == moved else apply_pair(self, n, m)
+
+        monkeypatch.setattr(ZZAction, "apply_pair", moving)
+        w = zz_witness(3)
+        assert w.anchors_checked == (-5, 5)
+        assert not w.anchors_fixed
+        assert not w.valid
 
     def test_to_obj(self):
         w = zz_witness(1)

@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from helpers import (
     MAX_EXPR_FACTORS,
     AffineChart,
     IntervalMapExpr,
+    cell_midpoint_oracle,
     chart_shift_slope,
     germ_slope,
     pl_compose,
@@ -31,13 +33,16 @@ from nonsmooth.plmaps import (
     ModelTranslation,
     PLMap,
     anchor,
+    anchor_pair,
     base_cell_shift,
     cell_midpoint,
     cell_shift,
     cell_width,
     chart_index,
+    chart_index_pair,
     chart_shift,
     from_chart,
+    midpoint_pair,
     to_chart,
 )
 
@@ -388,3 +393,40 @@ class TestCellShifts:
         assert cell_midpoint(0) == Fraction(7, 12)
         for i in range(-6, 7):
             assert anchor(i) < cell_midpoint(i) < anchor(i + 1)
+
+
+class TestPairForms:
+    """The integer forms of the chart: each pair is the object form's value
+    in lowest terms, and the chart index reads an unreduced pair alike."""
+
+    @staticmethod
+    def cells():
+        rng = random.Random(330)
+        return list(range(-300, 301)) + [rng.randint(-5000, 5000)
+                                         for _ in range(50)]
+
+    def test_anchor_pair(self):
+        for i in self.cells():
+            a, b = anchor_pair(i)
+            assert gcd(a, b) == 1 and b > 0
+            assert Fraction(a, b) == anchor(i) == pow2(i) / (pow2(i) + 1)
+
+    def test_midpoint_pair_is_the_half_sum_of_anchors(self):
+        for i in self.cells():
+            n, d = midpoint_pair(i)
+            assert gcd(n, d) == 1 and d > 0
+            want = cell_midpoint_oracle(i)
+            assert (n, d) == (want.numerator, want.denominator), i
+            assert cell_midpoint(i) == want
+
+    def test_chart_index_pair_ignores_scale(self):
+        rng = random.Random(331)
+        points = [rand_interior(rng) for _ in range(300)]
+        points += [anchor(i) for i in range(-60, 61)]
+        points += [cell_midpoint_oracle(i) for i in range(-60, 61)]
+        points += [rand_interior(rng, rng.randint(2, 1 << 200))
+                   for _ in range(300)]
+        for x in points:
+            n, m = x.numerator, x.denominator
+            for k in range(1, 6):
+                assert chart_index_pair(k * n, k * m) == chart_index(x), (x, k)

@@ -83,6 +83,7 @@ ALLOWED = {
     "groupact.ZZAction.compose":
         "the zz group law Z_f o Z_g = Z_{f+g} (c7e, ROADMAP direction 2(c))",
     "groupact.ZZAction.inverse": "inverses in the zz group law (c7e)",
+    "groupact.ZZAction.apply": "the zz group law on points (c7e)",
     "renorm.translation_deviation":
         "the germ's 4/i deviation rate of the renorm dichotomy (c6a)",
     "renorm.hull_displacement":

@@ -1,19 +1,18 @@
 """Blow-up probe: windows, rescaled systems, translation deviation, and
 fixed-point persistence, with closed-form oracles for the germ examples."""
 
-import contextlib
 import os
 import random
 import subprocess
 import sys
 import textwrap
-from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 
 from helpers import (
+    counting_calls,
     fixed_point_oracle,
     generator_deviation_oracle,
     rand_cover,
@@ -615,20 +614,6 @@ class TestIntegerForms:
                         g.apply_pair(k * n, k * m)
                     assert str(via_pair.value) == str(via_apply.value) \
                         == str(via_object.value)
-
-
-@contextlib.contextmanager
-def counting_calls(method, *classes):
-    """Count the calls of the named method of each class inside the block,
-    keyed by class name."""
-    counts = Counter()
-    with contextlib.ExitStack() as stack:
-        for cls in classes:
-            def counted(self, *args, _cls=cls, _method=getattr(cls, method)):
-                counts[_cls.__name__] += 1
-                return _method(self, *args)
-            stack.enter_context(mock.patch.object(cls, method, counted))
-        yield counts
 
 
 class TestNoCoverObjectsOnTheGrid:
