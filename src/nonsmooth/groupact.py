@@ -317,8 +317,11 @@ class ZZAction(Record):
             return n, m
         i = chart_index_pair(n, m)
         k = self.table.get(i, 0)
+        if k == 0:
+            return n, m
+        # a coprime input that is the anchor itself needs no products
         a, b = anchor_pair(i)
-        if k == 0 or n * b == a * m:
+        if (n, m) == (a, b) or n * b == a * m:
             return n, m
         return cell_shift(i, k).apply(Fraction(n, m)).as_integer_ratio()
 

@@ -57,6 +57,13 @@ class MoebiusGermMap(Record):
     def apply(self, x):
         return Fraction(*self.apply_pair(*x.as_integer_ratio()))
 
+    def undefined_pairs(self):
+        """The points where the germ is undefined, as integer pairs (n, m),
+        m > 0: its pole -d/c, or none when c = 0."""
+        if self.c == 0:
+            return ()
+        return ((-self.d, self.c),) if self.c > 0 else ((self.d, -self.c),)
+
     def inverse(self) -> "MoebiusGermMap":
         return MoebiusGermMap(self.d, -self.b, -self.c, self.a)
 
@@ -164,14 +171,33 @@ def _grid(lo, hi, grid):
     return [a * grid + (b - a) * k for k in range(grid + 1)], m * grid
 
 
-def _displacements(g, nums, den):
-    """g(x) - x at each grid point x = n/den, as an unreduced integer pair
-    (v, q) with q > 0.  A map with a pair form `apply_pair` is evaluated on
-    the integers; any other map goes through Fraction."""
+def _pair_form(g):
+    """g as a map of integer pairs: n/m, m > 0, to an unreduced (num, den)
+    with den > 0.  A map with a pair form `apply_pair` is evaluated on the
+    integers; any other map goes through Fraction."""
     pair = getattr(g, "apply_pair", None)
     if pair is None:
         def pair(n, m):
             return g.apply(Fraction(n, m)).as_integer_ratio()
+    return pair
+
+
+def _check_defined(g, a, b, den):
+    """Raise g's own OutOfDomain when g is undefined at a point of
+    [a/den, b/den].  A map undefined somewhere names those points through
+    `undefined_pairs`, as integer pairs (n, m) with m > 0, and evaluating
+    it at one raises; a map without the method is defined everywhere."""
+    undefined = getattr(g, "undefined_pairs", None)
+    if undefined is not None:
+        for n, m in undefined():
+            if a * m <= n * den <= b * m:
+                _pair_form(g)(n, m)
+
+
+def _displacements(g, nums, den):
+    """g(x) - x at each grid point x = n/den, as an unreduced integer pair
+    (v, q) with q > 0."""
+    pair = _pair_form(g)
     out = []
     for n in nums:
         p, q = pair(n, den)
@@ -195,8 +221,10 @@ def generator_deviation(rs: RescaledSystem, name, radius):
     # |v/q - sn/sd| = |v sd - sn q|/(q sd): with sd fixed, the largest
     # |v sd - sn q|/q wins, found by cross-multiplying; the shift sn/sd is
     # unreduced, and scaling it scales every term alike
+    nums, den = _grid(lo, hi, rs.grid)
+    _check_defined(g, nums[0], nums[-1], den)
     best, best_q = 0, 1
-    for v, q in _displacements(g, *_grid(lo, hi, rs.grid)):
+    for v, q in _displacements(g, nums, den):
         dev = abs(v * sd - sn * q)
         if dev * best_q > best * q:
             best, best_q = dev, q
@@ -208,15 +236,17 @@ def translation_deviation(rs: RescaledSystem, radius):
     return max(generator_deviation(rs, name, radius) for name in rs.names)
 
 
-def _bisect_displacement(g, a, sa, b, den):
+def _bisect_displacement(pair, a, sa, b, den):
     """Halve the grid cell [a/den, b/den], across which g(x) - x changes
-    sign from sa at a/den, BISECTION_STEPS times: each step doubles den, so
-    the midpoint is the integer numerator of the two old ends' sum.  Returns
-    the bracket as two Fractions, degenerate at an exact zero."""
+    sign from sa at a/den, BISECTION_STEPS times, with g's pair form: each
+    step doubles den, so the midpoint is the integer numerator of the two
+    old ends' sum.  Returns the bracket as two Fractions, degenerate at an
+    exact zero."""
     for _ in range(BISECTION_STEPS):
         mid = a + b
         a, b, den = 2 * a, 2 * b, 2 * den
-        ((v, _),) = _displacements(g, (mid,), den)
+        y, q = pair(mid, den)
+        v = y * den - mid * q
         if v == 0:
             return (Fraction(mid, den),) * 2
         if (v > 0) == (sa > 0):
@@ -229,24 +259,46 @@ def _bisect_displacement(g, a, sa, b, den):
 def fixed_point_in_window(rs: RescaledSystem):
     """Per generator: an exact bracket in the rescaled window across which the
     displacement g_hat(x) - x changes sign (degenerate at an exact zero), or
-    None when the displacement keeps one sign at grid granularity."""
+    None when the displacement keeps one sign at grid granularity.
+
+    The scan walks the grid from the left and stops at the first zero or
+    sign change.  A generator undefined at some point of the window raises
+    its own OutOfDomain before the scan, wherever that point lies."""
     p, u = rs.window.point, rs.window.unit
     nums, den = _grid(*rs.window.enlarged, rs.grid)
+    first = nums[0]
     out = {}
     for name, g in zip(rs.names, rs.act.maps):
-        # the scan reads only the sign of each displacement
-        signs = [(v > 0) - (v < 0) for v, _ in _displacements(g, nums, den)]
-        if not any(signs):
-            raise Degenerate("generator %s is the identity on the window" % name)
+        _check_defined(g, first, nums[-1], den)
+        pair = _pair_form(g)
+        # at x = n/den, g(x) = y/q with q > 0, so g(x) - x has the sign of
+        # y den - n q
+        y, q = pair(first, den)
+        sa = y * den - first * q
         bracket = None
-        for k, s in enumerate(signs):
-            if s == 0:
-                bracket = (Fraction(nums[k], den),) * 2
-                break
-            if k and signs[k - 1] != s:
-                bracket = _bisect_displacement(
-                    g, nums[k - 1], signs[k - 1], nums[k], den)
-                break
+        if sa == 0:
+            # a zero at the left end is the bracket, unless every point is
+            # fixed: read on until some point moves
+            for n in nums[1:]:
+                y, q = pair(n, den)
+                if y * den != n * q:
+                    break
+            else:
+                raise Degenerate(
+                    "generator %s is the identity on the window" % name)
+            bracket = (Fraction(first, den),) * 2
+        else:
+            a = first
+            for n in nums[1:]:
+                y, q = pair(n, den)
+                v = y * den - n * q
+                if v == 0:
+                    bracket = (Fraction(n, den),) * 2
+                    break
+                if (v > 0) != (sa > 0):
+                    bracket = _bisect_displacement(pair, a, sa, n, den)
+                    break
+                a = n
         # the bracket ends back in rescaled coordinates
         out[name] = None if bracket is None else tuple((x - p) / u for x in bracket)
     return out

@@ -28,7 +28,7 @@ from helpers import (
     window_fixed_point_oracle,
 )
 import nonsmooth
-from nonsmooth import renorm
+from nonsmooth import cli, renorm
 from nonsmooth.cover import (
     COVER_BASEPOINT,
     TORUS_A,
@@ -67,6 +67,7 @@ from nonsmooth.projline import (
     traversal_cmp_pair,
 )
 from nonsmooth.renorm import (
+    BISECTION_STEPS,
     MoebiusGermMap,
     RescaledSystem,
     Window,
@@ -501,6 +502,138 @@ class TestPairForms:
                 oracle(rs)
             assert str(via_pair.value) == str(via_apply.value) \
                 == "germ has a pole at 1/2"
+
+
+class TestScanStopsEarly:
+    """fixed_point_in_window stops at the first zero or sign change of the
+    grid; a germ whose pole lies in the sampled interval still raises the
+    germ's own message, on the grid or between its points."""
+
+    @staticmethod
+    def unit_window_system(g, p, grid=4):
+        # the window (0, 1) about p, with unit |g(p) - p|
+        act = MarkedAction(("a",), (g,), UNIT_INTERVAL)
+        gp = g.apply(p)
+        w = Window(0, p, (min(p, gp), max(p, gp)), (0, 1), abs(gp - p))
+        return RescaledSystem(w, act, grid)
+
+    def test_pole_inside_a_cell(self):
+        # x -> (20x + 1)/(18 - 40x) has its pole at 9/20, strictly inside
+        # the cell [1/4, 1/2] of the 4-cell grid of (0, 1), and no real
+        # fixed point; the sign change across that cell is the pole
+        g = MoebiusGermMap(20, 1, -40, 18)
+        assert [Fraction(*q) for q in g.undefined_pairs()] == [Fraction(9, 20)]
+        rs = self.unit_window_system(g, Fraction(1, 4))
+        for library in (fixed_point_in_window,
+                        lambda rs: generator_deviation(rs, "a", 3)):
+            with pytest.raises(OutOfDomain) as raised:
+                library(rs)
+            assert str(raised.value) == "germ has a pole at 9/20"
+
+    def test_pole_past_the_first_sign_change(self):
+        # x -> (x + 1/8)/(3 - 4x): g(0) > 0, the displacement changes sign
+        # at 1/4, and the pole 3/4 lies further right on the grid
+        g = MoebiusGermMap(1, Fraction(1, 8), -4, 3)
+        rs = self.unit_window_system(g, Fraction(1, 2))
+        nums, den = renorm._grid(*rs.window.enlarged, rs.grid)
+        (v0, _), (v1, _) = renorm._displacements(g, nums[:2], den)
+        assert v0 > 0 > v1
+        with pytest.raises(OutOfDomain) as via_scan:
+            fixed_point_in_window(rs)
+        with pytest.raises(OutOfDomain) as via_oracle:
+            window_fixed_point_oracle(rs)
+        assert str(via_scan.value) == str(via_oracle.value) \
+            == "germ has a pole at 3/4"
+
+    def test_pole_outside_the_window(self):
+        # x -> x/(1 - 2x) on the window (0, 1/4) about 1/8: the pole 1/2
+        # lies in [0, 1] but not in the window, so nothing raises
+        g = MoebiusGermMap(1, 0, -2, 1)
+        act = MarkedAction(("a",), (g,), UNIT_INTERVAL)
+        p = Fraction(1, 8)
+        gp = g.apply(p)
+        w = Window(0, p, (p, gp), (0, Fraction(1, 4)), gp - p)
+        rs = RescaledSystem(w, act, 4)
+        assert fixed_point_in_window(rs) == window_fixed_point_oracle(rs)
+        assert generator_deviation(rs, "a", 1) \
+            == window_deviation_oracle(rs, "a", 1)
+
+    def test_fixed_left_end_reads_on_to_a_moving_point(self):
+        # g fixes 0, 1/4 and 1/2 and moves 3/4: the bracket is the left end,
+        # read from the first four grid points, not the fifth
+        g = PLMap([(0, 0), (Fraction(1, 2), Fraction(1, 2)),
+                   (Fraction(3, 4), Fraction(7, 8)), (1, 1)])
+        p = Fraction(3, 4)
+        rs = self.unit_window_system(g, p)
+        expected = window_fixed_point_oracle(rs)
+        assert expected == {"a": ((0 - p) * 8,) * 2}
+        with counting_calls("apply", PLMap) as counts:
+            assert fixed_point_in_window(rs) == expected
+        assert counts["PLMap"] == 4
+
+    def test_fixed_left_end_with_a_later_sign_change(self):
+        # g fixes 1/4, the window's left end, then moves 1/2 up and 3/4 down
+        g = PLMap([(0, 0), (Fraction(1, 4), Fraction(1, 4)),
+                   (Fraction(1, 2), Fraction(5, 8)),
+                   (Fraction(3, 4), Fraction(11, 16)), (1, 1)])
+        act = MarkedAction(("a",), (g,), UNIT_INTERVAL)
+        p = Fraction(1, 2)
+        w = Window(0, p, (p, Fraction(5, 8)),
+                   (Fraction(1, 4), Fraction(3, 4)), Fraction(1, 8))
+        rs = RescaledSystem(w, act, 4)
+        expected = window_fixed_point_oracle(rs)
+        assert expected == {"a": (Fraction(-2),) * 2}
+        assert fixed_point_in_window(rs) == expected
+
+    def test_every_point_fixed_is_degenerate(self):
+        # g moves only the inside of the cell [1/4, 1/2], where the base
+        # point 3/8 lies, and fixes every grid point
+        g = PLMap([(0, 0), (Fraction(1, 4), Fraction(1, 4)),
+                   (Fraction(3, 8), Fraction(7, 16)),
+                   (Fraction(1, 2), Fraction(1, 2)), (1, 1)])
+        rs = self.unit_window_system(g, Fraction(3, 8))
+        with pytest.raises(Degenerate):
+            window_fixed_point_oracle(rs)
+        with counting_calls("apply", PLMap) as counts:
+            with pytest.raises(Degenerate):
+                fixed_point_in_window(rs)
+        assert counts["PLMap"] == 5
+
+    def test_torus_run_evaluates_each_scan_to_its_stop(self, capsys):
+        # the benchmark's renorm-torus run at --start 1/2: each scan reads
+        # the grid up to its first zero or sign change and bisects there;
+        # build_windows (one point per generator) and generator_deviation
+        # (the shift at p and a 65-point grid) read what they read before
+        scanned = []
+
+        def scan(rs):
+            before = counts["CompactifiedLift"]
+            out = fixed_point_in_window(rs)
+            scanned.append((rs, counts["CompactifiedLift"] - before))
+            return out
+
+        with counting_calls("apply_pair", CompactifiedLift) as counts, \
+                mock.patch.object(cli, "fixed_point_in_window", scan):
+            assert cli.main(["renorm", "--action", "punctured-torus",
+                             "--windows", "32", "--grid", "64",
+                             "--start", "1/2"]) == 0
+        capsys.readouterr()
+        total = counts["CompactifiedLift"]
+        in_scans = sum(used for _, used in scanned)
+        assert len(scanned) == 32
+        assert total - in_scans == 32 * 2 * (1 + 1 + 65)
+        bound = 0
+        for rs, _ in scanned:
+            nums, den = renorm._grid(*rs.window.enlarged, rs.grid)
+            for g in rs.act.maps:
+                signs = [(v > 0) - (v < 0)
+                         for v, _ in renorm._displacements(g, nums, den)]
+                stop = next((k for k, s in enumerate(signs) if s != signs[0]),
+                            len(signs) - 1)
+                bound += stop + 1 + BISECTION_STEPS
+        assert in_scans <= bound
+        # 9,216 with the full 65-point scan
+        assert total == 6170
 
 
 def sign_normalized(p, q):
