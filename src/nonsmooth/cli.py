@@ -181,8 +181,9 @@ def parse_point(text, domain):
             return line_point(parse_rat(s))
         except ValueError as exc:
             raise UsageError("bad cover point %r: %s" % (text, exc))
-    if s == "pt":
-        raise UsageError("\"pt\" is a cover point; this action moves rationals")
+    if s == "pt" or s.startswith("t="):
+        raise UsageError("\"%s\" is a cover point; this action moves "
+                         "rationals" % s)
     try:
         return parse_rat(s)
     except ValueError as exc:
@@ -517,7 +518,7 @@ def cmd_renorm(argv):
             writer.writerow((
                 window.index,
                 name,
-                fmt_rat(rs.displacement_at_0(name)),
+                fmt_rat(rs.displacements_at_0[name]),
                 fmt_rat(dev),
                 "" if bracket is None else fmt_rat(bracket[0]),
                 "" if bracket is None else fmt_rat(bracket[1]),

@@ -38,6 +38,8 @@ TORUS_A = MoebiusMap(1, 1, 1, 2)
 TORUS_B = MoebiusMap(1, -1, -1, 2)
 # Widest bracket fixed_point_lift certifies around a hyperbolic fixed point.
 LIFT_BRACKET_WIDTH = Fraction(1, 4)
+# The one message for a point that uncompactify cannot read.
+OUTSIDE_OPEN_INTERVAL = "uncompactify needs a point strictly inside (0, 1)"
 
 
 @total_ordering
@@ -242,7 +244,7 @@ def uncompactify_triple(a: int, b: int):
     the sheet and the test 2r <= d do not, and [p : q] scales with it.
     """
     if not (0 < a < b):
-        raise OutOfDomain("uncompactify needs a point strictly inside (0, 1)")
+        raise OutOfDomain(OUTSIDE_OPEN_INTERVAL)
     # the line point m/d, its sheet, and w = r/d in [0, 1)
     m = 2 * a - b
     d = b - abs(m)

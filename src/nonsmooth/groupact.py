@@ -10,14 +10,13 @@ from fractions import Fraction
 
 from .cover import (
     COVER_BASEPOINT,
+    OUTSIDE_OPEN_INTERVAL,
     CoverPoint,
     TORUS_A,
     TORUS_B,
     compactify,
-    compactify_triple,
     fixed_point_lift,
     uncompactify,
-    uncompactify_triple,
 )
 from .errors import OutOfDomain, Unsupported, WordSyntaxError
 from .plmaps import (
@@ -244,9 +243,10 @@ class CompactifiedLift(Record):
     """A lift of the covered line viewed inside (0,1), endpoints fixed.
 
     `apply_pair` maps n/m, m > 0, to an unreduced pair (num, den), den > 0,
-    on plain integers: the cover point comes and goes as an integer triple
-    (uncompactify_triple, LiftedMap.apply_triple, compactify_triple), so no
-    ProjPoint or CoverPoint is built.  `apply` composes the object forms of
+    in one frame of plain integer steps, so no ProjPoint or CoverPoint is
+    built.  It returns what the chain uncompactify_triple,
+    LiftedMap.apply_triple and compactify_triple returns, tuple for tuple,
+    and raises the same OutOfDomain.  `apply` composes the object forms of
     the same steps, which the benchmark traces as layers.
     """
 
@@ -255,8 +255,40 @@ class CompactifiedLift(Record):
     def apply_pair(self, n, m):
         if n == 0 or n == m:
             return n, m
-        return compactify_triple(
-            *self.lift.apply_triple(*uncompactify_triple(n, m)))
+        if not 0 < n < m:
+            raise OutOfDomain(OUTSIDE_OPEN_INTERVAL)
+        # uncompactify: the line point t/d, its sheet, and r/d in [0, 1),
+        # read back as the sign-normalized base [p : q]
+        t = 2 * n - m
+        d = m - abs(t)
+        sheet, r = divmod(t, d)
+        if 2 * r <= d:
+            p, q = 2 * r, d - 2 * r
+        else:
+            p, q = 2 * (r - d), 2 * r - d
+        # the Moebius image [x : y], sign-normalized
+        lift = self.lift
+        mo = lift.moebius
+        x, y = mo.a * p + mo.b * q, mo.c * p + mo.d * q
+        if y < 0 or (y == 0 and x < 0):
+            x, y = -x, -y
+        # the sheet steps up when the image comes before the basepoint
+        # image in the traversal order: a lower half (0 finite t >= 0, 1
+        # infinity, 2 finite t < 0), or the same half and a negative cross
+        # product
+        v0 = lift.basepoint_image
+        vn, vd = v0.base.num, v0.base.den
+        sheet += v0.sheet
+        hx = 1 if y == 0 else (0 if x >= 0 else 2)
+        hv = 1 if vd == 0 else (0 if vn >= 0 else 2)
+        if hx < hv or (hx == hv and x * vd < vn * y):
+            sheet += 1
+        # compactify: the traversal coordinate c/e of [x : y], the line
+        # point lam/e, squashed into (0, 1)
+        c, e = (x, 2 * (x + y)) if x >= 0 else (2 * y - x, 2 * (y - x))
+        lam = sheet * e + c
+        e += abs(lam)
+        return lam + e, 2 * e
 
     def apply(self, x):
         x = Fraction(x)

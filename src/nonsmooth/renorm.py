@@ -132,17 +132,24 @@ class RescaledSystem(Record):
     window points are integer numerators over one denominator, and a
     generator with a pair form maps them to integer pairs, so the grid
     loops build no Fraction per point.
+
+    `displacements_at_0` keeps, per generator name, the displacement of the
+    origin that the unit check computed, so a caller that reports it does
+    not evaluate the generator at the base point again.
     """
 
-    __slots__ = ("window", "act", "grid", "domain")
+    __slots__ = ("window", "act", "grid", "domain", "displacements_at_0")
 
     def __init__(self, window, act, grid):
         if grid < 2:
             raise ValueError("grid resolution must be at least 2")
         p, u = window.point, window.unit
         domain = ((window.enlarged[0] - p) / u, (window.enlarged[1] - p) / u)
-        Record.__init__(self, window, act, int(grid), domain)
-        if max(abs(self.displacement_at_0(n)) for n in self.names) != 1:
+        at_0 = {}
+        Record.__init__(self, window, act, int(grid), domain, at_0)
+        for name in self.names:
+            at_0[name] = self.displacement_at_0(name)
+        if max(abs(v) for v in at_0.values()) != 1:
             raise AssertionError("the largest rescaled displacement is not 1")
 
     @property
@@ -218,17 +225,22 @@ def generator_deviation(rs: RescaledSystem, name, radius):
     if lo > hi:
         raise EmptyGridDomain(
             "window does not meet the requested radius %s" % (radius,))
-    # |v/q - sn/sd| = |v sd - sn q|/(q sd): with sd fixed, the largest
-    # |v sd - sn q|/q wins, found by cross-multiplying; the shift sn/sd is
-    # unreduced, and scaling it scales every term alike
+    # at x = n/den, g(x) = y/q, so g(x) - x = (y den - n q)/(q den) and
+    # |g(x) - x - sn/sd| = |(y den - n q) sd - sn q den|/(q den sd): with
+    # den and sd fixed, the largest |(y den - n q) sd - sn q den|/q wins,
+    # found by cross-multiplying; the shift sn/sd is unreduced, and scaling
+    # it scales every term alike
     nums, den = _grid(lo, hi, rs.grid)
     _check_defined(g, nums[0], nums[-1], den)
+    pair = _pair_form(g)
+    snd = sn * den
     best, best_q = 0, 1
-    for v, q in _displacements(g, nums, den):
-        dev = abs(v * sd - sn * q)
+    for n in nums:
+        y, q = pair(n, den)
+        dev = abs((y * den - n * q) * sd - snd * q)
         if dev * best_q > best * q:
             best, best_q = dev, q
-    return Fraction(best * u.denominator, best_q * sd * u.numerator)
+    return Fraction(best * u.denominator, best_q * den * sd * u.numerator)
 
 
 def translation_deviation(rs: RescaledSystem, radius):

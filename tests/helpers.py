@@ -3,7 +3,8 @@ oracles only the tests use, and the reference code that only the tests
 call: composition expressions with their germ slopes, slope characters,
 PL composition, the displacement growth check, the expansion of a
 DeckRows into its rows, the per-row torus render, the per-cell zz
-slope chain and the zz midpoint as a sum of anchors; and a call counter."""
+slope chain, the zz midpoint as a sum of anchors and the compactified
+lift as a chain of integer steps; and a call counter."""
 
 import contextlib
 import json
@@ -12,7 +13,15 @@ from fractions import Fraction
 from unittest import mock
 
 from nonsmooth.cli import ROW_TEMPLATE, coordinate, point_obj
-from nonsmooth.cover import TORUS_A, TORUS_B, CoverPoint, cover_cmp, lift_through
+from nonsmooth.cover import (
+    TORUS_A,
+    TORUS_B,
+    CoverPoint,
+    compactify_triple,
+    cover_cmp,
+    lift_through,
+    uncompactify_triple,
+)
 from nonsmooth.errors import (
     AccumulationPoint,
     BadInterval,
@@ -634,6 +643,16 @@ def entry_obj(entry):
             "slope": fmt_rat(entry.slope),
             "rejected_slope": (None if entry.rejected_slope is None
                                else fmt_rat(entry.rejected_slope))}
+
+
+def compactified_lift_chain(f, n, m):
+    """A CompactifiedLift's image of n/m, m > 0, as the chain of integer
+    steps uncompactify_triple, LiftedMap.apply_triple (MoebiusMap.apply_pair
+    and traversal_cmp_pair) and compactify_triple; the oracle that the one
+    frame of CompactifiedLift.apply_pair must agree with, tuple for tuple."""
+    if n == 0 or n == m:
+        return n, m
+    return compactify_triple(*f.lift.apply_triple(*uncompactify_triple(n, m)))
 
 
 def sandwich_apply(window, m, x):

@@ -774,6 +774,17 @@ class TestSpecsAndPoints:
             parse_point("t=1/2,sheet=0", UNIT_INTERVAL)
 
 
+@pytest.mark.parametrize("argv", [
+    ("orbit", "--action", "zz", "--point", "t=0,sheet=0"),
+    # renorm compactifies a cover action, so its start is a rational too
+    ("renorm", "--action", "punctured-torus", "--start", "t=0,sheet=1"),
+], ids=("orbit-zz", "renorm-torus"))
+def test_cover_point_on_an_interval_action_is_one_usage_line(capsys, argv):
+    assert run(capsys, *argv) == (
+        2, "", "UsageError: \"%s\" is a cover point; this action moves "
+               "rationals\n" % argv[-1])
+
+
 def test_action_defaults(capsys):
     # each action type's default start point, as the README's Actions table
     # documents it; model-translation starts at its support's midpoint

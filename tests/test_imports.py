@@ -3,7 +3,9 @@ imports a name it never uses, the package root defines no names, only cli
 knows the report format, only Record writes a repr or sets a field, one
 function of cli decides what each action spec means, no module function
 reads a private field, no module keeps a functools cache, and no function of
-renorm checks a generator's type.
+renorm checks a generator's type.  The compactified lift's kernel calls none
+of the integer steps it fuses, and the renorm command evaluates no generator
+at the marked point.
 The signatures are pinned against knobs that were folded away, and the
 constructors and reference code only tests call stay out of the package."""
 
@@ -178,6 +180,39 @@ def test_renorm_checks_no_generator_type():
                    and isinstance(node.func, ast.Name)
                    and node.func.id in ("isinstance", "issubclass", "type"))
     assert not calls, calls
+
+
+def called_names(tree, owner, name):
+    """The names that the function `name`, a method of class `owner` or a
+    module function when owner is None, calls: a plain name or the last
+    attribute of a dotted one."""
+    scope = tree if owner is None else next(
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == owner)
+    func = next(node for node in scope.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+    return {node.func.id if isinstance(node.func, ast.Name)
+            else node.func.attr
+            for node in ast.walk(func) if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
+def test_compactified_lift_kernel_is_one_frame():
+    # the hot path of renorm-torus stays one frame per grid point; the
+    # chain of steps is the oracle in tests/helpers.py
+    steps = called_names(parse("groupact.py"), "CompactifiedLift",
+                         "apply_pair") & {
+        "uncompactify_triple", "apply_triple", "apply_pair",
+        "traversal_cmp_pair", "compactify_triple"}
+    assert not steps, sorted(steps)
+
+
+def test_renorm_command_evaluates_no_generator_at_the_marked_point():
+    # the displacement_at_0 column reads the displacements that the unit
+    # check of RescaledSystem computed, not a second evaluation
+    evaluations = called_names(parse("cli.py"), None, "cmd_renorm") & {
+        "displacement_at_0", "apply"}
+    assert not evaluations, sorted(evaluations)
 
 
 def test_renorm_has_one_grid_and_one_enlargement():

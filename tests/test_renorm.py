@@ -12,6 +12,7 @@ from unittest import mock
 import pytest
 
 from helpers import (
+    compactified_lift_chain,
     counting_calls,
     fixed_point_oracle,
     generator_deviation_oracle,
@@ -66,6 +67,7 @@ from nonsmooth.projline import (
     traversal_cmp,
     traversal_cmp_pair,
 )
+from nonsmooth.rational import fmt_rat
 from nonsmooth.renorm import (
     BISECTION_STEPS,
     MoebiusGermMap,
@@ -641,8 +643,8 @@ def sign_normalized(p, q):
 
 
 class TestIntegerForms:
-    """Each integer step of CompactifiedLift.apply_pair agrees with the
-    object form that wraps it, at every positive scaling of its input:
+    """Each integer step that CompactifiedLift.apply_pair fuses agrees with
+    the object form that wraps it, at every positive scaling of its input:
     MoebiusMap.apply_pair, traversal_cmp_pair, LiftedMap.apply_triple,
     compactify_triple and uncompactify_triple.  Each returned pair is
     sign-normalized and scales with the input."""
@@ -747,6 +749,95 @@ class TestIntegerForms:
                         g.apply_pair(k * n, k * m)
                     assert str(via_pair.value) == str(via_apply.value) \
                         == str(via_object.value)
+
+
+class TestKernelMatchesChain:
+    """CompactifiedLift.apply_pair, one frame of integer steps, returns the
+    tuple that the chain of the integer steps returns (tests/helpers.py),
+    unreduced, at every scaling of its input, and raises the chain's
+    OutOfDomain outside the closed unit interval."""
+
+    forms = TestIntegerForms()
+
+    def compactified_lifts(self):
+        return [CompactifiedLift(f) for f in self.forms.lifts()]
+
+    def test_every_point_and_scaling(self):
+        rng = random.Random(140)
+        pairs = [compactify(x).as_integer_ratio()
+                 for x in self.forms.cover_points(rng)]
+        pairs += [(0, 1), (1, 1)]
+        checked = 0
+        for g in self.compactified_lifts():
+            # the points whose image lies over infinity, the middle half
+            # of the traversal order
+            inverse = g.lift.inverse()
+            poles = [compactify(inverse.apply(CoverPoint(ProjPoint.infinity(),
+                                                         s))).as_integer_ratio()
+                     for s in range(-3, 4)]
+            for n, m in pairs + poles:
+                for k in self.forms.scales(rng):
+                    assert g.apply_pair(k * n, k * m) == compactified_lift_chain(
+                        g, k * n, k * m)
+                    checked += 1
+        assert checked == 20 * (7 * 4 + 60 + 2 + 7) * 3
+
+    def test_outside_the_open_interval_is_the_chain_message(self):
+        rng = random.Random(141)
+        for g in self.compactified_lifts():
+            for n, m in ((-1, 3), (4, 3), (2, 1), (-5, 1)):
+                for k in self.forms.scales(rng):
+                    with pytest.raises(OutOfDomain) as via_chain:
+                        compactified_lift_chain(g, k * n, k * m)
+                    with pytest.raises(OutOfDomain) as via_kernel:
+                        g.apply_pair(k * n, k * m)
+                    assert str(via_kernel.value) == str(via_chain.value) \
+                        == "uncompactify needs a point strictly inside (0, 1)"
+
+
+class TestOneEvaluationAtTheMarkedPoint:
+    """A rescaled system keeps the displacements of the origin that its
+    unit check computed, and the renorm CSV prints those: one
+    RescaledSystem.apply per window and generator."""
+
+    @staticmethod
+    def run_renorm(capsys, *args):
+        built = []
+
+        def recording(*a):
+            rs = RescaledSystem(*a)
+            built.append(rs)
+            return rs
+
+        with counting_calls("apply", RescaledSystem) as counts, \
+                mock.patch.object(cli, "RescaledSystem", recording):
+            assert cli.main(["renorm", *args]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        return built, rows, counts["RescaledSystem"]
+
+    def check_column(self, built, rows):
+        by_window = {rs.window.index: rs for rs in built}
+        assert len(rows) == sum(len(rs.names) for rs in built)
+        for row in rows:
+            index, name, shift = row.split(",")[:3]
+            rs = by_window[int(index)]
+            assert shift == fmt_rat(rs.displacement_at_0(name)) \
+                == fmt_rat(rs.displacements_at_0[name])
+
+    def test_torus_run(self, capsys):
+        built, rows, applies = self.run_renorm(
+            capsys, "--action", "punctured-torus", "--windows", "32",
+            "--grid", "64", "--start", "1/2")
+        # 128 when the column evaluated g(p) a second time
+        assert len(built) == 32 and applies == 64
+        self.check_column(built, rows)
+
+    def test_germ_run(self, capsys):
+        built, rows, applies = self.run_renorm(
+            capsys, "--windows", "128", "--grid", "64")
+        # 256 when the column evaluated g(p) a second time
+        assert len(built) == 128 and applies == 128
+        self.check_column(built, rows)
 
 
 class TestNoCoverObjectsOnTheGrid:
