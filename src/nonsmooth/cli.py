@@ -162,23 +162,20 @@ def parse_point(text, domain):
     if domain == COVER_LINE:
         if s == "pt":
             return COVER_BASEPOINT
-        if s.startswith("t="):
-            try:
-                parts = s.split(",")
-                if len(parts) != 2 or not parts[1].strip().startswith("sheet="):
-                    raise ValueError("expected the form t=RAT,sheet=INT")
-                t_text = parts[0][2:].strip()
-                sheet = parts[1].strip()[6:].strip()
-                digits = sheet[1:] if sheet[:1] in ("+", "-") else sheet
-                if not (digits.isascii() and digits.isdigit()):
-                    raise ValueError("sheet must be an integer in ASCII digits")
-                base = (ProjPoint.infinity() if t_text == "inf"
-                        else ProjPoint.from_affine(parse_rat(t_text)))
-                return CoverPoint(base, int(sheet))
-            except ValueError as exc:
-                raise UsageError("bad cover point %r: %s" % (text, exc))
         try:
-            return line_point(parse_rat(s))
+            if not s.startswith("t="):
+                return line_point(parse_rat(s))
+            parts = s.split(",")
+            if len(parts) != 2 or not parts[1].strip().startswith("sheet="):
+                raise ValueError("expected the form t=RAT,sheet=INT")
+            t_text = parts[0][2:].strip()
+            sheet = parts[1].strip()[6:].strip()
+            digits = sheet[1:] if sheet[:1] in ("+", "-") else sheet
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError("sheet must be an integer in ASCII digits")
+            base = (ProjPoint.infinity() if t_text == "inf"
+                    else ProjPoint.from_affine(parse_rat(t_text)))
+            return CoverPoint(base, int(sheet))
         except ValueError as exc:
             raise UsageError("bad cover point %r: %s" % (text, exc))
     if s == "pt" or s.startswith("t="):

@@ -22,7 +22,6 @@ from .errors import OutOfDomain, Unsupported, WordSyntaxError
 from .plmaps import (
     LEFT,
     RIGHT,
-    anchor_pair,
     base_cell_shift,
     cell_shift,
     chart_index_pair,
@@ -86,9 +85,6 @@ class Word(Record):
 
     def exponent_sum(self, index):
         return sum(e for i, e in self.letters if i == index)
-
-    def max_index(self):
-        return max((i for i, _ in self.letters), default=-1)
 
     def to_string(self, names=DEFAULT_NAMES):
         parts = []
@@ -169,7 +165,15 @@ def parse_word(text, names=DEFAULT_NAMES):
             if pos == digits:
                 raise WordSyntaxError("expected an integer at position %d of %r"
                                       % (start, text))
-            letters = (_reduced_word(letters) ** int(text[start:pos])).letters
+            # an exponent with more digits than the cap is never converted
+            figures = text[digits:pos].lstrip("0") or "0"
+            if len(figures) <= len(str(MAX_WORD_LETTERS)):
+                letters = (_reduced_word(letters)
+                           ** int(text[start:digits] + figures)).letters
+            elif letters:  # an empty group's power stays empty
+                raise WordSyntaxError("word would expand to at least 10^%d "
+                                      "letters, more than the cap of %d"
+                                      % (len(figures) - 1, MAX_WORD_LETTERS))
         _check_length(len(acc) + len(letters))
         if len(letters) > len(acc) and isinstance(letters, deque):
             # a group longer than the letters before it takes them at its
@@ -331,15 +335,6 @@ class ZZAction(Record):
 
     __slots__ = ("table",)
 
-    def __init__(self, support):
-        items = support.items() if isinstance(support, dict) else support
-        table = {}
-        for i, k in items:
-            i, k = int(i), int(k)
-            if k != 0:
-                table[i] = table.get(i, 0) + k
-        Record.__init__(self, {i: k for i, k in table.items() if k != 0})
-
     def apply_pair(self, n, m):
         """The image of n/m, 0 <= n <= m, as a pair: the input pair itself
         wherever the product is the identity (at 0 and 1, off the listed
@@ -351,26 +346,10 @@ class ZZAction(Record):
         k = self.table.get(i, 0)
         if k == 0:
             return n, m
-        # a coprime input that is the anchor itself needs no products
-        a, b = anchor_pair(i)
-        if (n, m) == (a, b) or n * b == a * m:
+        # n/m is anchor(i) iff 2^i (m - n) == n, at any scaling of the pair
+        if ((m - n) << i == n) if i >= 0 else (m - n == n << -i):
             return n, m
         return cell_shift(i, k).apply(Fraction(n, m)).as_integer_ratio()
-
-    def apply(self, x):
-        x = Fraction(x)
-        if not 0 <= x <= 1:
-            raise OutOfDomain("point %s outside [0,1]" % x)
-        return Fraction(*self.apply_pair(x.numerator, x.denominator))
-
-    def inverse(self):
-        return ZZAction({i: -k for i, k in self.table.items()})
-
-    def compose(self, other):
-        merged = dict(self.table)
-        for i, k in other.table.items():
-            merged[i] = merged.get(i, 0) + k
-        return ZZAction(merged)
 
 
 def zz_base_link(k):

@@ -51,7 +51,7 @@ def order_cmp(act, w1, w2, p):
 
 
 def is_commutator_class_trivial(w):
-    return all(w.exponent_sum(i) == 0 for i in range(w.max_index() + 1))
+    return all(w.exponent_sum(i) == 0 for i in {i for i, _ in w.letters})
 
 
 class DominationRow(Record):

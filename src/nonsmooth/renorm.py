@@ -19,7 +19,7 @@ from .errors import (
     OutOfDomain,
     Unsupported,
 )
-from .groupact import UNIT_INTERVAL, MarkedAction, word_eval
+from .groupact import UNIT_INTERVAL, MarkedAction
 from .projline import canonical_entries
 from .record import Record
 
@@ -106,8 +106,7 @@ def build_windows(act: MarkedAction, p_seq):
     windows = []
     for index, p in enumerate(p_seq):
         p = act.check_point(p)
-        shifts = [Fraction(v, q) for g in act.maps
-                  for v, q in _displacements(g, (p.numerator,), p.denominator)]
+        shifts = [Fraction(*_shift(g, p)) for g in act.maps]
         unit = max(abs(s) for s in shifts)
         if unit == 0:
             raise EmptyDisplacement(
@@ -147,8 +146,7 @@ class RescaledSystem(Record):
         domain = ((window.enlarged[0] - p) / u, (window.enlarged[1] - p) / u)
         at_0 = {}
         Record.__init__(self, window, act, int(grid), domain, at_0)
-        for name in self.names:
-            at_0[name] = self.displacement_at_0(name)
+        at_0.update((name, self.apply(name, ZERO)) for name in self.names)
         if max(abs(v) for v in at_0.values()) != 1:
             raise AssertionError("the largest rescaled displacement is not 1")
 
@@ -164,9 +162,6 @@ class RescaledSystem(Record):
         w = self.window
         g = self.act.maps[self.names.index(name)]
         return (g.apply(w.point + w.unit * x) - w.point) / w.unit
-
-    def displacement_at_0(self, name):
-        return self.apply(name, ZERO)
 
 
 def _grid(lo, hi, grid):
@@ -201,15 +196,11 @@ def _check_defined(g, a, b, den):
                 _pair_form(g)(n, m)
 
 
-def _displacements(g, nums, den):
-    """g(x) - x at each grid point x = n/den, as an unreduced integer pair
-    (v, q) with q > 0."""
-    pair = _pair_form(g)
-    out = []
-    for n in nums:
-        p, q = pair(n, den)
-        out.append((p * den - n * q, q * den))
-    return out
+def _shift(g, p):
+    """g(p) - p as an unreduced integer pair (v, q) with q > 0."""
+    n, den = p.as_integer_ratio()
+    y, q = _pair_form(g)(n, den)
+    return y * den - n * q, q * den
 
 
 def generator_deviation(rs: RescaledSystem, name, radius):
@@ -218,7 +209,7 @@ def generator_deviation(rs: RescaledSystem, name, radius):
     every sampled point."""
     g = rs.act.maps[rs.names.index(name)]
     p, u = rs.window.point, rs.window.unit
-    ((sn, sd),) = _displacements(g, (p.numerator,), p.denominator)
+    sn, sd = _shift(g, p)
     radius = Fraction(radius)
     lo, hi = rs.window.enlarged
     lo, hi = max(lo, p - u * radius), min(hi, p + u * radius)
@@ -241,11 +232,6 @@ def generator_deviation(rs: RescaledSystem, name, radius):
         if dev * best_q > best * q:
             best, best_q = dev, q
     return Fraction(best * u.denominator, best_q * den * sd * u.numerator)
-
-
-def translation_deviation(rs: RescaledSystem, radius):
-    """How far the rescaled system is from a system of translations."""
-    return max(generator_deviation(rs, name, radius) for name in rs.names)
 
 
 def _bisect_displacement(pair, a, sa, b, den):
@@ -314,9 +300,3 @@ def fixed_point_in_window(rs: RescaledSystem):
         # the bracket ends back in rescaled coordinates
         out[name] = None if bracket is None else tuple((x - p) / u for x in bracket)
     return out
-
-
-def hull_displacement(rs: RescaledSystem, w):
-    """How far the word moves the base point, in units of the hull length."""
-    p = rs.window.point
-    return abs(word_eval(rs.act, w, p) - p) / rs.window.length

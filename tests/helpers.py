@@ -3,8 +3,9 @@ oracles only the tests use, and the reference code that only the tests
 call: composition expressions with their germ slopes, slope characters,
 PL composition, the displacement growth check, the expansion of a
 DeckRows into its rows, the per-row torus render, the per-cell zz
-slope chain, the zz midpoint as a sum of anchors and the compactified
-lift as a chain of integer steps; and a call counter."""
+slope chain, the zz midpoint as a sum of anchors, the zz group law, the
+compactified lift as a chain of integer steps and the renorm statistics
+of the dichotomy; and a call counter."""
 
 import contextlib
 import json
@@ -40,6 +41,7 @@ from nonsmooth.groupact import (
     COVER_LINE,
     DEFAULT_NAMES,
     UNIT_INTERVAL,
+    ZZAction,
     _check_length,
     _reduce,
     _reduced_word,
@@ -73,7 +75,7 @@ from nonsmooth.plmaps import (
 from nonsmooth.projline import GREATER, LESS, MoebiusMap, ProjPoint, ordering_name
 from nonsmooth.rational import fmt_rat
 from nonsmooth.record import Record
-from nonsmooth.renorm import BISECTION_STEPS
+from nonsmooth.renorm import BISECTION_STEPS, _pair_form, generator_deviation
 
 # Most factors a power of an expression may expand to; the factors are
 # materialized, so this bounds the memory one power can take.
@@ -465,6 +467,36 @@ def word_expr(act, w):
     return IntervalMapExpr(tuple(factors))
 
 
+class ZZGroupAction(ZZAction):
+    """A cell-shift product action with its group law: built from a dict or
+    an iterable of (cell, power) pairs, summing repeated cells and dropping
+    zero powers, so equal products compare equal."""
+
+    def __init__(self, support):
+        items = support.items() if isinstance(support, dict) else support
+        table = {}
+        for i, k in items:
+            i, k = int(i), int(k)
+            if k != 0:
+                table[i] = table.get(i, 0) + k
+        Record.__init__(self, {i: k for i, k in table.items() if k != 0})
+
+    def apply(self, x):
+        x = Fraction(x)
+        if not 0 <= x <= 1:
+            raise OutOfDomain("point %s outside [0,1]" % x)
+        return Fraction(*self.apply_pair(x.numerator, x.denominator))
+
+    def inverse(self):
+        return ZZGroupAction({i: -k for i, k in self.table.items()})
+
+    def compose(self, other):
+        merged = dict(self.table)
+        for i, k in other.table.items():
+            merged[i] = merged.get(i, 0) + k
+        return ZZGroupAction(merged)
+
+
 def zz_expr(z):
     """A cell-shift product action as a composition of its cell shifts."""
     return IntervalMapExpr(tuple(cell_shift(i, k) for i, k in sorted(z.table.items())))
@@ -673,7 +705,7 @@ def generator_deviation_oracle(rs, name, radius):
     """renorm.generator_deviation with every value taken through
     RescaledSystem.apply in rescaled coordinates; the oracle for the window
     coordinates the library evaluates in."""
-    shift = rs.displacement_at_0(name)
+    shift = rs.apply(name, 0)
     radius = Fraction(radius)
     lo, hi = rs.domain
     lo, hi = max(lo, -radius), min(hi, radius)
@@ -737,6 +769,30 @@ def window_deviation_oracle(rs, name, radius):
                for x in window_grid(lo, hi, rs.grid)) / u
 
 
+def displacements(g, nums, den):
+    """g(x) - x at each grid point x = n/den, as an unreduced integer pair
+    (v, q) with q > 0, through g's pair form."""
+    pair = _pair_form(g)
+    out = []
+    for n in nums:
+        p, q = pair(n, den)
+        out.append((p * den - n * q, q * den))
+    return out
+
+
+def translation_deviation(rs, radius):
+    """How far the rescaled system is from a system of translations: the
+    germ's 4/i deviation rate of the renorm dichotomy (acceptance c6a)."""
+    return max(generator_deviation(rs, name, radius) for name in rs.names)
+
+
+def hull_displacement(rs, w):
+    """How far the word moves the base point, in units of the hull length:
+    the torus side of the renorm dichotomy (acceptance c6b)."""
+    p = rs.window.point
+    return abs(word_eval(rs.act, w, p) - p) / rs.window.length
+
+
 def bisect_displacement_oracle(g, a, va, b):
     """Halve [a, b], across which g(x) - x changes sign from the sign of va
     at a, BISECTION_STEPS times on Fraction midpoints; degenerate at an
@@ -781,7 +837,8 @@ def window_fixed_point_oracle(rs):
 @contextlib.contextmanager
 def counting_calls(method, *classes):
     """Count the calls of the named method of each class inside the block,
-    keyed by class name."""
+    keyed by class name; a module in place of a class counts its module
+    function of that name."""
     counts = Counter()
     with contextlib.ExitStack() as stack:
         for cls in classes:

@@ -19,7 +19,9 @@ from fractions import Fraction
 
 from helpers import (
     ExpandedRows,
+    ZZGroupAction,
     displacement_growth_check,
+    hull_displacement,
     pl_compose,
     rand_cover,
     rand_interior,
@@ -29,6 +31,7 @@ from helpers import (
     rand_word_letters,
     slope_character,
     slope_quotient_oracle,
+    translation_deviation,
     zz_expr,
 )
 from nonsmooth.cli import main
@@ -44,7 +47,6 @@ from nonsmooth.groupact import (
     UNIT_INTERVAL,
     MarkedAction,
     Word,
-    ZZAction,
     commutator,
     compactified_action,
     parse_word,
@@ -59,8 +61,6 @@ from nonsmooth.renorm import (
     build_windows,
     fixed_point_in_window,
     germ_action,
-    hull_displacement,
-    translation_deviation,
 )
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -160,13 +160,13 @@ def test_c5_zz_witness():
     # minimality: the rejected slope one power earlier was still >= 1/2
     ok = ok and all(e.rejected_slope is None or e.rejected_slope >= HALF
                     for e in w.entries)
-    product = ZZAction(w.support)
+    product = ZZGroupAction(w.support)
     ok = ok and all(product.apply(anchor(j)) == anchor(j)
                     for j in range(-18, 19))
     # difference-quotient oracle on a sample of cells
     from nonsmooth.plmaps import cell_midpoint
     for e in (w.entries[0], w.entries[16], w.entries[32]):
-        m = zz_expr(ZZAction({e.index: e.power}))
+        m = zz_expr(ZZGroupAction({e.index: e.power}))
         p = cell_midpoint(e.index)
         got = max(slope_quotient_oracle(m, p, LEFT),
                   slope_quotient_oracle(m, p, RIGHT))
@@ -278,7 +278,7 @@ def test_c7e_zz_additivity():
         g = {rng.randint(-8, 8): rng.randint(-3, 3)
              for _ in range(rng.randint(0, 4))}
         total = {i: f.get(i, 0) + g.get(i, 0) for i in set(f) | set(g)}
-        zf, zg, zt = ZZAction(f), ZZAction(g), ZZAction(total)
+        zf, zg, zt = ZZGroupAction(f), ZZGroupAction(g), ZZGroupAction(total)
         ok = ok and zf.compose(zg) == zt
         x = rand_interior(rng)
         ok = ok and zf.apply(zg.apply(x)) == zt.apply(x)

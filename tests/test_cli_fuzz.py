@@ -207,3 +207,30 @@ def test_nested_input_exits_cleanly_in_bounded_time(capsys):
         assert run(capsys, argv) == first, argv[:2]
         seen.add(code)
     assert seen == {0, 2}
+
+
+# exponents longer than Python converts to int by default (4,300 digits):
+# one past the cap on a letter, and one on an empty group, each way round
+LONG_EXPONENTS = (
+    ("a^1" + "0" * 5000, 2, None),
+    ("A^-" + "9" * 5001, 2, None),
+    ("(aA)^" + "9" * 5001, 0, ""),
+    ("a^" + "0" * 5000 + "1", 0, "a"),
+)
+
+
+@pytest.mark.parametrize("word, code, same_as", LONG_EXPONENTS,
+                         ids=("cap", "negative-cap", "empty-group",
+                              "leading-zeros"))
+def test_long_exponent_ends_with_our_own_text(capsys, word, code, same_as):
+    argv = ["orbit", "--action", "zz", "--word", word, "--count", "1"]
+    started = time.perf_counter()
+    got = run(capsys, argv)
+    assert time.perf_counter() - started < 0.1
+    assert got[0] == code
+    if same_as is None:
+        # the word cap's one line, not Python's advice on its digit limit
+        assert got[2].startswith("WordSyntaxError: word would expand to ")
+        assert got[2].count("\n") == 1 and "sys." not in got[2]
+    else:
+        assert got == run(capsys, argv[:4] + [same_as] + argv[5:])

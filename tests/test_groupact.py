@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 from helpers import (
+    ZZGroupAction,
     cell_midpoint_oracle,
     parse_word_oracle,
     rand_cover,
@@ -26,7 +27,6 @@ from nonsmooth.groupact import (
     CompactifiedLift,
     MarkedAction,
     Word,
-    ZZAction,
     commutator,
     compactified_action,
     orbit_sequence,
@@ -378,11 +378,11 @@ def rand_support(rng, span=5, power=3):
 
 class TestZZAction:
     def test_frozen_single_cell(self):
-        z = ZZAction({0: 1})
+        z = ZZGroupAction({0: 1})
         assert z.apply(Fraction(7, 12)) == Fraction(11, 18)
 
     def test_empty_support_is_identity(self):
-        z = ZZAction({})
+        z = ZZGroupAction({})
         rng = random.Random(411)
         for _ in range(100):
             x = rand_interior(rng)
@@ -391,28 +391,28 @@ class TestZZAction:
     def test_anchors_fixed(self):
         rng = random.Random(412)
         for _ in range(20):
-            z = ZZAction(rand_support(rng))
+            z = ZZGroupAction(rand_support(rng))
             for i in range(-20, 21):
                 assert z.apply(anchor(i)) == anchor(i)
             assert z.apply(Fraction(0)) == 0
             assert z.apply(Fraction(1)) == 1
 
     def test_restriction_to_cell(self):
-        z = ZZAction({2: 3, -1: -2})
+        z = ZZGroupAction({2: 3, -1: -2})
         rng = random.Random(413)
         for _ in range(200):
             x = rand_interior(rng)
-            assert z.apply(x) == ZZAction({2: 3}).apply(ZZAction({-1: -2}).apply(x))
+            assert z.apply(x) == ZZGroupAction({2: 3}).apply(ZZGroupAction({-1: -2}).apply(x))
 
     def test_composition_adds_supports(self):
         rng = random.Random(414)
         for _ in range(500):
             f, g = rand_support(rng), rand_support(rng)
-            zf, zg = ZZAction(f), ZZAction(g)
+            zf, zg = ZZGroupAction(f), ZZGroupAction(g)
             both = zf.compose(zg)
             x = rand_interior(rng)
             assert both.apply(x) == zf.apply(zg.apply(x))
-            assert both == ZZAction({i: f.get(i, 0) + g.get(i, 0)
+            assert both == ZZGroupAction({i: f.get(i, 0) + g.get(i, 0)
                                      for i in set(f) | set(g)})
 
     def test_cell_shifts_commute(self):
@@ -429,18 +429,18 @@ class TestZZAction:
     def test_inverse(self):
         rng = random.Random(416)
         for _ in range(200):
-            z = ZZAction(rand_support(rng))
+            z = ZZGroupAction(rand_support(rng))
             x = rand_interior(rng)
             assert z.inverse().apply(z.apply(x)) == x
 
     def test_out_of_domain(self):
         with pytest.raises(OutOfDomain):
-            ZZAction({0: 1}).apply(Fraction(3, 2))
+            ZZGroupAction({0: 1}).apply(Fraction(3, 2))
 
     def test_apply_pair_agrees_with_apply(self):
         rng = random.Random(419)
         for _ in range(60):
-            z = ZZAction(rand_support(rng))
+            z = ZZGroupAction(rand_support(rng))
             points = [Fraction(0), Fraction(1)]
             points += [rand_interior(rng) for _ in range(10)]
             points += [rand_interior(rng, rng.randint(2, 1 << 80))
@@ -459,7 +459,7 @@ class TestZZAction:
         # the anchor check compares the pair it passes in, unreduced or not
         rng = random.Random(420)
         for _ in range(20):
-            z = ZZAction(rand_support(rng))
+            z = ZZGroupAction(rand_support(rng))
             for i in range(-8, 9):
                 a, b = anchor_pair(i)
                 for k in range(1, 6):
@@ -485,11 +485,11 @@ class TestZZSlopeMid:
         cells = [rng.randint(-5000, 5000) for _ in range(30)]
         for i in cells:
             for k in range(-8, 9):
-                z = ZZAction({i: k})
+                z = ZZGroupAction({i: k})
                 assert zz_slope_mid(k) == zz_slope_mid_oracle(z, i), (i, k)
         for i in (0, 1, -1, 37, -37, 1000, -1000, 4999):
             for k in (1, 3, 4):
-                z = ZZAction({i: k})
+                z = ZZGroupAction({i: k})
                 assert zz_slope_mid(k) == zz_slope_mid_oracle(z, i), (i, k)
 
     def test_no_cell_sized_point(self, monkeypatch):
@@ -506,7 +506,7 @@ class TestZZSlopeMid:
         for name in ("apply", "one_sided_slope"):
             monkeypatch.setattr(ModelTranslation, name,
                                 widest(getattr(ModelTranslation, name)))
-        z = ZZAction({4000: 4})
+        z = ZZGroupAction({4000: 4})
         seen = []
         assert zz_slope_chain(4000, 4) == Fraction(16, 51)
         assert seen and max(seen) <= 64, seen
@@ -521,7 +521,7 @@ class TestZZSlopeMid:
             k = rng.randint(-3, 3)
             if k == 0:
                 continue
-            z = ZZAction({i: k})
+            z = ZZGroupAction({i: k})
             p = cell_midpoint(i)
             m = cell_shift(i, k)
             want = max(slope_quotient_oracle(m, p, LEFT),

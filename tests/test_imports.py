@@ -218,7 +218,7 @@ def test_renorm_command_evaluates_no_generator_at_the_marked_point():
 def test_renorm_has_one_grid_and_one_enlargement():
     assert params(renorm.build_windows) == ["act", "p_seq"]
     assert params(renorm.generator_deviation) == ["rs", "name", "radius"]
-    assert params(renorm.translation_deviation) == ["rs", "radius"]
+    assert params(helpers.translation_deviation) == ["rs", "radius"]
     assert not hasattr(renorm, "rescale")
 
 
@@ -279,6 +279,23 @@ def test_zz_pair_forms_take_integers(f, names):
     (obstruction.DeckRows, "__iter__"),
     (obstruction.DeckRows, "__getitem__"),
     (obstruction.DeckRows, "_row"),
+    (renorm, "translation_deviation"),
+    (renorm, "hull_displacement"),
+    (renorm, "_displacements"),
+    (groupact.ZZAction, "apply"),
+    (groupact.ZZAction, "inverse"),
+    (groupact.ZZAction, "compose"),
+    (renorm.RescaledSystem, "displacement_at_0"),
+    (groupact.Word, "max_index"),
 ], ids=lambda v: v if isinstance(v, str) else v.__name__)
 def test_test_only_constructors_are_gone(owner, name):
     assert not hasattr(owner, name)
+
+
+def test_zz_action_is_a_pure_record():
+    # the witness builds its product from a normalized table; the
+    # normalizing constructor of the zz group law is ZZGroupAction in
+    # tests/helpers.py
+    assert "__init__" not in vars(groupact.ZZAction)
+    assert [name for name in vars(groupact.ZZAction)
+            if callable(vars(groupact.ZZAction)[name])] == ["apply_pair"]

@@ -14,7 +14,9 @@ from helpers import (
     ExpandedRows,
     IntervalMapExpr,
     NotFixed,
+    ZZGroupAction,
     certify_domination_oracle,
+    counting_calls,
     entry_obj,
     germ_slope,
     rand_cover,
@@ -593,12 +595,12 @@ class TestZZWitness:
             entry = next(e for e in w.entries if e.index == i)
             mid = cell_midpoint(i)
             chosen = max(
-                slope_quotient_oracle(zz_expr(ZZAction({i: entry.power})),
+                slope_quotient_oracle(zz_expr(ZZGroupAction({i: entry.power})),
                                       mid, side)
                 for side in (LEFT, RIGHT))
             assert chosen == entry.slope
             prior = max(
-                slope_quotient_oracle(zz_expr(ZZAction({i: entry.power - 1})),
+                slope_quotient_oracle(zz_expr(ZZGroupAction({i: entry.power - 1})),
                                       mid, side)
                 for side in (LEFT, RIGHT))
             assert prior == entry.rejected_slope
@@ -625,6 +627,18 @@ class TestZZWitness:
         assert not w.anchors_fixed
         assert not w.valid
 
+    @pytest.mark.parametrize("truncation", [0, 3, 50])
+    def test_each_checked_anchor_is_built_once(self, truncation):
+        # apply_pair recognises an anchor by the chart identity, so the
+        # 2T + 5 anchors of the check are the only anchor pairs built;
+        # each module that binds anchor_pair is counted
+        holders = [m for m in (groupact, obstruction)
+                   if hasattr(m, "anchor_pair")]
+        with counting_calls("anchor_pair", *holders) as counts:
+            w = zz_witness(truncation)
+        assert w.valid
+        assert sum(counts.values()) == 2 * truncation + 5, counts
+
     def test_to_obj(self):
         w = zz_witness(1)
         obj = witness_obj(w)
@@ -637,6 +651,6 @@ class TestZZWitness:
     def test_product_moves_midpoints(self):
         # sanity: the witness product is not the identity near its support
         w = zz_witness(2)
-        product = ZZAction(w.support)
+        product = ZZGroupAction(w.support)
         for i in range(-2, 3):
             assert product.apply(cell_midpoint(i)) != cell_midpoint(i)

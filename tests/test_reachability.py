@@ -80,14 +80,6 @@ ALLOWED = {
         "matrices equal up to scale are one map (acceptance c1)",
     "projline.MoebiusMap.__hash__": "hashes as __eq__ compares (c1)",
     "projline.MoebiusMap.trace": "the commutator's trace is -2 (c1)",
-    "groupact.ZZAction.compose":
-        "the zz group law Z_f o Z_g = Z_{f+g} (c7e, ROADMAP direction 2(c))",
-    "groupact.ZZAction.inverse": "inverses in the zz group law (c7e)",
-    "groupact.ZZAction.apply": "the zz group law on points (c7e)",
-    "renorm.translation_deviation":
-        "the germ's 4/i deviation rate of the renorm dichotomy (c6a)",
-    "renorm.hull_displacement":
-        "the torus side of the renorm dichotomy (c6b)",
     "plmaps.PLMap.one_sided_slope":
         "the PL atom's side of the slope method ModelTranslation serves to "
         "zz_slope_mid; the composition expressions and germ slopes in "

@@ -14,8 +14,10 @@ import pytest
 from helpers import (
     compactified_lift_chain,
     counting_calls,
+    displacements,
     fixed_point_oracle,
     generator_deviation_oracle,
+    hull_displacement,
     rand_cover,
     rand_interior,
     rand_model,
@@ -25,6 +27,7 @@ from helpers import (
     rand_rat,
     rand_sl2,
     sandwich_apply,
+    translation_deviation,
     window_deviation_oracle,
     window_fixed_point_oracle,
 )
@@ -77,9 +80,7 @@ from nonsmooth.renorm import (
     fixed_point_in_window,
     generator_deviation,
     germ_action,
-    hull_displacement,
     parabolic_germ,
-    translation_deviation,
 )
 
 
@@ -214,12 +215,12 @@ class TestRescale:
     def test_parabolic_origin_displacement(self):
         for i in (10, 100, 1000):
             rs = parabolic_system(i)
-            assert rs.displacement_at_0("a") == -1
+            assert rs.apply("a", 0) == -1
 
     def test_normalization_invariant(self):
         _, systems = torus_windows(range(8))
         for rs in systems:
-            assert max(abs(rs.displacement_at_0(n)) for n in rs.names) == 1
+            assert max(abs(rs.apply(n, 0)) for n in rs.names) == 1
 
     def test_halving_domain(self):
         act = halving_action()
@@ -538,7 +539,7 @@ class TestScanStopsEarly:
         g = MoebiusGermMap(1, Fraction(1, 8), -4, 3)
         rs = self.unit_window_system(g, Fraction(1, 2))
         nums, den = renorm._grid(*rs.window.enlarged, rs.grid)
-        (v0, _), (v1, _) = renorm._displacements(g, nums[:2], den)
+        (v0, _), (v1, _) = displacements(g, nums[:2], den)
         assert v0 > 0 > v1
         with pytest.raises(OutOfDomain) as via_scan:
             fixed_point_in_window(rs)
@@ -629,7 +630,7 @@ class TestScanStopsEarly:
             nums, den = renorm._grid(*rs.window.enlarged, rs.grid)
             for g in rs.act.maps:
                 signs = [(v > 0) - (v < 0)
-                         for v, _ in renorm._displacements(g, nums, den)]
+                         for v, _ in displacements(g, nums, den)]
                 stop = next((k for k, s in enumerate(signs) if s != signs[0]),
                             len(signs) - 1)
                 bound += stop + 1 + BISECTION_STEPS
@@ -821,7 +822,7 @@ class TestOneEvaluationAtTheMarkedPoint:
         for row in rows:
             index, name, shift = row.split(",")[:3]
             rs = by_window[int(index)]
-            assert shift == fmt_rat(rs.displacement_at_0(name)) \
+            assert shift == fmt_rat(rs.apply(name, 0)) \
                 == fmt_rat(rs.displacements_at_0[name])
 
     def test_torus_run(self, capsys):
@@ -852,7 +853,7 @@ class TestNoCoverObjectsOnTheGrid:
             nums, den = renorm._grid(*rs.window.enlarged, rs.grid)
             assert len(nums) == 65
             with counting_calls("__init__", ProjPoint, CoverPoint) as counts:
-                renorm._displacements(g, nums, den)
+                displacements(g, nums, den)
                 brackets = fixed_point_in_window(rs)
             assert not counts, counts
             bisected += sum(b is not None and b[0] != b[1]
@@ -898,7 +899,7 @@ class TestStatisticsReadThePairForm:
         for act, points in self.cases():
             rs = RescaledSystem(build_windows(act, points)[0], act, 64)
             with counting_calls("apply", *self.PAIR_FORMS) as counts:
-                rs.displacement_at_0(rs.names[0])
+                rs.apply(rs.names[0], 0)
             assert sum(counts.values()) == 1, counts
 
 
