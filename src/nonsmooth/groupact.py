@@ -7,6 +7,7 @@ domains: the covered projective line (cover points) or the unit interval
 
 from collections import deque
 from fractions import Fraction
+from math import gcd
 
 from .cover import (
     COVER_BASEPOINT,
@@ -221,14 +222,47 @@ class MarkedAction(Record):
         return parse_word(text, self.names)
 
 
+def own_pair_form(g):
+    """g's own map of integer pairs, its `apply_pair`: n/m, m > 0, to an
+    unreduced (num, den) with den > 0; None when g has none."""
+    return getattr(g, "apply_pair", None)
+
+
+def pair_form(g):
+    """g as a map of integer pairs: its own pair form, evaluated on the
+    integers, or else g.apply through Fraction."""
+    pair = own_pair_form(g)
+    if pair is None:
+        def pair(n, m):
+            return g.apply(Fraction(n, m)).as_integer_ratio()
+    return pair
+
+
 def word_eval(act, w, x):
-    """Image of x under the word, rightmost letter first; exact."""
+    """Image of x under the word, rightmost letter first; exact.
+
+    On the unit interval a letter whose map has its own pair form moves the
+    point as an integer pair, reduced by one gcd, so no step is larger than
+    the reduced point; any other letter applies to a Fraction, with no
+    round trip through a pair.  The point changes form only where the kind
+    of letter changes."""
     y = act.check_point(x)
+    interval = act.domain == UNIT_INTERVAL
+    pair = None  # the point, while pair forms move it
     for idx, exp in reversed(w.letters):
         if idx >= len(act.maps):
             raise WordSyntaxError("word uses generator %d, action has %d" % (idx, len(act.maps)))
-        y = act.bound_map(idx, exp).apply(y)
-    return act.check_point(y)
+        g = act.bound_map(idx, exp)
+        form = own_pair_form(g) if interval else None
+        if form is None:
+            if pair is not None:
+                y, pair = Fraction(*pair), None
+            y = g.apply(y)
+        else:
+            n, m = form(*(y.as_integer_ratio() if pair is None else pair))
+            k = gcd(n, m)
+            pair = n // k, m // k
+    return act.check_point(y if pair is None else Fraction(*pair))
 
 
 def orbit_sequence(act, w, x0, n):

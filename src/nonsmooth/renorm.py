@@ -9,7 +9,7 @@ obstructed actions keep a generator fixed point inside every window.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (
     BadInterval,
@@ -19,12 +19,11 @@ from .errors import (
     OutOfDomain,
     Unsupported,
 )
-from .groupact import UNIT_INTERVAL, MarkedAction
+from .groupact import UNIT_INTERVAL, MarkedAction, pair_form
 from .projline import canonical_entries
 from .record import Record
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 # Halvings of a grid cell across which a displacement changes sign.
 BISECTION_STEPS = 12
 # Factor by which a window's generator hull is enlarged about its point.
@@ -98,23 +97,31 @@ class Window(Record):
 
 
 def build_windows(act: MarkedAction, p_seq):
-    """Hull each point p with its generator images, read as the shifts
-    g(p) - p that the grid helper computes on integers, then enlarge about
-    the point by WINDOW_ENLARGEMENT, clamped to the unit interval."""
+    """Hull each point p with its generator images g(p), then enlarge about
+    the point by WINDOW_ENLARGEMENT, clamped to the unit interval.  The
+    images come from the pair forms, and p and every image are put over one
+    common denominator, so the unit, the hull and the enlargement are taken
+    on integer numerators; only the Window's fields are Fractions."""
     if act.domain != UNIT_INTERVAL:
         raise Unsupported("windows need an interval action")
     windows = []
     for index, p in enumerate(p_seq):
         p = act.check_point(p)
-        shifts = [Fraction(*_shift(g, p)) for g in act.maps]
-        unit = max(abs(s) for s in shifts)
+        n, d = p.as_integer_ratio()
+        images = [pair_form(g)(n, d) for g in act.maps]
+        m = lcm(d, *(q for _, q in images))
+        pn = n * (m // d)
+        shifts = [y * (m // q) - pn for y, q in images]
+        unit = max(map(abs, shifts))
         if unit == 0:
             raise EmptyDisplacement(
                 "every generator fixes the marked point %s" % (p,))
-        lo, hi = min(shifts + [ZERO]), max(shifts + [ZERO])
-        enlarged = (max(ZERO, p + WINDOW_ENLARGEMENT * lo),
-                    min(ONE, p + WINDOW_ENLARGEMENT * hi))
-        windows.append(Window(index, p, (p + lo, p + hi), enlarged, unit))
+        lo, hi = min(0, *shifts), max(0, *shifts)
+        enlarged = (max(0, pn + WINDOW_ENLARGEMENT * lo),
+                    min(m, pn + WINDOW_ENLARGEMENT * hi))
+        windows.append(Window(
+            index, p, (Fraction(pn + lo, m), Fraction(pn + hi, m)),
+            tuple(Fraction(e, m) for e in enlarged), Fraction(unit, m)))
     return tuple(windows)
 
 
@@ -164,24 +171,27 @@ class RescaledSystem(Record):
         return (g.apply(w.point + w.unit * x) - w.point) / w.unit
 
 
+def _over_one_denominator(*xs):
+    """The rationals xs as integer numerators over their least common
+    denominator: (numerators, denominator)."""
+    m = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (m // x.denominator) for x in xs], m
+
+
 def _grid(lo, hi, grid):
     """The points lo + (hi - lo) k/grid, k = 0..grid, as integer numerators
     over one common denominator: (numerators, denominator)."""
-    m = lcm(lo.denominator, hi.denominator)
-    a = lo.numerator * (m // lo.denominator)
-    b = hi.numerator * (m // hi.denominator)
-    return [a * grid + (b - a) * k for k in range(grid + 1)], m * grid
+    (a, b), m = _over_one_denominator(lo, hi)
+    return _grid_over(a, b, m, grid)
 
 
-def _pair_form(g):
-    """g as a map of integer pairs: n/m, m > 0, to an unreduced (num, den)
-    with den > 0.  A map with a pair form `apply_pair` is evaluated on the
-    integers; any other map goes through Fraction."""
-    pair = getattr(g, "apply_pair", None)
-    if pair is None:
-        def pair(n, m):
-            return g.apply(Fraction(n, m)).as_integer_ratio()
-    return pair
+def _grid_over(a, b, m, grid):
+    """The grid of _grid between a/m and b/m.  Dividing a, b and m by their
+    gcd leaves m the least common denominator of the two ends, so any
+    scaling of the ends gives the same numerators."""
+    k = gcd(a, b, m)
+    a, b, m = a // k, b // k, m // k
+    return [a * grid + (b - a) * j for j in range(grid + 1)], m * grid
 
 
 def _check_defined(g, a, b, den):
@@ -193,13 +203,13 @@ def _check_defined(g, a, b, den):
     if undefined is not None:
         for n, m in undefined():
             if a * m <= n * den <= b * m:
-                _pair_form(g)(n, m)
+                pair_form(g)(n, m)
 
 
 def _shift(g, p):
     """g(p) - p as an unreduced integer pair (v, q) with q > 0."""
     n, den = p.as_integer_ratio()
-    y, q = _pair_form(g)(n, den)
+    y, q = pair_form(g)(n, den)
     return y * den - n * q, q * den
 
 
@@ -208,11 +218,16 @@ def generator_deviation(rs: RescaledSystem, name, radius):
     rescaled window within the radius; a lower bound for the sup, exact at
     every sampled point."""
     g = rs.act.maps[rs.names.index(name)]
-    p, u = rs.window.point, rs.window.unit
+    w = rs.window
+    p, u = w.point, w.unit
     sn, sd = _shift(g, p)
     radius = Fraction(radius)
-    lo, hi = rs.window.enlarged
-    lo, hi = max(lo, p - u * radius), min(hi, p + u * radius)
+    # the window p -+ u radius, clamped to the enlarged window, on integer
+    # numerators over the denominator m rd
+    rn, rd = radius.as_integer_ratio()
+    (e0, e1, pn, un), m = _over_one_denominator(*w.enlarged, p, u)
+    lo = max(e0 * rd, pn * rd - un * rn)
+    hi = min(e1 * rd, pn * rd + un * rn)
     if lo > hi:
         raise EmptyGridDomain(
             "window does not meet the requested radius %s" % (radius,))
@@ -221,9 +236,9 @@ def generator_deviation(rs: RescaledSystem, name, radius):
     # den and sd fixed, the largest |(y den - n q) sd - sn q den|/q wins,
     # found by cross-multiplying; the shift sn/sd is unreduced, and scaling
     # it scales every term alike
-    nums, den = _grid(lo, hi, rs.grid)
+    nums, den = _grid_over(lo, hi, m * rd, rs.grid)
     _check_defined(g, nums[0], nums[-1], den)
-    pair = _pair_form(g)
+    pair = pair_form(g)
     snd = sn * den
     best, best_q = 0, 1
     for n in nums:
@@ -268,7 +283,7 @@ def fixed_point_in_window(rs: RescaledSystem):
     out = {}
     for name, g in zip(rs.names, rs.act.maps):
         _check_defined(g, first, nums[-1], den)
-        pair = _pair_form(g)
+        pair = pair_form(g)
         # at x = n/den, g(x) = y/q with q > 0, so g(x) - x has the sign of
         # y den - n q
         y, q = pair(first, den)

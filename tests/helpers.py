@@ -4,7 +4,8 @@ call: composition expressions with their germ slopes, slope characters,
 PL composition, the displacement growth check, the expansion of a
 DeckRows into its rows, the per-row torus render, the per-cell zz
 slope chain, the zz midpoint as a sum of anchors, the zz group law, the
-compactified lift as a chain of integer steps and the renorm statistics
+compactified lift as a chain of integer steps, word evaluation through
+the maps' apply, the window hull on Fractions and the renorm statistics
 of the dichotomy; and a call counter."""
 
 import contextlib
@@ -29,6 +30,7 @@ from nonsmooth.errors import (
     BracketOutsideWindow,
     Degenerate,
     DegenerateSequence,
+    EmptyDisplacement,
     EmptyGridDomain,
     NonsmoothError,
     NotCommutatorClass,
@@ -47,6 +49,7 @@ from nonsmooth.groupact import (
     _reduced_word,
     commutator,
     orbit_sequence,
+    pair_form,
     word_eval,
 )
 from nonsmooth.obstruction import (
@@ -75,7 +78,12 @@ from nonsmooth.plmaps import (
 from nonsmooth.projline import GREATER, LESS, MoebiusMap, ProjPoint, ordering_name
 from nonsmooth.rational import fmt_rat
 from nonsmooth.record import Record
-from nonsmooth.renorm import BISECTION_STEPS, _pair_form, generator_deviation
+from nonsmooth.renorm import (
+    BISECTION_STEPS,
+    WINDOW_ENLARGEMENT,
+    Window,
+    generator_deviation,
+)
 
 # Most factors a power of an expression may expand to; the factors are
 # materialized, so this bounds the memory one power can take.
@@ -687,6 +695,41 @@ def compactified_lift_chain(f, n, m):
     return compactify_triple(*f.lift.apply_triple(*uncompactify_triple(n, m)))
 
 
+def word_eval_objects(act, w, x):
+    """groupact.word_eval with one call of the bound map's apply per letter,
+    on whatever point objects the action moves; the oracle for the integer
+    pairs that an interval action's orbit moves through."""
+    y = act.check_point(x)
+    for idx, exp in reversed(w.letters):
+        if idx >= len(act.maps):
+            raise WordSyntaxError("word uses generator %d, action has %d"
+                                  % (idx, len(act.maps)))
+        y = act.bound_map(idx, exp).apply(y)
+    return act.check_point(y)
+
+
+def build_windows_oracle(act, p_seq):
+    """renorm.build_windows with the shifts g(p) - p, the unit, the hull and
+    the clamped enlargement taken as Fractions through each map's apply; the
+    oracle for the integer numerators over one denominator that the library
+    hulls on."""
+    if act.domain != UNIT_INTERVAL:
+        raise Unsupported("windows need an interval action")
+    windows = []
+    for index, p in enumerate(p_seq):
+        p = act.check_point(p)
+        shifts = [g.apply(p) - p for g in act.maps]
+        unit = max(abs(s) for s in shifts)
+        if unit == 0:
+            raise EmptyDisplacement(
+                "every generator fixes the marked point %s" % (p,))
+        lo, hi = min(shifts + [0]), max(shifts + [0])
+        enlarged = (max(Fraction(0), p + WINDOW_ENLARGEMENT * lo),
+                    min(Fraction(1), p + WINDOW_ENLARGEMENT * hi))
+        windows.append(Window(index, p, (p + lo, p + hi), enlarged, unit))
+    return tuple(windows)
+
+
 def sandwich_apply(window, m, x):
     """A generator rescaled to a window by the affine sandwich
     x -> (m(p + u x) - p)/u, with p the base point and u the unit; the
@@ -772,7 +815,7 @@ def window_deviation_oracle(rs, name, radius):
 def displacements(g, nums, den):
     """g(x) - x at each grid point x = n/den, as an unreduced integer pair
     (v, q) with q > 0, through g's pair form."""
-    pair = _pair_form(g)
+    pair = pair_form(g)
     out = []
     for n in nums:
         p, q = pair(n, den)

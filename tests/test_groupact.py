@@ -9,10 +9,14 @@ from helpers import (
     ZZGroupAction,
     cell_midpoint_oracle,
     parse_word_oracle,
+    counting_calls,
     rand_cover,
     rand_interior,
+    rand_model,
+    rand_plmap,
     rand_word_letters,
     slope_quotient_oracle,
+    word_eval_objects,
     zz_slope_chain,
     zz_slope_mid_oracle,
 )
@@ -367,6 +371,104 @@ class TestCompactifiedAction:
         for _ in range(100):
             x = compactify(rand_cover(rng))
             assert lift.inverse().apply(lift.apply(x)) == x
+
+
+def outcome(f, *args):
+    """f's value, or the type and message of the error it raised."""
+    try:
+        return f(*args)
+    except (OutOfDomain, WordSyntaxError) as exc:
+        return type(exc), str(exc)
+
+
+def interval_actions(rng):
+    """The interval actions an orbit runs on: the germ, the compactified
+    torus, the zz letters, one PL map, a PL map with a model translation,
+    and the germ with a PL map, whose words switch between pair letters
+    and Fraction letters."""
+    return (germ_action(), compactified_action(punctured_torus_action()),
+            zz_letter_action(),
+            MarkedAction(("a",), (rand_plmap(rng),), UNIT_INTERVAL),
+            MarkedAction(("a", "b"), (rand_plmap(rng), rand_model(rng)),
+                         UNIT_INTERVAL),
+            MarkedAction(("a", "b"), (germ_action().maps[0], rand_plmap(rng)),
+                         UNIT_INTERVAL))
+
+
+class TestWordEvalOnPairs:
+    """word_eval on an interval action moves the point through the pair
+    forms; word_eval_objects, one apply per letter, is its oracle."""
+
+    def test_agrees_with_the_object_path(self):
+        rng = random.Random(432)
+        for _ in range(20):
+            for act in interval_actions(rng):
+                for _ in range(20):
+                    w = Word(rand_word_letters(rng, len(act.maps), 8))
+                    x = rng.choice((rand_interior(rng), Fraction(0),
+                                    Fraction(1), Fraction(rng.randint(1, 99),
+                                                          rng.randint(100, 10 ** 6))))
+                    assert outcome(word_eval, act, w, x) \
+                        == outcome(word_eval_objects, act, w, x)
+
+    def test_long_power_keeps_the_reduced_points(self):
+        # a^300 on the compactified torus: each letter's input is the
+        # reduced point the object path reaches, so no step is larger
+        act = compactified_action(punctured_torus_action())
+        w = act.parse("a^300")
+        x = Fraction(1, 2)
+        seen = {"pairs": [], "objects": []}
+        apply_pair, apply = CompactifiedLift.apply_pair, CompactifiedLift.apply
+
+        def record_pair(self, n, m):
+            seen["pairs"].append((n, m))
+            return apply_pair(self, n, m)
+
+        def record_object(self, y):
+            seen["objects"].append(y.as_integer_ratio())
+            return apply(self, y)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(CompactifiedLift, "apply_pair", record_pair)
+            mp.setattr(CompactifiedLift, "apply", record_object)
+            y = word_eval(act, w, x)
+            assert seen["objects"] == []
+            z = word_eval_objects(act, w, x)
+        assert y == z
+        assert seen["pairs"] == seen["objects"]
+        assert len(seen["pairs"]) == 300
+        assert (y.numerator.bit_length(), y.denominator.bit_length()) \
+            == (z.numerator.bit_length(), z.denominator.bit_length()) \
+            == (418, 419)
+
+    def test_fraction_letters_take_no_pair_round_trip(self, monkeypatch):
+        # a letter without its own pair form applies to the Fraction; the
+        # Fraction fallback of pair_form serves the renorm grid alone
+        def refuse(g):
+            raise AssertionError("a round trip through a pair")
+
+        monkeypatch.setattr(groupact, "pair_form", refuse)
+        act = zz_letter_action()
+        w = act.parse("a^3bAB^2")
+        x = Fraction(7, 12)
+        assert word_eval(act, w, x) == word_eval_objects(act, w, x)
+
+    def test_germ_pole_after_a_step(self):
+        # A sends 1/2 to 1, where A has its pole
+        act = germ_action()
+        A = act.parse("A")
+        assert word_eval(act, A, Fraction(1, 2)) == 1
+        for f in (word_eval, word_eval_objects):
+            with pytest.raises(OutOfDomain, match="^germ has a pole at 1$"):
+                f(act, act.parse("AA"), Fraction(1, 2))
+
+    def test_torus_orbit_builds_no_objects(self):
+        act = compactified_action(punctured_torus_action())
+        with counting_calls("apply", CompactifiedLift) as counts:
+            orbit = list(orbit_sequence(act, act.parse("[a,b]"),
+                                        Fraction(1, 2), 20))
+        assert counts["CompactifiedLift"] == 0
+        assert orbit == [compactify(COVER_BASEPOINT.deck(n)) for n in range(21)]
 
 
 def rand_support(rng, span=5, power=3):

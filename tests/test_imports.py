@@ -2,8 +2,9 @@
 imports a name it never uses, the package root defines no names, only cli
 knows the report format, only Record writes a repr or sets a field, one
 function of cli decides what each action spec means, no module function
-reads a private field, no module keeps a functools cache, and no function of
-renorm checks a generator's type.  The compactified lift's kernel calls none
+reads a private field, no module keeps a functools cache, no function of
+renorm checks a generator's type, and one function of groupact asks whether
+a map has its own pair form.  The compactified lift's kernel calls none
 of the integer steps it fuses, and the renorm command evaluates no generator
 at the marked point.
 The signatures are pinned against knobs that were folded away, and the
@@ -180,6 +181,38 @@ def test_renorm_checks_no_generator_type():
                    and isinstance(node.func, ast.Name)
                    and node.func.id in ("isinstance", "issubclass", "type"))
     assert not calls, calls
+
+
+def functions(tree):
+    """Each module function and method of the tree, as (name, node)."""
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            yield top.name, top
+        elif isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, ast.FunctionDef):
+                    yield "%s.%s" % (top.name, node.name), node
+
+
+def test_one_pair_form_dispatcher():
+    # whether a map has its own integer pair form is asked in one place;
+    # renorm imports pair_form, the Fraction fallback built on it, so the
+    # orbit and the renorm grid dispatch alike
+    askers = sorted("%s:%s" % (filename[:-3], name)
+                    for filename in MODULES
+                    for name, func in functions(parse(filename))
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in ("getattr", "hasattr")
+                    and len(node.args) >= 2
+                    and isinstance(node.args[1], ast.Constant)
+                    and node.args[1].value == "apply_pair")
+    assert askers == ["groupact:own_pair_form"], askers
+    assert "pair_form" in {alias.name for node in parse("renorm.py").body
+                           if isinstance(node, ast.ImportFrom)
+                           and node.module == "groupact"
+                           for alias in node.names}
 
 
 def called_names(tree, owner, name):

@@ -12,6 +12,7 @@ from unittest import mock
 import pytest
 
 from helpers import (
+    build_windows_oracle,
     compactified_lift_chain,
     counting_calls,
     displacements,
@@ -209,6 +210,81 @@ class TestBuildWindows:
         with pytest.raises(BadInterval):
             Window(0, Fraction(1, 2), (Fraction(1, 2), Fraction(1, 2)),
                    (0, 1), Fraction(1, 2))
+
+
+def window_fields(windows):
+    return [(w.index, w.point, w.hull, w.enlarged, w.length, w.unit)
+            for w in windows]
+
+
+def windows_outcome(build, act, points):
+    """The fields of the built windows, or the type and message of the
+    error raised."""
+    try:
+        return window_fields(build(act, points))
+    except (EmptyDisplacement, OutOfDomain) as exc:
+        return type(exc), str(exc)
+
+
+class TestBuildWindowsOnIntegers:
+    """build_windows hulls on integer numerators over one denominator;
+    build_windows_oracle, on Fractions through apply, is its oracle, field
+    for field."""
+
+    @staticmethod
+    def actions(rng):
+        # a model translation on most of [0, 1], so most points move
+        model = ModelTranslation((Fraction(rng.randint(0, 2), 12),
+                                  Fraction(rng.randint(10, 12), 12)),
+                                 rng.choice((-3, -2, -1, 1, 2, 3)))
+        return (germ_action(), compactified_action(punctured_torus_action()),
+                MarkedAction(("a",), (rand_plmap(rng),), UNIT_INTERVAL),
+                MarkedAction(("a",), (model,), UNIT_INTERVAL))
+
+    def test_agrees_with_the_fraction_hull(self):
+        rng = random.Random(433)
+        for _ in range(25):
+            for act in self.actions(rng):
+                points = [rand_interior(rng) for _ in range(8)] + [
+                    Fraction(rng.randint(1, 99), rng.randint(100, 10 ** 6))]
+                for batch in [points] + [[p] for p in points]:
+                    assert windows_outcome(build_windows, act, batch) \
+                        == windows_outcome(build_windows_oracle, act, batch)
+
+    def test_clamps_at_both_ends(self):
+        # x -> x/2 at 1/1024 and x -> (x + 1)/2 at 1023/1024: three times
+        # the shift overshoots 0 and 1
+        halving = MarkedAction(("a",), (MoebiusGermMap(1, 0, 0, 2),),
+                               UNIT_INTERVAL)
+        to_one = MarkedAction(("a",), (MoebiusGermMap(1, 1, 0, 2),),
+                              UNIT_INTERVAL)
+        for act, p, end in ((halving, Fraction(1, 1024), 0),
+                            (to_one, Fraction(1023, 1024), 1)):
+            w, = build_windows(act, [p])
+            assert window_fields([w]) \
+                == window_fields(build_windows_oracle(act, [p]))
+            assert w.enlarged[end] == end != w.hull[end]
+
+    def test_fixed_point_is_empty_displacement(self):
+        g = PLMap([(0, 0), (Fraction(1, 2), Fraction(1, 2)),
+                   (Fraction(3, 4), Fraction(7, 8)), (1, 1)])
+        act = MarkedAction(("a",), (g,), UNIT_INTERVAL)
+        torus = compactified_action(punctured_torus_action())
+        for act, p in ((act, Fraction(1, 2)), (torus, Fraction(0)),
+                       (torus, Fraction(1))):
+            expected = (EmptyDisplacement,
+                        "every generator fixes the marked point %s" % (p,))
+            for build in (build_windows, build_windows_oracle):
+                assert windows_outcome(build, act, [Fraction(5, 8), p]) \
+                    == expected
+
+    def test_germ_pole_is_out_of_domain(self):
+        # x -> x/(1 - x) has its pole at 1
+        act = MarkedAction(("a",), (MoebiusGermMap(1, 0, -1, 1),),
+                           UNIT_INTERVAL)
+        for build in (build_windows, build_windows_oracle):
+            assert windows_outcome(build, act, [Fraction(1, 3), Fraction(1)]) \
+                == (OutOfDomain, "germ has a pole at 1")
 
 
 class TestRescale:
@@ -606,8 +682,11 @@ class TestScanStopsEarly:
         # the benchmark's renorm-torus run at --start 1/2: each scan reads
         # the grid up to its first zero or sign change and bisects there;
         # build_windows (one point per generator) and generator_deviation
-        # (the shift at p and a 65-point grid) read what they read before
+        # (the shift at p and a 65-point grid) read what they read before;
+        # the orbit ([a,b], four letters per window after the first) is
+        # counted apart, as it is drawn
         scanned = []
+        orbit_calls = []
 
         def scan(rs):
             before = counts["CompactifiedLift"]
@@ -615,13 +694,25 @@ class TestScanStopsEarly:
             scanned.append((rs, counts["CompactifiedLift"] - before))
             return out
 
+        def orbit(*args):
+            points = orbit_sequence(*args)
+            while True:
+                before = counts["CompactifiedLift"]
+                p = next(points, None)
+                orbit_calls.append(counts["CompactifiedLift"] - before)
+                if p is None:
+                    return
+                yield p
+
         with counting_calls("apply_pair", CompactifiedLift) as counts, \
-                mock.patch.object(cli, "fixed_point_in_window", scan):
+                mock.patch.object(cli, "fixed_point_in_window", scan), \
+                mock.patch.object(cli, "orbit_sequence", orbit):
             assert cli.main(["renorm", "--action", "punctured-torus",
                              "--windows", "32", "--grid", "64",
                              "--start", "1/2"]) == 0
         capsys.readouterr()
-        total = counts["CompactifiedLift"]
+        assert sum(orbit_calls) == 31 * 4
+        total = counts["CompactifiedLift"] - sum(orbit_calls)
         in_scans = sum(used for _, used in scanned)
         assert len(scanned) == 32
         assert total - in_scans == 32 * 2 * (1 + 1 + 65)
@@ -949,6 +1040,29 @@ class TestPairPathMatchesFractionLoops:
         assert {("germ", "none"), ("torus", "bracket"),
                 ("zz", "degenerate")} <= seen, seen
 
+
+    def test_radius_grid_is_over_the_least_denominator(self):
+        # the clamp runs on integers over a common denominator, and the
+        # grid it samples has the numerators of the clamped Fraction ends
+        grids = []
+
+        def record(*args):
+            grids.append(grid_over(*args))
+            return grids[-1]
+
+        grid_over = renorm._grid_over
+        for kind, (act, advance) in self.actions().items():
+            points = orbit_sequence(act, act.parse(advance), self.STARTS[0], 3)
+            for w in build_windows(act, points):
+                rs = RescaledSystem(w, act, 64)
+                p, u = w.point, w.unit
+                for radius in self.RADII:
+                    lo = max(w.enlarged[0], p - u * radius)
+                    hi = min(w.enlarged[1], p + u * radius)
+                    grids.clear()
+                    with mock.patch.object(renorm, "_grid_over", record):
+                        generator_deviation(rs, rs.names[0], radius)
+                    assert grids == [renorm._grid(lo, hi, 64)], kind
 
     def test_bisection_midpoint_is_an_exact_zero(self):
         # the PL map's one interior fixed point, 11/32, is no point of the
