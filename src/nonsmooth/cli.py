@@ -35,7 +35,7 @@ from .groupact import (
     zz_letter_action,
 )
 from .obstruction import certify_domination, order_cmp, zz_witness
-from .plmaps import ModelTranslation, PLMap, cell_midpoint, midpoint_pair
+from .plmaps import ModelTranslation, PLMap, midpoint_pair
 from .projline import ProjPoint, ordering_name
 from .rational import fmt_rat, parse_rat, rat_to_decimal
 from .renorm import (
@@ -130,7 +130,7 @@ def parse_action_spec(text):
             act = punctured_torus_action()
             return act, COVER_BASEPOINT, act.parse("[a,b]")
         if kind == "zz":
-            act, start = zz_letter_action(), cell_midpoint(0)
+            act, start = zz_letter_action(), Fraction(*midpoint_pair(0))
         elif kind == "pl":
             points = obj.get("breakpoints", [["0", "0"], ["1", "1"]])
             if not isinstance(points, list):
@@ -287,11 +287,11 @@ def domination_obj(cert):
 
 
 def witness_obj(w):
-    """Everything but the entries, which render_report writes from w.entries."""
+    """Everything but the entries, which entry_lines renders."""
     return {
         "truncation": w.truncation,
         "cap": w.cap,
-        "support": {str(i): k for i, k in sorted(w.support.items())},
+        "support": {str(i): w.power for i in w.cells},
         "anchors_checked": list(w.anchors_checked),
         "anchors_fixed": w.anchors_fixed,
         "valid": w.valid,
@@ -303,8 +303,9 @@ def witness_obj(w):
 # sort_keys=True) lays them out at certificate.rows and certificate.entries;
 # their points and rationals, as point_obj and fmt_rat write them, need no
 # JSON escaping.  The row's three integers that move with the deck step
-# (the dominator's sheet, m and the moved sheet) are %s slots, so that
-# row_lines can fill them with "%d" and the step's integers later.
+# (the dominator's sheet, m and the moved sheet) and the entry's index and
+# midpoint are %s slots, which row_lines and entry_lines fill with "%d"
+# slots first and with each step's or cell's integers later.
 ROW_TEMPLATE = """\
       {
         "bracket_route": %s,
@@ -323,7 +324,7 @@ ROW_TEMPLATE = """\
       }"""
 ENTRY_TEMPLATE = """\
       {
-        "index": %d,
+        "index": %s,
         "midpoint": "%s",
         "power": %d,
         "rejected_slope": %s,
@@ -371,12 +372,14 @@ def row_lines(rows, names):
         yield (rest if m else first) % integers
 
 
-def entry_lines(entries):
-    """Each zz witness entry through ENTRY_TEMPLATE."""
-    return (ENTRY_TEMPLATE % (
-        e.index, "%d/%d" % midpoint_pair(e.index), e.power,
-        "null" if e.rejected_slope is None else '"%s"' % fmt_rat(e.rejected_slope),
-        fmt_rat(e.slope)) for e in entries)
+def entry_lines(cells, power, slope, rejected_slope):
+    """Each cell's zz witness entry through ENTRY_TEMPLATE.  The one power
+    and two slopes of the cell lemma are filled in once per report, and
+    each cell then fills only its index and midpoint."""
+    rejected = "null" if rejected_slope is None else '"%s"' % fmt_rat(
+        rejected_slope)
+    template = ENTRY_TEMPLATE % ("%d", "%d/%d", power, rejected, fmt_rat(slope))
+    return (template % ((i,) + midpoint_pair(i)) for i in cells)
 
 
 def render_report(report, fh, key, lines):
@@ -444,7 +447,8 @@ def cmd_certify(argv):
         size_key, size = "truncation", args.truncation
         normalization, certificate = {}, witness_obj(witness)
         verdict = "certified" if certificate["valid"] else "invalid"
-        key, lines = "entries", entry_lines(witness.entries)
+        key, lines = "entries", entry_lines(
+            witness.cells, witness.power, witness.slope, witness.rejected_slope)
     report = {
         "version": REPORT_VERSION,
         "generated_at": timestamp(),

@@ -196,18 +196,19 @@ def certify_domination(act, h, seq, depth):
         valid, tuple(flags), structural, interleaving, dict(act.meta))
 
 
-class ZZWitnessEntry(Record):
-    __slots__ = ("index", "power", "slope", "rejected_slope")
-
-
 class ZZWitness(Record):
-    __slots__ = ("truncation", "cap", "entries", "support", "anchors_checked",
-                 "anchors_fixed")
+    """The cell lemma's one entry for every cell, and the anchor check."""
+
+    __slots__ = ("truncation", "cap", "power", "slope", "rejected_slope",
+                 "anchors_checked", "anchors_fixed")
+
+    @property
+    def cells(self):
+        return range(-self.truncation, self.truncation + 1)
 
     @property
     def valid(self):
-        return (self.anchors_fixed
-                and all(e.slope < HALF for e in self.entries))
+        return self.anchors_fixed and self.slope < HALF
 
 
 def zz_witness(truncation):
@@ -215,11 +216,12 @@ def zz_witness(truncation):
     it to every cell of the truncation, then verify that the assembled
     product fixes all nearby anchors.
 
-    The search runs once, on cell 0, and every listed cell gets cell 0's
-    power, slope and rejected slope.  This is exact, by the cell lemma: for
-    every cell i and power k, the cell shift of cell i to the power k has at
-    the midpoint of cell i the same two one-sided slopes as the base cell
-    shift B_k to the power k at 7/12, the midpoint of cell 0.
+    The search runs once, on cell 0, and the witness states cell 0's power,
+    slope and rejected slope once, as every listed cell's.  This is exact,
+    by the cell lemma: for every cell i and power k, the cell shift of cell
+    i to the power k has at the midpoint of cell i the same two one-sided
+    slopes as the base cell shift B_k to the power k at 7/12, the midpoint
+    of cell 0.
 
     Proof.  Let T_p be the chart shift by p, t -> t + p in chart
     coordinates, and w(j) the width of cell j; the cell shift of cell i is
@@ -248,12 +250,9 @@ def zz_witness(truncation):
         raise SearchExhausted(
             "no power up to %d brings the midpoint slope below 1/2"
             % ZZ_SEARCH_CAP)
-    cells = range(-truncation, truncation + 1)
-    entries = tuple(ZZWitnessEntry(i, power, slope, rejected) for i in cells)
-    support = dict.fromkeys(cells, power)
-    product = ZZAction(support)
+    product = ZZAction(dict.fromkeys(range(-truncation, truncation + 1), power))
     lo, hi = -truncation - 2, truncation + 2
     anchors_fixed = all(product.apply_pair(*c) == c
                         for c in map(anchor_pair, range(lo, hi + 1)))
-    return ZZWitness(truncation, ZZ_SEARCH_CAP, entries, support, (lo, hi),
-                     anchors_fixed)
+    return ZZWitness(truncation, ZZ_SEARCH_CAP, power, slope, rejected,
+                     (lo, hi), anchors_fixed)

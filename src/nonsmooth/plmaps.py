@@ -72,10 +72,6 @@ def midpoint_pair(i):
     return num // g, den // g
 
 
-def cell_midpoint(i):
-    return Fraction(*midpoint_pair(i))
-
-
 def _pow2_le(b, i, a):
     # 2^i * b <= a with integer a, b > 0 and i of either sign
     if i >= 0:

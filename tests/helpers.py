@@ -56,7 +56,6 @@ from nonsmooth.obstruction import (
     HALF,
     DominationCertificate,
     DominationRow,
-    ZZWitnessEntry,
     _cmp_points,
     certify_interleaving,
     is_commutator_class_trivial,
@@ -563,6 +562,24 @@ def zz_slope_chain(i, k):
              * chart_shift_slope(s, i, RIGHT))
     return outer * max(base.one_sided_slope(y, LEFT),
                        base.one_sided_slope(y, RIGHT))
+
+
+class ZZWitnessEntry(Record):
+    """One cell's zz witness entry, as the report lists it."""
+
+    __slots__ = ("index", "power", "slope", "rejected_slope")
+
+
+def witness_entries(w):
+    """A zz witness expanded cell by cell: the one entry of the cell lemma,
+    stated for each cell of the truncation."""
+    return tuple(ZZWitnessEntry(i, w.power, w.slope, w.rejected_slope)
+                 for i in w.cells)
+
+
+def witness_support(w):
+    """The table of a zz witness's product: each cell to the one power."""
+    return {i: w.power for i in w.cells}
 
 
 def zz_entry_chain(i, cap):

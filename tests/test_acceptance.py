@@ -32,6 +32,8 @@ from helpers import (
     slope_character,
     slope_quotient_oracle,
     translation_deviation,
+    witness_entries,
+    witness_support,
     zz_expr,
 )
 from nonsmooth.cli import main
@@ -154,20 +156,21 @@ def test_c4_domination_certificate():
 
 def test_c5_zz_witness():
     w = zz_witness(16)
+    entries = witness_entries(w)
     ok = w.valid and w.anchors_checked == (-18, 18)
-    ok = ok and len(w.entries) == 33
-    ok = ok and all(e.slope < HALF for e in w.entries)
+    ok = ok and len(entries) == 33
+    ok = ok and all(e.slope < HALF for e in entries)
     # minimality: the rejected slope one power earlier was still >= 1/2
     ok = ok and all(e.rejected_slope is None or e.rejected_slope >= HALF
-                    for e in w.entries)
-    product = ZZGroupAction(w.support)
+                    for e in entries)
+    product = ZZGroupAction(witness_support(w))
     ok = ok and all(product.apply(anchor(j)) == anchor(j)
                     for j in range(-18, 19))
     # difference-quotient oracle on a sample of cells
-    from nonsmooth.plmaps import cell_midpoint
-    for e in (w.entries[0], w.entries[16], w.entries[32]):
+    from nonsmooth.plmaps import midpoint_pair
+    for e in (entries[0], entries[16], entries[32]):
         m = zz_expr(ZZGroupAction({e.index: e.power}))
-        p = cell_midpoint(e.index)
+        p = Fraction(*midpoint_pair(e.index))
         got = max(slope_quotient_oracle(m, p, LEFT),
                   slope_quotient_oracle(m, p, RIGHT))
         ok = ok and got == e.slope

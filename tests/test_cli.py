@@ -14,6 +14,7 @@ import pytest
 
 from helpers import (
     ExpandedRows,
+    ZZWitnessEntry,
     counting_calls,
     entry_obj,
     rand_cover,
@@ -21,6 +22,7 @@ from helpers import (
     rand_rat,
     row_lines_oracle,
     row_obj,
+    witness_entries,
 )
 from nonsmooth import cli, groupact, renorm
 from nonsmooth.cli import main, parse_point, render_report, split_words
@@ -36,11 +38,10 @@ from nonsmooth.groupact import (
 from nonsmooth.obstruction import (
     DeckRows,
     DominationRow,
-    ZZWitnessEntry,
     certify_domination,
     zz_witness,
 )
-from nonsmooth.plmaps import anchor_pair, cell_midpoint
+from nonsmooth.plmaps import anchor_pair, midpoint_pair
 from nonsmooth.projline import EQUAL, GREATER, LESS
 from nonsmooth.rational import fmt_rat
 from fractions import Fraction
@@ -152,7 +153,8 @@ class TestCertify:
         def built(truncation):
             with counting_calls("__new__", Fraction) as counts:
                 w = zz_witness(truncation)
-                list(cli.entry_lines(w.entries))
+                list(cli.entry_lines(w.cells, w.power, w.slope,
+                                     w.rejected_slope))
                 assert w.valid
             return counts["Fraction"]
 
@@ -446,7 +448,8 @@ class TestRenderReport:
         assert any(e.rejected_slope is not None for e in entries)
         assert any(e.index < 0 for e in entries)
         assert any(e.index == 0 for e in entries)
-        assert any(len(fmt_rat(cell_midpoint(e.index))) > 1000 for e in entries)
+        assert any(len(fmt_rat(Fraction(*midpoint_pair(e.index)))) > 1000
+                   for e in entries)
         w = zz_witness(1)
         report = {"version": cli.REPORT_VERSION,
                   "generated_at": "2000-01-01T00:00:00+00:00",
@@ -455,9 +458,18 @@ class TestRenderReport:
                   "normalization": {},
                   "certificate": cli.witness_obj(w),
                   "verdict": "certified"}
-        for items in ((), entries[:1], entries, w.entries):
+        def one_cell_each(items):
+            return (line for e in items for line in cli.entry_lines(
+                (e.index,), e.power, e.slope, e.rejected_slope))
+
+        for items, lines in (
+                ((), one_cell_each(())),
+                (entries[:1], one_cell_each(entries[:1])),
+                (entries, one_cell_each(entries)),
+                (witness_entries(w), cli.entry_lines(
+                    w.cells, w.power, w.slope, w.rejected_slope))):
             fh = io.StringIO()
-            render_report(report, fh, "entries", cli.entry_lines(items))
+            render_report(report, fh, "entries", lines)
             certificate = dict(report["certificate"],
                                entries=[entry_obj(e) for e in items])
             assert fh.getvalue() == json.dumps(

@@ -46,8 +46,11 @@ from nonsmooth.plmaps import (
     ModelTranslation,
     anchor,
     anchor_pair,
-    cell_midpoint,
     cell_shift,
+    chart_index,
+    chart_shift,
+    from_chart,
+    midpoint_pair,
 )
 from nonsmooth.renorm import germ_action
 
@@ -571,6 +574,82 @@ class TestZZAction:
                 assert z.apply_pair(k, k) == (k, k)
 
 
+class TestZZGroupIsSmoothable:
+    """The exact facts behind the README's account of the zz group: the
+    letters generate Z wr Z, whose base group is the cell tables, and the
+    Moebius map M(x) = 2x/(1 + x) carries each anchor to the next, which
+    with phi = id gives the part of the C-infinity conjugacy that rationals
+    can check."""
+
+    @staticmethod
+    def moebius_power(i, x):
+        # M^i, with M(x) = 2x/(1 + x) and M^-1(y) = y/(2 - y)
+        for _ in range(abs(i)):
+            x = 2 * x / (1 + x) if i > 0 else x / (2 - x)
+        return x
+
+    def h0_piece(self, i, x):
+        """h_0 = M^i o a^-i, the piece of cell i, at a point of that cell."""
+        return self.moebius_power(i, chart_shift(-i).apply(x))
+
+    def h0(self, x):
+        return self.h0_piece(chart_index(x), x)
+
+    @staticmethod
+    def seeded_points(rng, cells):
+        # points of each cell, its left anchor among them, in chart terms
+        return [from_chart(i + Fraction(rng.randint(0, 719), 720))
+                for i in cells for _ in range(20)]
+
+    def test_moebius_map_shifts_the_anchors(self):
+        for i in range(-300, 301):
+            n, m = anchor_pair(i)
+            num, den = 2 * n, m + n
+            g = gcd(num, den)
+            assert (num // g, den // g) == anchor_pair(i + 1), i
+
+    def test_h0_conjugates_the_chart_shift_to_the_moebius_map(self):
+        rng = random.Random(1401)
+        a = chart_shift()
+        for x in self.seeded_points(rng, range(-5, 6)):
+            assert self.h0(a.apply(x)) == self.moebius_power(1, self.h0(x)), x
+
+    def test_h0_is_increasing_and_continuous_at_the_anchors(self):
+        rng = random.Random(1402)
+        points = sorted(set(self.seeded_points(rng, range(-5, 6))))
+        images = [self.h0(x) for x in points]
+        assert all(u < v for u, v in zip(images, images[1:]))
+        for i in range(-5, 7):
+            c = anchor(i)
+            assert self.h0_piece(i, c) == self.h0_piece(i - 1, c) == c, i
+
+    def test_conjugated_letter_is_the_cell_shift(self):
+        act = zz_letter_action()
+        rng = random.Random(1403)
+        for i in range(-5, 6):
+            w = A ** i * B * A ** -i
+            for _ in range(20):
+                x = rand_interior(rng)
+                assert word_eval(act, w, x) == cell_shift(i).apply(x), (i, x)
+
+    def test_tables_commute_and_have_no_torsion(self):
+        rng = random.Random(1404)
+        identity = ZZGroupAction({})
+        for _ in range(300):
+            f = ZZGroupAction(rand_support(rng))
+            g = ZZGroupAction(rand_support(rng))
+            assert f.compose(g) == g.compose(f)
+            if f == identity:
+                continue
+            power = f
+            for k in range(1, 6):
+                assert power != identity, (f, k)
+                i = min(power.table)
+                mid = Fraction(*midpoint_pair(i))
+                assert power.apply(mid) != mid, (f, k)
+                power = power.compose(f)
+
+
 class TestZZSlopeMid:
     def test_frozen_witness_slopes(self):
         # minimal power with slope below one half at the cell midpoint is 4
@@ -624,7 +703,7 @@ class TestZZSlopeMid:
             if k == 0:
                 continue
             z = ZZGroupAction({i: k})
-            p = cell_midpoint(i)
+            p = Fraction(*midpoint_pair(i))
             m = cell_shift(i, k)
             want = max(slope_quotient_oracle(m, p, LEFT),
                        slope_quotient_oracle(m, p, RIGHT))

@@ -320,9 +320,20 @@ def test_zz_pair_forms_take_integers(f, names):
     (groupact.ZZAction, "compose"),
     (renorm.RescaledSystem, "displacement_at_0"),
     (groupact.Word, "max_index"),
+    # the zz witness states one entry; the per-cell record is in helpers
+    (obstruction, "ZZWitnessEntry"),
+    (plmaps, "cell_midpoint"),
 ], ids=lambda v: v if isinstance(v, str) else v.__name__)
 def test_test_only_constructors_are_gone(owner, name):
     assert not hasattr(owner, name)
+
+
+def test_zz_witness_states_one_entry():
+    # the cell lemma gives every cell one power and two slopes, so the
+    # witness holds them once; tests/helpers.py expands it cell by cell
+    assert obstruction.ZZWitness.__slots__ == (
+        "truncation", "cap", "power", "slope", "rejected_slope",
+        "anchors_checked", "anchors_fixed")
 
 
 def test_zz_action_is_a_pure_record():

@@ -15,6 +15,7 @@ from helpers import (
     IntervalMapExpr,
     NotFixed,
     ZZGroupAction,
+    ZZWitnessEntry,
     certify_domination_oracle,
     counting_calls,
     entry_obj,
@@ -24,6 +25,8 @@ from helpers import (
     row_obj,
     slope_character,
     slope_quotient_oracle,
+    witness_entries,
+    witness_support,
     word_expr,
     zz_entry_chain,
     zz_expr,
@@ -57,7 +60,6 @@ from nonsmooth.obstruction import (
     DominationCertificate,
     DominationRow,
     ZZWitness,
-    ZZWitnessEntry,
     certify_domination,
     certify_interleaving,
     is_commutator_class_trivial,
@@ -70,11 +72,12 @@ from nonsmooth.plmaps import (
     ModelTranslation,
     anchor_pair,
     base_cell_shift,
-    cell_midpoint,
     cell_shift,
     chart_shift,
+    midpoint_pair,
 )
 from nonsmooth.projline import EQUAL, GREATER, LESS
+from nonsmooth.record import Record
 
 PT = COVER_BASEPOINT
 A = Word(((0, 1),))
@@ -455,7 +458,7 @@ def per_cell_search(truncation, cap):
     as the larger one-sided slope of the cell's full chain."""
     entries = []
     for i in range(-truncation, truncation + 1):
-        p = cell_midpoint(i)
+        p = Fraction(*midpoint_pair(i))
         rejected = None
         for n in range(1, cap + 1):
             chain = IntervalMapExpr((chart_shift(i), base_cell_shift(n),
@@ -478,10 +481,10 @@ class TestZZWitness:
         monkeypatch.setattr(obstruction, "ZZ_SEARCH_CAP", cap)
         w = zz_witness(truncation)
         want = per_cell_search(truncation, cap)
-        assert len(w.entries) == len(want)
-        for got, ref in zip(w.entries, want):
+        assert len(witness_entries(w)) == len(want)
+        for got, ref in zip(witness_entries(w), want):
             assert got == ref
-        assert w.support == {e.index: e.power for e in want}
+        assert witness_support(w) == {e.index: e.power for e in want}
 
     @pytest.mark.parametrize("truncation", [0, 50])
     def test_one_search_on_cell_0(self, monkeypatch, truncation):
@@ -513,10 +516,11 @@ class TestZZWitness:
                  for i in range(-60, 61)}
         for truncation in range(61):
             cells = range(-truncation, truncation + 1)
-            assert zz_witness(truncation).entries == tuple(map(chain.get, cells))
+            assert (witness_entries(zz_witness(truncation))
+                    == tuple(map(chain.get, cells)))
         rng = random.Random(2601)
         seeded = [rng.randint(-5000, 5000) for _ in range(200)]
-        entries = zz_witness(5000).entries
+        entries = witness_entries(zz_witness(5000))
         for i in seeded:
             assert entries[i + 5000] == zz_entry_chain(
                 i, obstruction.ZZ_SEARCH_CAP), i
@@ -562,19 +566,29 @@ class TestZZWitness:
     def test_frozen_powers_and_slopes(self):
         w = zz_witness(4)
         assert w.truncation == 4 and w.cap == 64
-        assert len(w.entries) == 9
-        for e in w.entries:
+        assert len(witness_entries(w)) == 9
+        for e in witness_entries(w):
             assert e.power == 4
             assert e.slope == Fraction(16, 51)
             assert e.rejected_slope == Fraction(8, 15)
-        assert w.support == {i: 4 for i in range(-4, 5)}
+        assert witness_support(w) == {i: 4 for i in range(-4, 5)}
         assert w.anchors_checked == (-6, 6)
         assert w.anchors_fixed
         assert w.valid
 
+    def test_builds_no_per_cell_record(self):
+        # the witness states the cell lemma's one entry, so the records it
+        # builds do not grow with the truncation
+        def built(truncation):
+            with counting_calls("__init__", Record) as counts:
+                assert zz_witness(truncation).valid
+            return counts["Record"]
+
+        assert built(50) == built(500)
+
     def test_single_cell(self):
         w = zz_witness(0)
-        assert [e.index for e in w.entries] == [0]
+        assert [e.index for e in witness_entries(w)] == [0]
         assert w.anchors_checked == (-2, 2)
         assert w.valid
 
@@ -592,8 +606,8 @@ class TestZZWitness:
     def test_slopes_match_difference_quotients(self):
         w = zz_witness(3)
         for i in (-3, 2):
-            entry = next(e for e in w.entries if e.index == i)
-            mid = cell_midpoint(i)
+            entry = next(e for e in witness_entries(w) if e.index == i)
+            mid = Fraction(*midpoint_pair(i))
             chosen = max(
                 slope_quotient_oracle(zz_expr(ZZGroupAction({i: entry.power})),
                                       mid, side)
@@ -607,8 +621,8 @@ class TestZZWitness:
             assert prior >= Fraction(1, 2)
 
     def test_validity_requires_fixed_anchors(self):
-        entry = ZZWitnessEntry(0, 4, Fraction(16, 51), Fraction(8, 15))
-        broken = ZZWitness(0, 64, [entry], {0: 4}, (-2, 2), False)
+        broken = ZZWitness(0, 64, 4, Fraction(16, 51), Fraction(8, 15),
+                           (-2, 2), False)
         assert not broken.valid
 
     @pytest.mark.parametrize("index", [-5, 0, 5])
@@ -643,14 +657,15 @@ class TestZZWitness:
         w = zz_witness(1)
         obj = witness_obj(w)
         assert obj["support"] == {"-1": 4, "0": 4, "1": 4}
-        assert entry_obj(w.entries[1])["midpoint"] == "7/12"
-        assert entry_obj(w.entries[1])["slope"] == "16/51"
+        assert entry_obj(witness_entries(w)[1])["midpoint"] == "7/12"
+        assert entry_obj(witness_entries(w)[1])["slope"] == "16/51"
         assert obj["valid"] is True
         assert "derivative" in obj["narrative"]
 
     def test_product_moves_midpoints(self):
         # sanity: the witness product is not the identity near its support
         w = zz_witness(2)
-        product = ZZGroupAction(w.support)
+        product = ZZGroupAction(witness_support(w))
         for i in range(-2, 3):
-            assert product.apply(cell_midpoint(i)) != cell_midpoint(i)
+            mid = Fraction(*midpoint_pair(i))
+            assert product.apply(mid) != mid

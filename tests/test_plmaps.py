@@ -35,7 +35,6 @@ from nonsmooth.plmaps import (
     anchor,
     anchor_pair,
     base_cell_shift,
-    cell_midpoint,
     cell_shift,
     cell_width,
     chart_index,
@@ -179,7 +178,7 @@ class TestSlopes:
     def test_witness_slopes_frozen(self):
         # the one-sided slopes of powers of S at the base cell midpoint that
         # drive the derivative witness: first power with both sides < 1/2 is 4
-        p0 = cell_midpoint(0)
+        p0 = Fraction(*midpoint_pair(0))
         assert p0 == Fraction(7, 12)
         assert base_cell_shift(3).one_sided_slope(p0, RIGHT) == Fraction(16, 51)
         assert base_cell_shift(3).one_sided_slope(p0, LEFT) == Fraction(8, 15)
@@ -390,9 +389,9 @@ class TestCellShifts:
             assert cell_shift(i, k).apply(x) == conj.apply(x)
 
     def test_midpoints(self):
-        assert cell_midpoint(0) == Fraction(7, 12)
+        assert Fraction(*midpoint_pair(0)) == Fraction(7, 12)
         for i in range(-6, 7):
-            assert anchor(i) < cell_midpoint(i) < anchor(i + 1)
+            assert anchor(i) < Fraction(*midpoint_pair(i)) < anchor(i + 1)
 
 
 class TestPairForms:
@@ -417,7 +416,7 @@ class TestPairForms:
             assert gcd(n, d) == 1 and d > 0
             want = cell_midpoint_oracle(i)
             assert (n, d) == (want.numerator, want.denominator), i
-            assert cell_midpoint(i) == want
+            assert Fraction(*midpoint_pair(i)) == want
 
     def test_chart_index_pair_ignores_scale(self):
         rng = random.Random(331)

@@ -8,7 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import AffineChart, IntervalMapExpr, SlopeCharacter, slope_character
+from helpers import (
+    AffineChart,
+    IntervalMapExpr,
+    SlopeCharacter,
+    ZZWitnessEntry,
+    slope_character,
+    witness_entries,
+)
 from nonsmooth.cover import (
     COVER_BASEPOINT,
     TORUS_A,
@@ -35,7 +42,6 @@ from nonsmooth.obstruction import (
     InterleavingCertificate,
     OrderResult,
     ZZWitness,
-    ZZWitnessEntry,
     certify_domination,
     certify_interleaving,
     order_cmp,
@@ -88,7 +94,7 @@ BUILDERS = {
     DominationCertificate: domination,
     SlopeCharacter: lambda: slope_character(
         MarkedAction(("s",), (cell_shift(0, 1),), UNIT_INTERVAL), Fraction(1, 2)),
-    ZZWitnessEntry: lambda: zz_witness(1).entries[0],
+    ZZWitnessEntry: lambda: witness_entries(zz_witness(1))[0],
     ZZWitness: lambda: zz_witness(1),
     PLMap: lambda: PLMap([(0, 0), (Fraction(1, 2), Fraction(1, 3)), (1, 1)]),
     ModelTranslation: lambda: cell_shift(0, 1),
