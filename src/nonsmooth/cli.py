@@ -287,11 +287,10 @@ def domination_obj(cert):
 
 
 def witness_obj(w):
-    """Everything but the entries, which entry_lines renders."""
+    """Everything but what entry_lines and support_lines render."""
     return {
         "truncation": w.truncation,
         "cap": w.cap,
-        "support": {str(i): w.power for i in w.cells},
         "anchors_checked": list(w.anchors_checked),
         "anchors_fixed": w.anchors_fixed,
         "valid": w.valid,
@@ -299,12 +298,12 @@ def witness_obj(w):
     }
 
 
-# One domination row and one zz entry, indented as json.dumps(indent=2,
-# sort_keys=True) lays them out at certificate.rows and certificate.entries;
-# their points and rationals, as point_obj and fmt_rat write them, need no
-# JSON escaping.  The row's three integers that move with the deck step
-# (the dominator's sheet, m and the moved sheet) and the entry's index and
-# midpoint are %s slots, which row_lines and entry_lines fill with "%d"
+# One domination row, zz entry and zz support member, indented as json.dumps(
+# indent=2, sort_keys=True) lays them out at certificate.rows, .entries and
+# .support; their points and rationals, as point_obj and fmt_rat write them,
+# need no JSON escaping.  The row's three integers that move with the deck
+# step (the dominator's sheet, m and the moved sheet) and the entry's index
+# and midpoint are %s slots, which row_lines and entry_lines fill with "%d"
 # slots first and with each step's or cell's integers later.
 ROW_TEMPLATE = """\
       {
@@ -330,7 +329,7 @@ ENTRY_TEMPLATE = """\
         "rejected_slope": %s,
         "slope": "%s"
       }"""
-ITEMS_MARKER = "@items@"
+SUPPORT_TEMPLATE = '      "%s": %d'
 
 
 def escape(text):
@@ -382,24 +381,35 @@ def entry_lines(cells, power, slope, rejected_slope):
     return (template % ((i,) + midpoint_pair(i)) for i in cells)
 
 
-def render_report(report, fh, key, lines):
-    """Write report to fh as json.dumps(indent=2, sort_keys=True) lays it
-    out, with the items that lines yields, each already rendered, as the
-    list certificate[key].
+def support_lines(cells, power):
+    """The zz support map as one item: each cell's index string to the one
+    power through SUPPORT_TEMPLATE, filled once per report, in the order of
+    json.dumps' sort_keys ("-1", "-10", "-100", ..., "0", "1", "10", ...)."""
+    keys = sorted(map(str, cells))
+    head, tail = SUPPORT_TEMPLATE.split("%s")
+    if keys:
+        yield head + (tail % power + ",\n" + head).join(keys) + tail % power
 
-    json.dumps renders only the rest of the report.  Each item is written
-    as it is rendered, so the rendered list is never held whole.
+
+def render_report(report, fh, spliced):
+    """Write report to fh as json.dumps(indent=2, sort_keys=True) lays it
+    out.  spliced maps certificate keys to (brackets, lines): the value at
+    such a key is the JSON array ("[]") or object ("{}") of the items that
+    lines yields, each already rendered and written as it is rendered.
+    json.dumps renders only the rest, a header of constant size.
     """
-    header = dict(report, certificate=dict(report["certificate"],
-                                           **{key: ITEMS_MARKER}))
-    head, tail = json.dumps(header, indent=2, sort_keys=True).split(
-        json.dumps(ITEMS_MARKER))
-    fh.write(head)
-    close = "[]"
-    for n, line in enumerate(lines):
-        fh.write((",\n" if n else "[\n") + line)
-        close = "\n    ]"
-    fh.write(close + tail + "\n")
+    markers = {key: "@%s@" % key for key in spliced}
+    header = dict(report, certificate=dict(report["certificate"], **markers))
+    rest = json.dumps(header, indent=2, sort_keys=True)
+    for key, ((opening, closing), lines) in sorted(spliced.items()):  # sort_keys order
+        head, rest = rest.split(json.dumps(markers[key]))
+        fh.write(head)
+        close = opening + closing
+        for n, line in enumerate(lines):
+            fh.write((",\n" if n else opening + "\n") + line)
+            close = "\n    " + closing
+        fh.write(close)
+    fh.write(rest + "\n")
 
 
 def timestamp():
@@ -437,18 +447,19 @@ def cmd_certify(argv):
         action = {"type": "punctured-torus"}
         size_key, size = "depth", args.depth
         normalization, certificate = cert.normalization, domination_obj(cert)
-        key, lines = "rows", row_lines(cert.rows, cert.generators)
+        spliced = {"rows": ("[]", row_lines(cert.rows, cert.generators))}
     else:
         if args.truncation < 0:
             parser.error("--truncation must be nonnegative")
         check_cap("--truncation", args.truncation, MAX_TRUNCATION)
-        witness = zz_witness(args.truncation)
+        w = zz_witness(args.truncation)
         action = {"type": "zz", "truncation": args.truncation}
         size_key, size = "truncation", args.truncation
-        normalization, certificate = {}, witness_obj(witness)
+        normalization, certificate = {}, witness_obj(w)
         verdict = "certified" if certificate["valid"] else "invalid"
-        key, lines = "entries", entry_lines(
-            witness.cells, witness.power, witness.slope, witness.rejected_slope)
+        spliced = {"entries": ("[]", entry_lines(w.cells, w.power, w.slope,
+                                                 w.rejected_slope)),
+                   "support": ("{}", support_lines(w.cells, w.power))}
     report = {
         "version": REPORT_VERSION,
         "generated_at": timestamp(),
@@ -459,7 +470,7 @@ def cmd_certify(argv):
         "verdict": verdict,
     }
     with open_output(args.out) as fh:
-        render_report(report, fh, key, lines)
+        render_report(report, fh, spliced)
     return 0 if verdict != "invalid" else 1
 
 

@@ -23,11 +23,11 @@ from .errors import OutOfDomain, Unsupported, WordSyntaxError
 from .plmaps import (
     LEFT,
     RIGHT,
+    at_anchor,
     base_cell_shift,
     cell_shift,
     chart_index_pair,
     chart_shift,
-    from_chart,
     to_chart,
 )
 from .record import Record, _rebuild
@@ -378,10 +378,7 @@ class ZZAction(Record):
             return n, m
         i = chart_index_pair(n, m)
         k = self.table.get(i, 0)
-        if k == 0:
-            return n, m
-        # n/m is anchor(i) iff 2^i (m - n) == n, at any scaling of the pair
-        if ((m - n) << i == n) if i >= 0 else (m - n == n << -i):
+        if k == 0 or at_anchor(i, n, m):
             return n, m
         return cell_shift(i, k).apply(Fraction(n, m)).as_integer_ratio()
 
@@ -390,8 +387,7 @@ def zz_base_link(k):
     """The base cell shift to the power k at cell 0's midpoint 7/12, as
     (s, left, right), where s is the chart coordinate of the image and left
     and right are the two one-sided slopes there."""
-    y = from_chart(Fraction(1, 2))
-    base = base_cell_shift(k)
+    y, base = Fraction(7, 12), base_cell_shift(k)  # y = from_chart(1/2)
     return (to_chart(base.apply(y)), base.one_sided_slope(y, LEFT),
             base.one_sided_slope(y, RIGHT))
 

@@ -34,7 +34,9 @@ def anchor(i):
 
 
 def _width_pair(i):
-    # c_(i+1) - c_i as an integer pair (num, den), both positive
+    # c_(i+1) - c_i as a positive integer pair: 2^i/((2^(i+1)+1)(2^i+1))
+    # for i >= 0 and, with j = -i, 2^(j-1)/((2^(j-1)+1)(2^j+1)) for i < 0;
+    # either denominator is a multiple of anchor_pair(i)'s
     if i >= 0:
         p = 1 << i
         return p, ((p << 1) + 1) * (p + 1)
@@ -42,14 +44,8 @@ def _width_pair(i):
     return p, (p + 1) * ((p << 1) + 1)
 
 
-def cell_width(i):
-    """c_(i+1) - c_i in closed form: 2^i/((2^(i+1)+1)(2^i+1)) for i >= 0 and,
-    with j = -i, 2^(j-1)/((2^(j-1)+1)(2^j+1)) for i < 0."""
-    return Fraction(*_width_pair(i))
-
-
 def _width_ratio(j, power):
-    # cell_width(j + power) / cell_width(j), one Fraction from the pairs
+    # the width of cell j + power over that of cell j, one Fraction
     a0, b0 = _width_pair(j)
     a1, b1 = _width_pair(j + power)
     return Fraction(a1 * b0, b1 * a0)
@@ -94,6 +90,11 @@ def chart_index_pair(n, m):
     return i if _pow2_le(b, i, a) else i - 1
 
 
+def at_anchor(i, n, m):
+    """Whether n/m, at any scaling of the pair, is anchor(i): 2^i (m - n) == n."""
+    return ((m - n) << i == n) if i >= 0 else (m - n == n << -i)
+
+
 def chart_index(x):
     """Index i with anchor(i) <= x < anchor(i+1), for x in (0,1)."""
     x = Fraction(x)
@@ -104,15 +105,19 @@ def chart_index(x):
 
 def from_chart(t):
     """Chart-to-interval map: t = i goes to anchor(i), linear in between."""
-    t = Fraction(t)
-    i = t.numerator // t.denominator
-    return anchor(i) + (t - i) * cell_width(i)
+    p, q = Fraction(t).as_integer_ratio()
+    i, r = divmod(p, q)
+    (a, b), (w, d) = anchor_pair(i), _width_pair(i)
+    # anchor(i) + (t - i) * cell width = a/b + r w/(q d), over q d
+    return Fraction(a * q * (d // b) + r * w, q * d)
 
 
 def to_chart(x):
-    x = Fraction(x)
     i = chart_index(x)
-    return i + (x - anchor(i)) / cell_width(i)
+    n, m = Fraction(x).as_integer_ratio()
+    (a, b), (w, d) = anchor_pair(i), _width_pair(i)
+    # i + (x - anchor(i)) / cell width = i + (n b - a m) d/(m b w), over m w
+    return Fraction(i * m * w + (n * b - a * m) * (d // b), m * w)
 
 
 class PLMap(Record):
@@ -188,8 +193,11 @@ class ModelTranslation(Record):
             raise OutOfDomain("point %s outside [0,1]" % x)
         if self.power == 0 or x <= self.lo or x >= self.hi:
             return x
-        u = (x - self.lo) / (self.hi - self.lo)
-        return self.lo + from_chart(to_chart(u) + self.power) * (self.hi - self.lo)
+        # the affine steps stay Fraction operations, which reduce through
+        # the coprime denominators of reduced operands: a pair built and
+        # reduced here would cost a full gcd at the point's size
+        lo, width = self.lo, self.hi - self.lo
+        return lo + from_chart(to_chart((x - lo) / width) + self.power) * width
 
     def inverse(self):
         return ModelTranslation(self.support, -self.power)
@@ -209,9 +217,11 @@ class ModelTranslation(Record):
             if side == RIGHT:
                 return Fraction(1)
             raise AccumulationPoint("breakpoints accumulate at %s from the left" % x)
-        u = (x - self.lo) / (self.hi - self.lo)
-        i = chart_index(u)
-        if side == LEFT and u == anchor(i):
+        # (x - lo)/(hi - lo) as an integer pair, not reduced, and its cell
+        (l, L), (h, H), (n, m) = (v.as_integer_ratio() for v in (self.lo, self.hi, x))
+        n, m = (n * L - l * m) * H, m * (h * L - l * H)
+        i = chart_index_pair(n, m)
+        if side == LEFT and at_anchor(i, n, m):
             i -= 1
         return _width_ratio(i, self.power)
 

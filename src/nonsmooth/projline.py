@@ -15,7 +15,7 @@ machine-checkable certificate rather than a floating-point estimate.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DegenerateQuadratic
 from .record import Record
@@ -96,13 +96,9 @@ def traversal_cmp(u: ProjPoint, v: ProjPoint) -> int:
 def _clear_to_int(entries):
     # scale rational entries to integers with content one, preserving sign
     fracs = [Fraction(e) for e in entries]
-    m = 1
-    for f in fracs:
-        m = m * f.denominator // gcd(m, f.denominator)
-    ints = [int(f * m) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    m = lcm(*(f.denominator for f in fracs))
+    ints = [f.numerator * (m // f.denominator) for f in fracs]
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("all entries vanish")
     return tuple(v // g for v in ints)
@@ -173,31 +169,26 @@ def fixed_quadratic(m: MoebiusMap):
     return (Fraction(m.c), Fraction(m.d - m.a), Fraction(-m.b))
 
 
-def _sign(q: Fraction) -> int:
-    return (q > 0) - (q < 0)
-
-
-def _eval_quad(a, b, c, t):
-    return (a * t + b) * t + c
-
-
-def _refine(a, b, c, lo, hi, s_lo, max_width):
-    """Shrink a sign-change interval by midpoint bisection.
+def _refine(quad, lo, hi, den, s_lo, max_width):
+    """Shrink the sign-change interval [lo/den, hi/den] by midpoint
+    bisection, on integers: each step doubles den, so the midpoint is the
+    numerator of the two old ends' sum, and at n/den the integer quadratic
+    quad = (a, b, c) has the sign of a n^2 + b n den + c den^2.
 
     An exact zero at a probe point is a rational root; it is returned as a
     small symmetric bracket whose endpoints keep the surrounding signs.
     """
-    while hi - lo > max_width:
-        mid = (lo + hi) / 2
-        s = _sign(_eval_quad(a, b, c, mid))
-        if s == 0:
-            w = min((mid - lo) / 2, (hi - mid) / 2, max_width / 2)
-            return (mid - w, mid + w)
-        if s == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    return (lo, hi)
+    a, b, c = quad
+    wn, wd = max_width.as_integer_ratio()
+    while (hi - lo) * wd > wn * den:
+        mid, lo, hi, den = lo + hi, 2 * lo, 2 * hi, 2 * den
+        v = (a * mid + b * den) * mid + c * den * den
+        if v == 0:
+            # half the distance to either end, at most max_width/2, over 4 den wd
+            w = min((hi - lo) * wd, 2 * wn * den)
+            return tuple(Fraction(4 * mid * wd + e * w, 4 * den * wd) for e in (-1, 1))
+        lo, hi = (mid, hi) if (v > 0) == (s_lo > 0) else (lo, mid)
+    return Fraction(lo, den), Fraction(hi, den)
 
 
 def bracket_roots(coeffs, max_width=Fraction(1)):
@@ -213,27 +204,28 @@ def bracket_roots(coeffs, max_width=Fraction(1)):
     max_width = Fraction(max_width)
     if max_width <= 0:
         raise ValueError("max_width must be positive")
-    if a == 0 and b == 0:
-        if c == 0:
-            raise DegenerateQuadratic("all coefficients vanish")
-        return []
+    if a == b == c == 0:
+        raise DegenerateQuadratic("all coefficients vanish")
+    # a positive multiple with integer coefficients: the same roots and signs
+    a, b, c = _clear_to_int((a, b, c))
     if a == 0:
-        root = -c / b
-        w = max_width / 2
+        if b == 0:
+            return []
+        root, w = Fraction(-c, b), max_width / 2
         return [(root - w, root + w)]
     disc = b * b - 4 * a * c
     if disc < 0:
         return []
-    vertex = -b / (2 * a)
+    vertex = Fraction(-b, 2 * a)
     if disc == 0:
         return [(vertex, vertex)]
-    # integer-cleared coefficients give the classical root bound; with
-    # |ia| >= 1 it is at least Cauchy's 1 + max(|ib|, |ic|)/|ia|, which every
-    # root lies strictly inside, so no root sits at -bound or bound
-    ia, ib, ic = _clear_to_int((a, b, c))
-    bound = Fraction(1 + max(abs(ia), abs(ib), abs(ic)))
-    s_out = _sign(a)
+    # the classical root bound; with |a| >= 1 it is at least Cauchy's
+    # 1 + max(|b|, |c|)/|a|, which every root lies strictly inside, so no
+    # root sits at -bound or bound
+    bound = 1 + max(abs(a), abs(b), abs(c))
+    s_out = 1 if a > 0 else -1
     s_mid = -s_out  # sign at the vertex when disc > 0
-    left = _refine(a, b, c, -bound, vertex, s_out, max_width)
-    right = _refine(a, b, c, vertex, bound, s_mid, max_width)
+    v, den = vertex.as_integer_ratio()
+    left = _refine((a, b, c), -bound * den, v, den, s_out, max_width)
+    right = _refine((a, b, c), v, bound * den, den, s_mid, max_width)
     return [left, right]

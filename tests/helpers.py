@@ -5,8 +5,9 @@ PL composition, the displacement growth check, the expansion of a
 DeckRows into its rows, the per-row torus render, the per-cell zz
 slope chain, the zz midpoint as a sum of anchors, the zz group law, the
 compactified lift as a chain of integer steps, word evaluation through
-the maps' apply, the window hull on Fractions and the renorm statistics
-of the dichotomy; and a call counter."""
+the maps' apply, the window hull on Fractions, the root bisection on
+Fractions and the renorm statistics of the dichotomy; and a call
+counter."""
 
 import contextlib
 import json
@@ -14,7 +15,7 @@ from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
-from nonsmooth.cli import ROW_TEMPLATE, coordinate, point_obj
+from nonsmooth.cli import ROW_TEMPLATE, coordinate, point_obj, support_lines
 from nonsmooth.cover import (
     TORUS_A,
     TORUS_B,
@@ -66,6 +67,7 @@ from nonsmooth.plmaps import (
     ModelTranslation,
     PLMap,
     _check_side,
+    _width_pair,
     _width_ratio,
     anchor,
     base_cell_shift,
@@ -74,7 +76,14 @@ from nonsmooth.plmaps import (
     from_chart,
     to_chart,
 )
-from nonsmooth.projline import GREATER, LESS, MoebiusMap, ProjPoint, ordering_name
+from nonsmooth.projline import (
+    GREATER,
+    LESS,
+    MoebiusMap,
+    ProjPoint,
+    _clear_to_int,
+    ordering_name,
+)
 from nonsmooth.rational import fmt_rat
 from nonsmooth.record import Record
 from nonsmooth.renorm import (
@@ -509,6 +518,11 @@ def zz_expr(z):
     return IntervalMapExpr(tuple(cell_shift(i, k) for i, k in sorted(z.table.items())))
 
 
+def cell_width(i):
+    """c_(i+1) - c_i, from the closed form of plmaps._width_pair."""
+    return Fraction(*_width_pair(i))
+
+
 def cell_midpoint_oracle(i):
     """The midpoint of cell i as the half sum of its two anchors; the
     oracle for plmaps.midpoint_pair and the entries' midpoint strings."""
@@ -700,6 +714,46 @@ def entry_obj(entry):
             "slope": fmt_rat(entry.slope),
             "rejected_slope": (None if entry.rejected_slope is None
                                else fmt_rat(entry.rejected_slope))}
+
+
+def refine_oracle(a, b, c, lo, hi, s_lo, max_width):
+    """projline._refine as a loop of Fractions: each midpoint is a Fraction,
+    and the quadratic is evaluated there."""
+    while hi - lo > max_width:
+        mid = (lo + hi) / 2
+        v = (a * mid + b) * mid + c
+        if v == 0:
+            w = min((mid - lo) / 2, (hi - mid) / 2, max_width / 2)
+            return (mid - w, mid + w)
+        if (v > 0) == (s_lo > 0):
+            lo = mid
+        else:
+            hi = mid
+    return (lo, hi)
+
+
+def bracket_roots_oracle(coeffs, max_width):
+    """projline.bracket_roots on Fractions throughout: the linear root, the
+    discriminant and the vertex from the Fraction coefficients, and each
+    simple root's bracket from refine_oracle."""
+    a, b, c = (Fraction(v) for v in coeffs)
+    if a == 0:
+        w = max_width / 2
+        return [] if b == 0 else [(-c / b - w, -c / b + w)]
+    disc = b * b - 4 * a * c
+    vertex = -b / (2 * a)
+    if disc <= 0:
+        return [] if disc < 0 else [(vertex, vertex)]
+    bound = Fraction(1 + max(map(abs, _clear_to_int((a, b, c)))))
+    s_out = 1 if a > 0 else -1
+    return [refine_oracle(a, b, c, -bound, vertex, s_out, max_width),
+            refine_oracle(a, b, c, vertex, bound, -s_out, max_width)]
+
+
+def support_obj(w):
+    """A zz witness's support map as the report writes it under
+    certificate.support, read back from cli.support_lines."""
+    return json.loads("{%s}" % "".join(support_lines(w.cells, w.power)))
 
 
 def compactified_lift_chain(f, n, m):

@@ -160,6 +160,34 @@ class TestCertify:
 
         assert built(50) == built(500)
 
+    def test_zz_header_flat_in_truncation(self, monkeypatch):
+        # render_report splices the entries and the support map, so
+        # json.dumps walks a header of the same size at any truncation
+        def items(value):
+            if isinstance(value, dict):
+                return len(value) + sum(map(items, value.values()))
+            if isinstance(value, list):
+                return sum(map(items, value))
+            return 0
+
+        dumps = json.dumps
+
+        def walked(truncation):
+            seen = []
+
+            def recording(obj, *args, **kwargs):
+                seen.append(items(obj))
+                return dumps(obj, *args, **kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(cli.json, "dumps", recording)
+                assert main(["certify", "zz", "--truncation", str(truncation),
+                             "--out", os.devnull]) == 0
+            assert seen
+            return sum(seen)
+
+        assert walked(50) == walked(500)
+
     def test_negative_depth(self, capsys):
         code, _, err = run(capsys, "certify", "punctured-torus", "--depth", "-1")
         assert code == 2
@@ -310,7 +338,8 @@ class TestCertify:
 
 def rendered(report, rows, names=None):
     fh = io.StringIO()
-    render_report(report, fh, "rows", cli.row_lines(rows, names or ROW_NAMES))
+    render_report(report, fh,
+                  {"rows": ("[]", cli.row_lines(rows, names or ROW_NAMES))})
     return fh.getvalue()
 
 
@@ -441,7 +470,8 @@ class TestRenderReport:
             rng.choice((None, rand_rat(rng, lim=10 ** rng.randint(1, 30)))))
 
     def test_random_entries_match_json_dumps(self):
-        """The entry template against json.dumps of the entries' dicts."""
+        """The entry and support templates against json.dumps of the
+        entries' dicts and of the support map."""
         rng = random.Random(7100)
         entries = tuple(self.rand_entry(rng) for _ in range(60))
         assert any(e.rejected_slope is None for e in entries)
@@ -462,16 +492,35 @@ class TestRenderReport:
             return (line for e in items for line in cli.entry_lines(
                 (e.index,), e.power, e.slope, e.rejected_slope))
 
-        for items, lines in (
-                ((), one_cell_each(())),
-                (entries[:1], one_cell_each(entries[:1])),
-                (entries, one_cell_each(entries)),
+        # support maps: every truncation up to 60 at the witness's power,
+        # then seeded cell ranges (some empty, some far from 0) and powers
+        # of one to seven digits
+        supports = [(range(-t, t + 1), w.power) for t in range(61)]
+        supports += [
+            (range(lo, lo + rng.randint(0, 250)),
+             rng.choice((1, 9, 10, 64, 99, 100, rng.randint(1, 10 ** 6))))
+            for lo in [rng.randint(-300, 300) for _ in range(40)]
+            + [-5000, -1, 0, 1, 4900]]
+        supports += [(range(0), 4), (range(-9, 11), 10), (range(-120, -99), 64)]
+        assert any(not cells for cells, _ in supports)
+        assert any(power >= 100 for _, power in supports)
+        for items, lines, support in (
+                ((), one_cell_each(()), None),
+                (entries[:1], one_cell_each(entries[:1]), None),
+                (entries, one_cell_each(entries), None),
                 (witness_entries(w), cli.entry_lines(
-                    w.cells, w.power, w.slope, w.rejected_slope))):
+                    w.cells, w.power, w.slope, w.rejected_slope),
+                 (w.cells, w.power)),
+                *(((), one_cell_each(()), s) for s in supports)):
             fh = io.StringIO()
-            render_report(report, fh, "entries", lines)
+            spliced = {"entries": ("[]", lines)}
             certificate = dict(report["certificate"],
                                entries=[entry_obj(e) for e in items])
+            if support is not None:
+                cells, power = support
+                spliced["support"] = ("{}", cli.support_lines(cells, power))
+                certificate["support"] = {str(i): power for i in cells}
+            render_report(report, fh, spliced)
             assert fh.getvalue() == json.dumps(
                 dict(report, certificate=certificate),
                 indent=2, sort_keys=True) + "\n"

@@ -25,6 +25,7 @@ from helpers import (
     row_obj,
     slope_character,
     slope_quotient_oracle,
+    support_obj,
     witness_entries,
     witness_support,
     word_expr,
@@ -656,7 +657,7 @@ class TestZZWitness:
     def test_to_obj(self):
         w = zz_witness(1)
         obj = witness_obj(w)
-        assert obj["support"] == {"-1": 4, "0": 4, "1": 4}
+        assert support_obj(w) == {"-1": 4, "0": 4, "1": 4}
         assert entry_obj(witness_entries(w)[1])["midpoint"] == "7/12"
         assert entry_obj(witness_entries(w)[1])["slope"] == "16/51"
         assert obj["valid"] is True

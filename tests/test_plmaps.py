@@ -10,6 +10,7 @@ from helpers import (
     AffineChart,
     IntervalMapExpr,
     cell_midpoint_oracle,
+    cell_width,
     chart_shift_slope,
     germ_slope,
     pl_compose,
@@ -36,7 +37,6 @@ from nonsmooth.plmaps import (
     anchor_pair,
     base_cell_shift,
     cell_shift,
-    cell_width,
     chart_index,
     chart_index_pair,
     chart_shift,
@@ -93,6 +93,20 @@ class TestChart:
         for _ in range(500):
             t = Fraction(rng.randint(-1200, 1200), 120)
             assert to_chart(from_chart(t)) == t
+
+    def test_pair_forms_match_fraction_definitions(self):
+        # from_chart and to_chart on integer pairs against their Fraction
+        # definitions, over cells far from 0 and points with long pairs
+        rng = random.Random(3402)
+        for _ in range(400):
+            q = rng.choice((1, 2, 3, 120, rng.randint(1, 10 ** 12)))
+            t = Fraction(rng.randint(-300 * q, 300 * q), q)
+            i = t.numerator // t.denominator
+            x = anchor(i) + (t - i) * cell_width(i)
+            assert from_chart(t) == x, t
+            assert to_chart(x) == i + (x - anchor(i)) / cell_width(i) == t, t
+            y = anchor(i) + rand_interior(rng) * cell_width(i)
+            assert to_chart(y) == i + (y - anchor(i)) / cell_width(i), y
 
     def test_anchor_values_of_chart(self):
         for i in range(-20, 21):

@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import rand_proj, rand_sl2
+from helpers import bracket_roots_oracle, rand_proj, rand_sl2
+from test_fricke import PAIRS
 
 from nonsmooth.cli import coordinate
+from nonsmooth.cover import LIFT_BRACKET_WIDTH, TORUS_A, TORUS_B
 from nonsmooth.errors import DegenerateQuadratic
 from nonsmooth.projline import (
     EQUAL,
@@ -216,3 +218,35 @@ class TestBracketRoots:
                 if prev_hi is not None:
                     assert lo >= prev_hi
                 prev_hi = hi
+
+    def test_integer_bisection_matches_fraction_loop(self):
+        """bracket_roots works on the integer quadratic, and _refine bisects
+        on integer numerators over a doubling denominator; the brackets are
+        those of the Fraction path."""
+        rng = random.Random(3401)
+        cases = [(fixed_quadratic(m), LIFT_BRACKET_WIDTH)
+                 for m in (TORUS_A, TORUS_B)]
+        cases += [(fixed_quadratic(MoebiusMap(*m)), LIFT_BRACKET_WIDTH)
+                  for pair in PAIRS for m in pair]
+        widths = (Fraction(1), Fraction(1, 4), Fraction(3, 7),
+                  Fraction(1, 1000))
+        for _ in range(300):
+            cases.append((tuple(rng.randint(-40, 40) for _ in range(3)),
+                          rng.choice(widths)))
+            # rational roots p/q and r/s: (q t - p)(s t - r), scaled
+            p, r = rng.randint(-20, 20), rng.randint(-20, 20)
+            q, s_ = rng.choice((1, 2, 4, 8, 3)), rng.choice((1, 2, 4, 5))
+            k = rng.choice((1, -1, 3))
+            cases.append(((k * q * s_, -k * (q * r + p * s_), k * p * r),
+                          rng.choice(widths)))
+        rational_roots = 0
+        for coeffs, width in cases:
+            if coeffs == (0, 0, 0):
+                continue
+            got = bracket_roots(coeffs, max_width=width)
+            assert got == bracket_roots_oracle(coeffs, width), (coeffs, width)
+            rational_roots += sum(quad(coeffs, (lo + hi) / 2) == 0
+                                  for lo, hi in got if lo != hi)
+        # the exact-zero branch returns brackets centred on a root
+        assert rational_roots > 50
+
