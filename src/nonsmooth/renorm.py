@@ -77,23 +77,28 @@ def germ_action() -> MarkedAction:
 
 
 class Window(Record):
-    """One blow-up site: base point, generator hull, enlarged domain."""
+    """One blow-up site: base point, generator hull, enlarged domain.  Its
+    frame (m, pn, e0, e1, un) holds the point, the enlarged ends and the
+    unit as integer numerators over the least common denominator m of the
+    fields; the checks and everything downstream read the frame."""
 
-    __slots__ = ("index", "point", "hull", "enlarged", "length", "unit")
+    __slots__ = ("index", "point", "hull", "enlarged", "length", "unit",
+                 "frame")
 
     def __init__(self, index, point, hull, enlarged, unit):
-        point = Fraction(point)
-        hull = (Fraction(hull[0]), Fraction(hull[1]))
-        enlarged = (Fraction(enlarged[0]), Fraction(enlarged[1]))
-        unit = Fraction(unit)
-        if not hull[0] <= point <= hull[1]:
+        fields = (Fraction(point), Fraction(hull[0]), Fraction(hull[1]),
+                  Fraction(enlarged[0]), Fraction(enlarged[1]), Fraction(unit))
+        ratios = [x.as_integer_ratio() for x in fields]
+        m = lcm(*(d for _, d in ratios))
+        pn, h0, h1, e0, e1, un = (n * (m // d) for n, d in ratios)
+        if not h0 <= pn <= h1:
             raise BadInterval("base point outside its hull")
-        if not (enlarged[0] <= hull[0] and hull[1] <= enlarged[1]):
+        if not (e0 <= h0 and h1 <= e1):
             raise BadInterval("hull outside the enlarged window")
-        if hull[1] - hull[0] <= 0 or unit <= 0:
+        if h1 <= h0 or un <= 0:
             raise BadInterval("window must have positive size")
-        Record.__init__(self, int(index), point, hull, enlarged,
-                        hull[1] - hull[0], unit)
+        Record.__init__(self, int(index), fields[0], fields[1:3], fields[3:5],
+                        Fraction(h1 - h0, m), fields[5], (m, pn, e0, e1, un))
 
 
 def build_windows(act: MarkedAction, p_seq):
@@ -101,7 +106,8 @@ def build_windows(act: MarkedAction, p_seq):
     the point by WINDOW_ENLARGEMENT, clamped to the unit interval.  The
     images come from the pair forms, and p and every image are put over one
     common denominator, so the unit, the hull and the enlargement are taken
-    on integer numerators; only the Window's fields are Fractions."""
+    on integer numerators; each Window puts its fields back on its own
+    frame."""
     if act.domain != UNIT_INTERVAL:
         raise Unsupported("windows need an interval action")
     windows = []
@@ -134,10 +140,11 @@ class RescaledSystem(Record):
 
     The statistics never build the rescaled map: g_hat(x) - x is
     (g(X) - X)/u at the window point X = p + u x, so they run each generator
-    at the window points themselves and rescale only the results.  The
-    window points are integer numerators over one denominator, and a
-    generator with a pair form maps them to integer pairs, so the grid
-    loops build no Fraction per point.
+    at the window points themselves and rescale only the results.  They,
+    the domain and `apply` read the window's frame: the window points are
+    integer numerators over one denominator, and a generator with a pair
+    form maps them to integer pairs, so no Fraction is added, multiplied or
+    divided.
 
     `displacements_at_0` keeps, per generator name, the displacement of the
     origin that the unit check computed, so a caller that reports it does
@@ -149,8 +156,8 @@ class RescaledSystem(Record):
     def __init__(self, window, act, grid):
         if grid < 2:
             raise ValueError("grid resolution must be at least 2")
-        p, u = window.point, window.unit
-        domain = ((window.enlarged[0] - p) / u, (window.enlarged[1] - p) / u)
+        m, pn, e0, e1, un = window.frame
+        domain = (Fraction(e0 - pn, un), Fraction(e1 - pn, un))
         at_0 = {}
         Record.__init__(self, window, act, int(grid), domain, at_0)
         at_0.update((name, self.apply(name, ZERO)) for name in self.names)
@@ -162,33 +169,21 @@ class RescaledSystem(Record):
         return self.act.names
 
     def apply(self, name, x):
-        lo, hi = self.domain
-        if not lo <= x <= hi:
+        # x = xn/xd is the window point X = (pn xd + un xn)/(m xd), and
+        # g(X) = y/q rescales to (y m - pn q)/(q un)
+        m, pn, e0, e1, un = self.window.frame
+        xn, xd = Fraction(x).as_integer_ratio()
+        if not (e0 - pn) * xd <= un * xn <= (e1 - pn) * xd:
             raise OutOfDomain("%s is outside the rescaled window" % (x,))
-        x = Fraction(x)
-        w = self.window
         g = self.act.maps[self.names.index(name)]
-        return (g.apply(w.point + w.unit * x) - w.point) / w.unit
-
-
-def _over_one_denominator(*xs):
-    """The rationals xs as integer numerators over their least common
-    denominator: (numerators, denominator)."""
-    m = lcm(*(x.denominator for x in xs))
-    return [x.numerator * (m // x.denominator) for x in xs], m
-
-
-def _grid(lo, hi, grid):
-    """The points lo + (hi - lo) k/grid, k = 0..grid, as integer numerators
-    over one common denominator: (numerators, denominator)."""
-    (a, b), m = _over_one_denominator(lo, hi)
-    return _grid_over(a, b, m, grid)
+        y, q = g.apply(Fraction(pn * xd + un * xn, m * xd)).as_integer_ratio()
+        return Fraction(y * m - pn * q, q * un)
 
 
 def _grid_over(a, b, m, grid):
-    """The grid of _grid between a/m and b/m.  Dividing a, b and m by their
-    gcd leaves m the least common denominator of the two ends, so any
-    scaling of the ends gives the same numerators."""
+    """The points (a + (b - a) k/grid)/m, k = 0..grid, as integer numerators
+    over one denominator, (numerators, denominator).  Dividing a, b and m by
+    their gcd leaves m the least common denominator of the ends."""
     k = gcd(a, b, m)
     a, b, m = a // k, b // k, m // k
     return [a * grid + (b - a) * j for j in range(grid + 1)], m * grid
@@ -206,26 +201,23 @@ def _check_defined(g, a, b, den):
                 pair_form(g)(n, m)
 
 
-def _shift(g, p):
-    """g(p) - p as an unreduced integer pair (v, q) with q > 0."""
-    n, den = p.as_integer_ratio()
-    y, q = pair_form(g)(n, den)
-    return y * den - n * q, q * den
-
-
 def generator_deviation(rs: RescaledSystem, name, radius):
     """Largest |g_hat(x) - x - g_hat(0)| over the system's grid of the
     rescaled window within the radius; a lower bound for the sup, exact at
     every sampled point."""
     g = rs.act.maps[rs.names.index(name)]
-    w = rs.window
-    p, u = w.point, w.unit
-    sn, sd = _shift(g, p)
+    m, pn, e0, e1, un = rs.window.frame
+    pair = pair_form(g)
+    # the shift g(p) - p as the pair sn/sd, in lowest terms so that the
+    # products in the loop below stay small
+    y, q = pair(pn, m)
+    sn, sd = y * m - pn * q, q * m
+    k = gcd(sn, sd)
+    sn, sd = sn // k, sd // k
     radius = Fraction(radius)
     # the window p -+ u radius, clamped to the enlarged window, on integer
     # numerators over the denominator m rd
     rn, rd = radius.as_integer_ratio()
-    (e0, e1, pn, un), m = _over_one_denominator(*w.enlarged, p, u)
     lo = max(e0 * rd, pn * rd - un * rn)
     hi = min(e1 * rd, pn * rd + un * rn)
     if lo > hi:
@@ -234,11 +226,9 @@ def generator_deviation(rs: RescaledSystem, name, radius):
     # at x = n/den, g(x) = y/q, so g(x) - x = (y den - n q)/(q den) and
     # |g(x) - x - sn/sd| = |(y den - n q) sd - sn q den|/(q den sd): with
     # den and sd fixed, the largest |(y den - n q) sd - sn q den|/q wins,
-    # found by cross-multiplying; the shift sn/sd is unreduced, and scaling
-    # it scales every term alike
+    # found by cross-multiplying
     nums, den = _grid_over(lo, hi, m * rd, rs.grid)
     _check_defined(g, nums[0], nums[-1], den)
-    pair = pair_form(g)
     snd = sn * den
     best, best_q = 0, 1
     for n in nums:
@@ -246,27 +236,28 @@ def generator_deviation(rs: RescaledSystem, name, radius):
         dev = abs((y * den - n * q) * sd - snd * q)
         if dev * best_q > best * q:
             best, best_q = dev, q
-    return Fraction(best * u.denominator, best_q * den * sd * u.numerator)
+    # divided by the unit un/m
+    return Fraction(best * m, best_q * den * sd * un)
 
 
 def _bisect_displacement(pair, a, sa, b, den):
     """Halve the grid cell [a/den, b/den], across which g(x) - x changes
     sign from sa at a/den, BISECTION_STEPS times, with g's pair form: each
     step doubles den, so the midpoint is the integer numerator of the two
-    old ends' sum.  Returns the bracket as two Fractions, degenerate at an
-    exact zero."""
+    old ends' sum.  Returns the bracket as two numerators over the final
+    denominator, ((a, b), den), degenerate at an exact zero."""
     for _ in range(BISECTION_STEPS):
         mid = a + b
         a, b, den = 2 * a, 2 * b, 2 * den
         y, q = pair(mid, den)
         v = y * den - mid * q
         if v == 0:
-            return (Fraction(mid, den),) * 2
+            return (mid, mid), den
         if (v > 0) == (sa > 0):
             a = mid
         else:
             b = mid
-    return Fraction(a, den), Fraction(b, den)
+    return (a, b), den
 
 
 def fixed_point_in_window(rs: RescaledSystem):
@@ -277,8 +268,8 @@ def fixed_point_in_window(rs: RescaledSystem):
     The scan walks the grid from the left and stops at the first zero or
     sign change.  A generator undefined at some point of the window raises
     its own OutOfDomain before the scan, wherever that point lies."""
-    p, u = rs.window.point, rs.window.unit
-    nums, den = _grid(*rs.window.enlarged, rs.grid)
+    m, pn, e0, e1, un = rs.window.frame
+    nums, den = _grid_over(e0, e1, m, rs.grid)
     first = nums[0]
     out = {}
     for name, g in zip(rs.names, rs.act.maps):
@@ -299,19 +290,22 @@ def fixed_point_in_window(rs: RescaledSystem):
             else:
                 raise Degenerate(
                     "generator %s is the identity on the window" % name)
-            bracket = (Fraction(first, den),) * 2
+            bracket = (first, first), den
         else:
             a = first
             for n in nums[1:]:
                 y, q = pair(n, den)
                 v = y * den - n * q
                 if v == 0:
-                    bracket = (Fraction(n, den),) * 2
+                    bracket = (n, n), den
                     break
                 if (v > 0) != (sa > 0):
                     bracket = _bisect_displacement(pair, a, sa, n, den)
                     break
                 a = n
-        # the bracket ends back in rescaled coordinates
-        out[name] = None if bracket is None else tuple((x - p) / u for x in bracket)
+        if bracket is not None:
+            # the window point n/d is (n m - pn d)/(d un) rescaled
+            ends, d = bracket
+            bracket = tuple(Fraction(n * m - pn * d, d * un) for n in ends)
+        out[name] = bracket
     return out

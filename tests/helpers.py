@@ -5,14 +5,15 @@ PL composition, the displacement growth check, the expansion of a
 DeckRows into its rows, the per-row torus render, the per-cell zz
 slope chain, the zz midpoint as a sum of anchors, the zz group law, the
 compactified lift as a chain of integer steps, word evaluation through
-the maps' apply, the window hull on Fractions, the root bisection on
-Fractions and the renorm statistics of the dichotomy; and a call
-counter."""
+the maps' apply, the window hull and its checks on Fractions, the
+integer grid of a window, the root bisection on Fractions and the renorm
+statistics of the dichotomy; and a call counter."""
 
 import contextlib
 import json
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from unittest import mock
 
 from nonsmooth.cli import ROW_TEMPLATE, coordinate, point_obj, support_lines
@@ -779,6 +780,24 @@ def word_eval_objects(act, w, x):
     return act.check_point(y)
 
 
+def window_oracle(index, point, hull, enlarged, unit):
+    """renorm.Window's checks on Fraction comparisons and its length by
+    Fraction subtraction: the fields (index, point, hull, enlarged, length,
+    unit), or the BadInterval the window raises; the oracle for the integer
+    frame that the library checks on."""
+    point = Fraction(point)
+    hull = (Fraction(hull[0]), Fraction(hull[1]))
+    enlarged = (Fraction(enlarged[0]), Fraction(enlarged[1]))
+    unit = Fraction(unit)
+    if not hull[0] <= point <= hull[1]:
+        raise BadInterval("base point outside its hull")
+    if not (enlarged[0] <= hull[0] and hull[1] <= enlarged[1]):
+        raise BadInterval("hull outside the enlarged window")
+    if hull[1] - hull[0] <= 0 or unit <= 0:
+        raise BadInterval("window must have positive size")
+    return int(index), point, hull, enlarged, hull[1] - hull[0], unit
+
+
 def build_windows_oracle(act, p_seq):
     """renorm.build_windows with the shifts g(p) - p, the unit, the hull and
     the clamped enlargement taken as Fractions through each map's apply; the
@@ -813,6 +832,19 @@ def window_grid(lo, hi, grid):
     """The points lo + (hi - lo) k/grid, k = 0..grid, each one a Fraction."""
     span = hi - lo
     return [lo + span * Fraction(k, grid) for k in range(grid + 1)]
+
+
+def integer_grid(lo, hi, grid):
+    """The points lo + (hi - lo) k/grid, k = 0..grid, as integer numerators
+    over grid times the least common denominator of lo and hi:
+    (numerators, denominator).  The oracle for the grids renorm samples,
+    which renorm._grid_over builds from the ends' numerators over any
+    common denominator."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    m = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (m // lo.denominator)
+    b = hi.numerator * (m // hi.denominator)
+    return [a * grid + (b - a) * k for k in range(grid + 1)], m * grid
 
 
 def generator_deviation_oracle(rs, name, radius):

@@ -234,3 +234,22 @@ def test_long_exponent_ends_with_our_own_text(capsys, word, code, same_as):
         assert got[2].count("\n") == 1 and "sys." not in got[2]
     else:
         assert got == run(capsys, argv[:4] + [same_as] + argv[5:])
+
+
+# renorm starts whose digits carry the CSV past that same limit: the
+# compactified torus orbit from a 1,400-digit denominator, and the germ's
+# one window from a 3,000-digit one
+RENORM_DIGIT_LIMIT = (
+    ("renorm", "--action", "punctured-torus", "--windows", "4",
+     "--start", "1/" + "7" * 1400),
+    ("renorm", "--windows", "1", "--start", "1/" + "7" * 3000),
+)
+
+
+@pytest.mark.parametrize("argv", RENORM_DIGIT_LIMIT,
+                         ids=("punctured-torus", "parabolic-germ"))
+def test_renorm_start_past_the_digit_limit_ends_in_one_line(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err

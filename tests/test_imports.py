@@ -292,6 +292,8 @@ def test_zz_pair_forms_take_integers(f, names):
     (cover, "identity_lift"),
     (renorm, "halving_germ"),
     (renorm, "_window_grid"),
+    (renorm, "_grid"),
+    (renorm, "_over_one_denominator"),
     (cover, "compactify_pair"),
     (cover, "uncompactify_pair"),
     (projline.ProjPoint, "coordinate"),

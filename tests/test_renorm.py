@@ -6,7 +6,10 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 from unittest import mock
 
 import pytest
@@ -19,6 +22,7 @@ from helpers import (
     fixed_point_oracle,
     generator_deviation_oracle,
     hull_displacement,
+    integer_grid,
     rand_cover,
     rand_interior,
     rand_model,
@@ -31,6 +35,7 @@ from helpers import (
     translation_deviation,
     window_deviation_oracle,
     window_fixed_point_oracle,
+    window_oracle,
 )
 import nonsmooth
 from nonsmooth import cli, renorm
@@ -287,6 +292,130 @@ class TestBuildWindowsOnIntegers:
                 == (OutOfDomain, "germ has a pole at 1")
 
 
+def frame_actions():
+    """The renorm action types whose windows the frame tests build, each
+    with its advancing word and the interval its orbits start in."""
+    support = (Fraction(1, 3), Fraction(3, 4))
+    pl = PLMap([(0, 0), (Fraction(1, 3), Fraction(1, 2)), (1, 1)])
+    out = {
+        "germ": (germ_action(), "a", (0, 1)),
+        "torus": (compactified_action(punctured_torus_action()), "[a,b]",
+                  (0, 1)),
+        "pl": (MarkedAction(("a",), (pl,), UNIT_INTERVAL), "a", (0, 1)),
+    }
+    for power in (1, -1, 7, -7):
+        model = ModelTranslation(support, power)
+        out["model%+d" % power] = (
+            MarkedAction(("a",), (model,), UNIT_INTERVAL), "a", support)
+    return out
+
+
+def seeded_windows(seed, starts=3, length=5):
+    """(kind, action, window) along seeded orbits of every frame action."""
+    rng = random.Random(seed)
+    for kind, (act, advance, (lo, hi)) in frame_actions().items():
+        for _ in range(starts):
+            start = lo + (hi - lo) * rand_interior(rng)
+            points = orbit_sequence(act, act.parse(advance), start, length)
+            for w in build_windows(act, points):
+                yield kind, act, w
+
+
+def made_window(*args):
+    return window_fields([Window(*args)])[0]
+
+
+def window_outcome(make, *args):
+    """The window fields that make returns, or the type and message of
+    what it raises."""
+    try:
+        return make(*args)
+    except (BadInterval, ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+class TestWindowFrame:
+    """A Window checks its arguments on the integer numerators of its
+    frame; window_oracle in tests/helpers.py, which checks them with
+    Fraction comparisons, gives the same fields and the same BadInterval,
+    message for message."""
+
+    @staticmethod
+    def check_frame(w):
+        m, pn, e0, e1, un = w.frame
+        assert (Fraction(pn, m), (Fraction(e0, m), Fraction(e1, m)),
+                Fraction(un, m)) == (w.point, w.enlarged, w.unit)
+        assert m == lcm(*(x.denominator for x in
+                          (w.point, *w.hull, *w.enlarged, w.unit)))
+        assert w.length == w.hull[1] - w.hull[0]
+
+    def test_seeded_orbit_windows(self):
+        kinds = set()
+        for kind, _, w in seeded_windows(351):
+            self.check_frame(w)
+            args = (w.index, w.point, w.hull, w.enlarged, w.unit)
+            assert window_outcome(made_window, *args) \
+                == window_outcome(window_oracle, *args), kind
+            kinds.add(kind)
+        assert kinds == set(frame_actions())
+
+    def test_every_argument_type_fraction_accepts(self):
+        half, quarter = Fraction(1, 2), Fraction(1, 4)
+        spellings = (
+            (0, half, (quarter, Fraction(3, 4)), (0, 1), quarter),
+            (1, "1/2", ("1/4", "3/4"), ("0", "1"), "1/4"),
+            (2, 0.5, (0.25, 0.75), (0.0, 1.0), 0.25),
+            (3, Decimal("0.5"), (Decimal("0.25"), Decimal("0.75")),
+             (Decimal(0), Decimal(1)), Decimal("0.25")),
+            (4, 1, (0, 1), (0, 1), 1),
+            ("5", True, (False, 1), (0, 1), half),
+            (6, half, [quarter, 1], [0, 1, 7], quarter),
+        )
+        for args in spellings:
+            got = window_outcome(made_window, *args)
+            assert got == window_outcome(window_oracle, *args), args
+            self.check_frame(Window(*args))
+
+    def test_equality_boundaries_are_windows(self):
+        q = [Fraction(k, 12) for k in range(13)]
+        cases = (
+            (q[3], (q[3], q[6]), (q[0], q[12])),   # pn == h0
+            (q[6], (q[3], q[6]), (q[0], q[12])),   # pn == h1
+            (q[4], (q[3], q[6]), (q[3], q[12])),   # e0 == h0
+            (q[4], (q[3], q[6]), (q[0], q[6])),    # h1 == e1
+            (q[3], (q[3], q[6]), (q[3], q[6])),    # all at once
+        )
+        for point, hull, enlarged in cases:
+            args = (0, point, hull, enlarged, q[1])
+            assert made_window(*args) == window_oracle(*args)
+            self.check_frame(Window(*args))
+
+    def test_each_failing_condition_has_the_oracle_message(self):
+        q = [Fraction(k, 12) for k in range(13)]
+        cases = (
+            (q[2], (q[3], q[6]), (q[0], q[12]), q[1]),   # point left of hull
+            (q[7], (q[3], q[6]), (q[0], q[12]), q[1]),   # point right of hull
+            (q[4], (q[3], q[6]), (q[4], q[12]), q[1]),   # e0 > h0
+            (q[4], (q[3], q[6]), (q[0], q[5]), q[1]),    # h1 > e1
+            (q[4], (q[4], q[4]), (q[0], q[12]), q[1]),   # empty hull
+            (q[4], (q[6], q[3]), (q[0], q[12]), q[1]),   # reversed hull
+            (q[4], (q[3], q[6]), (q[0], q[12]), 0),      # zero unit
+            (q[4], (q[3], q[6]), (q[0], q[12]), -q[1]),  # negative unit
+            (q[2], (q[3], q[6]), (q[4], q[5]), 0),       # all three
+            (q[4], (q[3], q[6]), (q[4], q[12]), 0),      # the last two
+            (q[4], (q[3], q[6]), (q[0], "1/0"), q[1]),   # not a rational
+            (q[4], (q[3], q[6]), (q[0], q[12]), "x"),
+        )
+        messages = set()
+        for args in cases:
+            expected = window_outcome(window_oracle, 0, *args)
+            assert window_outcome(made_window, 0, *args) == expected, args
+            messages.add(expected[1])
+        assert {"base point outside its hull",
+                "hull outside the enlarged window",
+                "window must have positive size"} <= messages
+
+
 class TestRescale:
     def test_parabolic_origin_displacement(self):
         for i in (10, 100, 1000):
@@ -436,6 +565,95 @@ class TestConjugatedGerm:
             with pytest.raises(OutOfDomain):
                 g.apply(Fraction(-g.d, g.c))
             seen += 1
+
+
+def apply_outcome(f, *args):
+    """What f returns, or the type and message of the OutOfDomain it
+    raises."""
+    try:
+        return f(*args)
+    except OutOfDomain as exc:
+        return OutOfDomain, str(exc)
+
+
+class TestRescaledApplyOnTheFrame:
+    """RescaledSystem.apply forms the window point and rescales the value on
+    the frame's integers; sandwich_apply in tests/helpers.py, the Fraction
+    formula (g(p + u x) - p)/u, is its oracle on every window kind."""
+
+    EPS = Fraction(1, 10 ** 30)
+
+    def test_seeded_points_and_both_ends(self):
+        rng = random.Random(352)
+        kinds = set()
+        for kind, act, w in seeded_windows(353, starts=2, length=3):
+            rs = RescaledSystem(w, act, 64)
+            lo, hi = rs.domain
+            assert (lo, hi) == ((w.enlarged[0] - w.point) / w.unit,
+                                (w.enlarged[1] - w.point) / w.unit)
+            xs = [lo, hi, 0] + [lo + (hi - lo) * rand_interior(rng)
+                                for _ in range(6)]
+            for name, g in zip(act.names, act.maps):
+                for x in xs:
+                    assert apply_outcome(rs.apply, name, x) \
+                        == apply_outcome(sandwich_apply, w, g, x), (kind, x)
+                for x in (lo - self.EPS, hi + self.EPS):
+                    with pytest.raises(OutOfDomain) as raised:
+                        rs.apply(name, x)
+                    assert str(raised.value) \
+                        == "%s is outside the rescaled window" % (x,)
+            kinds.add(kind)
+        assert kinds == set(frame_actions())
+
+    def test_unit_check_runs_the_object_chain_once_per_generator(self, capsys):
+        act, systems = torus_windows(range(3))
+        with counting_calls("apply", CompactifiedLift) as counts:
+            for rs in systems:
+                RescaledSystem(rs.window, act, 64)
+        assert counts["CompactifiedLift"] == 3 * 2
+        with counting_calls("apply", CompactifiedLift) as counts:
+            assert cli.main(["renorm", "--action", "punctured-torus",
+                             "--windows", "32", "--grid", "64",
+                             "--start", "1/2"]) == 0
+        capsys.readouterr()
+        assert counts["CompactifiedLift"] == 64
+
+
+FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__",
+                       "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
+
+
+class TestNoFractionArithmetic:
+    """A renorm window, its rescaled system and both statistics read the
+    window's integer frame: none of them adds, subtracts, multiplies or
+    divides a Fraction."""
+
+    @pytest.mark.parametrize("kind, start", [("germ", Fraction(1, 3)),
+                                             ("torus", Fraction(1, 2))])
+    def test_one_window(self, monkeypatch, kind, start):
+        act = frame_actions()[kind][0]
+        radius = Fraction(2)
+        counts = Counter()
+        for op in FRACTION_ARITHMETIC:
+            def counted(*args, _op=op, _f=getattr(Fraction, op)):
+                counts[_op] += 1
+                return _f(*args)
+            monkeypatch.setattr(Fraction, op, counted)
+        (w,) = build_windows(act, [start])
+        rs = RescaledSystem(w, act, 64)
+        brackets = fixed_point_in_window(rs)
+        for name in rs.names:
+            generator_deviation(rs, name, radius)
+        library = dict(counts)
+        # the count sees the Fraction formula of the rescaled map
+        sandwich_apply(w, act.maps[0], 0)
+        monkeypatch.undo()
+        assert not library, library
+        assert sum(counts.values()) == 4
+        # the germ keeps one sign; the torus window converts a bracket for
+        # each generator
+        assert [b is not None for b in brackets.values()] \
+            == [kind == "torus"] * len(rs.names)
 
 
 class TestWindowCoordinates:
@@ -614,7 +832,7 @@ class TestScanStopsEarly:
         # at 1/4, and the pole 3/4 lies further right on the grid
         g = MoebiusGermMap(1, Fraction(1, 8), -4, 3)
         rs = self.unit_window_system(g, Fraction(1, 2))
-        nums, den = renorm._grid(*rs.window.enlarged, rs.grid)
+        nums, den = integer_grid(*rs.window.enlarged, rs.grid)
         (v0, _), (v1, _) = displacements(g, nums[:2], den)
         assert v0 > 0 > v1
         with pytest.raises(OutOfDomain) as via_scan:
@@ -718,7 +936,7 @@ class TestScanStopsEarly:
         assert total - in_scans == 32 * 2 * (1 + 1 + 65)
         bound = 0
         for rs, _ in scanned:
-            nums, den = renorm._grid(*rs.window.enlarged, rs.grid)
+            nums, den = integer_grid(*rs.window.enlarged, rs.grid)
             for g in rs.act.maps:
                 signs = [(v > 0) - (v < 0)
                          for v, _ in displacements(g, nums, den)]
@@ -941,7 +1159,7 @@ class TestNoCoverObjectsOnTheGrid:
         bisected = 0
         for rs in systems:
             g = rs.act.maps[0]
-            nums, den = renorm._grid(*rs.window.enlarged, rs.grid)
+            nums, den = integer_grid(*rs.window.enlarged, rs.grid)
             assert len(nums) == 65
             with counting_calls("__init__", ProjPoint, CoverPoint) as counts:
                 displacements(g, nums, den)
@@ -1062,7 +1280,7 @@ class TestPairPathMatchesFractionLoops:
                     grids.clear()
                     with mock.patch.object(renorm, "_grid_over", record):
                         generator_deviation(rs, rs.names[0], radius)
-                    assert grids == [renorm._grid(lo, hi, 64)], kind
+                    assert grids == [integer_grid(lo, hi, 64)], kind
 
     def test_bisection_midpoint_is_an_exact_zero(self):
         # the PL map's one interior fixed point, 11/32, is no point of the
