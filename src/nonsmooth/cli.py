@@ -48,10 +48,9 @@ from .renorm import (
 
 REPORT_VERSION = "1"
 
-# Largest accepted value of each size option; a larger one exits 2.  Run
-# time grows with each, and at its cap each run took under 35 s on the
-# slowest action with the other options at their defaults (README, "Size
-# caps").
+# Largest accepted value of each size option (its cap).  Run time grows
+# with each, and at its cap each run took under 35 s on the slowest action
+# with the other options at their defaults (README, "Size caps").
 MAX_DEPTH = 50_000
 MAX_TRUNCATION = 5_000
 MAX_WINDOWS = 1_000
@@ -59,6 +58,11 @@ MAX_GRID = 10_000
 MAX_COUNT = 5_000
 # the same for the absolute "power" of a model-translation action spec
 MAX_POWER = 5_000
+# Each size option's least value and cap; check_sizes refuses a value
+# outside them in every size option a command defines, whatever its target.
+SIZE_OPTIONS = {"depth": (0, MAX_DEPTH), "truncation": (0, MAX_TRUNCATION),
+                "windows": (1, MAX_WINDOWS), "grid": (2, MAX_GRID),
+                "count": (0, MAX_COUNT)}
 # characters of its message an error line shows; a longer one is cut
 MAX_MESSAGE = 200
 
@@ -85,9 +89,14 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def check_cap(option, value, cap):
-    if value > cap:
-        raise UsageError("%s %d is above its cap of %d" % (option, value, cap))
+def check_sizes(args):
+    for name, (least, cap) in SIZE_OPTIONS.items():
+        option, value = "--" + name, getattr(args, name, least)
+        if value < least:
+            raise UsageError("%s %d is below its least value of %d"
+                             % (option, value, least))
+        if value > cap:
+            raise UsageError("%s %d is above its cap of %d" % (option, value, cap))
 
 
 # ---------------------------------------------------------------- specs
@@ -431,11 +440,9 @@ def cmd_certify(argv):
                         help="cell radius of the finite table (zz)")
     parser.add_argument("--out", default=None, help="report path (default stdout)")
     args = parser.parse_args(argv)
+    check_sizes(args)
 
     if args.target == "punctured-torus":
-        if args.depth < 0:
-            parser.error("--depth must be nonnegative")
-        check_cap("--depth", args.depth, MAX_DEPTH)
         act, base, advance = parse_action_spec(args.target)
         cert = certify_domination(act, advance ** 2, (base, advance), args.depth)
         if not cert.valid:
@@ -449,9 +456,6 @@ def cmd_certify(argv):
         normalization, certificate = cert.normalization, domination_obj(cert)
         spliced = {"rows": ("[]", row_lines(cert.rows, cert.generators))}
     else:
-        if args.truncation < 0:
-            parser.error("--truncation must be nonnegative")
-        check_cap("--truncation", args.truncation, MAX_TRUNCATION)
         w = zz_witness(args.truncation)
         action = {"type": "zz", "truncation": args.truncation}
         size_key, size = "truncation", args.truncation
@@ -496,12 +500,7 @@ def cmd_renorm(argv):
                              "[a,b] for punctured-torus, a otherwise)")
     parser.add_argument("--out", default=None, help="CSV path (default stdout)")
     args = parser.parse_args(argv)
-    if args.windows < 1:
-        parser.error("--windows must be positive")
-    if args.grid < 2:
-        parser.error("--grid must be at least 2")
-    check_cap("--windows", args.windows, MAX_WINDOWS)
-    check_cap("--grid", args.grid, MAX_GRID)
+    check_sizes(args)
 
     act, start, advance = parse_action_spec(args.action)
     if act.domain == COVER_LINE:
@@ -554,9 +553,7 @@ def cmd_orbit(argv):
                         help="pt, t=RAT,sheet=INT, or a rational")
     parser.add_argument("--count", type=int, default=5)
     args = parser.parse_args(argv)
-    if args.count < 0:
-        parser.error("--count must be nonnegative")
-    check_cap("--count", args.count, MAX_COUNT)
+    check_sizes(args)
 
     act, point, word = parse_action_spec(args.action)
     if args.point is not None:

@@ -12,6 +12,9 @@ that the lift has fixed points. The two concrete hyperbolic generators below
 give a lifted two-generator action whose commutator acts as the deck map on
 the basepoint orbit; that exact unit displacement is what the obstruction
 module builds its order certificates on.
+
+The cover embeds increasingly into (0, 1) (compactify, uncompactify), where
+CompactifiedLift views a lift; no other module reads a point back out.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ TORUS_B = MoebiusMap(1, -1, -1, 2)
 # Widest bracket fixed_point_lift certifies around a hyperbolic fixed point.
 LIFT_BRACKET_WIDTH = Fraction(1, 4)
 # The one message for a point that uncompactify cannot read.
-OUTSIDE_OPEN_INTERVAL = "uncompactify needs a point strictly inside (0, 1)"
+_OUTSIDE_OPEN_INTERVAL = "uncompactify needs a point strictly inside (0, 1)"
 
 
 @total_ordering
@@ -244,7 +247,7 @@ def uncompactify_triple(a: int, b: int):
     the sheet and the test 2r <= d do not, and [p : q] scales with it.
     """
     if not (0 < a < b):
-        raise OutOfDomain(OUTSIDE_OPEN_INTERVAL)
+        raise OutOfDomain(_OUTSIDE_OPEN_INTERVAL)
     # the line point m/d, its sheet, and w = r/d in [0, 1)
     m = 2 * a - b
     d = b - abs(m)
@@ -257,3 +260,64 @@ def uncompactify_triple(a: int, b: int):
 def uncompactify(y) -> CoverPoint:
     p, q, sheet = uncompactify_triple(*Fraction(y).as_integer_ratio())
     return CoverPoint(ProjPoint(p, q), sheet)
+
+
+class CompactifiedLift(Record):
+    """A lift of the covered line viewed inside (0,1), endpoints fixed.
+
+    `apply_pair` maps n/m, m > 0, to an unreduced pair (num, den), den > 0,
+    in one frame of plain integer steps, so no ProjPoint or CoverPoint is
+    built.  It returns what the chain uncompactify_triple,
+    LiftedMap.apply_triple and compactify_triple returns, tuple for tuple,
+    and raises the same OutOfDomain.  `apply` composes the object forms of
+    the same steps, which the benchmark traces as layers.
+    """
+
+    __slots__ = ("lift",)
+
+    def apply_pair(self, n, m):
+        if n == 0 or n == m:
+            return n, m
+        if not 0 < n < m:
+            raise OutOfDomain(_OUTSIDE_OPEN_INTERVAL)
+        # uncompactify: the line point t/d, its sheet, and r/d in [0, 1),
+        # read back as the sign-normalized base [p : q]
+        t = 2 * n - m
+        d = m - abs(t)
+        sheet, r = divmod(t, d)
+        if 2 * r <= d:
+            p, q = 2 * r, d - 2 * r
+        else:
+            p, q = 2 * (r - d), 2 * r - d
+        # the Moebius image [x : y], sign-normalized
+        lift = self.lift
+        mo = lift.moebius
+        x, y = mo.a * p + mo.b * q, mo.c * p + mo.d * q
+        if y < 0 or (y == 0 and x < 0):
+            x, y = -x, -y
+        # the sheet steps up when the image comes before the basepoint
+        # image in the traversal order: a lower half (0 finite t >= 0, 1
+        # infinity, 2 finite t < 0), or the same half and a negative cross
+        # product
+        v0 = lift.basepoint_image
+        vn, vd = v0.base.num, v0.base.den
+        sheet += v0.sheet
+        hx = 1 if y == 0 else (0 if x >= 0 else 2)
+        hv = 1 if vd == 0 else (0 if vn >= 0 else 2)
+        if hx < hv or (hx == hv and x * vd < vn * y):
+            sheet += 1
+        # compactify: the traversal coordinate c/e of [x : y], the line
+        # point lam/e, squashed into (0, 1)
+        c, e = (x, 2 * (x + y)) if x >= 0 else (2 * y - x, 2 * (y - x))
+        lam = sheet * e + c
+        e += abs(lam)
+        return lam + e, 2 * e
+
+    def apply(self, x):
+        x = Fraction(x)
+        if x == 0 or x == 1:
+            return x
+        return compactify(self.lift.apply(uncompactify(x)))
+
+    def inverse(self):
+        return CompactifiedLift(self.lift.inverse())

@@ -1,8 +1,10 @@
-"""Free-group words, marked actions, orbits, and the abelian product action.
+"""Free-group words, marked actions, word evaluation, orbits, and the
+constructors of the torus, compactified and cell-shift letter actions.
 
 A MarkedAction binds generator letters to invertible maps over one of two
 domains: the covered projective line (cover points) or the unit interval
 (rationals).  Words act on the left, so the rightmost letter is applied first.
+The maps live with their geometry, in cover and plmaps.
 """
 
 from collections import deque
@@ -11,25 +13,14 @@ from math import gcd
 
 from .cover import (
     COVER_BASEPOINT,
-    OUTSIDE_OPEN_INTERVAL,
+    CompactifiedLift,
     CoverPoint,
     TORUS_A,
     TORUS_B,
-    compactify,
     fixed_point_lift,
-    uncompactify,
 )
 from .errors import OutOfDomain, Unsupported, WordSyntaxError
-from .plmaps import (
-    LEFT,
-    RIGHT,
-    at_anchor,
-    base_cell_shift,
-    cell_shift,
-    chart_index_pair,
-    chart_shift,
-    to_chart,
-)
+from .plmaps import base_cell_shift, chart_shift, zz_base_link
 from .record import Record, _rebuild
 
 COVER_LINE = "cover-line"
@@ -277,67 +268,6 @@ def orbit_sequence(act, w, x0, n):
         yield x
 
 
-class CompactifiedLift(Record):
-    """A lift of the covered line viewed inside (0,1), endpoints fixed.
-
-    `apply_pair` maps n/m, m > 0, to an unreduced pair (num, den), den > 0,
-    in one frame of plain integer steps, so no ProjPoint or CoverPoint is
-    built.  It returns what the chain uncompactify_triple,
-    LiftedMap.apply_triple and compactify_triple returns, tuple for tuple,
-    and raises the same OutOfDomain.  `apply` composes the object forms of
-    the same steps, which the benchmark traces as layers.
-    """
-
-    __slots__ = ("lift",)
-
-    def apply_pair(self, n, m):
-        if n == 0 or n == m:
-            return n, m
-        if not 0 < n < m:
-            raise OutOfDomain(OUTSIDE_OPEN_INTERVAL)
-        # uncompactify: the line point t/d, its sheet, and r/d in [0, 1),
-        # read back as the sign-normalized base [p : q]
-        t = 2 * n - m
-        d = m - abs(t)
-        sheet, r = divmod(t, d)
-        if 2 * r <= d:
-            p, q = 2 * r, d - 2 * r
-        else:
-            p, q = 2 * (r - d), 2 * r - d
-        # the Moebius image [x : y], sign-normalized
-        lift = self.lift
-        mo = lift.moebius
-        x, y = mo.a * p + mo.b * q, mo.c * p + mo.d * q
-        if y < 0 or (y == 0 and x < 0):
-            x, y = -x, -y
-        # the sheet steps up when the image comes before the basepoint
-        # image in the traversal order: a lower half (0 finite t >= 0, 1
-        # infinity, 2 finite t < 0), or the same half and a negative cross
-        # product
-        v0 = lift.basepoint_image
-        vn, vd = v0.base.num, v0.base.den
-        sheet += v0.sheet
-        hx = 1 if y == 0 else (0 if x >= 0 else 2)
-        hv = 1 if vd == 0 else (0 if vn >= 0 else 2)
-        if hx < hv or (hx == hv and x * vd < vn * y):
-            sheet += 1
-        # compactify: the traversal coordinate c/e of [x : y], the line
-        # point lam/e, squashed into (0, 1)
-        c, e = (x, 2 * (x + y)) if x >= 0 else (2 * y - x, 2 * (y - x))
-        lam = sheet * e + c
-        e += abs(lam)
-        return lam + e, 2 * e
-
-    def apply(self, x):
-        x = Fraction(x)
-        if x == 0 or x == 1:
-            return x
-        return compactify(self.lift.apply(uncompactify(x)))
-
-    def inverse(self):
-        return CompactifiedLift(self.lift.inverse())
-
-
 def punctured_torus_action():
     """The two-generator action on the covered line by fixed-point lifts.
 
@@ -361,35 +291,6 @@ def compactified_action(act):
     meta["coordinates"] = "compactified"
     return MarkedAction(act.names, tuple(CompactifiedLift(m) for m in act.maps),
                         UNIT_INTERVAL, meta=meta)
-
-
-class ZZAction(Record):
-    """Product of cell translations, one per table entry: identity off the
-    listed cells, the k-th power of the cell shift on cell i when table[i]=k."""
-
-    __slots__ = ("table",)
-
-    def apply_pair(self, n, m):
-        """The image of n/m, 0 <= n <= m, as a pair: the input pair itself
-        wherever the product is the identity (at 0 and 1, off the listed
-        cells, and at each cell's left anchor), so a point it fixes is
-        never reduced or rebuilt."""
-        if n == 0 or n == m:
-            return n, m
-        i = chart_index_pair(n, m)
-        k = self.table.get(i, 0)
-        if k == 0 or at_anchor(i, n, m):
-            return n, m
-        return cell_shift(i, k).apply(Fraction(n, m)).as_integer_ratio()
-
-
-def zz_base_link(k):
-    """The base cell shift to the power k at cell 0's midpoint 7/12, as
-    (s, left, right), where s is the chart coordinate of the image and left
-    and right are the two one-sided slopes there."""
-    y, base = Fraction(7, 12), base_cell_shift(k)  # y = from_chart(1/2)
-    return (to_chart(base.apply(y)), base.one_sided_slope(y, LEFT),
-            base.one_sided_slope(y, RIGHT))
 
 
 def zz_slope_mid(k):

@@ -17,8 +17,8 @@ from .errors import (
     SearchExhausted,
     Unsupported,
 )
-from .groupact import COVER_LINE, ZZAction, word_eval, zz_slope_mid
-from .plmaps import anchor_pair
+from .groupact import COVER_LINE, word_eval, zz_slope_mid
+from .plmaps import ZZAction, anchor_pair
 from .projline import LESS, ordering_name
 from .record import Record
 
@@ -237,6 +237,10 @@ def zz_witness(truncation):
     itself, fixing its ends, and 7/12 is interior; zz_slope_mid checks it
     once per probed power and raises when it fails, so no entry rests on it
     unchecked.
+
+    Each of the 2T + 5 checked anchors returns from ZZAction.apply_pair at
+    its first test, `k == 0 or at_anchor(i, n, m)`, before any cell shift
+    is built: four lie off the table, the rest at their cells' left ends.
     """
     if truncation < 0:
         raise ValueError("truncation radius must be nonnegative")

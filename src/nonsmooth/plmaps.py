@@ -3,6 +3,9 @@
 The chart sends the integer i to the anchor c_i = 2^i/(2^i + 1) and is linear
 in between, so translation by an integer in chart coordinates becomes an exact
 rational PL map of (0,1) whose breakpoints accumulate only at 0 and 1.
+Each cell [c_i, c_(i+1)] carries its own shift (cell_shift); ZZAction is a
+product of them, and zz_base_link reads the base cell shift at cell 0's
+midpoint.  No other module finds a point's cell or builds a cell shift.
 """
 
 from bisect import bisect_left, bisect_right
@@ -240,3 +243,32 @@ def cell_shift(i, power=1):
     """Chart translation supported on cell i; equals the base cell shift
     conjugated by the i-th power of the chart shift."""
     return ModelTranslation((anchor(i), anchor(i + 1)), power)
+
+
+class ZZAction(Record):
+    """Product of cell translations, one per table entry: identity off the
+    listed cells, the k-th power of the cell shift on cell i when table[i]=k."""
+
+    __slots__ = ("table",)
+
+    def apply_pair(self, n, m):
+        """The image of n/m, 0 <= n <= m, as a pair: the input pair itself
+        wherever the product is the identity (at 0 and 1, off the listed
+        cells, and at each cell's left anchor), so a point it fixes is
+        never reduced or rebuilt."""
+        if n == 0 or n == m:
+            return n, m
+        i = chart_index_pair(n, m)
+        k = self.table.get(i, 0)
+        if k == 0 or at_anchor(i, n, m):
+            return n, m
+        return cell_shift(i, k).apply(Fraction(n, m)).as_integer_ratio()
+
+
+def zz_base_link(k):
+    """The base cell shift to the power k at cell 0's midpoint 7/12, as
+    (s, left, right), where s is the chart coordinate of the image and left
+    and right are the two one-sided slopes there."""
+    y, base = Fraction(*midpoint_pair(0)), base_cell_shift(k)  # y = from_chart(1/2)
+    return (to_chart(base.apply(y)), base.one_sided_slope(y, LEFT),
+            base.one_sided_slope(y, RIGHT))

@@ -45,7 +45,6 @@ from nonsmooth.groupact import (
     COVER_LINE,
     DEFAULT_NAMES,
     UNIT_INTERVAL,
-    ZZAction,
     _check_length,
     _reduce,
     _reduced_word,
@@ -67,6 +66,7 @@ from nonsmooth.plmaps import (
     RIGHT,
     ModelTranslation,
     PLMap,
+    ZZAction,
     _check_side,
     _width_pair,
     _width_ratio,

@@ -31,7 +31,6 @@ from nonsmooth.errors import OutOfDomain
 from nonsmooth.groupact import (
     COVER_LINE,
     UNIT_INTERVAL,
-    ZZAction,
     parse_word,
     punctured_torus_action,
 )
@@ -41,7 +40,7 @@ from nonsmooth.obstruction import (
     certify_domination,
     zz_witness,
 )
-from nonsmooth.plmaps import anchor_pair, midpoint_pair
+from nonsmooth.plmaps import ZZAction, anchor_pair, midpoint_pair
 from nonsmooth.projline import EQUAL, GREATER, LESS
 from nonsmooth.rational import fmt_rat
 from fractions import Fraction
@@ -934,3 +933,22 @@ def test_size_above_cap_exits_two(capsys, argv, cap):
     assert "Traceback" not in err
     assert err == "UsageError: %s %d is above its cap of %d\n" % (
         argv[-1], cap + 1, cap)
+
+
+@pytest.mark.parametrize("argv", [
+    ("certify", "zz", "--truncation", "1", "--depth", "50001"),
+    ("certify", "zz", "--truncation", "1", "--depth", "-1"),
+    ("certify", "punctured-torus", "--depth", "1", "--truncation", "5001"),
+    ("certify", "punctured-torus", "--depth", "1", "--truncation", "-3"),
+], ids=("depth-above", "depth-below", "truncation-above", "truncation-below"))
+def test_other_targets_size_is_checked(capsys, argv):
+    # every size option given to certify is checked, whatever the target
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("UsageError: %s %s is " % argv[-2:])
+    assert err.count("\n") == 1
+
+
+def test_other_targets_size_in_range_is_accepted(capsys):
+    assert run(capsys, "certify", "zz", "--truncation", "1",
+               "--depth", "100")[0] == 0

@@ -5,8 +5,9 @@ function of cli decides what each action spec means, no module function
 reads a private field, no module keeps a functools cache, no function of
 renorm checks a generator's type, and one function of groupact asks whether
 a map has its own pair form.  The compactified lift's kernel calls none
-of the integer steps it fuses, and the renorm command evaluates no generator
-at the marked point.
+of the integer steps it fuses, no module but cover and plmaps imports their
+geometry's integer steps, and the renorm command evaluates no generator at
+the marked point.
 The signatures are pinned against knobs that were folded away, and the
 constructors and reference code only tests call stay out of the package."""
 
@@ -233,11 +234,34 @@ def called_names(tree, owner, name):
 def test_compactified_lift_kernel_is_one_frame():
     # the hot path of renorm-torus stays one frame per grid point; the
     # chain of steps is the oracle in tests/helpers.py
-    steps = called_names(parse("groupact.py"), "CompactifiedLift",
+    steps = called_names(parse("cover.py"), "CompactifiedLift",
                          "apply_pair") & {
         "uncompactify_triple", "apply_triple", "apply_pair",
         "traversal_cmp_pair", "compactify_triple"}
     assert not steps, sorted(steps)
+
+
+# each geometry's integer steps, by the one module that defines them
+GEOMETRY_STEPS = {
+    "cover": {"uncompactify", "uncompactify_triple", "compactify_triple"},
+    "plmaps": {"at_anchor", "chart_index_pair", "cell_shift", "to_chart"},
+}
+
+
+def test_each_geometry_module_owns_its_steps():
+    # the maps built from the compactification or the chart's cells live
+    # beside those steps, so no other module calls them
+    leaks = sorted("%s:%s.%s" % (filename[:-3], node.module, alias.name)
+                   for filename in MODULES
+                   for node in ast.walk(parse(filename))
+                   if isinstance(node, ast.ImportFrom)
+                   and node.module in GEOMETRY_STEPS
+                   and node.module != filename[:-3]
+                   for alias in node.names
+                   if alias.name in GEOMETRY_STEPS[node.module])
+    assert not leaks, leaks
+    assert groupact.CompactifiedLift.__module__ == "nonsmooth.cover"
+    assert groupact.zz_base_link.__module__ == "nonsmooth.plmaps"
 
 
 def test_renorm_command_evaluates_no_generator_at_the_marked_point():
@@ -276,7 +300,7 @@ def test_one_value_settings_are_folded(f, names):
     (plmaps.anchor_pair, ["i"]),
     (plmaps.chart_index_pair, ["n", "m"]),
     (plmaps.midpoint_pair, ["i"]),
-    (groupact.ZZAction.apply_pair, ["self", "n", "m"]),
+    (plmaps.ZZAction.apply_pair, ["self", "n", "m"]),
 ], ids=("anchor_pair", "chart_index_pair", "midpoint_pair", "apply_pair"))
 def test_zz_pair_forms_take_integers(f, names):
     # the zz witness and its render pass plain integers, never a Fraction
@@ -317,9 +341,9 @@ def test_zz_pair_forms_take_integers(f, names):
     (renorm, "translation_deviation"),
     (renorm, "hull_displacement"),
     (renorm, "_displacements"),
-    (groupact.ZZAction, "apply"),
-    (groupact.ZZAction, "inverse"),
-    (groupact.ZZAction, "compose"),
+    (plmaps.ZZAction, "apply"),
+    (plmaps.ZZAction, "inverse"),
+    (plmaps.ZZAction, "compose"),
     (renorm.RescaledSystem, "displacement_at_0"),
     (groupact.Word, "max_index"),
     # the zz witness states one entry; the per-cell record is in helpers
@@ -342,6 +366,6 @@ def test_zz_action_is_a_pure_record():
     # the witness builds its product from a normalized table; the
     # normalizing constructor of the zz group law is ZZGroupAction in
     # tests/helpers.py
-    assert "__init__" not in vars(groupact.ZZAction)
-    assert [name for name in vars(groupact.ZZAction)
-            if callable(vars(groupact.ZZAction)[name])] == ["apply_pair"]
+    assert "__init__" not in vars(plmaps.ZZAction)
+    assert [name for name in vars(plmaps.ZZAction)
+            if callable(vars(plmaps.ZZAction)[name])] == ["apply_pair"]

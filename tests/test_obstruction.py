@@ -49,7 +49,6 @@ from nonsmooth.groupact import (
     UNIT_INTERVAL,
     MarkedAction,
     Word,
-    ZZAction,
     parse_word,
     punctured_torus_action,
     word_eval,
@@ -71,6 +70,7 @@ from nonsmooth.plmaps import (
     LEFT,
     RIGHT,
     ModelTranslation,
+    ZZAction,
     anchor_pair,
     base_cell_shift,
     cell_shift,

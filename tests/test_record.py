@@ -30,7 +30,6 @@ from nonsmooth.groupact import (
     CompactifiedLift,
     MarkedAction,
     Word,
-    ZZAction,
     compactified_action,
     parse_word,
     punctured_torus_action,
@@ -50,6 +49,7 @@ from nonsmooth.obstruction import (
 from nonsmooth.plmaps import (
     ModelTranslation,
     PLMap,
+    ZZAction,
     cell_shift,
     chart_shift,
 )
