@@ -201,9 +201,11 @@ class MarkedAction(Record):
             return x
         if isinstance(x, CoverPoint):
             raise OutOfDomain("this action moves rationals in [0,1], got %r" % (x,))
-        x = Fraction(x)
-        if not 0 <= x <= 1:
-            raise OutOfDomain("a point %s is outside [0,1]" % ("below 0" if x < 0 else "above 1"))
+        if not isinstance(x, Fraction):
+            x = Fraction(x)
+        n, d = x.as_integer_ratio()
+        if not 0 <= n <= d:
+            raise OutOfDomain("a point %s is outside [0,1]" % ("below 0" if n < 0 else "above 1"))
         return x
 
     def bound_map(self, index, exp):

@@ -9,7 +9,7 @@ obstructed actions keep a generator fixed point inside every window.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import (
     BadInterval,
@@ -56,6 +56,23 @@ class MoebiusGermMap(Record):
     def apply(self, x):
         return Fraction(*self.apply_pair(*x.as_integer_ratio()))
 
+    def displacement_along(self, n0, h, den):
+        """The displacement along the points x_j = (n0 + j h)/den, den > 0,
+        as polynomials in j: integer coefficients ((Q0, Q1, Q2), (L0, L1))
+        with apply_pair(n0 + j h, den) = (y, q) for q = L(j) = L0 + L1 j and
+        y den - (n0 + j h) q = Q(j) = Q0 + Q1 j + Q2 j^2, so that
+        g(x_j) - x_j = Q(j)/(L(j) den).  The pair is sign-normalized at
+        j = 0, so L(0) > 0; L keeps that sign at every j of a grid whose
+        span holds no pole, and Q then has the sign of the displacement."""
+        y0, y1 = self.a * n0 + self.b * den, self.a * h
+        q0, q1 = self.c * n0 + self.d * den, self.c * h
+        if q0 == 0:
+            self.apply_pair(n0, den)  # the pole: raises its OutOfDomain
+        if q0 < 0:
+            y0, y1, q0, q1 = -y0, -y1, -q0, -q1
+        return ((y0 * den - n0 * q0, y1 * den - n0 * q1 - h * q0, -h * q1),
+                (q0, q1))
+
     def undefined_pairs(self):
         """The points where the germ is undefined, as integer pairs (n, m),
         m > 0: its pole -d/c, or none when c = 0."""
@@ -80,17 +97,31 @@ class Window(Record):
     """One blow-up site: base point, generator hull, enlarged domain.  Its
     frame (m, pn, e0, e1, un) holds the point, the enlarged ends and the
     unit as integer numerators over the least common denominator m of the
-    fields; the checks and everything downstream read the frame."""
+    fields; the checks and everything downstream read the frame.
+
+    The values are any that Fraction accepts.  Given `over`, they are
+    integer numerators over that denominator, as build_windows has them:
+    the window divides them by their common factor and builds each field
+    once, copying no Fraction."""
 
     __slots__ = ("index", "point", "hull", "enlarged", "length", "unit",
                  "frame")
 
-    def __init__(self, index, point, hull, enlarged, unit):
-        fields = (Fraction(point), Fraction(hull[0]), Fraction(hull[1]),
-                  Fraction(enlarged[0]), Fraction(enlarged[1]), Fraction(unit))
-        ratios = [x.as_integer_ratio() for x in fields]
-        m = lcm(*(d for _, d in ratios))
-        pn, h0, h1, e0, e1, un = (n * (m // d) for n, d in ratios)
+    def __init__(self, index, point, hull, enlarged, unit, over=None):
+        if over is None:
+            fields = (Fraction(point), Fraction(hull[0]), Fraction(hull[1]),
+                      Fraction(enlarged[0]), Fraction(enlarged[1]),
+                      Fraction(unit))
+            ratios = [x.as_integer_ratio() for x in fields]
+            m = lcm(*(d for _, d in ratios))
+            nums = [n * (m // d) for n, d in ratios]
+        else:
+            nums = (point, hull[0], hull[1], enlarged[0], enlarged[1], unit)
+            k = gcd(over, *nums)
+            m = over // k
+            nums = [n // k for n in nums]
+            fields = tuple([Fraction(n, m) for n in nums])
+        pn, h0, h1, e0, e1, un = nums
         if not h0 <= pn <= h1:
             raise BadInterval("base point outside its hull")
         if not (e0 <= h0 and h1 <= e1):
@@ -106,8 +137,8 @@ def build_windows(act: MarkedAction, p_seq):
     the point by WINDOW_ENLARGEMENT, clamped to the unit interval.  The
     images come from the pair forms, and p and every image are put over one
     common denominator, so the unit, the hull and the enlargement are taken
-    on integer numerators; each Window puts its fields back on its own
-    frame."""
+    on integer numerators, which each Window receives as they are and puts
+    on its own frame."""
     if act.domain != UNIT_INTERVAL:
         raise Unsupported("windows need an interval action")
     windows = []
@@ -125,9 +156,8 @@ def build_windows(act: MarkedAction, p_seq):
         lo, hi = min(0, *shifts), max(0, *shifts)
         enlarged = (max(0, pn + WINDOW_ENLARGEMENT * lo),
                     min(m, pn + WINDOW_ENLARGEMENT * hi))
-        windows.append(Window(
-            index, p, (Fraction(pn + lo, m), Fraction(pn + hi, m)),
-            tuple(Fraction(e, m) for e in enlarged), Fraction(unit, m)))
+        windows.append(Window(index, pn, (pn + lo, pn + hi), enlarged, unit,
+                              over=m))
     return tuple(windows)
 
 
@@ -144,7 +174,9 @@ class RescaledSystem(Record):
     the domain and `apply` read the window's frame: the window points are
     integer numerators over one denominator, and a generator with a pair
     form maps them to integer pairs, so no Fraction is added, multiplied or
-    divided.
+    divided.  A generator with a closed form along a grid
+    (`displacement_along`, which MoebiusGermMap has) is read at a few grid
+    points that its quadratic picks; any other generator is scanned.
 
     `displacements_at_0` keeps, per generator name, the displacement of the
     origin that the unit check computed, so a caller that reports it does
@@ -181,12 +213,15 @@ class RescaledSystem(Record):
 
 
 def _grid_over(a, b, m, grid):
-    """The points (a + (b - a) k/grid)/m, k = 0..grid, as integer numerators
-    over one denominator, (numerators, denominator).  Dividing a, b and m by
-    their gcd leaves m the least common denominator of the ends."""
+    """The points (a + (b - a) k/grid)/m, k = 0..grid, a <= b, as integer
+    numerators over one denominator, (numerators, denominator).  Dividing
+    a, b and m by their gcd leaves m the least common denominator of the
+    ends."""
     k = gcd(a, b, m)
     a, b, m = a // k, b // k, m // k
-    return [a * grid + (b - a) * j for j in range(grid + 1)], m * grid
+    if a == b:
+        return [a * grid] * (grid + 1), m * grid
+    return list(range(a * grid, b * grid + 1, b - a)), m * grid
 
 
 def _check_defined(g, a, b, den):
@@ -201,10 +236,54 @@ def _check_defined(g, a, b, den):
                 pair_form(g)(n, m)
 
 
+def _closed_form(g, nums, den):
+    """g's displacement along the arithmetic grid nums/den in closed form,
+    ((Q0, Q1, Q2), (L0, L1)) from its `displacement_along`, or None for a
+    map without one, whose statistics scan the grid.  The grid must hold
+    no pole: _check_defined has run."""
+    along = getattr(g, "displacement_along", None)
+    if along is None:
+        return None
+    return along(nums[0], nums[1] - nums[0], den)
+
+
+def _extremum_candidates(form, last):
+    """The grid indices, in 0..last, at which the largest |g(x) - x - s|
+    over the grid lies, whatever the constant s, for a displacement
+    Q(j)/(L(j) den) with L positive on [0, last].
+
+    Lemma: dividing, Q/L = (alpha j + beta) + r/L, and r/L is convex on
+    [0, last] when r >= 0 and concave when r <= 0, so Q/L - s is convex,
+    concave or affine there.  Its largest value over the grid, when convex
+    (its least, when concave), is at an end; its least (largest) is at an
+    end or at the floor or ceiling of the one root in [0, last] of its
+    derivative, whose numerator is R(j) = Q'(j) L(j) - Q(j) L1 =
+    Q2 L1 j^2 + 2 Q2 L0 j + (Q1 L0 - Q0 L1).  On a grid of step h,
+    Q2 = -h L1, so R is a quadratic unless L1 = 0, when Q/L is affine and
+    the ends suffice.  math.isqrt gives each root of R to within
+    1/(2 |Q2 L1|) <= 1/2, so the four integers from its floor minus 1 hold
+    both the root's floor and its ceiling."""
+    (q0, q1, q2), (l0, l1) = form
+    a, b, c = q2 * l1, 2 * q2 * l0, q1 * l0 - q0 * l1
+    out = {0, last}
+    if a:
+        disc = b * b - 4 * a * c
+        if disc >= 0:
+            root = isqrt(disc)
+            for t in (-b - root, -b + root):
+                k = t // (2 * a)
+                out.update(range(k - 1, k + 3))
+    return sorted(j for j in out if 0 <= j <= last)
+
+
 def generator_deviation(rs: RescaledSystem, name, radius):
     """Largest |g_hat(x) - x - g_hat(0)| over the system's grid of the
     rescaled window within the radius; a lower bound for the sup, exact at
-    every sampled point."""
+    every sampled point.
+
+    A map with a closed form (`displacement_along`) is read only at the
+    grid points _extremum_candidates names, at most ten; any other map at
+    every grid point.  Both compare the same cross-multiplied pairs."""
     g = rs.act.maps[rs.names.index(name)]
     m, pn, e0, e1, un = rs.window.frame
     pair = pair_form(g)
@@ -229,6 +308,9 @@ def generator_deviation(rs: RescaledSystem, name, radius):
     # found by cross-multiplying
     nums, den = _grid_over(lo, hi, m * rd, rs.grid)
     _check_defined(g, nums[0], nums[-1], den)
+    form = _closed_form(g, nums, den)
+    if form is not None:
+        nums = [nums[j] for j in _extremum_candidates(form, rs.grid)]
     snd = sn * den
     best, best_q = 0, 1
     for n in nums:
@@ -249,8 +331,7 @@ def _bisect_displacement(pair, a, sa, b, den):
     for _ in range(BISECTION_STEPS):
         mid = a + b
         a, b, den = 2 * a, 2 * b, 2 * den
-        y, q = pair(mid, den)
-        v = y * den - mid * q
+        v = _displacement(pair, mid, den)
         if v == 0:
             return (mid, mid), den
         if (v > 0) == (sa > 0):
@@ -260,14 +341,75 @@ def _bisect_displacement(pair, a, sa, b, den):
     return (a, b), den
 
 
+def _displacement(pair, n, den):
+    """y den - n q for g(n/den) = y/q, q > 0: the numerator of g(x) - x
+    over q den at x = n/den, which has its sign."""
+    y, q = pair(n, den)
+    return y * den - n * q
+
+
+def _scan_stop(pair, nums, den, sa):
+    """The least index k >= 1 of the grid nums/den at which g(x) - x is
+    zero or has the sign opposite to sa, with its numerator y den - n q
+    there; None when every point keeps the sign of sa.  Reads the grid from
+    the left and stops there."""
+    for k in range(1, len(nums)):
+        v = _displacement(pair, nums[k], den)
+        if v == 0 or (v > 0) != (sa > 0):
+            return k, v
+    return None
+
+
+def _quadratic_stop(coefficients, last):
+    """The least k in 1..last with s Q(k) <= 0 for Q(k) = Q0 + Q1 k +
+    Q2 k^2 and s the sign of Q0 != 0, with Q(k); None when there is none.
+
+    Lemma: P = s Q has P(0) > 0.  A concave or linear P is positive up to
+    its one root right of 0 and not after it, so on 1..last P(k) <= 0 is
+    false and then true, and a binary search finds its first k.  A convex
+    P falls up to its vertex and rises after it: the search runs up to the
+    floor of the vertex, and past it only the next k can hold."""
+    q0, q1, q2 = coefficients
+    s = 1 if q0 > 0 else -1
+    p0, p1, p2 = s * q0, s * q1, s * q2
+
+    def value(k):
+        return p0 + (p1 + p2 * k) * k
+
+    hi = last
+    if p2 > 0:
+        hi = min(max(-p1 // (2 * p2), 1), last)
+        if value(hi) > 0:
+            hi += 1
+            return (hi, s * value(hi)) if hi <= last and value(hi) <= 0 \
+                else None
+    elif value(hi) > 0:
+        return None
+    lo = 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if value(mid) <= 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo, s * value(lo)
+
+
 def fixed_point_in_window(rs: RescaledSystem):
     """Per generator: an exact bracket in the rescaled window across which the
     displacement g_hat(x) - x changes sign (degenerate at an exact zero), or
     None when the displacement keeps one sign at grid granularity.
 
-    The scan walks the grid from the left and stops at the first zero or
-    sign change.  A generator undefined at some point of the window raises
-    its own OutOfDomain before the scan, wherever that point lies."""
+    The bracket is at the first grid point, from the left, that is a zero
+    or where the sign differs from the left end's; at a sign change it is
+    bisected from the cell before.  A map with a closed form
+    (`displacement_along`) finds that point by _quadratic_stop's binary
+    search on its quadratic; any other map scans the grid up to it.  Only
+    a zero at the left end reads on, since a generator that fixes every
+    grid point is Degenerate: for a closed form, Q identically 0, as a
+    quadratic with three zeros on the grid is.  A generator undefined at
+    some point of the window raises its own OutOfDomain first, wherever
+    that point lies."""
     m, pn, e0, e1, un = rs.window.frame
     nums, den = _grid_over(e0, e1, m, rs.grid)
     first = nums[0]
@@ -275,34 +417,31 @@ def fixed_point_in_window(rs: RescaledSystem):
     for name, g in zip(rs.names, rs.act.maps):
         _check_defined(g, first, nums[-1], den)
         pair = pair_form(g)
-        # at x = n/den, g(x) = y/q with q > 0, so g(x) - x has the sign of
-        # y den - n q
-        y, q = pair(first, den)
-        sa = y * den - first * q
+        form = _closed_form(g, nums, den)
+        if form is None:
+            sa = _displacement(pair, first, den)
+            moves = sa != 0 or any(_displacement(pair, n, den)
+                                   for n in nums[1:])
+        else:
+            sa = form[0][0]
+            moves = any(form[0])
+        if not moves:
+            raise Degenerate(
+                "generator %s is the identity on the window" % name)
         bracket = None
         if sa == 0:
-            # a zero at the left end is the bracket, unless every point is
-            # fixed: read on until some point moves
-            for n in nums[1:]:
-                y, q = pair(n, den)
-                if y * den != n * q:
-                    break
-            else:
-                raise Degenerate(
-                    "generator %s is the identity on the window" % name)
+            # a zero at the left end is the bracket
             bracket = (first, first), den
         else:
-            a = first
-            for n in nums[1:]:
-                y, q = pair(n, den)
-                v = y * den - n * q
+            stop = (_scan_stop(pair, nums, den, sa) if form is None
+                    else _quadratic_stop(form[0], rs.grid))
+            if stop is not None:
+                k, v = stop
                 if v == 0:
-                    bracket = (n, n), den
-                    break
-                if (v > 0) != (sa > 0):
-                    bracket = _bisect_displacement(pair, a, sa, n, den)
-                    break
-                a = n
+                    bracket = (nums[k], nums[k]), den
+                else:
+                    bracket = _bisect_displacement(pair, nums[k - 1], sa,
+                                                   nums[k], den)
         if bracket is not None:
             # the window point n/d is (n m - pn d)/(d un) rescaled
             ends, d = bracket

@@ -717,3 +717,21 @@ class TestActionValidation:
             MarkedAction(("a", "b"), (cell_shift(0, 1),), UNIT_INTERVAL)
         with pytest.raises(Unsupported):
             MarkedAction(("a",), (cell_shift(0, 1),), "plane")
+
+    def test_unit_interval_points(self):
+        # a point of [0, 1] comes back as a Fraction, the same object when
+        # it is one; a point outside names the side it lies on
+        act = zz_letter_action()
+        half = Fraction(1, 2)
+        assert act.check_point(half) is half
+        for x, expected in ((0, 0), (1, 1), ("0", 0), ("1", 1),
+                            ("3/7", Fraction(3, 7)), ("6/14", Fraction(3, 7)),
+                            (True, 1), (0.25, Fraction(1, 4))):
+            got = act.check_point(x)
+            assert got == expected and type(got) is Fraction, x
+        for x, side in ((-1, "below 0"), ("-1/1000", "below 0"),
+                        (Fraction(-1, 3), "below 0"), (2, "above 1"),
+                        ("1001/1000", "above 1"), (Fraction(4, 3), "above 1")):
+            with pytest.raises(OutOfDomain) as raised:
+                act.check_point(x)
+            assert str(raised.value) == "a point %s is outside [0,1]" % side

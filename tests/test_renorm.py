@@ -35,6 +35,7 @@ from helpers import (
     translation_deviation,
     window_deviation_oracle,
     window_fixed_point_oracle,
+    window_grid,
     window_oracle,
 )
 import nonsmooth
@@ -1296,6 +1297,221 @@ class TestPairPathMatchesFractionLoops:
         expected = window_fixed_point_oracle(rs)
         assert expected == {"a": ((z - p) / (p - gp),) * 2}
         assert fixed_point_in_window(rs) == expected
+
+
+class ScannedMap:
+    """g without its closed form: the pair form, the undefined points and
+    the inverse of g, but no displacement_along, so the statistics scan
+    the grid for it."""
+
+    def __init__(self, g):
+        self.g = g
+
+    def apply(self, x):
+        return self.g.apply(x)
+
+    def apply_pair(self, n, m):
+        return self.g.apply_pair(n, m)
+
+    def undefined_pairs(self):
+        return self.g.undefined_pairs()
+
+    def inverse(self):
+        return ScannedMap(self.g.inverse())
+
+
+def outcome(stat, rs, *args):
+    """What the statistic returns, or the type and message it raises."""
+    try:
+        return stat(rs, *args)
+    except (OutOfDomain, Degenerate) as exc:
+        return type(exc), str(exc)
+
+
+class TestGermClosedForm:
+    """On a Moebius germ both statistics read the closed form of its
+    displacement along the grid (MoebiusGermMap.displacement_along): the
+    bracket from a binary search on a quadratic, the deviation at the few
+    points where a quadratic over a linear form can peak.  Both agree
+    exactly with the Fraction oracles of tests/helpers.py and with the scan
+    of the same germ behind ScannedMap, raise for the same poles with the
+    same message, and reach every branch of the two lemmas."""
+
+    GRIDS = (2, 3, 7, 64)
+    RADII = (0, Fraction(1, 3), 2, 1000)
+    IDENTITY = MoebiusGermMap(1, 0, 0, 1)
+
+    @staticmethod
+    def rand_germ(rng):
+        # every other germ fixes two rationals of denominator at most 4,
+        # which fall on grid points and share grid cells
+        while True:
+            if rng.random() < 0.5:
+                a, b, c, d = (rng.randint(-30, 30) for _ in range(4))
+            else:
+                s1, s2 = rng.randint(1, 4), rng.randint(1, 4)
+                r1, r2 = rng.randint(0, s1), rng.randint(0, s2)
+                k, a = rng.choice((-1, 1)), rng.randint(-10, 10)
+                b, c, d = -k * r1 * r2, k * s1 * s2, a - k * (s1 * r2 + s2 * r1)
+            if a * d - b * c > 0 and max(map(abs, (a, b, c, d))) <= 30:
+                return MoebiusGermMap(a, b, c, d)
+
+    @staticmethod
+    def rand_window(rng, g):
+        # the window about p whose unit is |g(p) - p|: its enlarged ends
+        # are 0 and 1, or the hull pushed out, or the pole of g
+        p = Fraction(rng.randint(1, 11), 12)
+        try:
+            gp = g.apply(p)
+        except OutOfDomain:
+            return None
+        if gp == p:
+            return None
+        h0, h1 = min(p, gp), max(p, gp)
+        mode = rng.randrange(3)
+        if mode == 0:
+            e0, e1 = min(h0, 0), max(h1, 1)
+        else:
+            e0 = h0 - Fraction(rng.randint(0, 12), rng.randint(1, 12))
+            e1 = h1 + Fraction(rng.randint(0, 12), rng.randint(1, 12))
+        if mode == 2 and g.c:
+            pole = Fraction(-g.d, g.c)
+            if pole <= h0:
+                e0 = pole
+            elif pole >= h1:
+                e1 = pole
+        return Window(0, p, (h0, h1), (e0, e1), gp - p if gp > p else p - gp)
+
+    @staticmethod
+    def two_roots_in_one_cell(g, rs):
+        # Q(k) and Q(k + 1) share the sign of Q2, the vertex lies between
+        # them and the discriminant is positive: both roots of Q lie
+        # strictly inside the cell
+        nums, den = integer_grid(*rs.window.enlarged, rs.grid)
+        (q0, q1, q2), _ = g.displacement_along(nums[0], nums[1] - nums[0], den)
+        if not q2 or q1 * q1 - 4 * q0 * q2 <= 0:
+            return False
+        k = -q1 // (2 * q2)
+        if Fraction(-q1, 2 * q2) == k:
+            return False
+        return all(q2 * (q0 + q1 * j + q2 * j * j) > 0 for j in (k, k + 1))
+
+    @staticmethod
+    def interior_peak(g, rs, radius):
+        # the largest deviation over the radius grid lies strictly inside it
+        p, u = rs.window.point, rs.window.unit
+        lo = max(rs.window.enlarged[0], p - u * radius)
+        hi = min(rs.window.enlarged[1], p + u * radius)
+        shift = g.apply(p) - p
+        devs = [abs(g.apply(x) - x - shift)
+                for x in window_grid(lo, hi, rs.grid)]
+        return max(devs) > max(devs[0], devs[-1])
+
+    @staticmethod
+    def pole_place(g, rs, lo, hi):
+        # where the pole of g lies in [lo, hi]: at an end, on an inner grid
+        # point, inside a cell, or nowhere in it
+        if not g.c:
+            return None
+        pole = Fraction(-g.d, g.c)
+        if not lo <= pole <= hi:
+            return None
+        if pole in (lo, hi):
+            return "end"
+        k = (pole - lo) / (hi - lo) * rs.grid
+        return "grid" if k.denominator == 1 else "cell"
+
+    def test_matches_the_oracles_and_the_scan(self):
+        rng = random.Random(371)
+        seen = Counter()
+        cases = 0
+        while cases < 1500:
+            g = self.rand_germ(rng)
+            w = self.rand_window(rng, g)
+            if w is None:
+                continue
+            cases += 1
+            maps = (g,) if rng.random() < 0.9 else (g, self.IDENTITY)
+            names = ("a", "b")[:len(maps)]
+            act = MarkedAction(names, maps, UNIT_INTERVAL)
+            scanned = MarkedAction(names, tuple(map(ScannedMap, maps)),
+                                   UNIT_INTERVAL)
+            grid = rng.choice(self.GRIDS)
+            rs = RescaledSystem(w, act, grid)
+            rs_scan = RescaledSystem(w, scanned, grid)
+            got = outcome(fixed_point_in_window, rs)
+            assert got == outcome(fixed_point_in_window, rs_scan)
+            place = self.pole_place(g, rs, *w.enlarged)
+            if place is not None:
+                assert got == (OutOfDomain, "germ has a pole at %s"
+                               % (Fraction(-g.d, g.c),))
+                for radius in self.RADII:
+                    assert outcome(generator_deviation, rs, "a", radius) \
+                        == outcome(generator_deviation, rs_scan, "a", radius)
+                seen["pole at an end" if place == "end" else
+                     "pole on the grid" if place == "grid" else
+                     "pole inside a cell"] += 1
+                continue
+            assert got == outcome(window_fixed_point_oracle, rs)
+            if got == (Degenerate, "generator b is the identity on the window"):
+                seen["identity"] += 1
+                continue
+            bracket = got["a"]
+            if bracket is not None:
+                seen["zero on the grid" if bracket[0] == bracket[1]
+                     else "bracket"] += 1
+            if self.two_roots_in_one_cell(g, rs):
+                seen["two roots in one cell"] += 1
+            for radius in self.RADII:
+                expected = window_deviation_oracle(rs, "a", radius)
+                assert generator_deviation(rs, "a", radius) \
+                    == generator_deviation(rs_scan, "a", radius) == expected
+                if self.interior_peak(g, rs, radius):
+                    seen["peak inside the grid"] += 1
+        assert len(seen) == 8, seen
+
+    def test_candidates_hold_both_sides_of_each_critical_point(self):
+        # wherever R, the numerator of the derivative of Q/L, is zero or
+        # changes sign on the grid (and Q/L is not constant), the grid
+        # points on both sides are candidates; small coefficients put
+        # roots next to integers, where isqrt's floor can be off by one
+        rng = random.Random(372)
+        near = checked = 0
+        while checked < 2000:
+            g = self.rand_germ(rng)
+            last = rng.choice(self.GRIDS)
+            n0, h, den = rng.randint(-20, 20), rng.randint(1, 3), rng.randint(1, 6)
+            try:
+                form = g.displacement_along(n0, h, den)
+            except OutOfDomain:
+                continue
+            (q0, q1, q2), (l0, l1) = form
+            if any(l0 + l1 * j <= 0 for j in (0, last)):
+                continue
+            checked += 1
+            got = renorm._extremum_candidates(form, last)
+            r = [q2 * l1 * j * j + 2 * q2 * l0 * j + q1 * l0 - q0 * l1
+                 for j in range(last + 1)]
+            for j in range(last if any(r) else 0):
+                if r[j] * r[j + 1] < 0 or r[j] == 0:
+                    assert {j, j + 1} <= set(got), (form, last)
+                    # by linear interpolation, the root lies within 1/4
+                    # of j or of j + 1
+                    near += 16 * min(r[j], r[j + 1], key=abs) ** 2 \
+                        <= (r[j] - r[j + 1]) ** 2
+            assert got == sorted(set(got)) and set(got) <= set(range(last + 1))
+        assert near > 100
+
+    def test_germ_run_reads_a_few_points_per_window(self, capsys):
+        # the benchmark's renorm-germ run at --start 1/2: per window, the
+        # orbit step, the hull, the shift at the point and the deviation's
+        # candidates, and a bisection where there is a bracket; about 134
+        # per window when both statistics scanned the grid
+        with counting_calls("apply_pair", MoebiusGermMap) as counts:
+            assert cli.main(["renorm", "--windows", "128", "--grid", "64",
+                             "--start", "1/2"]) == 0
+        capsys.readouterr()
+        assert counts["MoebiusGermMap"] <= 128 * (12 + BISECTION_STEPS)
 
 
 class TestTranslationDeviation:
