@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
+from math import gcd, lcm
 
 from .errors import NoRealFixedPoint, OutOfDomain
 from .projline import (
@@ -271,9 +272,48 @@ class CompactifiedLift(Record):
     LiftedMap.apply_triple and compactify_triple returns, tuple for tuple,
     and raises the same OutOfDomain.  `apply` composes the object forms of
     the same steps, which the benchmark traces as layers.
+
+    Lemma: between two consecutive breakpoints, apply_pair(n, m) is
+    (A n + B m, C n + D m) for fixed integers A, B, C, D.  A breakpoint is
+    a point whose cover point lies, on any sheet, over one of four circle
+    points: 0, infinity, M^-1(0) or M^-1(infinity), with M the lift's
+    Moebius map; its line point is k + tau, k an integer and tau that
+    circle point's traversal coordinate, one of `offsets`.  Every branch
+    of apply_pair flips only at a breakpoint:
+    - the sign of t and the divmod sheet of uncompactify flip where the
+      line point is an integer, over 0;
+    - the half 2r <= d flips over infinity;
+    - the sign normalization of the image [x : y] flips where y = 0, over
+      M^-1(infinity), and its half hx where x or y is 0, over M^-1(0) or
+      M^-1(infinity);
+    - the image comes before the basepoint image M(0) in the traversal
+      order until it passes M(0), over 0, an input sheet cut, or crosses
+      the cut at 0, over M^-1(0);
+    - compactify's x >= 0 flips over M^-1(0) or M^-1(infinity), and |lam|
+      where the output line point is 0, whose base is 0, over M^-1(0).
+    So between two breakpoints every branch and the output sheet are
+    fixed, each step is an integer linear map of the one before, and so is
+    their composite; a scaling of (n, m) scales the pair, as each step
+    keeps it unreduced.  At a breakpoint itself the pair may follow either
+    neighbour's formula, or neither, at a different scale.
     """
 
-    __slots__ = ("lift",)
+    __slots__ = ("lift", "offsets")
+
+    def __init__(self, lift):
+        # the traversal coordinates of 0, infinity, M^-1(0) = [-b : a] and
+        # M^-1(infinity) = [d : -c], reduced, without repeats, in order
+        mo = lift.moebius
+        offsets = set()
+        for p, q in ((0, 1), (1, 0), (-mo.b, mo.a), (mo.d, -mo.c)):
+            if q < 0 or (q == 0 and p < 0):
+                p, q = -p, -q
+            n, d = (p, 2 * (p + q)) if p >= 0 else (2 * q - p, 2 * (q - p))
+            k = gcd(n, d)
+            offsets.add((n // k, d // k))
+        over = lcm(*(d for _, d in offsets))
+        Record.__init__(self, lift, tuple(sorted(
+            offsets, key=lambda tau: tau[0] * (over // tau[1]))))
 
     def apply_pair(self, n, m):
         if n == 0 or n == m:
@@ -312,6 +352,77 @@ class CompactifiedLift(Record):
         lam = sheet * e + c
         e += abs(lam)
         return lam + e, 2 * e
+
+    def pieces_along(self, n0, h, den, last):
+        """apply_pair along the grid x_j = (n0 + j h)/den, j = 0..last, as
+        an iterator of pieces (j0, j1, form, matrix) in grid order, which
+        read apply_pair only when they are reached; None when the grid
+        has no step, leaves [0, 1], or meets more candidate breakpoints
+        (sheets times offsets) than it has points, as a fine grid near 0
+        or 1 does: its points are then best read one by one.
+
+        A grid point on a breakpoint, and an end at 0 or at 1, is a piece
+        of its own.  The other points fall into runs between breakpoints,
+        where the lemma above holds: a run j0..j1 reads apply_pair at its
+        two ends and takes the slopes of the linear forms by exact integer
+        division.  `form` has the shape of MoebiusGermMap.displacement_along
+        in the index i = j - j0: ((Q0, Q1, Q2), (L0, L1)) with
+        apply_pair(n, den) = (y, L(i)) and y den - n L(i) = Q(i) at
+        n = n0 + (j0 + i) h, for i = 0..j1 - j0.  `matrix` is (A, B, C, D)
+        with apply_pair(n, m) = (A n + B m, C n + D m) at every n/m of the
+        cell between two points of a run, or None for a one-point piece."""
+        top = n0 + last * h
+        if h <= 0 or n0 < 0 or top > den:
+            return None
+        # the inner points lo..hi lie in (0, 1); the ends 0 and 1 do not
+        lo = 1 if n0 == 0 else 0
+        hi = last - 1 if top == den else last
+        cuts = []  # (j, exact): a breakpoint at j, or inside the cell j, j + 1
+        if lo <= hi:
+            k0 = uncompactify_triple(n0 + lo * h, den)[2]
+            k1 = uncompactify_triple(n0 + hi * h, den)[2]
+            if (k1 - k0 + 1) * len(self.offsets) > last + 1:
+                return None
+            for k in range(k0, k1 + 1):
+                for tn, td in self.offsets:
+                    # the line point lam/td compactified to (lam + e)/(2 e),
+                    # at the grid position j + r/(2 e h)
+                    lam = k * td + tn
+                    e = td + abs(lam)
+                    j, r = divmod((lam + e) * den - 2 * e * n0, 2 * e * h)
+                    if lo <= j and (j < hi or j == hi and not r):
+                        cuts.append((j, not r))
+
+        def piece(a, b):
+            na = n0 + a * h
+            ya, qa = self.apply_pair(na, den)
+            y1 = q1 = 0
+            matrix = None
+            if b > a:
+                yb, qb = self.apply_pair(n0 + b * h, den)
+                y1, q1 = (yb - ya) // (b - a), (qb - qa) // (b - a)
+                ma, mc = y1 // h, q1 // h
+                matrix = (ma, (ya - ma * na) // den, mc, (qa - mc * na) // den)
+            form = ((ya * den - na * qa, y1 * den - na * q1 - h * qa, -h * q1),
+                    (qa, q1))
+            return a, b, form, matrix
+
+        def pieces():
+            if lo:
+                yield piece(0, 0)
+            start = lo
+            for j, exact in cuts:
+                if start <= j - exact:
+                    yield piece(start, j - exact)
+                if exact:
+                    yield piece(j, j)
+                start = j + 1
+            if start <= hi:
+                yield piece(start, hi)
+            if hi < last:
+                yield piece(last, last)
+
+        return pieces()
 
     def apply(self, x):
         x = Fraction(x)

@@ -9,6 +9,7 @@ obstructed actions keep a generator fixed point inside every window.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt, lcm
 
 from .errors import (
@@ -174,24 +175,23 @@ class RescaledSystem(Record):
     the domain and `apply` read the window's frame: the window points are
     integer numerators over one denominator, and a generator with a pair
     form maps them to integer pairs, so no Fraction is added, multiplied or
-    divided.  A generator with a closed form along a grid
-    (`displacement_along`, which MoebiusGermMap has) is read at a few grid
-    points that its quadratic picks; any other generator is scanned.
+    divided.  A generator with a closed form along a grid, one piece
+    (MoebiusGermMap's `displacement_along`) or a few (CompactifiedLift's
+    `pieces_along`), is read at a few grid points per piece that its
+    quadratic picks; any other generator is scanned.
 
     `displacements_at_0` keeps, per generator name, the displacement of the
     origin that the unit check computed, so a caller that reports it does
     not evaluate the generator at the base point again.
     """
 
-    __slots__ = ("window", "act", "grid", "domain", "displacements_at_0")
+    __slots__ = ("window", "act", "grid", "displacements_at_0")
 
     def __init__(self, window, act, grid):
         if grid < 2:
             raise ValueError("grid resolution must be at least 2")
-        m, pn, e0, e1, un = window.frame
-        domain = (Fraction(e0 - pn, un), Fraction(e1 - pn, un))
         at_0 = {}
-        Record.__init__(self, window, act, int(grid), domain, at_0)
+        Record.__init__(self, window, act, int(grid), at_0)
         at_0.update((name, self.apply(name, ZERO)) for name in self.names)
         if max(abs(v) for v in at_0.values()) != 1:
             raise AssertionError("the largest rescaled displacement is not 1")
@@ -199,6 +199,12 @@ class RescaledSystem(Record):
     @property
     def names(self):
         return self.act.names
+
+    @property
+    def domain(self):
+        """The rescaled enlarged window, ((e0 - pn)/un, (e1 - pn)/un)."""
+        m, pn, e0, e1, un = self.window.frame
+        return Fraction(e0 - pn, un), Fraction(e1 - pn, un)
 
     def apply(self, name, x):
         # x = xn/xd is the window point X = (pn xd + un xn)/(m xd), and
@@ -238,13 +244,20 @@ def _check_defined(g, a, b, den):
 
 def _closed_form(g, nums, den):
     """g's displacement along the arithmetic grid nums/den in closed form,
-    ((Q0, Q1, Q2), (L0, L1)) from its `displacement_along`, or None for a
-    map without one, whose statistics scan the grid.  The grid must hold
-    no pole: _check_defined has run."""
+    piece by piece: pieces (j0, j1, form, matrix) in grid order, each
+    form ((Q0, Q1, Q2), (L0, L1)) in the index i = j - j0 as
+    `displacement_along` gives it, and matrix g's integer matrix inside
+    the piece, or None to read g's own pair form there.  A map with
+    `displacement_along` is one piece of itself; a map with `pieces_along`
+    gives its pieces, or None; a map with neither gives None.  On None
+    the statistics scan the grid.  The grid must hold no pole:
+    _check_defined has run."""
+    n0, h, last = nums[0], nums[1] - nums[0], len(nums) - 1
     along = getattr(g, "displacement_along", None)
-    if along is None:
-        return None
-    return along(nums[0], nums[1] - nums[0], den)
+    if along is not None:
+        return ((0, last, along(n0, h, den), None),)
+    pieces = getattr(g, "pieces_along", None)
+    return None if pieces is None else pieces(n0, h, den, last)
 
 
 def _extremum_candidates(form, last):
@@ -281,9 +294,10 @@ def generator_deviation(rs: RescaledSystem, name, radius):
     rescaled window within the radius; a lower bound for the sup, exact at
     every sampled point.
 
-    A map with a closed form (`displacement_along`) is read only at the
-    grid points _extremum_candidates names, at most ten; any other map at
-    every grid point.  Both compare the same cross-multiplied pairs."""
+    A map with a closed form (_closed_form) is read only at the grid
+    points _extremum_candidates names on each piece, at most ten, from the
+    piece's form; any other map at every grid point.  Both compare the
+    same cross-multiplied integers."""
     g = rs.act.maps[rs.names.index(name)]
     m, pn, e0, e1, un = rs.window.frame
     pair = pair_form(g)
@@ -308,18 +322,31 @@ def generator_deviation(rs: RescaledSystem, name, radius):
     # found by cross-multiplying
     nums, den = _grid_over(lo, hi, m * rd, rs.grid)
     _check_defined(g, nums[0], nums[-1], den)
-    form = _closed_form(g, nums, den)
-    if form is not None:
-        nums = [nums[j] for j in _extremum_candidates(form, rs.grid)]
     snd = sn * den
     best, best_q = 0, 1
-    for n in nums:
-        y, q = pair(n, den)
-        dev = abs((y * den - n * q) * sd - snd * q)
+    for v, q in _candidate_displacements(pair, nums, den,
+                                         _closed_form(g, nums, den)):
+        dev = abs(v * sd - snd * q)
         if dev * best_q > best * q:
             best, best_q = dev, q
     # divided by the unit un/m
     return Fraction(best * m, best_q * den * sd * un)
+
+
+def _candidate_displacements(pair, nums, den, pieces):
+    """(y den - n q, q) for g(n/den) = y/q, q > 0, at each grid point where
+    the largest deviation may lie: every point through the pair form when
+    pieces is None, else the _extremum_candidates of each piece, as
+    (Q(i), L(i)) from its form, which are those very integers."""
+    if pieces is None:
+        for n in nums:
+            y, q = pair(n, den)
+            yield y * den - n * q, q
+        return
+    for j0, j1, form, _ in pieces:
+        (q0, q1, q2), (l0, l1) = form
+        for i in _extremum_candidates(form, j1 - j0):
+            yield q0 + (q1 + q2 * i) * i, l0 + l1 * i
 
 
 def _bisect_displacement(pair, a, sa, b, den):
@@ -348,16 +375,59 @@ def _displacement(pair, n, den):
     return y * den - n * q
 
 
-def _scan_stop(pair, nums, den, sa):
-    """The least index k >= 1 of the grid nums/den at which g(x) - x is
-    zero or has the sign opposite to sa, with its numerator y den - n q
-    there; None when every point keeps the sign of sa.  Reads the grid from
-    the left and stops there."""
+def _scan_stop(pair, nums, den):
+    """Where the bracket of the grid nums/den lies, reading g(x) - x at
+    each point from the left and stopping there: None when every point is
+    fixed, else (sa, k, v, pair) with sa the numerator y den - n q at the
+    left end.  k is the least index at which the numerator v is zero or
+    has the sign opposite to sa, 0 when sa is 0, or None when every point
+    keeps the sign of sa; pair bisects the cell before k."""
+    sa = _displacement(pair, nums[0], den)
+    if sa == 0:
+        if any(_displacement(pair, n, den) for n in nums[1:]):
+            return 0, 0, 0, pair
+        return None
     for k in range(1, len(nums)):
         v = _displacement(pair, nums[k], den)
         if v == 0 or (v > 0) != (sa > 0):
-            return k, v
-    return None
+            return sa, k, v, pair
+    return sa, None, None, pair
+
+
+def _piece_stop(pair, pieces):
+    """What _scan_stop returns, from the pieces of _closed_form, read
+    lazily: the sign of each piece's first point, then _quadratic_stop on
+    its form.  A cell inside one piece is bisected through the piece's
+    matrix when it has one, which gives the integers the pair form gives
+    there; any other cell through the pair form.  With sa = 0, a piece of
+    three or more points fixes them all only when its Q is identically 0,
+    as a quadratic with three zeros is; a shorter one is read point by
+    point."""
+    pieces = iter(pieces)
+    first = next(pieces)
+    sa = first[2][0][0]
+    if sa == 0:
+        for j0, j1, (q, _), _ in chain((first,), pieces):
+            last = j1 - j0
+            if any(q) if last >= 2 else \
+                    any(q[0] + (q[1] + q[2] * i) * i for i in range(last + 1)):
+                return 0, 0, 0, pair
+        return None
+    for j0, j1, (q, _), matrix in chain((first,), pieces):
+        v = q[0]
+        if j0 and (v == 0 or (v > 0) != (sa > 0)):
+            return sa, j0, v, pair
+        stop = _quadratic_stop(q, j1 - j0)
+        if stop is not None:
+            i, v = stop
+            cell = pair
+            if matrix is not None:
+                a, b, c, d = matrix
+
+                def cell(n, m):
+                    return a * n + b * m, c * n + d * m
+            return sa, j0 + i, v, cell
+    return sa, None, None, pair
 
 
 def _quadratic_stop(coefficients, last):
@@ -402,14 +472,13 @@ def fixed_point_in_window(rs: RescaledSystem):
 
     The bracket is at the first grid point, from the left, that is a zero
     or where the sign differs from the left end's; at a sign change it is
-    bisected from the cell before.  A map with a closed form
-    (`displacement_along`) finds that point by _quadratic_stop's binary
-    search on its quadratic; any other map scans the grid up to it.  Only
-    a zero at the left end reads on, since a generator that fixes every
-    grid point is Degenerate: for a closed form, Q identically 0, as a
-    quadratic with three zeros on the grid is.  A generator undefined at
-    some point of the window raises its own OutOfDomain first, wherever
-    that point lies."""
+    bisected from the cell before.  A map with a closed form (_closed_form)
+    finds that point piece by piece, by _quadratic_stop's binary search on
+    each piece's quadratic (_piece_stop); any other map scans the grid up
+    to it (_scan_stop).  Only a zero at the left end reads on, since a
+    generator that fixes every grid point is Degenerate.  A generator
+    undefined at some point of the window raises its own OutOfDomain
+    first, wherever that point lies."""
     m, pn, e0, e1, un = rs.window.frame
     nums, den = _grid_over(e0, e1, m, rs.grid)
     first = nums[0]
@@ -417,31 +486,21 @@ def fixed_point_in_window(rs: RescaledSystem):
     for name, g in zip(rs.names, rs.act.maps):
         _check_defined(g, first, nums[-1], den)
         pair = pair_form(g)
-        form = _closed_form(g, nums, den)
-        if form is None:
-            sa = _displacement(pair, first, den)
-            moves = sa != 0 or any(_displacement(pair, n, den)
-                                   for n in nums[1:])
-        else:
-            sa = form[0][0]
-            moves = any(form[0])
-        if not moves:
+        pieces = _closed_form(g, nums, den)
+        stop = (_scan_stop(pair, nums, den) if pieces is None
+                else _piece_stop(pair, pieces))
+        if stop is None:
             raise Degenerate(
                 "generator %s is the identity on the window" % name)
+        sa, k, v, cell = stop
         bracket = None
-        if sa == 0:
-            # a zero at the left end is the bracket
-            bracket = (first, first), den
-        else:
-            stop = (_scan_stop(pair, nums, den, sa) if form is None
-                    else _quadratic_stop(form[0], rs.grid))
-            if stop is not None:
-                k, v = stop
-                if v == 0:
-                    bracket = (nums[k], nums[k]), den
-                else:
-                    bracket = _bisect_displacement(pair, nums[k - 1], sa,
-                                                   nums[k], den)
+        if k is not None:
+            if v == 0:
+                # a zero, at the left end or at the stop, is the bracket
+                bracket = (nums[k], nums[k]), den
+            else:
+                bracket = _bisect_displacement(cell, nums[k - 1], sa,
+                                               nums[k], den)
         if bracket is not None:
             # the window point n/d is (n m - pn d)/(d un) rescaled
             ends, d = bracket

@@ -217,19 +217,20 @@ def test_one_pair_form_dispatcher():
 
 
 def test_one_closed_form_dispatcher():
-    # whether a map has a closed form along a grid is asked in one place,
-    # which both renorm statistics call
-    askers = sorted("%s:%s" % (filename[:-3], name)
-                    for filename in MODULES
-                    for name, func in functions(parse(filename))
-                    for node in ast.walk(func)
-                    if isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id in ("getattr", "hasattr")
-                    and len(node.args) >= 2
-                    and isinstance(node.args[1], ast.Constant)
-                    and node.args[1].value == "displacement_along")
-    assert askers == ["renorm:_closed_form"], askers
+    # whether a map has a closed form along a grid, in one piece or in
+    # pieces, is asked in one place, which both renorm statistics call
+    for method in ("displacement_along", "pieces_along"):
+        askers = sorted("%s:%s" % (filename[:-3], name)
+                        for filename in MODULES
+                        for name, func in functions(parse(filename))
+                        for node in ast.walk(func)
+                        if isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id in ("getattr", "hasattr")
+                        and len(node.args) >= 2
+                        and isinstance(node.args[1], ast.Constant)
+                        and node.args[1].value == method)
+        assert askers == ["renorm:_closed_form"], (method, askers)
     for stat in ("generator_deviation", "fixed_point_in_window"):
         assert "_closed_form" in called_names(parse("renorm.py"), None, stat)
 

@@ -38,6 +38,7 @@ from helpers import (
     window_grid,
     window_oracle,
 )
+from test_fricke import PAIRS
 import nonsmooth
 from nonsmooth import cli, renorm
 from nonsmooth.cover import (
@@ -47,6 +48,7 @@ from nonsmooth.cover import (
     CoverPoint,
     compactify,
     compactify_triple,
+    fixed_point_lift,
     uncompactify,
     uncompactify_triple,
 )
@@ -897,9 +899,11 @@ class TestScanStopsEarly:
                 fixed_point_in_window(rs)
         assert counts["PLMap"] == 5
 
-    def test_torus_run_evaluates_each_scan_to_its_stop(self, capsys):
-        # the benchmark's renorm-torus run at --start 1/2: each scan reads
-        # the grid up to its first zero or sign change and bisects there;
+    def test_torus_run_evaluates_each_scan_to_its_stop(self, capsys,
+                                                       monkeypatch):
+        # with CompactifiedLift's pieces hidden, so that both statistics
+        # scan, the benchmark's renorm-torus run at --start 1/2: each scan
+        # reads the grid up to its first zero or sign change and bisects there;
         # build_windows (one point per generator) and generator_deviation
         # (the shift at p and a 65-point grid) read what they read before;
         # the orbit ([a,b], four letters per window after the first) is
@@ -923,6 +927,7 @@ class TestScanStopsEarly:
                     return
                 yield p
 
+        monkeypatch.delattr(CompactifiedLift, "pieces_along")
         with counting_calls("apply_pair", CompactifiedLift) as counts, \
                 mock.patch.object(cli, "fixed_point_in_window", scan), \
                 mock.patch.object(cli, "orbit_sequence", orbit):
@@ -1512,6 +1517,218 @@ class TestGermClosedForm:
                              "--start", "1/2"]) == 0
         capsys.readouterr()
         assert counts["MoebiusGermMap"] <= 128 * (12 + BISECTION_STEPS)
+
+
+class ScannedLift:
+    """A compactified lift without its pieces: the pair form and the
+    inverse of g, but no pieces_along, so the statistics scan the grid."""
+
+    def __init__(self, g):
+        self.g = g
+
+    def apply(self, x):
+        return self.g.apply(x)
+
+    def apply_pair(self, n, m):
+        return self.g.apply_pair(n, m)
+
+    def inverse(self):
+        return ScannedLift(self.g.inverse())
+
+
+class TestCompactifiedLiftPieces:
+    """CompactifiedLift.pieces_along cuts a grid at the breakpoints of the
+    lift, and each piece reproduces apply_pair: its form at every point of
+    the piece, its matrix at every point of the cells between them.  The
+    breakpoints come from the object forms (the cover points over 0,
+    infinity and their preimages, compactified), so the order of the
+    integer offsets is checked too.  Both statistics read through the
+    pieces agree with the scan of the same lift behind ScannedLift and with
+    the Fraction oracles of tests/helpers.py."""
+
+    GRIDS = (2, 7, 64, 200)
+
+    @staticmethod
+    def lifts():
+        # the torus generators, their inverses, other deck powers of them,
+        # and the fixed-point lifts of seeded pairs of the Fricke sweep
+        act = compactified_action(punctured_torus_action())
+        lifts = list(act.maps + act.inverses)
+        lifts += [CompactifiedLift(g.lift.deck(k))
+                  for g in act.maps for k in (-1, 2)]
+        rng = random.Random(380)
+        for pair in rng.sample(PAIRS, 4):
+            for m in pair:
+                g = CompactifiedLift(fixed_point_lift(MoebiusMap(*m))[0])
+                lifts += [g, g.inverse()]
+        return lifts
+
+    @staticmethod
+    def breakpoints(g, lo, hi):
+        """g's breakpoints in [lo, hi], 0 < lo <= hi < 1, as Fractions: the
+        compactified cover points over 0, infinity and their preimages
+        under g's Moebius map, on the sheets of lo to hi."""
+        inverse = g.lift.moebius.inverse()
+        bases = {BASEPOINT, ProjPoint.infinity(), inverse.apply(BASEPOINT),
+                 inverse.apply(ProjPoint.infinity())}
+        points = (compactify(CoverPoint(b, k)) for b in bases
+                  for k in range(uncompactify(lo).sheet,
+                                 uncompactify(hi).sheet + 1))
+        return sorted(x for x in points if lo <= x <= hi), len(bases)
+
+    @staticmethod
+    def rand_ends(rng):
+        # ends of a grid of [0, 1]: clamped at 0, at 1, at both, or inside,
+        # some of them far out on the sheets, where breakpoints crowd, and
+        # some a few sheets wide
+        def point():
+            if rng.random() < 0.3:
+                k = rng.choice((-1, 1)) * rng.randint(0, 40)
+                return compactify(CoverPoint(BASEPOINT, k))
+            return Fraction(rng.randint(1, 999), 1000)
+        lo, hi = sorted((point(), point()))
+        mode = rng.randrange(8)
+        if mode == 0:
+            lo = ZERO
+        elif mode == 1:
+            hi = Fraction(1)
+        elif mode == 2:
+            lo, hi = ZERO, Fraction(1)
+        elif mode < 6:
+            hi = lo + (hi - lo) / rng.randint(2, 20)
+        return (lo, hi) if lo < hi else None
+
+    def check_pieces(self, g, nums, den, seen, rng):
+        n0, h, last = nums[0], nums[1] - nums[0], len(nums) - 1
+        xs = [Fraction(n, den) for n in nums]
+        inner = [x for x in xs if 0 < x < 1]
+        cuts, offsets = self.breakpoints(g, inner[0], inner[-1])
+        sheets = (uncompactify(inner[-1]).sheet
+                  - uncompactify(inner[0]).sheet + 1)
+        with counting_calls("apply_pair", CompactifiedLift) as counts:
+            got = g.pieces_along(n0, h, den, last)
+            assert counts["CompactifiedLift"] == 0
+            assert (got is None) == (sheets * offsets > last + 1)
+            if got is None:
+                seen["fallback to the scan"] += 1
+                return None
+            pieces = list(got)
+        seen["pieces"] += 1
+        assert counts["CompactifiedLift"] == sum(
+            1 if j0 == j1 else 2 for j0, j1, _, _ in pieces)
+        # the pieces cover the grid in order
+        assert [j0 for j0, _, _, _ in pieces] \
+            == [0] + [j1 + 1 for _, j1, _, _ in pieces[:-1]]
+        assert pieces[-1][1] == last
+        seen["clamped at 0"] += xs[0] == 0
+        seen["clamped at 1"] += xs[-1] == 1
+        for j0, j1, ((q0, q1, q2), (l0, l1)), matrix in pieces:
+            for i in range(j1 - j0 + 1):
+                n = nums[j0 + i]
+                y, q = g.apply_pair(n, den)
+                assert (q, y * den - n * q) \
+                    == (l0 + l1 * i, q0 + q1 * i + q2 * i * i)
+            if j0 == j1:
+                assert matrix is None
+                x = xs[j0]
+                # an end, a breakpoint, or the one point of its run, with
+                # a breakpoint or an end of the grid or of [0, 1] at each
+                # side (breakpoints crowd at 0 and 1)
+                assert x in (0, 1) or x in cuts or (
+                    (j0 == 0 or xs[j0 - 1] == 0
+                     or any(xs[j0 - 1] <= c < x for c in cuts))
+                    and (j0 == last or xs[j0 + 1] == 1
+                         or any(x < c <= xs[j0 + 1] for c in cuts)))
+                seen["breakpoint on a grid point"] += x in cuts
+                continue
+            # no breakpoint in the span; one at each side, or an end
+            assert not any(xs[j0] <= c <= xs[j1] for c in cuts)
+            assert j0 == 0 or xs[j0 - 1] == 0 \
+                or any(xs[j0 - 1] <= c < xs[j0] for c in cuts)
+            assert j1 == last or xs[j1 + 1] == 1 \
+                or any(xs[j1] < c <= xs[j1 + 1] for c in cuts)
+            a, b, c, d = matrix
+            for j in range(j0, j1):
+                scale = 2 ** rng.randint(0, BISECTION_STEPS)
+                n, m = scale * nums[j] + rng.randint(0, scale) * h, scale * den
+                assert g.apply_pair(n, m) == (a * n + b * m, c * n + d * m)
+        return pieces
+
+    def test_pieces_match_apply_pair(self):
+        rng = random.Random(381)
+        seen = Counter()
+        for g in self.lifts():
+            for _ in range(24):
+                ends = self.rand_ends(rng)
+                if ends is None:
+                    continue
+                nums, den = integer_grid(*ends, rng.choice(self.GRIDS))
+                self.check_pieces(g, nums, den, seen, rng)
+        assert set(seen) == {"fallback to the scan", "pieces",
+                             "clamped at 0", "clamped at 1",
+                             "breakpoint on a grid point"}, seen
+
+    def test_statistics_match_the_scan_and_the_oracles(self):
+        rng = random.Random(382)
+        lifts = self.lifts()
+        seen = Counter()
+        cases = 0
+        while cases < 120:
+            maps = tuple(rng.sample(lifts, rng.choice((1, 2))))
+            ends = self.rand_ends(rng)
+            if ends is None:
+                continue
+            p = ends[0] + (ends[1] - ends[0]) * Fraction(rng.randint(1, 7), 8)
+            images = [g.apply(p) for g in maps]
+            unit = max(abs(y - p) for y in images)
+            h0, h1 = min(p, *images), max(p, *images)
+            if unit == 0 or h0 < ends[0] or h1 > ends[1]:
+                continue
+            cases += 1
+            names = ("a", "b")[:len(maps)]
+            w = Window(0, p, (h0, h1), ends, unit)
+            grid = rng.choice(self.GRIDS)
+            rs = RescaledSystem(w, MarkedAction(names, maps, UNIT_INTERVAL),
+                                grid)
+            rs_scan = RescaledSystem(
+                w, MarkedAction(names, tuple(map(ScannedLift, maps)),
+                                UNIT_INTERVAL), grid)
+            got = outcome(fixed_point_in_window, rs)
+            assert got == outcome(fixed_point_in_window, rs_scan) \
+                == outcome(window_fixed_point_oracle, rs)
+            if isinstance(got, tuple):
+                seen["identity on the grid"] += 1
+                got = dict.fromkeys(names)
+            nums, den = integer_grid(*ends, grid)
+            for name, g in zip(names, maps):
+                for radius in (0, Fraction(1, 2), 2, Fraction(13, 3)):
+                    assert generator_deviation(rs, name, radius) \
+                        == generator_deviation(rs_scan, name, radius) \
+                        == window_deviation_oracle(rs, name, radius)
+                bracket = got[name]
+                pieces = self.check_pieces(g, nums, den, seen, rng)
+                if bracket is None or bracket[0] == bracket[1] \
+                        or pieces is None:
+                    continue
+                # the grid cell k - 1, k that holds the bracket
+                x = w.point + w.unit * bracket[0]
+                k = next(k for k, n in enumerate(nums) if Fraction(n, den) > x)
+                inside = any(j0 < k <= j1 for j0, j1, _, _ in pieces)
+                seen["bracket inside a multi-point piece" if inside
+                     else "bracket next to a breakpoint"] += 1
+        assert {"bracket inside a multi-point piece",
+                "bracket next to a breakpoint", "fallback to the scan",
+                "clamped at 0", "clamped at 1"} <= set(seen), seen
+
+    def test_torus_run_reads_each_piece_at_its_ends(self, capsys):
+        # the benchmark's renorm-torus run at --start 1/2: 6,294 apply_pair
+        # when both statistics scan the grid
+        with counting_calls("apply_pair", CompactifiedLift) as counts:
+            assert cli.main(["renorm", "--action", "punctured-torus",
+                             "--windows", "32", "--grid", "64",
+                             "--start", "1/2"]) == 0
+        capsys.readouterr()
+        assert counts["CompactifiedLift"] <= 2100
 
 
 class TestTranslationDeviation:
