@@ -365,7 +365,7 @@ class CompactifiedLift(Record):
         of its own.  The other points fall into runs between breakpoints,
         where the lemma above holds: a run j0..j1 reads apply_pair at its
         two ends and takes the slopes of the linear forms by exact integer
-        division.  `form` has the shape of MoebiusGermMap.displacement_along
+        division.  `form` has the shape of MoebiusGermMap.pieces_along's,
         in the index i = j - j0: ((Q0, Q1, Q2), (L0, L1)) with
         apply_pair(n, den) = (y, L(i)) and y den - n L(i) = Q(i) at
         n = n0 + (j0 + i) h, for i = 0..j1 - j0.  `matrix` is (A, B, C, D)

@@ -57,22 +57,25 @@ class MoebiusGermMap(Record):
     def apply(self, x):
         return Fraction(*self.apply_pair(*x.as_integer_ratio()))
 
-    def displacement_along(self, n0, h, den):
-        """The displacement along the points x_j = (n0 + j h)/den, den > 0,
-        as polynomials in j: integer coefficients ((Q0, Q1, Q2), (L0, L1))
-        with apply_pair(n0 + j h, den) = (y, q) for q = L(j) = L0 + L1 j and
-        y den - (n0 + j h) q = Q(j) = Q0 + Q1 j + Q2 j^2, so that
-        g(x_j) - x_j = Q(j)/(L(j) den).  The pair is sign-normalized at
-        j = 0, so L(0) > 0; L keeps that sign at every j of a grid whose
-        span holds no pole, and Q then has the sign of the displacement."""
-        y0, y1 = self.a * n0 + self.b * den, self.a * h
-        q0, q1 = self.c * n0 + self.d * den, self.c * h
+    def pieces_along(self, n0, h, den, last):
+        """The grid x_j = (n0 + j h)/den, j = 0..last, den > 0, as one piece
+        (0, last, form, matrix) in the shape of CompactifiedLift's: integer
+        coefficients ((Q0, Q1, Q2), (L0, L1)) with apply_pair(n0 + j h, den)
+        = (y, q) for q = L(j) = L0 + L1 j and y den - (n0 + j h) q = Q(j) =
+        Q0 + Q1 j + Q2 j^2, so that g(x_j) - x_j = Q(j)/(L(j) den), and the
+        germ's entries (A, B, C, D).  Both are sign-normalized at j = 0, so
+        L(0) > 0; on a grid whose span holds no pole L keeps that sign, Q
+        has the sign of the displacement, and (A n + B m, C n + D m) is
+        apply_pair(n, m) at every n/m of the span."""
+        a, b, c, d = self.a, self.b, self.c, self.d
+        q0 = c * n0 + d * den
         if q0 == 0:
             self.apply_pair(n0, den)  # the pole: raises its OutOfDomain
         if q0 < 0:
-            y0, y1, q0, q1 = -y0, -y1, -q0, -q1
-        return ((y0 * den - n0 * q0, y1 * den - n0 * q1 - h * q0, -h * q1),
-                (q0, q1))
+            a, b, c, d, q0 = -a, -b, -c, -d, -q0
+        y0, y1, q1 = a * n0 + b * den, a * h, c * h
+        return ((0, last, ((y0 * den - n0 * q0, y1 * den - n0 * q1 - h * q0,
+                            -h * q1), (q0, q1)), (a, b, c, d)),)
 
     def undefined_pairs(self):
         """The points where the germ is undefined, as integer pairs (n, m),
@@ -100,28 +103,19 @@ class Window(Record):
     unit as integer numerators over the least common denominator m of the
     fields; the checks and everything downstream read the frame.
 
-    The values are any that Fraction accepts.  Given `over`, they are
-    integer numerators over that denominator, as build_windows has them:
-    the window divides them by their common factor and builds each field
-    once, copying no Fraction."""
+    The values are integer numerators over the denominator `over`, as
+    build_windows has them: the window divides them by their common factor
+    and builds each field once, copying no Fraction."""
 
     __slots__ = ("index", "point", "hull", "enlarged", "length", "unit",
                  "frame")
 
-    def __init__(self, index, point, hull, enlarged, unit, over=None):
-        if over is None:
-            fields = (Fraction(point), Fraction(hull[0]), Fraction(hull[1]),
-                      Fraction(enlarged[0]), Fraction(enlarged[1]),
-                      Fraction(unit))
-            ratios = [x.as_integer_ratio() for x in fields]
-            m = lcm(*(d for _, d in ratios))
-            nums = [n * (m // d) for n, d in ratios]
-        else:
-            nums = (point, hull[0], hull[1], enlarged[0], enlarged[1], unit)
-            k = gcd(over, *nums)
-            m = over // k
-            nums = [n // k for n in nums]
-            fields = tuple([Fraction(n, m) for n in nums])
+    def __init__(self, index, point, hull, enlarged, unit, over):
+        nums = (point, hull[0], hull[1], enlarged[0], enlarged[1], unit)
+        k = gcd(over, *nums)
+        m = over // k
+        nums = [n // k for n in nums]
+        fields = tuple([Fraction(n, m) for n in nums])
         pn, h0, h1, e0, e1, un = nums
         if not h0 <= pn <= h1:
             raise BadInterval("base point outside its hull")
@@ -171,14 +165,14 @@ class RescaledSystem(Record):
 
     The statistics never build the rescaled map: g_hat(x) - x is
     (g(X) - X)/u at the window point X = p + u x, so they run each generator
-    at the window points themselves and rescale only the results.  They,
-    the domain and `apply` read the window's frame: the window points are
-    integer numerators over one denominator, and a generator with a pair
-    form maps them to integer pairs, so no Fraction is added, multiplied or
-    divided.  A generator with a closed form along a grid, one piece
-    (MoebiusGermMap's `displacement_along`) or a few (CompactifiedLift's
-    `pieces_along`), is read at a few grid points per piece that its
-    quadratic picks; any other generator is scanned.
+    at the window points themselves and rescale only the results.  They
+    and `apply` read the window's frame: the window points are integer
+    numerators over one denominator, and a generator with a pair form maps
+    them to integer pairs, so no Fraction is added, multiplied or divided.
+    Both read each generator as pieces of its grid (_closed_form): a few
+    grid points per piece that its quadratic picks, where the generator
+    has a closed form (MoebiusGermMap in one piece, CompactifiedLift in a
+    few), and each grid point as a piece of its own where it has none.
 
     `displacements_at_0` keeps, per generator name, the displacement of the
     origin that the unit check computed, so a caller that reports it does
@@ -199,12 +193,6 @@ class RescaledSystem(Record):
     @property
     def names(self):
         return self.act.names
-
-    @property
-    def domain(self):
-        """The rescaled enlarged window, ((e0 - pn)/un, (e1 - pn)/un)."""
-        m, pn, e0, e1, un = self.window.frame
-        return Fraction(e0 - pn, un), Fraction(e1 - pn, un)
 
     def apply(self, name, x):
         # x = xn/xd is the window point X = (pn xd + un xn)/(m xd), and
@@ -243,21 +231,28 @@ def _check_defined(g, a, b, den):
 
 
 def _closed_form(g, nums, den):
-    """g's displacement along the arithmetic grid nums/den in closed form,
-    piece by piece: pieces (j0, j1, form, matrix) in grid order, each
-    form ((Q0, Q1, Q2), (L0, L1)) in the index i = j - j0 as
-    `displacement_along` gives it, and matrix g's integer matrix inside
-    the piece, or None to read g's own pair form there.  A map with
-    `displacement_along` is one piece of itself; a map with `pieces_along`
-    gives its pieces, or None; a map with neither gives None.  On None
-    the statistics scan the grid.  The grid must hold no pole:
-    _check_defined has run."""
-    n0, h, last = nums[0], nums[1] - nums[0], len(nums) - 1
-    along = getattr(g, "displacement_along", None)
+    """g's displacement along the arithmetic grid nums/den, piece by piece:
+    pieces (j0, j1, form, matrix) in grid order, each form
+    ((Q0, Q1, Q2), (L0, L1)) in the index i = j - j0, with g(x) - x =
+    Q(i)/(L(i) den) at the piece's points, and matrix g's integer matrix
+    on the cells inside the piece, None only for a one-point piece.  A map's
+    `pieces_along` gives them (MoebiusGermMap one piece, CompactifiedLift
+    a few); a map without it, or whose pieces_along gives None, is one
+    piece per grid point, read through its pair form when reached:
+    ((y den - n q, 0, 0), (q, 0)) at g(n/den) = y/q.  The grid must hold
+    no pole: _check_defined has run."""
+    along = getattr(g, "pieces_along", None)
     if along is not None:
-        return ((0, last, along(n0, h, den), None),)
-    pieces = getattr(g, "pieces_along", None)
-    return None if pieces is None else pieces(n0, h, den, last)
+        pieces = along(nums[0], nums[1] - nums[0], den, len(nums) - 1)
+        if pieces is not None:
+            return pieces
+    pair = pair_form(g)
+
+    def points():
+        for j, n in enumerate(nums):
+            y, q = pair(n, den)
+            yield j, j, ((y * den - n * q, 0, 0), (q, 0)), None
+    return points()
 
 
 def _extremum_candidates(form, last):
@@ -294,10 +289,10 @@ def generator_deviation(rs: RescaledSystem, name, radius):
     rescaled window within the radius; a lower bound for the sup, exact at
     every sampled point.
 
-    A map with a closed form (_closed_form) is read only at the grid
-    points _extremum_candidates names on each piece, at most ten, from the
-    piece's form; any other map at every grid point.  Both compare the
-    same cross-multiplied integers."""
+    Each piece of g along the grid (_closed_form) is read at the grid
+    points _extremum_candidates names, at most ten, from the piece's form;
+    a one-point piece at its point.  All compare the same cross-multiplied
+    integers."""
     g = rs.act.maps[rs.names.index(name)]
     m, pn, e0, e1, un = rs.window.frame
     pair = pair_form(g)
@@ -324,8 +319,7 @@ def generator_deviation(rs: RescaledSystem, name, radius):
     _check_defined(g, nums[0], nums[-1], den)
     snd = sn * den
     best, best_q = 0, 1
-    for v, q in _candidate_displacements(pair, nums, den,
-                                         _closed_form(g, nums, den)):
+    for v, q in _candidate_displacements(_closed_form(g, nums, den)):
         dev = abs(v * sd - snd * q)
         if dev * best_q > best * q:
             best, best_q = dev, q
@@ -333,18 +327,16 @@ def generator_deviation(rs: RescaledSystem, name, radius):
     return Fraction(best * m, best_q * den * sd * un)
 
 
-def _candidate_displacements(pair, nums, den, pieces):
+def _candidate_displacements(pieces):
     """(y den - n q, q) for g(n/den) = y/q, q > 0, at each grid point where
-    the largest deviation may lie: every point through the pair form when
-    pieces is None, else the _extremum_candidates of each piece, as
-    (Q(i), L(i)) from its form, which are those very integers."""
-    if pieces is None:
-        for n in nums:
-            y, q = pair(n, den)
-            yield y * den - n * q, q
-        return
+    the largest deviation may lie: the _extremum_candidates of each piece,
+    as (Q(i), L(i)) from its form, which are those very integers.  A
+    one-point piece is its own only candidate."""
     for j0, j1, form, _ in pieces:
         (q0, q1, q2), (l0, l1) = form
+        if j1 == j0:
+            yield q0, l0
+            continue
         for i in _extremum_candidates(form, j1 - j0):
             yield q0 + (q1 + q2 * i) * i, l0 + l1 * i
 
@@ -353,12 +345,14 @@ def _bisect_displacement(pair, a, sa, b, den):
     """Halve the grid cell [a/den, b/den], across which g(x) - x changes
     sign from sa at a/den, BISECTION_STEPS times, with g's pair form: each
     step doubles den, so the midpoint is the integer numerator of the two
-    old ends' sum.  Returns the bracket as two numerators over the final
-    denominator, ((a, b), den), degenerate at an exact zero."""
+    old ends' sum, and y den - mid q at g(mid/den) = y/q, q > 0, has the
+    sign of g(x) - x there.  Returns the bracket as two numerators over the
+    final denominator, ((a, b), den), degenerate at an exact zero."""
     for _ in range(BISECTION_STEPS):
         mid = a + b
         a, b, den = 2 * a, 2 * b, 2 * den
-        v = _displacement(pair, mid, den)
+        y, q = pair(mid, den)
+        v = y * den - mid * q
         if v == 0:
             return (mid, mid), den
         if (v > 0) == (sa > 0):
@@ -368,41 +362,19 @@ def _bisect_displacement(pair, a, sa, b, den):
     return (a, b), den
 
 
-def _displacement(pair, n, den):
-    """y den - n q for g(n/den) = y/q, q > 0: the numerator of g(x) - x
-    over q den at x = n/den, which has its sign."""
-    y, q = pair(n, den)
-    return y * den - n * q
-
-
-def _scan_stop(pair, nums, den):
-    """Where the bracket of the grid nums/den lies, reading g(x) - x at
-    each point from the left and stopping there: None when every point is
-    fixed, else (sa, k, v, pair) with sa the numerator y den - n q at the
-    left end.  k is the least index at which the numerator v is zero or
-    has the sign opposite to sa, 0 when sa is 0, or None when every point
-    keeps the sign of sa; pair bisects the cell before k."""
-    sa = _displacement(pair, nums[0], den)
-    if sa == 0:
-        if any(_displacement(pair, n, den) for n in nums[1:]):
-            return 0, 0, 0, pair
-        return None
-    for k in range(1, len(nums)):
-        v = _displacement(pair, nums[k], den)
-        if v == 0 or (v > 0) != (sa > 0):
-            return sa, k, v, pair
-    return sa, None, None, pair
-
-
 def _piece_stop(pair, pieces):
-    """What _scan_stop returns, from the pieces of _closed_form, read
-    lazily: the sign of each piece's first point, then _quadratic_stop on
-    its form.  A cell inside one piece is bisected through the piece's
-    matrix when it has one, which gives the integers the pair form gives
-    there; any other cell through the pair form.  With sa = 0, a piece of
-    three or more points fixes them all only when its Q is identically 0,
-    as a quadratic with three zeros is; a shorter one is read point by
-    point."""
+    """Where the bracket of the grid lies, from the pieces of _closed_form,
+    read lazily: None when every grid point is fixed, else (sa, k, v, cell)
+    with sa the numerator Q(0) at the left end.  k is the least index at
+    which the numerator v is zero or has the sign opposite to sa, 0 when sa
+    is 0, or None when every point keeps the sign of sa; cell bisects the
+    cell before k.  Each piece's first point is checked against sa, then
+    _quadratic_stop runs on the form of a piece of two or more points.  A
+    cell inside one piece is bisected through the piece's matrix, which
+    gives the integers the pair form gives there; a cell between two
+    pieces through the pair form.  With sa = 0, a piece of three or more
+    points fixes them all only when its Q is identically 0, as a quadratic
+    with three zeros is; a shorter one is read point by point."""
     pieces = iter(pieces)
     first = next(pieces)
     sa = first[2][0][0]
@@ -417,15 +389,13 @@ def _piece_stop(pair, pieces):
         v = q[0]
         if j0 and (v == 0 or (v > 0) != (sa > 0)):
             return sa, j0, v, pair
-        stop = _quadratic_stop(q, j1 - j0)
+        stop = _quadratic_stop(q, j1 - j0) if j1 > j0 else None
         if stop is not None:
             i, v = stop
-            cell = pair
-            if matrix is not None:
-                a, b, c, d = matrix
+            a, b, c, d = matrix
 
-                def cell(n, m):
-                    return a * n + b * m, c * n + d * m
+            def cell(n, m):
+                return a * n + b * m, c * n + d * m
             return sa, j0 + i, v, cell
     return sa, None, None, pair
 
@@ -472,23 +442,20 @@ def fixed_point_in_window(rs: RescaledSystem):
 
     The bracket is at the first grid point, from the left, that is a zero
     or where the sign differs from the left end's; at a sign change it is
-    bisected from the cell before.  A map with a closed form (_closed_form)
-    finds that point piece by piece, by _quadratic_stop's binary search on
-    each piece's quadratic (_piece_stop); any other map scans the grid up
-    to it (_scan_stop).  Only a zero at the left end reads on, since a
-    generator that fixes every grid point is Degenerate.  A generator
-    undefined at some point of the window raises its own OutOfDomain
-    first, wherever that point lies."""
+    bisected from the cell before.  The pieces of each generator along
+    the grid (_closed_form) find that point piece by piece, by
+    _quadratic_stop's binary search on each piece's quadratic, a
+    one-point piece by its own sign (_piece_stop).  Only a zero at the
+    left end reads on, since a generator that fixes every grid point is
+    Degenerate.  A generator undefined at some point of the window raises
+    its own OutOfDomain first, wherever that point lies."""
     m, pn, e0, e1, un = rs.window.frame
     nums, den = _grid_over(e0, e1, m, rs.grid)
     first = nums[0]
     out = {}
     for name, g in zip(rs.names, rs.act.maps):
         _check_defined(g, first, nums[-1], den)
-        pair = pair_form(g)
-        pieces = _closed_form(g, nums, den)
-        stop = (_scan_stop(pair, nums, den) if pieces is None
-                else _piece_stop(pair, pieces))
+        stop = _piece_stop(pair_form(g), _closed_form(g, nums, den))
         if stop is None:
             raise Degenerate(
                 "generator %s is the identity on the window" % name)

@@ -780,6 +780,18 @@ def word_eval_objects(act, w, x):
     return act.check_point(y)
 
 
+def window_from_values(index, point, hull, enlarged, unit):
+    """A renorm.Window from values, any that Fraction accepts: they are put
+    over their least common denominator, whose numerators the window takes
+    with `over`."""
+    fields = [Fraction(x) for x in (point, hull[0], hull[1], enlarged[0],
+                                    enlarged[1], unit)]
+    m = lcm(*(x.denominator for x in fields))
+    pn, h0, h1, e0, e1, un = (x.numerator * (m // x.denominator)
+                              for x in fields)
+    return Window(index, pn, (h0, h1), (e0, e1), un, over=m)
+
+
 def window_oracle(index, point, hull, enlarged, unit):
     """renorm.Window's checks on Fraction comparisons and its length by
     Fraction subtraction: the fields (index, point, hull, enlarged, length,
@@ -816,7 +828,8 @@ def build_windows_oracle(act, p_seq):
         lo, hi = min(shifts + [0]), max(shifts + [0])
         enlarged = (max(Fraction(0), p + WINDOW_ENLARGEMENT * lo),
                     min(Fraction(1), p + WINDOW_ENLARGEMENT * hi))
-        windows.append(Window(index, p, (p + lo, p + hi), enlarged, unit))
+        windows.append(window_from_values(index, p, (p + lo, p + hi),
+                                          enlarged, unit))
     return tuple(windows)
 
 
@@ -847,13 +860,20 @@ def integer_grid(lo, hi, grid):
     return [a * grid + (b - a) * k for k in range(grid + 1)], m * grid
 
 
+def rescaled_domain(rs):
+    """The rescaled enlarged window of rs, ((e0 - pn)/un, (e1 - pn)/un) on
+    its window's frame, as two Fractions."""
+    m, pn, e0, e1, un = rs.window.frame
+    return Fraction(e0 - pn, un), Fraction(e1 - pn, un)
+
+
 def generator_deviation_oracle(rs, name, radius):
     """renorm.generator_deviation with every value taken through
     RescaledSystem.apply in rescaled coordinates; the oracle for the window
     coordinates the library evaluates in."""
     shift = rs.apply(name, 0)
     radius = Fraction(radius)
-    lo, hi = rs.domain
+    lo, hi = rescaled_domain(rs)
     lo, hi = max(lo, -radius), min(hi, radius)
     if lo > hi:
         raise EmptyGridDomain(
@@ -870,7 +890,7 @@ def fixed_point_oracle(rs):
     """renorm.fixed_point_in_window with every value taken through
     RescaledSystem.apply in rescaled coordinates; the oracle for the window
     coordinates the library evaluates in."""
-    pts = window_grid(*rs.domain, rs.grid)
+    pts = window_grid(*rescaled_domain(rs), rs.grid)
     out = {}
     for name in rs.names:
         vals = [rs.apply(name, x) - x for x in pts]

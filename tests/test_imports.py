@@ -219,7 +219,7 @@ def test_one_pair_form_dispatcher():
 def test_one_closed_form_dispatcher():
     # whether a map has a closed form along a grid, in one piece or in
     # pieces, is asked in one place, which both renorm statistics call
-    for method in ("displacement_along", "pieces_along"):
+    for method in ("pieces_along",):
         askers = sorted("%s:%s" % (filename[:-3], name)
                         for filename in MODULES
                         for name, func in functions(parse(filename))
@@ -368,9 +368,22 @@ def test_zz_pair_forms_take_integers(f, names):
     # the zz witness states one entry; the per-cell record is in helpers
     (obstruction, "ZZWitnessEntry"),
     (plmaps, "cell_midpoint"),
+    # one piece stream for both renorm statistics: a map without a closed
+    # form is read as one-point pieces, and the germ gives its pieces
+    (renorm, "_scan_stop"),
+    (renorm, "_displacement"),
+    (renorm.MoebiusGermMap, "displacement_along"),
+    # the rescaled domain is tests/helpers.rescaled_domain
+    (renorm.RescaledSystem, "domain"),
 ], ids=lambda v: v if isinstance(v, str) else v.__name__)
 def test_test_only_constructors_are_gone(owner, name):
     assert not hasattr(owner, name)
+
+
+def test_window_takes_numerators_over_a_denominator():
+    # a window built from values is tests/helpers.window_from_values
+    over = inspect.signature(renorm.Window.__init__).parameters["over"]
+    assert over.default is inspect.Parameter.empty
 
 
 def test_zz_witness_states_one_entry():

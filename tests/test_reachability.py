@@ -80,9 +80,6 @@ ALLOWED = {
         "matrices equal up to scale are one map (acceptance c1)",
     "projline.MoebiusMap.__hash__": "hashes as __eq__ compares (c1)",
     "projline.MoebiusMap.trace": "the commutator's trace is -2 (c1)",
-    "renorm.RescaledSystem.domain":
-        "the rescaled window as two Fractions, which the Fraction oracles "
-        "in tests/helpers.py sample; the library reads the window's frame",
     "plmaps.PLMap.one_sided_slope":
         "the PL atom's side of the slope method ModelTranslation serves to "
         "zz_slope_mid; the composition expressions and germ slopes in "

@@ -31,10 +31,12 @@ from helpers import (
     rand_proj,
     rand_rat,
     rand_sl2,
+    rescaled_domain,
     sandwich_apply,
     translation_deviation,
     window_deviation_oracle,
     window_fixed_point_oracle,
+    window_from_values,
     window_grid,
     window_oracle,
 )
@@ -84,7 +86,6 @@ from nonsmooth.renorm import (
     BISECTION_STEPS,
     MoebiusGermMap,
     RescaledSystem,
-    Window,
     build_windows,
     fixed_point_in_window,
     generator_deviation,
@@ -210,14 +211,17 @@ class TestBuildWindows:
 
     def test_window_validation(self):
         with pytest.raises(BadInterval):
-            Window(0, Fraction(1, 2), (Fraction(2, 3), Fraction(3, 4)),
-                   (0, 1), Fraction(1, 12))
+            window_from_values(0, Fraction(1, 2),
+                               (Fraction(2, 3), Fraction(3, 4)),
+                               (0, 1), Fraction(1, 12))
         with pytest.raises(BadInterval):
-            Window(0, Fraction(1, 2), (Fraction(1, 3), Fraction(2, 3)),
-                   (Fraction(2, 5), 1), Fraction(1, 3))
+            window_from_values(0, Fraction(1, 2),
+                               (Fraction(1, 3), Fraction(2, 3)),
+                               (Fraction(2, 5), 1), Fraction(1, 3))
         with pytest.raises(BadInterval):
-            Window(0, Fraction(1, 2), (Fraction(1, 2), Fraction(1, 2)),
-                   (0, 1), Fraction(1, 2))
+            window_from_values(0, Fraction(1, 2),
+                               (Fraction(1, 2), Fraction(1, 2)),
+                               (0, 1), Fraction(1, 2))
 
 
 def window_fields(windows):
@@ -325,7 +329,7 @@ def seeded_windows(seed, starts=3, length=5):
 
 
 def made_window(*args):
-    return window_fields([Window(*args)])[0]
+    return window_fields([window_from_values(*args)])[0]
 
 
 def window_outcome(make, *args):
@@ -377,7 +381,7 @@ class TestWindowFrame:
         for args in spellings:
             got = window_outcome(made_window, *args)
             assert got == window_outcome(window_oracle, *args), args
-            self.check_frame(Window(*args))
+            self.check_frame(window_from_values(*args))
 
     def test_equality_boundaries_are_windows(self):
         q = [Fraction(k, 12) for k in range(13)]
@@ -391,7 +395,7 @@ class TestWindowFrame:
         for point, hull, enlarged in cases:
             args = (0, point, hull, enlarged, q[1])
             assert made_window(*args) == window_oracle(*args)
-            self.check_frame(Window(*args))
+            self.check_frame(window_from_values(*args))
 
     def test_each_failing_condition_has_the_oracle_message(self):
         q = [Fraction(k, 12) for k in range(13)]
@@ -434,7 +438,7 @@ class TestRescale:
         act = halving_action()
         w = build_windows(act, [Fraction(1, 64)])[0]
         rs = RescaledSystem(w, act, 64)
-        assert rs.domain == (-2, 0)
+        assert rescaled_domain(rs) == (-2, 0)
         assert rs.apply("a", Fraction(-1, 2)) == Fraction(-5, 4)
 
     def test_identity_generator_rescales_to_identity(self):
@@ -442,7 +446,7 @@ class TestRescale:
                            (parabolic_germ(), PLMap([(0, 0), (1, 1)])),
                            UNIT_INTERVAL)
         rs = RescaledSystem(build_windows(act, [Fraction(1, 7)])[0], act, 64)
-        lo, hi = rs.domain
+        lo, hi = rescaled_domain(rs)
         for k in range(9):
             x = lo + (hi - lo) * Fraction(k, 8)
             assert rs.apply("b", x) == x
@@ -452,7 +456,7 @@ class TestRescale:
         _, systems = torus_windows((0, 2))
         systems.append(parabolic_system(12))
         for rs in systems:
-            lo, hi = rs.domain
+            lo, hi = rescaled_domain(rs)
             for _ in range(200):
                 x = lo + (hi - lo) * rand_interior(rng)
                 y = lo + (hi - lo) * rand_interior(rng)
@@ -482,7 +486,9 @@ class TestRescale:
                 RescaledSystem, Window, build_windows, germ_action)
             act = germ_action()
             w = build_windows(act, [Fraction(1, 10)])[0]
-            bad = Window(w.index, w.point, w.hull, w.enlarged, 2 * w.unit)
+            m, pn, e0, e1, un = w.frame
+            h0, h1 = (int(x * m) for x in w.hull)
+            bad = Window(w.index, pn, (h0, h1), (e0, e1), 2 * un, over=m)
             print("optimize", sys.flags.optimize)
             try:
                 RescaledSystem(bad, act, 64)
@@ -528,8 +534,8 @@ class TestConjugatedGerm:
             except EmptyDisplacement:
                 continue
             rs = RescaledSystem(w, act, 8)
-            lo, hi = rs.domain
-            assert rs.domain == ((w.enlarged[0] - w.point) / w.unit,
+            lo, hi = rescaled_domain(rs)
+            assert rescaled_domain(rs) == ((w.enlarged[0] - w.point) / w.unit,
                                  (w.enlarged[1] - w.point) / w.unit)
             grid = rng.randint(2, 12)
             # both domain endpoints, the grid between them, random interior points
@@ -591,7 +597,7 @@ class TestRescaledApplyOnTheFrame:
         kinds = set()
         for kind, act, w in seeded_windows(353, starts=2, length=3):
             rs = RescaledSystem(w, act, 64)
-            lo, hi = rs.domain
+            lo, hi = rescaled_domain(rs)
             assert (lo, hi) == ((w.enlarged[0] - w.point) / w.unit,
                                 (w.enlarged[1] - w.point) / w.unit)
             xs = [lo, hi, 0] + [lo + (hi - lo) * rand_interior(rng)
@@ -789,8 +795,9 @@ class TestPairForms:
         # x -> x/(1 - 2x) has its pole at 1/2, a point of the 4-cell grid of
         # the window (0, 1) about 1/4
         act = MarkedAction(("a",), (MoebiusGermMap(1, 0, -2, 1),), UNIT_INTERVAL)
-        w = Window(0, Fraction(1, 4), (Fraction(1, 4), Fraction(1, 2)), (0, 1),
-                   Fraction(1, 4))
+        w = window_from_values(0, Fraction(1, 4),
+                               (Fraction(1, 4), Fraction(1, 2)), (0, 1),
+                               Fraction(1, 4))
         rs = RescaledSystem(w, act, 4)
         for library, oracle in (
                 (fixed_point_in_window, window_fixed_point_oracle),
@@ -814,7 +821,8 @@ class TestScanStopsEarly:
         # the window (0, 1) about p, with unit |g(p) - p|
         act = MarkedAction(("a",), (g,), UNIT_INTERVAL)
         gp = g.apply(p)
-        w = Window(0, p, (min(p, gp), max(p, gp)), (0, 1), abs(gp - p))
+        w = window_from_values(0, p, (min(p, gp), max(p, gp)), (0, 1),
+                               abs(gp - p))
         return RescaledSystem(w, act, grid)
 
     def test_pole_inside_a_cell(self):
@@ -852,7 +860,7 @@ class TestScanStopsEarly:
         act = MarkedAction(("a",), (g,), UNIT_INTERVAL)
         p = Fraction(1, 8)
         gp = g.apply(p)
-        w = Window(0, p, (p, gp), (0, Fraction(1, 4)), gp - p)
+        w = window_from_values(0, p, (p, gp), (0, Fraction(1, 4)), gp - p)
         rs = RescaledSystem(w, act, 4)
         assert fixed_point_in_window(rs) == window_fixed_point_oracle(rs)
         assert generator_deviation(rs, "a", 1) \
@@ -878,8 +886,8 @@ class TestScanStopsEarly:
                    (Fraction(3, 4), Fraction(11, 16)), (1, 1)])
         act = MarkedAction(("a",), (g,), UNIT_INTERVAL)
         p = Fraction(1, 2)
-        w = Window(0, p, (p, Fraction(5, 8)),
-                   (Fraction(1, 4), Fraction(3, 4)), Fraction(1, 8))
+        w = window_from_values(0, p, (p, Fraction(5, 8)),
+                               (Fraction(1, 4), Fraction(3, 4)), Fraction(1, 8))
         rs = RescaledSystem(w, act, 4)
         expected = window_fixed_point_oracle(rs)
         assert expected == {"a": (Fraction(-2),) * 2}
@@ -902,7 +910,7 @@ class TestScanStopsEarly:
     def test_torus_run_evaluates_each_scan_to_its_stop(self, capsys,
                                                        monkeypatch):
         # with CompactifiedLift's pieces hidden, so that both statistics
-        # scan, the benchmark's renorm-torus run at --start 1/2: each scan
+        # read one-point pieces, the benchmark's renorm-torus run at --start 1/2: each scan
         # reads the grid up to its first zero or sign change and bisects there;
         # build_windows (one point per generator) and generator_deviation
         # (the shift at p and a 65-point grid) read what they read before;
@@ -1297,7 +1305,8 @@ class TestPairPathMatchesFractionLoops:
         act = MarkedAction(("a",), (g,), UNIT_INTERVAL)
         p = Fraction(1, 2)
         gp = g.apply(p)
-        w = Window(0, p, (gp, p), (Fraction(1, 4), Fraction(3, 4)), p - gp)
+        w = window_from_values(0, p, (gp, p),
+                               (Fraction(1, 4), Fraction(3, 4)), p - gp)
         rs = RescaledSystem(w, act, 2)
         expected = window_fixed_point_oracle(rs)
         assert expected == {"a": ((z - p) / (p - gp),) * 2}
@@ -1306,8 +1315,8 @@ class TestPairPathMatchesFractionLoops:
 
 class ScannedMap:
     """g without its closed form: the pair form, the undefined points and
-    the inverse of g, but no displacement_along, so the statistics scan
-    the grid for it."""
+    the inverse of g, but no pieces_along, so the statistics read it as
+    one-point pieces, one grid point at a time."""
 
     def __init__(self, g):
         self.g = g
@@ -1335,7 +1344,7 @@ def outcome(stat, rs, *args):
 
 class TestGermClosedForm:
     """On a Moebius germ both statistics read the closed form of its
-    displacement along the grid (MoebiusGermMap.displacement_along): the
+    displacement along the grid (MoebiusGermMap.pieces_along): the
     bracket from a binary search on a quadratic, the deviation at the few
     points where a quadratic over a linear form can peak.  Both agree
     exactly with the Fraction oracles of tests/helpers.py and with the scan
@@ -1385,7 +1394,8 @@ class TestGermClosedForm:
                 e0 = pole
             elif pole >= h1:
                 e1 = pole
-        return Window(0, p, (h0, h1), (e0, e1), gp - p if gp > p else p - gp)
+        return window_from_values(0, p, (h0, h1), (e0, e1),
+                                  gp - p if gp > p else p - gp)
 
     @staticmethod
     def two_roots_in_one_cell(g, rs):
@@ -1393,7 +1403,8 @@ class TestGermClosedForm:
         # them and the discriminant is positive: both roots of Q lie
         # strictly inside the cell
         nums, den = integer_grid(*rs.window.enlarged, rs.grid)
-        (q0, q1, q2), _ = g.displacement_along(nums[0], nums[1] - nums[0], den)
+        (q0, q1, q2), _ = g.pieces_along(nums[0], nums[1] - nums[0], den,
+                                         rs.grid)[0][2]
         if not q2 or q1 * q1 - 4 * q0 * q2 <= 0:
             return False
         k = -q1 // (2 * q2)
@@ -1487,7 +1498,7 @@ class TestGermClosedForm:
             last = rng.choice(self.GRIDS)
             n0, h, den = rng.randint(-20, 20), rng.randint(1, 3), rng.randint(1, 6)
             try:
-                form = g.displacement_along(n0, h, den)
+                form = g.pieces_along(n0, h, den, last)[0][2]
             except OutOfDomain:
                 continue
             (q0, q1, q2), (l0, l1) = form
@@ -1507,6 +1518,41 @@ class TestGermClosedForm:
             assert got == sorted(set(got)) and set(got) <= set(range(last + 1))
         assert near > 100
 
+    def test_one_piece_matches_apply_pair(self):
+        # on seeded grids whose span holds no pole, the germ is one piece:
+        # its form gives (Q(i), L(i)) and its matrix apply_pair's tuple at
+        # every grid point and at scaled points inside each cell
+        rng = random.Random(373)
+        seen = Counter()
+        for last in (2, 7, 64, 200):
+            checked = 0
+            while checked < 60:
+                g = self.rand_germ(rng)
+                n0, h = rng.randint(-40, 40), rng.randint(1, 4)
+                den = rng.randint(1, 12)
+                nums = [n0 + j * h for j in range(last + 1)]
+                if any(nums[0] * m <= n * den <= nums[-1] * m
+                       for n, m in g.undefined_pairs()):
+                    continue
+                checked += 1
+                (j0, j1, form, matrix), = g.pieces_along(n0, h, den, last)
+                assert (j0, j1) == (0, last)
+                entries = (g.a, g.b, g.c, g.d)
+                assert matrix in (entries, tuple(-v for v in entries))
+                seen["negated" if matrix != entries else "as stored"] += 1
+                (q0, q1, q2), (l0, l1) = form
+                a, b, c, d = matrix
+                for i, n in enumerate(nums):
+                    y, q = g.apply_pair(n, den)
+                    assert (y, q) == (a * n + b * den, c * n + d * den)
+                    assert (q, y * den - n * q) \
+                        == (l0 + l1 * i, q0 + q1 * i + q2 * i * i)
+                for n in nums[:-1]:
+                    scale = 2 ** rng.randint(0, BISECTION_STEPS)
+                    n, m = scale * n + rng.randint(0, scale) * h, scale * den
+                    assert g.apply_pair(n, m) == (a * n + b * m, c * n + d * m)
+        assert set(seen) == {"negated", "as stored"}, seen
+
     def test_germ_run_reads_a_few_points_per_window(self, capsys):
         # the benchmark's renorm-germ run at --start 1/2: per window, the
         # orbit step, the hull, the shift at the point and the deviation's
@@ -1521,7 +1567,8 @@ class TestGermClosedForm:
 
 class ScannedLift:
     """A compactified lift without its pieces: the pair form and the
-    inverse of g, but no pieces_along, so the statistics scan the grid."""
+    inverse of g, but no pieces_along, so the statistics read it as
+    one-point pieces, one grid point at a time."""
 
     def __init__(self, g):
         self.g = g
@@ -1686,7 +1733,7 @@ class TestCompactifiedLiftPieces:
                 continue
             cases += 1
             names = ("a", "b")[:len(maps)]
-            w = Window(0, p, (h0, h1), ends, unit)
+            w = window_from_values(0, p, (h0, h1), ends, unit)
             grid = rng.choice(self.GRIDS)
             rs = RescaledSystem(w, MarkedAction(names, maps, UNIT_INTERVAL),
                                 grid)
@@ -1744,7 +1791,8 @@ class TestTranslationDeviation:
         # conjugating x/(1+x) with x -> p + unit*x at p = 1/i by hand
         for i in (10, 100, 1000):
             rs = parabolic_system(i)
-            lo, hi = max(rs.domain[0], -2), min(rs.domain[1], 2)
+            lo, hi = (max(rescaled_domain(rs)[0], -2),
+                      min(rescaled_domain(rs)[1], 2))
             expected = max(
                 abs(-x * (2 * i + 1 + x) / ((i + 1) ** 2 + x))
                 for k in range(65)
@@ -1816,7 +1864,7 @@ class TestFixedPointPersistence:
                 dlo = rs.apply("a", lo) - lo
                 dhi = rs.apply("a", hi) - hi
                 assert (dlo > 0) != (dhi > 0)
-                span = rs.domain[1] - rs.domain[0]
+                span = rescaled_domain(rs)[1] - rescaled_domain(rs)[0]
                 assert hi - lo <= span / rs.grid / 2 ** 12
 
     def test_identity_generator_degenerate(self):
