@@ -98,33 +98,30 @@ def germ_action() -> MarkedAction:
 
 
 class Window(Record):
-    """One blow-up site: base point, generator hull, enlarged domain.  Its
-    frame (m, pn, e0, e1, un) holds the point, the enlarged ends and the
-    unit as integer numerators over the least common denominator m of the
-    fields; the checks and everything downstream read the frame.
+    """One blow-up site: base point, generator hull, enlarged domain, as
+    integer numerators over the least common denominator m of the values.
+    Its frame (m, pn, e0, e1, un) holds the point, the enlarged ends and the
+    unit, and `hull` the hull's two ends over the same m; the checks and
+    everything downstream read the frame.
 
     The values are integer numerators over the denominator `over`, as
     build_windows has them: the window divides them by their common factor
-    and builds each field once, copying no Fraction."""
+    and builds no Fraction."""
 
-    __slots__ = ("index", "point", "hull", "enlarged", "length", "unit",
-                 "frame")
+    __slots__ = ("index", "hull", "frame")
 
     def __init__(self, index, point, hull, enlarged, unit, over):
         nums = (point, hull[0], hull[1], enlarged[0], enlarged[1], unit)
         k = gcd(over, *nums)
-        m = over // k
-        nums = [n // k for n in nums]
-        fields = tuple([Fraction(n, m) for n in nums])
-        pn, h0, h1, e0, e1, un = nums
+        pn, h0, h1, e0, e1, un = [n // k for n in nums]
         if not h0 <= pn <= h1:
             raise BadInterval("base point outside its hull")
         if not (e0 <= h0 and h1 <= e1):
             raise BadInterval("hull outside the enlarged window")
         if h1 <= h0 or un <= 0:
             raise BadInterval("window must have positive size")
-        Record.__init__(self, int(index), fields[0], fields[1:3], fields[3:5],
-                        Fraction(h1 - h0, m), fields[5], (m, pn, e0, e1, un))
+        Record.__init__(self, int(index), (h0, h1),
+                        (over // k, pn, e0, e1, un))
 
 
 def build_windows(act: MarkedAction, p_seq):

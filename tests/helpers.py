@@ -5,9 +5,10 @@ PL composition, the displacement growth check, the expansion of a
 DeckRows into its rows, the per-row torus render, the per-cell zz
 slope chain, the zz midpoint as a sum of anchors, the zz group law, the
 compactified lift as a chain of integer steps, word evaluation through
-the maps' apply, the window hull and its checks on Fractions, the
-integer grid of a window, the root bisection on Fractions and the renorm
-statistics of the dichotomy; and a call counter."""
+the maps' apply, the window hull and its checks on Fractions, a
+window's values as Fractions, the integer grid of a window, the root
+bisection on Fractions and the renorm statistics of the dichotomy; and a
+call counter."""
 
 import contextlib
 import json
@@ -792,6 +793,18 @@ def window_from_values(index, point, hull, enlarged, unit):
     return Window(index, pn, (h0, h1), (e0, e1), un, over=m)
 
 
+def window_values(w):
+    """A renorm.Window's values as Fractions, (index, point, hull,
+    enlarged, length, unit), read off its integer hull and frame: the tuple
+    window_oracle gives, and the values window_from_values takes back.  The
+    one place the tests read a window's values."""
+    m, pn, e0, e1, un = w.frame
+    h0, h1 = w.hull
+    return (w.index, Fraction(pn, m), (Fraction(h0, m), Fraction(h1, m)),
+            (Fraction(e0, m), Fraction(e1, m)), Fraction(h1 - h0, m),
+            Fraction(un, m))
+
+
 def window_oracle(index, point, hull, enlarged, unit):
     """renorm.Window's checks on Fraction comparisons and its length by
     Fraction subtraction: the fields (index, point, hull, enlarged, length,
@@ -837,7 +850,7 @@ def sandwich_apply(window, m, x):
     """A generator rescaled to a window by the affine sandwich
     x -> (m(p + u x) - p)/u, with p the base point and u the unit; the
     oracle that RescaledSystem.apply must agree with."""
-    p, u = window.point, window.unit
+    _, p, _, _, _, u = window_values(window)
     return (m.apply(p + u * x) - p) / u
 
 
@@ -923,10 +936,9 @@ def window_deviation_oracle(rs, name, radius):
     """renorm.generator_deviation with one Fraction per window point and
     per value; the oracle for the integer pairs the library compares."""
     g = rs.act.maps[rs.names.index(name)]
-    p, u = rs.window.point, rs.window.unit
+    _, p, _, (lo, hi), _, u = window_values(rs.window)
     shift = g.apply(p) - p
     radius = Fraction(radius)
-    lo, hi = rs.window.enlarged
     lo, hi = max(lo, p - u * radius), min(hi, p + u * radius)
     if lo > hi:
         raise EmptyGridDomain(
@@ -955,8 +967,8 @@ def translation_deviation(rs, radius):
 def hull_displacement(rs, w):
     """How far the word moves the base point, in units of the hull length:
     the torus side of the renorm dichotomy (acceptance c6b)."""
-    p = rs.window.point
-    return abs(word_eval(rs.act, w, p) - p) / rs.window.length
+    _, p, _, _, length, _ = window_values(rs.window)
+    return abs(word_eval(rs.act, w, p) - p) / length
 
 
 def bisect_displacement_oracle(g, a, va, b):
@@ -980,8 +992,8 @@ def window_fixed_point_oracle(rs):
     """renorm.fixed_point_in_window with one Fraction per window point and
     per value; the oracle for the integer pairs whose signs the library
     scans."""
-    p, u = rs.window.point, rs.window.unit
-    pts = window_grid(*rs.window.enlarged, rs.grid)
+    _, p, _, enlarged, _, u = window_values(rs.window)
+    pts = window_grid(*enlarged, rs.grid)
     out = {}
     for name, g in zip(rs.names, rs.act.maps):
         vals = [g.apply(x) - x for x in pts]

@@ -7,7 +7,7 @@ renorm checks a generator's type, and one function of groupact asks whether
 a map has its own pair form.  The compactified lift's kernel calls none
 of the integer steps it fuses, no module but cover and plmaps imports their
 geometry's integer steps, and the renorm command evaluates no generator at
-the marked point.
+the marked point, and some module reads each record field by name.
 The signatures are pinned against knobs that were folded away, and the
 constructors and reference code only tests call stay out of the package."""
 
@@ -375,6 +375,12 @@ def test_zz_pair_forms_take_integers(f, names):
     (renorm.MoebiusGermMap, "displacement_along"),
     # the rescaled domain is tests/helpers.rescaled_domain
     (renorm.RescaledSystem, "domain"),
+    # a window holds integers only; its values as Fractions are
+    # tests/helpers.window_values
+    (renorm.Window, "point"),
+    (renorm.Window, "enlarged"),
+    (renorm.Window, "length"),
+    (renorm.Window, "unit"),
 ], ids=lambda v: v if isinstance(v, str) else v.__name__)
 def test_test_only_constructors_are_gone(owner, name):
     assert not hasattr(owner, name)
@@ -384,6 +390,43 @@ def test_window_takes_numerators_over_a_denominator():
     # a window built from values is tests/helpers.window_from_values
     over = inspect.signature(renorm.Window.__init__).parameters["over"]
     assert over.default is inspect.Parameter.empty
+
+
+# Record fields no module of the package reads, each with the reason it stays.
+UNREAD_FIELDS = {
+    "renorm.Window.hull":
+        "tests assert every window's hull, and tests/helpers.py's "
+        "hull_displacement divides by its length",
+}
+
+
+def slot_fields():
+    """Each __slots__ name of a class in the package, as module.Class.name."""
+    for filename in MODULES:
+        for node in ast.walk(parse(filename)):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__"
+                        for t in item.targets):
+                    for elt in item.value.elts:
+                        yield "%s.%s.%s" % (filename[:-3], node.name,
+                                            elt.value)
+
+
+def test_every_record_field_is_read():
+    # a field is read where some module loads an attribute of its name;
+    # Record's getattr over __slots__ (repr, equality, pickling) reads
+    # every field alike, so it reads none.  An entry of UNREAD_FIELDS whose
+    # field went or is now read is stale.
+    loaded = {node.attr for filename in MODULES
+              for node in ast.walk(parse(filename))
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)}
+    unread = sorted(name for name in slot_fields()
+                    if name.rpartition(".")[2] not in loaded)
+    assert unread == sorted(UNREAD_FIELDS), unread
 
 
 def test_zz_witness_states_one_entry():

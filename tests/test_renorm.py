@@ -39,6 +39,7 @@ from helpers import (
     window_from_values,
     window_grid,
     window_oracle,
+    window_values,
 )
 from test_fricke import PAIRS
 import nonsmooth
@@ -160,30 +161,33 @@ class TestBuildWindows:
     def test_parabolic_hull(self):
         act = germ_action()
         w = build_windows(act, [Fraction(1, 10)])[0]
-        assert w.point == Fraction(1, 10)
-        assert w.hull == (Fraction(1, 11), Fraction(1, 10))
-        assert w.length == Fraction(1, 110)
-        assert w.unit == Fraction(1, 110)
-        assert w.enlarged == (Fraction(4, 55), Fraction(1, 10))
+        _, point, hull, enlarged, length, unit = window_values(w)
+        assert point == Fraction(1, 10)
+        assert hull == (Fraction(1, 11), Fraction(1, 10))
+        assert length == Fraction(1, 110)
+        assert unit == Fraction(1, 110)
+        assert enlarged == (Fraction(4, 55), Fraction(1, 10))
 
     def test_torus_window_zero(self):
         act = compactified_action(punctured_torus_action())
         w = build_windows(act, [Fraction(1, 2)])[0]
-        assert w.hull == (Fraction(3, 7), Fraction(4, 7))
-        assert w.enlarged == (Fraction(2, 7), Fraction(5, 7))
-        assert w.length == Fraction(1, 7)
+        _, _, hull, enlarged, length, unit = window_values(w)
+        assert hull == (Fraction(3, 7), Fraction(4, 7))
+        assert enlarged == (Fraction(2, 7), Fraction(5, 7))
+        assert length == Fraction(1, 7)
         # images straddle the point, so the unit is smaller than the hull
-        assert w.unit == Fraction(1, 14)
+        assert unit == Fraction(1, 14)
 
     def test_clamped_to_unit_interval(self):
         act = halving_action()
         w = build_windows(act, [Fraction(1, 1024)])[0]
-        assert w.enlarged == (0, Fraction(1, 1024))
+        assert window_values(w)[3] == (0, Fraction(1, 1024))
 
     def test_enlargement_one_gives_hull(self):
         act = germ_action()
         w = build_windows_enlarged_by(1, act, [Fraction(1, 5)])[0]
-        assert w.enlarged == w.hull
+        _, _, hull, enlarged, _, _ = window_values(w)
+        assert enlarged == hull
 
     def test_identity_action_rejected(self):
         act = MarkedAction(("a",), (PLMap([(0, 0), (1, 1)]),), UNIT_INTERVAL)
@@ -204,10 +208,11 @@ class TestBuildWindows:
         for _ in range(300):
             p = rand_interior(rng)
             w = build_windows(act, [p])[0]
-            assert w.hull[0] <= p <= w.hull[1]
-            assert w.enlarged[0] <= w.hull[0] <= w.hull[1] <= w.enlarged[1]
-            assert 0 <= w.enlarged[0] and w.enlarged[1] <= 1
-            assert w.length > 0 and w.unit > 0
+            _, _, hull, enlarged, length, unit = window_values(w)
+            assert hull[0] <= p <= hull[1]
+            assert enlarged[0] <= hull[0] <= hull[1] <= enlarged[1]
+            assert 0 <= enlarged[0] and enlarged[1] <= 1
+            assert length > 0 and unit > 0
 
     def test_window_validation(self):
         with pytest.raises(BadInterval):
@@ -225,8 +230,7 @@ class TestBuildWindows:
 
 
 def window_fields(windows):
-    return [(w.index, w.point, w.hull, w.enlarged, w.length, w.unit)
-            for w in windows]
+    return [window_values(w) for w in windows]
 
 
 def windows_outcome(build, act, points):
@@ -275,7 +279,8 @@ class TestBuildWindowsOnIntegers:
             w, = build_windows(act, [p])
             assert window_fields([w]) \
                 == window_fields(build_windows_oracle(act, [p]))
-            assert w.enlarged[end] == end != w.hull[end]
+            _, _, hull, enlarged, _, _ = window_values(w)
+            assert enlarged[end] == end != hull[end]
 
     def test_fixed_point_is_empty_displacement(self):
         g = PLMap([(0, 0), (Fraction(1, 2), Fraction(1, 2)),
@@ -350,17 +355,19 @@ class TestWindowFrame:
     @staticmethod
     def check_frame(w):
         m, pn, e0, e1, un = w.frame
+        _, point, hull, enlarged, length, unit = window_values(w)
         assert (Fraction(pn, m), (Fraction(e0, m), Fraction(e1, m)),
-                Fraction(un, m)) == (w.point, w.enlarged, w.unit)
+                Fraction(un, m)) == (point, enlarged, unit)
         assert m == lcm(*(x.denominator for x in
-                          (w.point, *w.hull, *w.enlarged, w.unit)))
-        assert w.length == w.hull[1] - w.hull[0]
+                          (point, *hull, *enlarged, unit)))
+        assert length == hull[1] - hull[0]
 
     def test_seeded_orbit_windows(self):
         kinds = set()
         for kind, _, w in seeded_windows(351):
             self.check_frame(w)
-            args = (w.index, w.point, w.hull, w.enlarged, w.unit)
+            index, point, hull, enlarged, _, unit = window_values(w)
+            args = (index, point, hull, enlarged, unit)
             assert window_outcome(made_window, *args) \
                 == window_outcome(window_oracle, *args), kind
             kinds.add(kind)
@@ -487,7 +494,7 @@ class TestRescale:
             act = germ_action()
             w = build_windows(act, [Fraction(1, 10)])[0]
             m, pn, e0, e1, un = w.frame
-            h0, h1 = (int(x * m) for x in w.hull)
+            h0, h1 = w.hull
             bad = Window(w.index, pn, (h0, h1), (e0, e1), 2 * un, over=m)
             print("optimize", sys.flags.optimize)
             try:
@@ -535,8 +542,8 @@ class TestConjugatedGerm:
                 continue
             rs = RescaledSystem(w, act, 8)
             lo, hi = rescaled_domain(rs)
-            assert rescaled_domain(rs) == ((w.enlarged[0] - w.point) / w.unit,
-                                 (w.enlarged[1] - w.point) / w.unit)
+            _, p, _, (e0, e1), _, u = window_values(w)
+            assert rescaled_domain(rs) == ((e0 - p) / u, (e1 - p) / u)
             grid = rng.randint(2, 12)
             # both domain endpoints, the grid between them, random interior points
             xs = [lo + (hi - lo) * Fraction(k, grid) for k in range(grid + 1)]
@@ -598,8 +605,8 @@ class TestRescaledApplyOnTheFrame:
         for kind, act, w in seeded_windows(353, starts=2, length=3):
             rs = RescaledSystem(w, act, 64)
             lo, hi = rescaled_domain(rs)
-            assert (lo, hi) == ((w.enlarged[0] - w.point) / w.unit,
-                                (w.enlarged[1] - w.point) / w.unit)
+            _, p, _, (e0, e1), _, u = window_values(w)
+            assert (lo, hi) == ((e0 - p) / u, (e1 - p) / u)
             xs = [lo, hi, 0] + [lo + (hi - lo) * rand_interior(rng)
                                 for _ in range(6)]
             for name, g in zip(act.names, act.maps):
@@ -663,6 +670,27 @@ class TestNoFractionArithmetic:
         # each generator
         assert [b is not None for b in brackets.values()] \
             == [kind == "torus"] * len(rs.names)
+
+    @pytest.mark.parametrize("kind, start", [("germ", Fraction(1, 3)),
+                                             ("torus", Fraction(1, 2))])
+    def test_window_builds_no_fraction(self, monkeypatch, kind, start):
+        # a window holds integers only; its values as Fractions are
+        # tests/helpers.window_values
+        act = frame_actions()[kind][0]
+        built = Counter()
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built[cls.__name__] += 1
+            return new(cls, *args, **kwargs)
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        (w,) = build_windows(act, [start])
+        library = dict(built)
+        # the count sees the seven Fractions of the window's values
+        window_values(w)
+        monkeypatch.undo()
+        assert not library, library
+        assert built == {"Fraction": 7}
 
 
 class TestWindowCoordinates:
@@ -843,7 +871,7 @@ class TestScanStopsEarly:
         # at 1/4, and the pole 3/4 lies further right on the grid
         g = MoebiusGermMap(1, Fraction(1, 8), -4, 3)
         rs = self.unit_window_system(g, Fraction(1, 2))
-        nums, den = integer_grid(*rs.window.enlarged, rs.grid)
+        nums, den = integer_grid(*window_values(rs.window)[3], rs.grid)
         (v0, _), (v1, _) = displacements(g, nums[:2], den)
         assert v0 > 0 > v1
         with pytest.raises(OutOfDomain) as via_scan:
@@ -950,7 +978,7 @@ class TestScanStopsEarly:
         assert total - in_scans == 32 * 2 * (1 + 1 + 65)
         bound = 0
         for rs, _ in scanned:
-            nums, den = integer_grid(*rs.window.enlarged, rs.grid)
+            nums, den = integer_grid(*window_values(rs.window)[3], rs.grid)
             for g in rs.act.maps:
                 signs = [(v > 0) - (v < 0)
                          for v, _ in displacements(g, nums, den)]
@@ -1173,7 +1201,7 @@ class TestNoCoverObjectsOnTheGrid:
         bisected = 0
         for rs in systems:
             g = rs.act.maps[0]
-            nums, den = integer_grid(*rs.window.enlarged, rs.grid)
+            nums, den = integer_grid(*window_values(rs.window)[3], rs.grid)
             assert len(nums) == 65
             with counting_calls("__init__", ProjPoint, CoverPoint) as counts:
                 displacements(g, nums, den)
@@ -1287,10 +1315,10 @@ class TestPairPathMatchesFractionLoops:
             points = orbit_sequence(act, act.parse(advance), self.STARTS[0], 3)
             for w in build_windows(act, points):
                 rs = RescaledSystem(w, act, 64)
-                p, u = w.point, w.unit
+                _, p, _, (e0, e1), _, u = window_values(w)
                 for radius in self.RADII:
-                    lo = max(w.enlarged[0], p - u * radius)
-                    hi = min(w.enlarged[1], p + u * radius)
+                    lo = max(e0, p - u * radius)
+                    hi = min(e1, p + u * radius)
                     grids.clear()
                     with mock.patch.object(renorm, "_grid_over", record):
                         generator_deviation(rs, rs.names[0], radius)
@@ -1402,7 +1430,7 @@ class TestGermClosedForm:
         # Q(k) and Q(k + 1) share the sign of Q2, the vertex lies between
         # them and the discriminant is positive: both roots of Q lie
         # strictly inside the cell
-        nums, den = integer_grid(*rs.window.enlarged, rs.grid)
+        nums, den = integer_grid(*window_values(rs.window)[3], rs.grid)
         (q0, q1, q2), _ = g.pieces_along(nums[0], nums[1] - nums[0], den,
                                          rs.grid)[0][2]
         if not q2 or q1 * q1 - 4 * q0 * q2 <= 0:
@@ -1415,9 +1443,9 @@ class TestGermClosedForm:
     @staticmethod
     def interior_peak(g, rs, radius):
         # the largest deviation over the radius grid lies strictly inside it
-        p, u = rs.window.point, rs.window.unit
-        lo = max(rs.window.enlarged[0], p - u * radius)
-        hi = min(rs.window.enlarged[1], p + u * radius)
+        _, p, _, (e0, e1), _, u = window_values(rs.window)
+        lo = max(e0, p - u * radius)
+        hi = min(e1, p + u * radius)
         shift = g.apply(p) - p
         devs = [abs(g.apply(x) - x - shift)
                 for x in window_grid(lo, hi, rs.grid)]
@@ -1457,7 +1485,7 @@ class TestGermClosedForm:
             rs_scan = RescaledSystem(w, scanned, grid)
             got = outcome(fixed_point_in_window, rs)
             assert got == outcome(fixed_point_in_window, rs_scan)
-            place = self.pole_place(g, rs, *w.enlarged)
+            place = self.pole_place(g, rs, *window_values(w)[3])
             if place is not None:
                 assert got == (OutOfDomain, "germ has a pole at %s"
                                % (Fraction(-g.d, g.c),))
@@ -1758,7 +1786,8 @@ class TestCompactifiedLiftPieces:
                         or pieces is None:
                     continue
                 # the grid cell k - 1, k that holds the bracket
-                x = w.point + w.unit * bracket[0]
+                _, p, _, _, _, u = window_values(w)
+                x = p + u * bracket[0]
                 k = next(k for k, n in enumerate(nums) if Fraction(n, den) > x)
                 inside = any(j0 < k <= j1 for j0, j1, _, _ in pieces)
                 seen["bracket inside a multi-point piece" if inside
